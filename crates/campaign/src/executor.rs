@@ -64,7 +64,7 @@ use crate::checkpoint::{self, JournalEntry, JournalError, JournalWriter};
 use crate::runner::{run_spec, CampaignError, FailedRun, RunOutcome};
 use crate::spec::{CampaignSpec, RunSpec, ThreadGenerator};
 use sim::pool::queue::{Outcome, StealingPool, WorkerTally};
-use sim::pool::{Collected, WorkerPool};
+use sim::pool::{panic_message, Collected, WorkerPool};
 use sim::{DefenseKind, SystemBuilder};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -563,17 +563,6 @@ impl RunError {
     }
 }
 
-/// Best-effort rendering of a panic payload.
-fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
-    }
-}
-
 /// Executes one run behind the isolation boundary: a panic anywhere in
 /// the simulator comes back as a [`RunError::Panic`] instead of
 /// unwinding the executor (or a pool worker).
@@ -581,7 +570,7 @@ fn run_isolated(spec: &RunSpec) -> Result<RunOutcome, RunError> {
     match catch_unwind(AssertUnwindSafe(|| run_spec(spec))) {
         Ok(Ok(outcome)) => Ok(outcome),
         Ok(Err(error)) => Err(RunError::Campaign(error)),
-        Err(payload) => Err(RunError::Panic(panic_cause(payload))),
+        Err(payload) => Err(RunError::Panic(panic_message(payload.as_ref()))),
     }
 }
 

@@ -91,7 +91,7 @@ impl Default for ServerConfig {
             queue_capacity: 8,
             // Keep two hardware threads for the server's own loops
             // (acceptor + executor); the rest simulate.
-            workers: sim::service_pool_size(2),
+            workers: campaign::default_workers().saturating_sub(1),
             max_runs: 100_000,
             scheduler: SchedulerMode::default(),
         }

@@ -46,5 +46,5 @@ mod system;
 pub use defense_factory::DefenseKind;
 pub use metrics::{ChannelStats, MultiProgramMetrics, RunResult, SteppingStats, ThreadResult};
 pub use pool::WorkerPool;
-pub use subsystem::{service_pool_size, MemorySubsystem, SteppingMode};
+pub use subsystem::{MemorySubsystem, SteppingMode};
 pub use system::{AdvanceMode, BoxedTrace, System, SystemBuilder, SystemConfig};

@@ -263,7 +263,7 @@ fn spawn_worker<C: Send + 'static, T: Send + 'static, R: Send + 'static>(
 
 /// Best-effort rendering of a panic payload (panics carry `&str` or
 /// `String` in practice). Shared with the pull-based [`queue`] pool.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

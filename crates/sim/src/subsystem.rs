@@ -71,17 +71,6 @@ impl SteppingMode {
     }
 }
 
-/// Worker-pool budget for a long-running service embedding the simulator
-/// (e.g. the campaign server): every available hardware thread minus
-/// `reserved` — the threads the service keeps for its own loops (accept,
-/// collect, connection handling) — floored at zero, which means
-/// sequential execution. Like [`SteppingMode::auto`], this only sizes
-/// parallelism; it can never change simulated results, which are
-/// worker-count-independent by construction.
-pub fn service_pool_size(reserved: usize) -> usize {
-    std::thread::available_parallelism().map_or(0, |n| n.get().saturating_sub(reserved))
-}
-
 /// One memory channel: its controller (with DRAM device inside) and the
 /// defense instance that protects it.
 struct ChannelShard {
