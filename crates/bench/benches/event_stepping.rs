@@ -3,12 +3,15 @@
 //! Two workload points bracket the optimization:
 //!
 //! * **low-utilization** — one short low-intensity benign thread with a
-//!   long `min_cycles` tail, the idle-heavy shape where skip-to-next-event
-//!   pays (expected >=5x: the run is dominated by refresh-to-refresh
-//!   jumps once the thread finishes);
+//!   long `min_cycles` tail, the idle-heavy shape where skipping pays most
+//!   (expected >=5x: once the thread finishes the run jumps from refresh
+//!   to refresh);
 //! * **saturated** — a double-sided attacker hammering alongside a
-//!   high-intensity thread, where nearly every cycle has work and the two
-//!   modes should be a wash.
+//!   high-intensity thread. BlockHammer vetoes the attacker's ACTs and the
+//!   queues refuse its requests on cycle after cycle; event-driven
+//!   stepping skips those repeated ticks and replays their counters, so
+//!   this point is no longer a wash (`tests/tests/event_equivalence.rs`
+//!   pins that it ticks at most half its cycles).
 //!
 //! Both modes are bit-identical in results (pinned by
 //! `tests/tests/event_equivalence.rs`); only wall-clock differs. The

@@ -68,8 +68,11 @@ impl BlockHammerConfig {
         let n_bl = (n_rh_star / 2).max(1);
         // Table 7: the CBF size doubles every time N_BL halves below 1K
         // counters' worth of margin; expressed directly from the paper's
-        // table: {32K,16K,8K} -> 1K, 4K -> 2K, 2K -> 4K, 1K -> 8K.
-        let cbf_size = ((1u64 << 23) / n_rh.get().max(1)).clamp(1024, 1 << 20) as usize;
+        // table: {32K,16K,8K} -> 1K, 4K -> 2K, 2K -> 4K, 1K -> 8K. Smaller
+        // (e.g. time-scaled) thresholds keep Table 7's largest filter: a
+        // counting Bloom filter never under-counts, so its size only
+        // trades false positives for memory, never security.
+        let cbf_size = ((1u64 << 23) / n_rh.get().max(1)).clamp(1024, 8192) as usize;
         let cbf_size = cbf_size.next_power_of_two();
         let t_cbf = geometry.refresh_window_cycles;
         let t_delay = compute_t_delay(
@@ -258,6 +261,22 @@ mod tests {
         assert_eq!(cbf, vec![1_024, 1_024, 1_024, 2_048, 4_096, 8_192]);
         for c in &configs {
             assert!(c.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn cbf_size_stays_within_table7_for_every_threshold() {
+        for n_rh in 1..=32_768 {
+            let c = BlockHammerConfig::for_rowhammer_threshold(
+                RowHammerThreshold::new(n_rh),
+                &geometry(),
+            );
+            assert!(c.cbf_size.is_power_of_two(), "N_RH {n_rh}: {}", c.cbf_size);
+            assert!(
+                (1_024..=8_192).contains(&c.cbf_size),
+                "N_RH {n_rh}: {} counters is outside Table 7's range",
+                c.cbf_size
+            );
         }
     }
 

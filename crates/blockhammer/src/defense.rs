@@ -7,6 +7,7 @@ use crate::throttler::AttackThrottler;
 use bh_types::{Cycle, DramAddress, ThreadId};
 use mitigations::{DefenseGeometry, DefenseStats, MetadataFootprint, RowHammerDefense};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// BlockHammer's operating mode (Section 3.2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +78,9 @@ pub struct BlockHammer {
     /// sample the imposed delay.
     last_blacklisted_act: HashMap<(usize, u64), Cycle>,
     track_false_positives: bool,
+    /// The cycle of the latest veto, and the earliest cycle at which a row
+    /// vetoed then leaves the history buffer.
+    veto_lift: (Cycle, Cycle),
     stats: DefenseStats,
     bh_stats: BlockHammerStats,
 }
@@ -102,6 +106,7 @@ impl BlockHammer {
             shadow_previous: HashMap::new(),
             last_blacklisted_act: HashMap::new(),
             track_false_positives: false,
+            veto_lift: (Cycle::MAX, Cycle::MAX),
             stats: DefenseStats::default(),
             bh_stats: BlockHammerStats::default(),
         }
@@ -182,14 +187,18 @@ impl RowHammerDefense for BlockHammer {
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // Only the epoch boundary needs a guaranteed tick of its own:
-        // `handle_epoch_swap` swaps the throttler counters once per swap
-        // signal, so jumping across two boundaries would merge two swaps
-        // into one. History-buffer expiry and throttle release need no
-        // candidate — they only matter while the controller is retrying a
-        // vetoed ACT or a rejected request, and both retry loops already
-        // force per-cycle stepping.
-        let at = self.rowblocker.next_epoch_at();
+        // The epoch boundary needs a tick of its own (`handle_epoch_swap`
+        // swaps the throttler counters once per swap signal, so jumping
+        // across two boundaries would merge two swaps), and it is the only
+        // time a blacklisting or a quota changes without an activation.
+        // A veto also lifts when the row leaves the history buffer, so the
+        // rows vetoed at `now` report that expiry: a skip never passes the
+        // first cycle one of them becomes safe.
+        let (vetoed_at, lift_at) = self.veto_lift;
+        let mut at = self.rowblocker.next_epoch_at();
+        if vetoed_at == now {
+            at = at.min(lift_at);
+        }
         (at != Cycle::MAX).then(|| at.max(now + 1))
     }
 
@@ -199,11 +208,24 @@ impl RowHammerDefense for BlockHammer {
         let safe = self.rowblocker.is_activation_safe(now, addr);
         if !safe {
             self.stats.blocked_activations += 1;
+            let (at, earliest) = self.veto_lift;
+            let earliest = if at == now { earliest } else { Cycle::MAX };
+            self.veto_lift = (now, earliest.min(self.rowblocker.veto_lifts_at(now, addr)));
         }
         match self.mode {
             OperatingMode::ObserveOnly => true,
             OperatingMode::FullFunctional => safe,
         }
+    }
+
+    // lint: alloc-free
+    fn replay_vetoes(&mut self, skipped: Range<Cycle>, vetoed: &[(ThreadId, DramAddress)]) {
+        // No epoch boundary or history expiry falls inside `skipped` (both
+        // bound `next_event`), so every skipped consult is answered as the
+        // vetoing one was and only bumps the veto counters.
+        let count = (skipped.end - skipped.start) * vetoed.len() as u64;
+        self.stats.blocked_activations += count;
+        self.rowblocker.count_unsafe_queries(count);
     }
 
     fn on_activation(
@@ -435,6 +457,34 @@ mod tests {
             "CAM {} KiB out of the expected range",
             m.cam_kib()
         );
+    }
+
+    #[test]
+    fn replayed_vetoes_count_like_repeated_consults() {
+        // The arithmetic override must leave every counter where the
+        // trait's default, re-asking each skipped consult, would, and
+        // `next_event` must stop the skip where the veto lifts.
+        let (mut replayed, _) = small_setup(OperatingMode::FullFunctional);
+        let (mut asked, _) = small_setup(OperatingMode::FullFunctional);
+        let attacker = ThreadId::new(0);
+        let target = addr(0, 0, 42);
+        let mut now = 0;
+        while asked.is_activation_safe(now, attacker, &target) {
+            assert!(replayed.is_activation_safe(now, attacker, &target));
+            asked.on_activation(now, attacker, &target);
+            replayed.on_activation(now, attacker, &target);
+            now += 148;
+        }
+        assert!(!replayed.is_activation_safe(now, attacker, &target));
+        let lift = replayed.next_event(now).expect("a vetoed row lifts");
+        assert!(lift > now + 1, "nothing to skip before {lift}");
+        replayed.replay_vetoes(now + 1..lift, &[(attacker, target)]);
+        for t in now + 1..lift {
+            assert!(!asked.is_activation_safe(t, attacker, &target));
+        }
+        assert_eq!(replayed.stats(), asked.stats());
+        assert_eq!(replayed.rowblocker().stats(), asked.rowblocker().stats());
+        assert!(asked.is_activation_safe(lift, attacker, &target));
     }
 
     #[test]

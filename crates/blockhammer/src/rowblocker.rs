@@ -166,6 +166,25 @@ impl RowBlocker {
         safe
     }
 
+    /// When a veto of `addr`'s row lifts with time alone: the cycle its
+    /// latest activation leaves the history buffer (`Cycle::MAX` if it is
+    /// not there). An epoch boundary may clear its blacklisting earlier.
+    // lint: alloc-free
+    pub fn veto_lifts_at(&mut self, now: Cycle, addr: &DramAddress) -> Cycle {
+        let (rank, row_key) = (self.rank_index(addr), self.row_key(addr));
+        self.history[rank]
+            .expires_at(now, row_key)
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// Counts `count` more queries of blacklisted, recently activated rows,
+    /// exactly as asking [`RowBlocker::is_activation_safe`] for them would.
+    // lint: alloc-free
+    pub fn count_unsafe_queries(&mut self, count: u64) {
+        self.stats.blacklisted_queries += count;
+        self.stats.unsafe_responses += count;
+    }
+
     /// Records an issued activation (steps 8 and 9 in Figure 2). Returns
     /// whether the activated row was blacklisted, which is the event
     /// AttackThrottler counts towards RHLI.

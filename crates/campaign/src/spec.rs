@@ -36,7 +36,7 @@ pub struct RunScale {
     /// Safety bound on simulated cycles.
     pub max_cycles: u64,
     /// How the simulated clock advances. Event-driven (the default for
-    /// new campaigns) skips provably idle cycles and is bit-identical to
+    /// new campaigns) skips repeated idle ticks and is bit-identical to
     /// lockstep, so it never changes campaign results — only wall-clock.
     pub advance: AdvanceMode,
 }

@@ -100,14 +100,16 @@ struct WindowEntry {
 pub struct CoreStats {
     /// Instructions retired.
     pub retired_instructions: u64,
-    /// Cycles the core has been ticked.
+    /// Cycles the core has been ticked. Like the stall counters, this
+    /// counts ticked cycles only: event-driven stepping skips the cycles
+    /// in which a core could only repeat a stall.
     pub cycles: u64,
     /// Memory requests sent.
     pub memory_requests: u64,
-    /// Cycles in which no instruction could be issued because the memory
-    /// system refused a request.
+    /// Ticked cycles in which no instruction could be issued because the
+    /// memory system refused a request.
     pub stall_cycles_memory: u64,
-    /// Cycles in which issue stopped because the window was full.
+    /// Ticked cycles in which issue stopped because the window was full.
     pub stall_cycles_window: u64,
 }
 
@@ -183,36 +185,6 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
                 && self.window.is_empty())
     }
 
-    /// Whether the next [`Core::tick`] could retire or issue anything.
-    /// Event-driven stepping uses this to decide if the core forces
-    /// per-cycle ticks: a blocked core's tick only bumps unexported stall
-    /// accounting (the window head is incomplete and nothing can issue),
-    /// so skipping its ticks cannot change observable behaviour, while
-    /// any core that could reach the memory system must tick every cycle
-    /// (even a refused request mutates cache and admission statistics).
-    pub fn wants_tick(&self) -> bool {
-        if self.is_finished() {
-            return false;
-        }
-        // Retirement: the window head is complete.
-        if self.window.front().is_some_and(|entry| entry.done) {
-            return true;
-        }
-        // Issue: mirror `tick`'s stop conditions — the instruction limit
-        // and a full window halt issue before any memory attempt.
-        if self.stats.retired_instructions + self.window.len() as u64
-            >= self.config.instruction_limit
-        {
-            return false;
-        }
-        if self.window.len() >= self.config.window_size {
-            return false;
-        }
-        // Anything left to issue? (`!trace_exhausted` over-approximates by
-        // exactly one tick when the trace turns out to be empty.)
-        self.pending_non_memory > 0 || self.pending_access.is_some() || !self.trace_exhausted
-    }
-
     /// Marks the load identified by `token` as complete, unblocking its
     /// window slot for retirement.
     pub fn on_memory_complete(&mut self, token: u64) {
@@ -239,10 +211,11 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
 
     /// Advances the core by one cycle: retires completed instructions from
     /// the window head and issues new ones, sending memory accesses to
-    /// `memory`.
-    pub fn tick(&mut self, now: Cycle, memory: &mut dyn MemorySink) {
+    /// `memory`. Returns whether it retired or issued anything; a tick
+    /// that did neither only retried what it will retry next cycle.
+    pub fn tick(&mut self, now: Cycle, memory: &mut dyn MemorySink) -> bool {
         if self.is_finished() {
-            return;
+            return false;
         }
         self.stats.cycles += 1;
         // Retire in order from the head of the window.
@@ -306,6 +279,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
                 }
             }
         }
+        retired + issued > 0
     }
 }
 

@@ -5,6 +5,7 @@ use crate::rank::Rank;
 use crate::stats::DramStats;
 use crate::timings::TimingsInCycles;
 use bh_types::{Cycle, DramAddress, MemCommand};
+use std::cell::Cell;
 
 /// Result of issuing a command to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +26,9 @@ pub struct DramDevice {
     timings: TimingsInCycles,
     ranks: Vec<Rank>,
     stats: DramStats,
+    /// Earliest cycle at which a command [`DramDevice::can_issue`] refused
+    /// on timing would pass, since the last [`DramDevice::take_retry_at`].
+    retry_at: Cell<Cycle>,
 }
 
 impl DramDevice {
@@ -42,6 +46,7 @@ impl DramDevice {
             timings,
             ranks: (0..total_ranks).map(|_| Rank::new(&organization)).collect(),
             stats: DramStats::new(total_ranks),
+            retry_at: Cell::new(Cycle::MAX),
         }
     }
 
@@ -114,9 +119,25 @@ impl DramDevice {
         self.ranks[self.rank_index(addr)].earliest_issue(cmd, addr, &self.timings)
     }
 
-    /// Whether `cmd` to `addr` may be issued at `now`.
+    /// Whether `cmd` to `addr` may be issued at `now`. A command that is
+    /// legal in the current state but too early remembers when it becomes
+    /// legal, for [`DramDevice::take_retry_at`].
     pub fn can_issue(&self, cmd: MemCommand, addr: &DramAddress, now: Cycle) -> bool {
-        self.earliest_issue(cmd, addr).is_some_and(|t| t <= now)
+        match self.earliest_issue(cmd, addr) {
+            Some(at) if at > now => {
+                self.retry_at.set(self.retry_at.get().min(at));
+                false
+            }
+            legal => legal.is_some(),
+        }
+    }
+
+    /// The earliest cycle at which any command [`DramDevice::can_issue`]
+    /// refused on timing since the previous call would pass (`Cycle::MAX`
+    /// if none was), and forgets it: without an intervening command, no
+    /// refused check can pass before then.
+    pub fn take_retry_at(&self) -> Cycle {
+        self.retry_at.replace(Cycle::MAX)
     }
 
     /// Issues `cmd` to `addr` at `now` and returns when it completes.
@@ -231,6 +252,24 @@ mod tests {
         d.issue(MemCommand::Activate, &b, act_b);
         assert_eq!(d.open_row(&a), Some(1));
         assert_eq!(d.open_row(&b), Some(9));
+    }
+
+    #[test]
+    fn refused_timing_checks_report_when_they_pass() {
+        let d = device();
+        let mut busy = device();
+        let a = addr(0, 0, 1, 0);
+        assert_eq!(d.take_retry_at(), Cycle::MAX);
+        busy.issue(MemCommand::Activate, &a, 0);
+        // Illegal in this state (no row open): nothing to wait for.
+        assert!(!d.can_issue(MemCommand::Read, &a, 0));
+        assert_eq!(d.take_retry_at(), Cycle::MAX);
+        // Legal but early: the earliest refused cycle is kept, then reset.
+        let t = *busy.timings();
+        assert!(!busy.can_issue(MemCommand::Precharge, &a, 1));
+        assert!(!busy.can_issue(MemCommand::Read, &a, 1));
+        assert_eq!(busy.take_retry_at(), t.t_rcd.min(t.t_ras));
+        assert_eq!(busy.take_retry_at(), Cycle::MAX);
     }
 
     #[test]

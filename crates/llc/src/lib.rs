@@ -136,13 +136,15 @@ pub struct LlcStats {
     pub hits: u64,
     /// Demand accesses that missed (allocated or merged).
     pub misses: u64,
-    /// Accesses rejected because the MSHRs were full.
+    /// Accesses rejected because the MSHRs were full. A retried access
+    /// counts once per ticked cycle: event-driven stepping skips repeats.
     pub mshr_rejections: u64,
     /// Dirty lines written back to memory.
     pub writebacks: u64,
     /// Misses per thread.
     pub misses_per_thread: HashMap<usize, u64>,
-    /// Accesses per thread.
+    /// Accesses per thread, counting a retry refused for full MSHRs once
+    /// per ticked cycle, like `mshr_rejections`.
     pub accesses_per_thread: HashMap<usize, u64>,
 }
 

@@ -12,6 +12,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Why a request could not be accepted into the controller queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +89,24 @@ pub struct MemoryController {
     delayed_by_defense: HashSet<ReqId>,
     next_req_id: ReqId,
     stats: CtrlStats,
+    /// What the current cycle's tick and admissions did.
+    tally: TickTally,
+}
+
+/// What one cycle of a controller did — its tick plus the admissions that
+/// follow it — as event-driven stepping needs to know it: whether it made
+/// progress, and the per-poll refusals and vetoes a repeat would redo.
+#[derive(Debug, Default)]
+struct TickTally {
+    /// A command issued or slot consumed, a completion, an admission, or
+    /// a request vetoed for the first time.
+    progress: bool,
+    rejected_queue_full: u64,
+    rejected_quota: u64,
+    /// Consults the defense vetoed, in consult order.
+    vetoed: Vec<(ThreadId, DramAddress)>,
+    /// Earliest cycle at which a DRAM timing check refused this tick passes.
+    retry_at: Cycle,
 }
 
 impl MemoryController {
@@ -126,6 +145,7 @@ impl MemoryController {
             delayed_by_defense: HashSet::new(),
             next_req_id: 0,
             stats: CtrlStats::default(),
+            tally: TickTally::default(),
             config,
         }
     }
@@ -324,11 +344,13 @@ impl MemoryController {
             match self.admission_error_with(thread, bank, quota, free_slots) {
                 Some(EnqueueError::QuotaExceeded) => {
                     self.stats.rejected_quota += 1;
+                    self.tally.rejected_quota += 1;
                     outcome.rejection = Some(EnqueueError::QuotaExceeded);
                     break;
                 }
                 Some(EnqueueError::QueueFull) => {
                     self.stats.rejected_queue_full += 1;
+                    self.tally.rejected_queue_full += 1;
                     outcome.rejection = Some(EnqueueError::QueueFull);
                     break;
                 }
@@ -340,6 +362,7 @@ impl MemoryController {
             let request = MemRequest::demand(id, thread, phys_addr, addr, access, now);
             *self.inflight.entry(key).or_insert(0) += 1;
             self.stats.accepted_requests += 1;
+            self.tally.progress = true;
             self.scheduler.push(access, bank, request);
             on_accept(id, tag);
             outcome.accepted += 1;
@@ -355,86 +378,63 @@ impl MemoryController {
         now: Cycle,
         defense: &mut dyn RowHammerDefense,
     ) -> Vec<CompletedRequest> {
+        self.tally.rejected_queue_full = 0;
+        self.tally.rejected_quota = 0;
+        self.tally.vetoed.clear();
         defense.tick(now);
         let completed = self.collect_completions(now);
+        self.tally.progress = !completed.is_empty();
         for channel in 0..self.config.organization.channels {
             if now < self.next_command_at[channel] {
                 continue;
             }
             if self.try_issue_command(channel, now, defense) {
                 self.next_command_at[channel] = now + self.config.command_bus_interval;
+                self.tally.progress = true;
             }
         }
+        self.tally.retry_at = self.dram.take_retry_at();
         completed
     }
 
-    /// The earliest cycle after `now` at which [`MemoryController::tick`]
-    /// could do observable work: the defense's next self-scheduled event,
-    /// the next pending completion, or the next cycle a command slot
-    /// could issue (or be consumed by) refresh, victim-refresh or demand
-    /// work. `None` means the controller is fully idle (with refresh
-    /// enabled this never happens — the next auto-refresh deadline is
-    /// always a candidate).
+    /// After a cycle that made no progress, the earliest later cycle at
+    /// which repeating it could turn out differently: a refused timing
+    /// check passing, a completion falling due, a refresh deadline, a
+    /// command slot opening, or the defense's own next event. `None` if
+    /// the cycle made progress.
     ///
-    /// Event-driven stepping relies on this being *conservative*: every
-    /// cycle at which `tick` would change observable state is covered by
-    /// a candidate, so skipped cycles are provably no-ops (the per-channel
-    /// command-bus gate makes them early-`continue`s). An early candidate
-    /// only costs an empty tick, never correctness. Retry situations that
-    /// resolve at an unknowable future cycle — a pending refresh waiting
-    /// on tRAS, victim refreshes polling bank state, a defense-vetoed
-    /// ACT — clamp to the very next eligible slot, reproducing lockstep's
-    /// per-slot polling (and its per-poll statistics) exactly.
-    pub fn next_event(&self, now: Cycle, defense: &dyn RowHammerDefense) -> Option<Cycle> {
-        fn merge(best: &mut Option<Cycle>, candidate: Option<Cycle>) {
-            if let Some(at) = candidate {
-                *best = Some(best.map_or(at, |b| b.min(at)));
-            }
+    /// Every other input of the tick and of admission (queue contents and
+    /// space, in-flight counts, open rows) changes only through progress,
+    /// so until then each cycle repeats this one's refusals and vetoes
+    /// exactly; [`MemoryController::replay_idle`] accounts for them.
+    // lint: alloc-free
+    pub fn idle_until(&self, now: Cycle, defense: &dyn RowHammerDefense) -> Option<Cycle> {
+        if self.tally.progress {
+            return None;
         }
-        let mut next: Option<Cycle> = None;
-        // The defense's own schedule (epoch boundaries) and completion
-        // collection both run unconditionally at the top of every tick.
-        merge(&mut next, defense.next_event(now));
-        merge(
-            &mut next,
-            self.pending_completions.iter().map(|&(at, _)| at).min(),
-        );
-        let org = self.config.organization;
-        for channel in 0..org.channels {
-            let mut slot: Option<Cycle> = None;
-            if self.config.refresh_enabled {
-                for rank_in_channel in 0..org.ranks {
-                    let rank_idx = org.rank_index(channel, rank_in_channel);
-                    if self.refresh_pending[rank_idx] {
-                        // An overdue refresh consumes every slot until it
-                        // issues (precharging open banks as their timings
-                        // allow), so the very next slot matters.
-                        merge(&mut slot, Some(now + 1));
-                    } else {
-                        merge(&mut slot, Some(self.next_refresh[rank_idx]));
-                    }
-                }
-            }
-            if !self.victim_queue.is_empty() {
-                // Victim refreshes poll bank state per slot.
-                merge(&mut slot, Some(now + 1));
-            }
-            for kind in [AccessType::Read, AccessType::Write] {
-                merge(
-                    &mut slot,
-                    self.scheduler.next_demand_event(kind, channel, &self.dram),
-                );
-            }
-            if let Some(at) = slot {
-                // Nothing issues while the command bus is busy, and a
-                // stale candidate still needs a future tick to act on.
-                merge(
-                    &mut next,
-                    Some(at.max(now + 1).max(self.next_command_at[channel])),
-                );
-            }
+        let refresh = self
+            .next_refresh
+            .iter()
+            .filter(|_| self.config.refresh_enabled);
+        let deadlines = refresh.chain(&self.next_command_at).filter(|&&at| at > now);
+        let due = self.pending_completions.iter().map(|(at, _)| at);
+        let at = due
+            .chain(deadlines)
+            .fold(self.tally.retry_at, |a, &b| a.min(b));
+        Some(defense.next_event(now).map_or(at, |event| at.min(event)))
+    }
+
+    /// Accounts for the cycles in `skipped`, each an exact repeat of the
+    /// last one, which made no progress: adds its per-poll refusals once
+    /// per skipped cycle and lets the defense replay its vetoed consults.
+    // lint: alloc-free
+    pub fn replay_idle(&mut self, skipped: Range<Cycle>, defense: &mut dyn RowHammerDefense) {
+        let repeats = skipped.end - skipped.start;
+        self.stats.rejected_queue_full += repeats * self.tally.rejected_queue_full;
+        self.stats.rejected_quota += repeats * self.tally.rejected_quota;
+        if !self.tally.vetoed.is_empty() {
+            defense.replay_vetoes(skipped, &self.tally.vetoed);
         }
-        next
     }
 
     /// Reports the requests whose completion cycle has been reached.
@@ -629,11 +629,14 @@ impl MemoryController {
         let pick = {
             let delayed = &mut self.delayed_by_defense;
             let stats = &mut self.stats;
+            let tally = &mut self.tally;
             self.scheduler
-                .pick_activation(kind, channel, now, &self.dram, defense, |id| {
-                    if delayed.insert(id) {
+                .pick_activation(kind, channel, now, &self.dram, defense, |request| {
+                    if delayed.insert(request.id) {
                         stats.activations_delayed_by_defense += 1;
+                        tally.progress = true;
                     }
+                    tally.vetoed.push((request.thread, request.dram_addr));
                 })
         };
         if let Some(pick) = pick {

@@ -237,7 +237,7 @@ impl Scheduler {
     /// Pass 2: the oldest request of `channel` to a precharged bank whose
     /// ACT is legal at `now` and which the defense does not veto. The
     /// request stays queued (it completes later as a row hit); `on_veto` is
-    /// called for every request the defense skipped, in scan order.
+    /// called for every request the defense skipped, in consult order.
     // lint: alloc-free
     pub(crate) fn pick_activation(
         &mut self,
@@ -246,7 +246,7 @@ impl Scheduler {
         now: Cycle,
         dram: &DramDevice,
         defense: &mut dyn RowHammerDefense,
-        mut on_veto: impl FnMut(ReqId),
+        mut on_veto: impl FnMut(&MemRequest),
     ) -> Option<ActivationPick> {
         // The banked path's cursor list lives on the scheduler so this
         // per-cycle pass never allocates (it reaches capacity — at most
@@ -269,7 +269,7 @@ impl Scheduler {
                     if request.origin == RequestOrigin::Core
                         && !defense.is_activation_safe(now, request.thread, addr)
                     {
-                        on_veto(request.id);
+                        on_veto(request);
                         continue;
                     }
                     break 'linear Some(ActivationPick {
@@ -314,7 +314,7 @@ impl Scheduler {
                     if request.origin == RequestOrigin::Core
                         && !defense.is_activation_safe(now, request.thread, &request.dram_addr)
                     {
-                        on_veto(request.id);
+                        on_veto(request);
                         if pos + 1 < q.bucket(bank).len() {
                             cursors[cursor].1 = pos + 1;
                         } else {
@@ -333,81 +333,6 @@ impl Scheduler {
         // Hand the buffer back for the next call.
         self.act_cursors = cursors;
         result
-    }
-
-    /// The earliest cycle at which any queued request of `channel` could
-    /// advance through one of the three scheduling passes: a column
-    /// command for a row hit, an ACT for a request to a precharged bank,
-    /// or a PRE for a conflicting request. Event-driven stepping uses
-    /// this as a wake-up candidate; it is conservative (a candidate may
-    /// arrive before anything actually issues — e.g. a PRE held back by
-    /// the still-wanted rule, or a defense veto — which costs an empty
-    /// tick, never correctness), and since the controller asks for both
-    /// queues every serving opportunity is covered regardless of drain
-    /// mode.
-    // lint: alloc-free
-    pub(crate) fn next_demand_event(
-        &self,
-        kind: AccessType,
-        channel: usize,
-        dram: &DramDevice,
-    ) -> Option<Cycle> {
-        let cmd = match kind {
-            AccessType::Read => MemCommand::Read,
-            AccessType::Write => MemCommand::Write,
-        };
-        let mut best: Option<Cycle> = None;
-        let mut merge = |candidate: Option<Cycle>| {
-            if let Some(at) = candidate {
-                best = Some(best.map_or(at, |b| b.min(at)));
-            }
-        };
-        match self.queue(kind) {
-            QueueRepr::Linear(q) => {
-                for request in q {
-                    let addr = &request.dram_addr;
-                    if addr.channel() != channel {
-                        continue;
-                    }
-                    merge(match dram.open_row(addr) {
-                        Some(open) if open == addr.row() => dram.earliest_issue(cmd, addr),
-                        Some(_) => dram.earliest_issue(MemCommand::Precharge, addr),
-                        None => dram.earliest_issue(MemCommand::Activate, addr),
-                    });
-                }
-            }
-            QueueRepr::Banked(q) => {
-                for bank in self.channel_banks(channel) {
-                    let bucket = q.bucket(bank);
-                    let Some(front) = bucket.front() else {
-                        continue;
-                    };
-                    match self.open_rows.get(bank) {
-                        None => {
-                            // ACT legality is bank-level, one probe covers
-                            // every request of the bucket.
-                            merge(dram.earliest_issue(MemCommand::Activate, &front.dram_addr));
-                        }
-                        Some(open) => {
-                            // Likewise, one column probe covers every
-                            // same-row request and one PRE probe every
-                            // conflicting one.
-                            if let Some(hit) = bucket.iter().find(|r| r.dram_addr.row() == open) {
-                                merge(dram.earliest_issue(cmd, &hit.dram_addr));
-                            }
-                            if let Some(conflict) =
-                                bucket.iter().find(|r| r.dram_addr.row() != open)
-                            {
-                                merge(
-                                    dram.earliest_issue(MemCommand::Precharge, &conflict.dram_addr),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        best
     }
 
     /// Pass 3: the oldest request of `channel` conflicting with its bank's
@@ -601,8 +526,8 @@ mod tests {
         let mut defense = VetoFirstTwo(0);
         let mut vetoed = Vec::new();
         let pick = s
-            .pick_activation(AccessType::Read, 0, 0, &dram, &mut defense, |id| {
-                vetoed.push(id);
+            .pick_activation(AccessType::Read, 0, 0, &dram, &mut defense, |r| {
+                vetoed.push(r.id);
             })
             .unwrap();
         assert_eq!(vetoed, vec![1, 2], "vetoes follow arrival order");

@@ -4,6 +4,7 @@ use bh_types::{ConfigError, Cycle, DramAddress, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
+use std::ops::Range;
 
 /// The RowHammer threshold `N_RH`: the minimum number of activations to a
 /// single row within one refresh window that can induce a bit-flip in a
@@ -211,14 +212,39 @@ pub trait RowHammerDefense: AsAny + Send {
 
     /// The next cycle after `now` at which the defense's externally
     /// visible behaviour can change *without* any intervening controller
-    /// activity (e.g. a counter-swap epoch boundary). Event-driven
-    /// stepping guarantees a [`RowHammerDefense::tick`] at or before the
+    /// activity (e.g. a counter-swap epoch boundary). `None` (the default)
+    /// means the defense only changes state in response to the hooks the
+    /// controller already drives.
+    ///
+    /// Event-driven stepping reads this after every tick that made no
+    /// progress and may jump straight to the answer, repeating that tick's
+    /// vetoes through [`RowHammerDefense::replay_vetoes`] in between. A
+    /// defense whose veto can lift, or whose quota can change, with time
+    /// alone must report that cycle here, or the skip will jump past it.
+    /// A [`RowHammerDefense::tick`] is guaranteed at or before the
     /// returned cycle, so per-boundary work is never batched across a
-    /// time jump. `None` (the default) means the defense only changes
-    /// state in response to the hooks the controller already drives.
+    /// jump.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let _ = now;
         None
+    }
+
+    /// Replays consults that event-driven stepping skipped. `vetoed` lists
+    /// the `(thread, address)` consults [`RowHammerDefense::is_activation_safe`]
+    /// vetoed during the last tick, in consult order, and that tick
+    /// repeated unchanged on every cycle of `skipped` (none of which
+    /// reaches [`RowHammerDefense::next_event`]). The default re-asks each
+    /// consult once per skipped cycle, which is exact for any defense; a
+    /// mechanism whose vetoes only bump counters may override it with
+    /// arithmetic.
+    // lint: alloc-free
+    fn replay_vetoes(&mut self, skipped: Range<Cycle>, vetoed: &[(ThreadId, DramAddress)]) {
+        for now in skipped {
+            for (thread, addr) in vetoed {
+                let safe = self.is_activation_safe(now, *thread, addr);
+                debug_assert!(!safe, "a veto lifted before next_event reported it");
+            }
+        }
     }
 
     /// Maximum number of in-flight requests `thread` may have to

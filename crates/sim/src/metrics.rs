@@ -36,10 +36,10 @@ pub struct ThreadResult {
 /// stepping earned its speedup).
 ///
 /// These counters depend on the advance mode — lockstep simulates every
-/// cycle, event-driven skips provably no-op ones — so equivalence
-/// comparisons must ignore them, and the campaign's summary CSV/JSON
-/// never include them (they are reported through a separate stepping
-/// report instead).
+/// cycle, event-driven skips ticks that would repeat the one before — so
+/// equivalence comparisons must ignore them, and the campaign's summary
+/// CSV/JSON never include them (they are reported through a separate
+/// stepping report instead).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SteppingStats {
     /// Cycles actually ticked (advance-loop iterations).

@@ -32,6 +32,7 @@ use dram_sim::DramStats;
 use memctrl::{CompletedRequest, CtrlStats, EnqueueError, MemCtrlConfig, MemoryController};
 use mitigations::{DefenseStats, RowHammerDefense};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Identifies a request across shards: `(channel, shard-local request id)`.
 ///
@@ -391,19 +392,28 @@ impl MemorySubsystem {
         completed
     }
 
-    /// The earliest cycle after `now` at which any shard's `tick` could
-    /// do observable work (see `MemoryController::next_event`), or `None`
-    /// when every shard is fully idle. Used by event-driven stepping to
-    /// skip provably no-op cycles.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.shards
-            .iter()
-            .filter_map(|slot| {
-                // lint: allow(panic-freedom) -- shards are only None while checked out to pool workers in tick_pooled
-                let shard = slot.as_ref().expect("shard is being stepped");
-                shard.ctrl.next_event(now, shard.defense.as_ref())
-            })
-            .min()
+    /// After a cycle, `None` if any shard made progress in it, otherwise
+    /// the earliest later cycle at which a shard's repeat of it could turn
+    /// out differently (see [`MemoryController::idle_until`]).
+    // lint: alloc-free
+    pub fn idle_until(&self, now: Cycle) -> Option<Cycle> {
+        (0..self.shards.len()).try_fold(Cycle::MAX, |at, channel| {
+            let shard = self.shard(channel);
+            let idle = shard.ctrl.idle_until(now, shard.defense.as_ref())?;
+            Some(at.min(idle))
+        })
+    }
+
+    /// Accounts for the skipped repeats of an idle cycle on every shard
+    /// (see [`MemoryController::replay_idle`]).
+    // lint: alloc-free
+    pub fn replay_idle(&mut self, skipped: Range<Cycle>) {
+        for channel in 0..self.shards.len() {
+            let shard = self.shard_mut(channel);
+            shard
+                .ctrl
+                .replay_idle(skipped.start..skipped.end, shard.defense.as_mut());
+        }
     }
 
     /// The largest RowHammer likelihood index any shard's defense reports

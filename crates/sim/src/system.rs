@@ -21,17 +21,16 @@ pub type BoxedTrace = Box<dyn Iterator<Item = TraceRecord>>;
 ///
 /// Both modes produce bit-identical results (pinned by
 /// `tests/tests/event_equivalence.rs`): event-driven stepping only skips
-/// cycles on which provably nothing observable can happen — every core is
-/// stalled on memory, every queue is empty or not yet ready, and every
-/// memory shard reports its next state change further out.
+/// cycles that would repeat the tick before them, and replays the per-poll
+/// refusals and vetoes those repeats would have counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdvanceMode {
     /// Tick every cycle (`now + 1`), the reference behaviour.
     #[default]
     Lockstep,
-    /// Skip to the earliest cycle at which any component can do
-    /// observable work (cores, LLC hit queue, retry queues, memory
-    /// shards, defense epoch boundaries).
+    /// After a tick that made no progress, jump to the earliest cycle at
+    /// which any check it failed could pass (timing, completions, refresh,
+    /// the LLC hit queue, defense events).
     EventDriven,
 }
 
@@ -65,8 +64,8 @@ pub struct SystemConfig {
     /// per-cycle thread coordination for concurrent shard work, which pays
     /// off for channel-heavy configurations.
     pub stepping: SteppingMode,
-    /// How the simulated clock advances between ticks (lockstep or
-    /// event-driven skip-to-next-event). Bit-identical either way.
+    /// How the simulated clock advances between ticks (lockstep, or
+    /// event-driven skipping of repeated ticks). Bit-identical either way.
     pub advance: AdvanceMode,
     /// Seed for workload generators and probabilistic defenses.
     pub seed: u64,
@@ -317,8 +316,9 @@ impl System {
 
     /// Steps every component one cycle. Returns whether the tick delivered
     /// at least one memory completion or ready LLC hit to a core (the
-    /// "events processed" of [`SteppingStats`]).
-    fn tick(&mut self, now: Cycle) -> bool {
+    /// "events processed" of [`SteppingStats`]), and whether a core retired
+    /// or issued anything.
+    fn tick(&mut self, now: Cycle) -> (bool, bool) {
         let mut delivered = false;
         let uncore = &mut self.uncore;
         // 1. Memory subsystem: every channel shard issues commands in
@@ -376,66 +376,41 @@ impl System {
                 .enqueue_batch(channel, queue, AccessType::Write, now, |_, _| {});
         }
         // 4. Cores issue and retire.
+        let mut cores_progressed = false;
         for (core_index, core) in self.cores.iter_mut().enumerate() {
             let mut sink = CoreSink { uncore, core_index };
-            core.tick(now, &mut sink);
+            cores_progressed |= core.tick(now, &mut sink);
         }
-        delivered
+        (delivered, cores_progressed)
     }
 
-    /// The next cycle to tick under [`AdvanceMode::EventDriven`]: the
-    /// minimum over every component's earliest possible state change,
-    /// clamped to `(now, max_cycles]`.
+    /// The next cycle to tick under [`AdvanceMode::EventDriven`] after a
+    /// tick at `now` in which no core retired or issued and nothing was
+    /// delivered.
     ///
-    /// Skipping is conservative — a cycle is skipped only when *no* core
-    /// wants to tick (each could neither retire, issue, nor refill), the
-    /// per-channel retry queues are empty (a queued fetch/writeback is
-    /// re-offered to its controller every cycle), no queued LLC hit is
-    /// ready, and every memory shard reports its next event further out.
-    /// Any component for which "could it act this cycle?" cannot be
-    /// answered cheaply votes `now + 1`, which degrades to lockstep for
-    /// that cycle rather than risking a divergence.
-    fn next_tick_at(&self, now: Cycle, all_done: bool) -> Cycle {
-        // Every candidate below is >= now + 1, so as soon as any
-        // component votes "next cycle" the answer is now + 1 — return
-        // without scanning the (comparatively expensive) memory shards.
-        // This keeps the event-driven overhead near zero on saturated
-        // runs where almost every cycle has core work.
-        if self.cores.iter().any(|core| core.wants_tick()) {
+    /// If no memory shard made progress either, the tick changed nothing
+    /// but per-poll counters, and every later cycle repeats it until one of
+    /// the checks it failed can pass: a shard's horizon or the LLC hit
+    /// queue's front, bounded by `min_cycles`/`max_cycles`. The clock jumps
+    /// there, and the skipped repeats' refusals and vetoes are replayed so
+    /// every statistic matches lockstep.
+    fn skip_idle(&mut self, now: Cycle, all_done: bool) -> Cycle {
+        let Some(mut next) = self.uncore.mem.idle_until(now) else {
             return now + 1;
-        }
-        // Queued fetches/writebacks retry admission every cycle, and even
-        // a refused retry mutates controller admission statistics.
-        if self
-            .uncore
-            .fetch_queues
-            .iter()
-            .any(|queue| !queue.is_empty())
-            || self
-                .uncore
-                .writeback_queues
-                .iter()
-                .any(|queue| !queue.is_empty())
-        {
-            return now + 1;
-        }
-        // With every thread finished the run only pads out to
-        // `min_cycles` (refresh keeps the DRAM stats moving in the
-        // meantime); otherwise the safety bound caps the jump.
-        let mut next = if all_done {
-            self.config.min_cycles
-        } else {
-            self.config.max_cycles
         };
         // The hit queue is ordered by push time and the latency is
         // constant, so the front entry is the earliest one.
         if let Some(&(ready, _, _)) = self.uncore.hit_queue.front() {
             next = next.min(ready);
         }
-        if let Some(at) = self.uncore.mem.next_event(now) {
-            next = next.min(at);
+        // With every thread finished the run only pads out to
+        // `min_cycles`; otherwise the safety bound caps the jump.
+        if all_done {
+            next = next.min(self.config.min_cycles);
         }
-        next.clamp(now + 1, self.config.max_cycles)
+        let next = next.clamp(now + 1, self.config.max_cycles);
+        self.uncore.mem.replay_idle(now + 1..next);
+        next
     }
 
     /// Runs the system to completion (every non-attacker thread reaches its
@@ -454,7 +429,7 @@ impl System {
         let mut now: Cycle = 0;
         let mut finish_cycle: Vec<Option<Cycle>> = vec![None; self.cores.len()];
         loop {
-            let delivered = self.tick(now);
+            let (delivered, cores_progressed) = self.tick(now);
             stepping.cycles_simulated += 1;
             stepping.events_processed += u64::from(delivered);
             let mut all_done = true;
@@ -468,8 +443,8 @@ impl System {
             if (all_done && now >= self.config.min_cycles) || now >= self.config.max_cycles {
                 break;
             }
-            let next = if event_driven {
-                self.next_tick_at(now, all_done)
+            let next = if event_driven && !delivered && !cores_progressed {
+                self.skip_idle(now, all_done)
             } else {
                 now + 1
             };
@@ -625,10 +600,11 @@ impl SystemBuilder {
     }
 
     /// Selects how the simulated clock advances: per-cycle lockstep or
-    /// event-driven skip-to-next-event. Both modes are bit-identical;
-    /// event-driven is faster whenever the system has idle cycles to skip
-    /// (low memory intensity, or padding out `min_cycles` after the
-    /// threads finish).
+    /// event-driven, which skips ticks that would only repeat the one
+    /// before them. Both modes are bit-identical; event-driven is faster
+    /// whenever cycles repeat (idle padding out to `min_cycles`, cores
+    /// stalled on memory, or requests the defense keeps vetoing or the
+    /// queues keep refusing).
     pub fn advance_mode(mut self, advance: AdvanceMode) -> Self {
         self.config.advance = advance;
         self

@@ -4,10 +4,12 @@
 //! every defense, channel count and workload shape, and whole campaigns
 //! must emit byte-identical CSV/JSON in both modes.
 
+use bh_types::{Cycle, DramAddress, ThreadId};
 use campaign::{execute, CampaignSpec};
+use mitigations::{DefenseStats, MetadataFootprint, RowHammerDefense};
 use proptest::prelude::*;
-use sim::{AdvanceMode, DefenseKind, RunResult, SteppingStats, SystemBuilder};
-use workloads::SyntheticSpec;
+use sim::{AdvanceMode, DefenseKind, RunResult, SteppingStats, System, SystemBuilder};
+use workloads::{AttackKind, SyntheticSpec};
 
 /// Every defense kind the factory can build.
 fn all_defenses() -> Vec<DefenseKind> {
@@ -118,6 +120,118 @@ fn idle_heavy_run_simulates_a_fraction_of_its_cycles() {
 }
 
 #[test]
+fn saturated_attack_run_ticks_at_most_half_its_cycles() {
+    // The `event_stepping` bench's saturated shape: a double-sided
+    // attacker keeps BlockHammer vetoing and the queues refusing, which
+    // used to force a tick on almost every cycle. Repeated no-op ticks
+    // are skipped now, so at most half the cycles may be ticked.
+    let result = quick_builder(7, 1)
+        .defense(DefenseKind::BlockHammer)
+        .advance_mode(AdvanceMode::EventDriven)
+        .add_attacker()
+        .add_workload(SyntheticSpec::high_intensity("h0", 0), 2_000)
+        .run();
+    assert!(
+        result.stepping.cycles_simulated * 2 <= result.total_cycles,
+        "expected >=2x tick reduction, got {} ticks over {} cycles",
+        result.stepping.cycles_simulated,
+        result.total_cycles
+    );
+}
+
+/// Vetoes every activation until `lift` and reports that cycle from
+/// `next_event`; records whether the run ticked the lift cycle and when
+/// the first activation issued.
+#[derive(Debug)]
+struct VetoUntil {
+    lift: Cycle,
+    vetoes: u64,
+    ticked_lift: bool,
+    first_activation: Option<Cycle>,
+}
+
+impl RowHammerDefense for VetoUntil {
+    fn name(&self) -> &'static str {
+        "VetoUntil"
+    }
+    fn tick(&mut self, now: Cycle) {
+        self.ticked_lift |= now == self.lift;
+    }
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        (now < self.lift).then_some(self.lift)
+    }
+    fn is_activation_safe(&mut self, now: Cycle, _thread: ThreadId, _addr: &DramAddress) -> bool {
+        self.vetoes += u64::from(now < self.lift);
+        now >= self.lift
+    }
+    fn on_activation(
+        &mut self,
+        now: Cycle,
+        _thread: ThreadId,
+        _addr: &DramAddress,
+    ) -> Vec<DramAddress> {
+        self.first_activation.get_or_insert(now);
+        Vec::new()
+    }
+    fn metadata(&self) -> MetadataFootprint {
+        MetadataFootprint::default()
+    }
+    fn stats(&self) -> DefenseStats {
+        DefenseStats {
+            blocked_activations: self.vetoes,
+            ..DefenseStats::default()
+        }
+    }
+}
+
+#[test]
+fn a_veto_lifting_with_time_alone_is_ticked_at_its_lift() {
+    // Until the lift every tick repeats the same vetoes, so event-driven
+    // stepping skips; the defense's `next_event` must stop the skip at
+    // the lift itself, and the default `replay_vetoes` must count the
+    // skipped vetoes exactly as lockstep consults them.
+    let lift = 15_000;
+    let run = |advance: AdvanceMode| {
+        let builder = || {
+            quick_builder(5, 1)
+                .advance_mode(advance)
+                .add_workload(SyntheticSpec::high_intensity("h0", 0), 1_000)
+        };
+        let config = builder().build().config().clone();
+        let defense = VetoUntil {
+            lift,
+            vetoes: 0,
+            ticked_lift: false,
+            first_activation: None,
+        };
+        let system = System::new(
+            config,
+            builder().into_thread_traces(),
+            vec![Box::new(defense)],
+        );
+        let (result, defenses) = system.run_into_parts();
+        let veto = defenses[0]
+            .as_ref()
+            .as_any()
+            .downcast_ref::<VetoUntil>()
+            .expect("the test defense comes back");
+        (result, veto.ticked_lift, veto.first_activation)
+    };
+    let (lockstep, _, lockstep_first) = run(AdvanceMode::Lockstep);
+    let (event, ticked_lift, event_first) = run(AdvanceMode::EventDriven);
+    assert!(ticked_lift, "event-driven stepping jumped past the lift");
+    assert_eq!(event_first, Some(lift), "the first ACT waits for the lift");
+    assert_eq!(lockstep_first, event_first);
+    assert!(event.defense_stats.blocked_activations > 0);
+    assert!(
+        event.stepping.cycles_skipped > lift / 2,
+        "the vetoed stretch must be skipped, skipped {}",
+        event.stepping.cycles_skipped
+    );
+    assert_eq!(canonical(lockstep), canonical(event));
+}
+
+#[test]
 fn campaign_csv_and_json_are_byte_identical_across_modes() {
     // The CI smoke campaign shape, shrunk: both advance modes must
     // produce the exact same summary artifacts, byte for byte, and the
@@ -165,9 +279,10 @@ fn campaign_csv_and_json_are_byte_identical_across_modes() {
 }
 
 proptest! {
-    /// Randomized mixes x defenses x channel counts: event-driven and
-    /// lockstep runs must stay bit-identical for arbitrary seeds and
-    /// workload shapes, with and without an attacker. Full-system runs
+    /// Randomized mixes x defenses x channel counts x attack patterns:
+    /// event-driven and lockstep runs must stay bit-identical for
+    /// arbitrary seeds and workload shapes, with and without an attacker
+    /// of each kind. Full-system runs
     /// are too slow for the shim's 128 cases, so a sampled gate keeps a
     /// deterministic ~8-case subset.
     #[test]
@@ -178,6 +293,7 @@ proptest! {
         channel_exp in 0u32..3,
         attacker_flag in 0u32..2,
         intensity in 0usize..3,
+        attack_kind in 0usize..3,
     ) {
         prop_assume!(gate == 0);
         let with_attacker = attacker_flag == 1;
@@ -194,7 +310,11 @@ proptest! {
                 .advance_mode(advance)
                 .min_cycles(10_000);
             if with_attacker {
-                builder = builder.add_attacker();
+                builder = builder.add_attacker_kind(match attack_kind {
+                    0 => AttackKind::DoubleSided,
+                    1 => AttackKind::SingleSided,
+                    _ => AttackKind::ManySided { sides: 4 },
+                });
             }
             builder
                 .add_workload(workload("w0", 0), 800)
