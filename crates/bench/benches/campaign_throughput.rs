@@ -1,14 +1,15 @@
 //! Campaign-engine throughput: how many whole simulation runs per second
 //! the sweep executor sustains, sequentially and fanned out over the
-//! persistent worker pool (1 run/iteration here is a full expand →
+//! work-stealing pool (1 run/iteration here is a full expand →
 //! execute → aggregate cycle, so the numbers track everything a real
 //! campaign pays: the normalization prelude, run execution and
 //! incremental aggregation). Divide 1e9 by the reported ns/iter and
-//! multiply by the run count for runs/sec.
+//! multiply by the run count for runs/sec. The `longtail_*` pair runs a
+//! skewed campaign sequentially and on two stealing workers, and prints
+//! each worker's utilization.
 
 use campaign::{
     execute, execute_resumable, CampaignReport, CampaignSpec, ExecutionOptions, RunSpec,
-    SchedulerMode,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use sim::AdvanceMode;
@@ -49,13 +50,11 @@ fn run_journaled_campaign(journal: &PathBuf) -> usize {
     report.outcomes.len()
 }
 
-/// The long-tail shape that separates the schedulers: run 0 is a
-/// saturated lockstep attack run (the tail), every other run is
-/// idle-heavy and finishes quickly under event-driven stepping. Under
-/// slot-pinned dispatch the tail's slot also owns every later run
-/// congruent to it; work-stealing lets the other workers drain the idle
-/// runs while one worker carries the tail. Normalization is off so the
-/// comparison isolates dispatch, not the prelude.
+/// A long-tail campaign: run 0 is a saturated lockstep attack run (the
+/// tail), every other run is idle-heavy and finishes quickly under
+/// event-driven stepping. Work-stealing lets the other workers drain the
+/// idle runs while one worker carries the tail. Normalization is off so
+/// the measurement isolates dispatch, not the prelude.
 fn skewed_campaign() -> (CampaignSpec, Vec<RunSpec>) {
     let mut spec = CampaignSpec::smoke();
     spec.name = "bench-longtail".to_owned();
@@ -74,23 +73,18 @@ fn skewed_campaign() -> (CampaignSpec, Vec<RunSpec>) {
     (spec, runs)
 }
 
-fn run_skewed(workers: usize, scheduler: SchedulerMode) -> CampaignReport {
+fn run_skewed(workers: usize) -> CampaignReport {
     let (spec, runs) = skewed_campaign();
     let total = runs.len();
-    let options = ExecutionOptions {
-        scheduler,
-        ..Default::default()
-    };
-    let report = execute_resumable(&spec, runs, workers, &options).expect("skewed campaign runs");
+    let report = execute(&spec, runs, workers).expect("skewed campaign runs");
     assert_eq!(report.outcomes.len(), total);
     report
 }
 
-/// The three strategies the long-tail benchmark compares.
-const LONGTAIL_MODES: [(&str, usize, SchedulerMode); 3] = [
-    ("longtail_sequential_8_runs", 0, SchedulerMode::Stealing),
-    ("longtail_pinned_2w_8_runs", 2, SchedulerMode::SlotPinned),
-    ("longtail_stealing_2w_8_runs", 2, SchedulerMode::Stealing),
+/// The long-tail cases: sequential and two stealing workers.
+const LONGTAIL_MODES: [(&str, usize); 2] = [
+    ("longtail_sequential_8_runs", 0),
+    ("longtail_stealing_2w_8_runs", 2),
 ];
 
 fn bench_throughput(c: &mut Criterion) {
@@ -109,17 +103,16 @@ fn bench_throughput(c: &mut Criterion) {
         b.iter(|| black_box(run_journaled_campaign(&journal)))
     });
     let _ = std::fs::remove_file(&journal);
-    for (label, workers, scheduler) in LONGTAIL_MODES {
+    for (label, workers) in LONGTAIL_MODES {
         group.bench_function(label, |b| {
-            b.iter(|| black_box(run_skewed(workers, scheduler).outcomes.len()))
+            b.iter(|| black_box(run_skewed(workers).outcomes.len()))
         });
     }
     group.finish();
-    // One decorated pass per long-tail mode, outside the timed loops:
-    // runs/sec plus per-worker utilization (busy time / campaign wall),
-    // the numbers ROADMAP.md records for the scheduler comparison.
-    for (label, workers, scheduler) in LONGTAIL_MODES {
-        let report = run_skewed(workers, scheduler);
+    // One decorated pass per long-tail case, outside the timed loops:
+    // runs/sec plus per-worker utilization (busy time / campaign wall).
+    for (label, workers) in LONGTAIL_MODES {
+        let report = run_skewed(workers);
         let wall = report.wall.as_secs_f64().max(f64::MIN_POSITIVE);
         let utilization: Vec<String> = report
             .scheduling

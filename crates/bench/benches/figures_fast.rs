@@ -1,12 +1,10 @@
 //! End-to-end simulation throughput: one quick single-core run and one
 //! quick attack run (to track the cost of regenerating the paper's
-//! figures), plus multiprogrammed runs across 1/2/4 memory channels with
-//! sequential, scoped-thread and persistent-worker-pool shard stepping,
-//! so simulator throughput versus channel count (and the per-cycle cost
-//! of each stepping mode) is measured directly.
+//! figures), plus multiprogrammed runs across 1/2/4 memory channels, so
+//! simulator throughput versus channel count is measured directly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sim::{DefenseKind, SteppingMode, SystemBuilder};
+use sim::{DefenseKind, SystemBuilder};
 use std::hint::black_box;
 use workloads::SyntheticSpec;
 
@@ -34,14 +32,11 @@ fn attack_run() -> f64 {
         .ipc
 }
 
-/// A two-thread multiprogrammed run on `channels` channels; total cycles
-/// are identical in every stepping mode, so the benchmark isolates the
-/// stepping cost.
-fn multi_channel_run(channels: usize, stepping: SteppingMode) -> u64 {
+/// A two-thread multiprogrammed run on `channels` channels.
+fn multi_channel_run(channels: usize) -> u64 {
     SystemBuilder::new()
         .time_scale(8192)
         .channels(channels)
-        .stepping_mode(stepping)
         .defense(DefenseKind::BlockHammer)
         .llc_capacity(1 << 20)
         .add_workload(SyntheticSpec::high_intensity("bench.h", 0), 2_000)
@@ -65,15 +60,7 @@ fn bench_figures(c: &mut Criterion) {
     group.sample_size(10);
     for channels in [1usize, 2, 4] {
         group.bench_function(format!("sequential_{channels}ch"), |b| {
-            b.iter(|| black_box(multi_channel_run(channels, SteppingMode::Sequential)))
-        });
-    }
-    for channels in [2usize, 4] {
-        group.bench_function(format!("scoped_{channels}ch"), |b| {
-            b.iter(|| black_box(multi_channel_run(channels, SteppingMode::ScopedThreads)))
-        });
-        group.bench_function(format!("pooled_{channels}ch"), |b| {
-            b.iter(|| black_box(multi_channel_run(channels, SteppingMode::WorkerPool)))
+            b.iter(|| black_box(multi_channel_run(channels)))
         });
     }
     group.finish();

@@ -1,5 +1,5 @@
-//! The campaign executor: fans whole runs out across the persistent
-//! worker pool and streams results back in deterministic order.
+//! The campaign executor: fans whole runs out across the work-stealing
+//! pool and streams results back in deterministic order.
 //!
 //! Execution has two phases:
 //!
@@ -17,20 +17,15 @@
 //!    entirely — observable as [`PreludeStats::from_cache`].
 //! 2. **The run matrix**: every [`RunSpec`], either on the calling
 //!    thread (`workers <= 1`) or fanned out over `workers` persistent
-//!    threads under one of two [`SchedulerMode`]s. The default
-//!    [`SchedulerMode::Stealing`] pushes runs into the shared injector
-//!    queue of a [`StealingPool`](sim::pool::queue::StealingPool) —
-//!    idle workers pull the next run the moment they finish, so no
-//!    worker ever waits behind a long run — and completions, which
-//!    arrive in *finish* order, pass through a reorder buffer that
-//!    releases them strictly in run order. [`SchedulerMode::SlotPinned`]
-//!    keeps the older discipline: round-robin dispatch to fixed
-//!    [`sim::WorkerPool`](sim::pool::WorkerPool) slots, collection
-//!    strictly in run order. Either way outcomes stream back — and fold
-//!    into the [`CampaignAggregator`] — in exactly the sequential order
-//!    no matter which worker finishes first, so sequential, slot-pinned
-//!    and work-stealing execution of the same campaign emit
-//!    byte-identical CSV/JSON/journal/NDJSON (pinned by
+//!    threads. Runs go into the shared injector queue of a
+//!    [`StealingPool`] — idle workers pull the next run the moment they
+//!    finish, so no worker ever waits behind a long run — and
+//!    completions, which arrive in *finish* order, pass through a
+//!    reorder buffer that releases them strictly in run order. Outcomes
+//!    therefore stream back — and fold into the [`CampaignAggregator`] —
+//!    in exactly the sequential order no matter which worker finishes
+//!    first, so sequential and work-stealing execution of the same
+//!    campaign emit byte-identical CSV/JSON/journal/NDJSON (pinned by
 //!    `tests/tests/campaign_determinism.rs`).
 //!
 //! # Fault tolerance
@@ -42,13 +37,10 @@
 //! with [`CampaignError::RunFailed`] (the default, today's behavior),
 //! quarantine the run into the report's failure manifest (the
 //! aggregator marks its sweep point degraded), or retry it up to a
-//! bounded number of attempts before quarantining. In the pooled path
-//! the executor keeps its own copy of every in-flight `RunSpec`, so
-//! even a worker *thread* death (possible only for faults that bypass
-//! the in-worker boundary) is survivable: the pool respawns the slot
-//! ([`sim::pool::WorkerPool::collect_recovered`]) and the executor
-//! resubmits the innocent jobs that died with it, preserving exact
-//! delivery order.
+//! bounded number of attempts before quarantining. The policy is
+//! applied when a run is *released* from the reorder buffer, with
+//! retries on the collecting thread, so even `Abort`'s journaled prefix
+//! and `Retry`'s attempt ordering match sequential execution.
 //!
 //! With [`ExecutionOptions::journal`] set, [`execute_resumable`] appends
 //! each delivered result to an on-disk checkpoint journal
@@ -63,17 +55,16 @@ use crate::aggregate::{escape_json, CampaignAggregator, CampaignSummary};
 use crate::checkpoint::{self, JournalEntry, JournalError, JournalWriter};
 use crate::runner::{run_spec, CampaignError, FailedRun, RunOutcome};
 use crate::spec::{CampaignSpec, RunSpec, ThreadGenerator};
-use sim::pool::queue::{Outcome, StealingPool, WorkerTally};
-use sim::pool::{panic_message, Collected, WorkerPool};
+use sim::pool::{panic_message, Outcome, StealingPool};
 use sim::{DefenseKind, SystemBuilder};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workloads::SyntheticSpec;
 
-pub use sim::pool::queue::WorkerSnapshot;
+pub use sim::pool::WorkerSnapshot;
 
 /// What the executor does with a run that fails (panics inside the
 /// simulator or returns an error).
@@ -100,44 +91,6 @@ pub enum FailurePolicy {
     },
 }
 
-/// How pooled execution (`workers >= 2`) hands runs to its workers.
-/// Both modes deliver results in strict run order and emit
-/// byte-identical artifacts; they differ only in throughput under
-/// skewed run durations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// Pull-based: runs queue in a shared injector, idle workers take
-    /// the next one immediately, and a reorder buffer restores run
-    /// order at delivery. The default — a long run blocks only the
-    /// worker executing it.
-    #[default]
-    Stealing,
-    /// Push-based: run `i` is pinned to slot `i % workers` and
-    /// collected in run order. A long run head-of-line-blocks its slot
-    /// and the collection loop; kept for comparison benchmarks and as
-    /// the conservative fallback.
-    SlotPinned,
-}
-
-impl SchedulerMode {
-    /// Stable lowercase label (CLI argument values, CSV/JSON output).
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerMode::Stealing => "stealing",
-            SchedulerMode::SlotPinned => "pinned",
-        }
-    }
-
-    /// Parses a [`SchedulerMode::label`] back.
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "stealing" => Some(SchedulerMode::Stealing),
-            "pinned" | "slot-pinned" => Some(SchedulerMode::SlotPinned),
-            _ => None,
-        }
-    }
-}
-
 /// Knobs of [`execute_resumable`] beyond the worker count.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionOptions {
@@ -148,8 +101,6 @@ pub struct ExecutionOptions {
     /// resumes after any runs the journal already holds. Also enables
     /// the on-disk prelude cache at `<path stem>.prelude`.
     pub journal: Option<PathBuf>,
-    /// How pooled execution schedules runs onto workers.
-    pub scheduler: SchedulerMode,
 }
 
 /// Normalization-prelude accounting for one invocation.
@@ -174,15 +125,15 @@ pub struct PreludeStats {
 /// advance-mode-dependent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionStats {
-    /// `"sequential"`, `"pinned"` or `"stealing"`.
+    /// `"sequential"` or `"stealing"`.
     pub scheduler: &'static str,
     /// Per-worker tallies, in worker-index order (empty when
     /// sequential).
     pub workers: Vec<WorkerSnapshot>,
     /// Most completions the reorder buffer ever held at once. 0 when
-    /// nothing was buffered (sequential or slot-pinned execution);
-    /// 1 means completions arrived perfectly in run order; larger
-    /// values measure how far ahead fast workers ran.
+    /// nothing was buffered (sequential execution); 1 means completions
+    /// arrived perfectly in run order; larger values measure how far
+    /// ahead fast workers ran.
     pub reorder_high_water: usize,
     /// Normalization-prelude accounting.
     pub prelude: PreludeStats,
@@ -303,9 +254,9 @@ impl CampaignReport {
 
     /// Scheduling telemetry as a `metric,value` CSV — `stepping.csv`'s
     /// sibling `scheduling.csv`. Like the stepping counters, this
-    /// artifact is *not* byte-stable across worker counts or scheduler
-    /// modes (busy times are wall-clock; steal counts depend on finish
-    /// order); the stable artifacts are `campaign.csv`/`campaign.json`.
+    /// artifact is *not* byte-stable across worker counts (busy times
+    /// are wall-clock; steal counts depend on finish order); the stable
+    /// artifacts are `campaign.csv`/`campaign.json`.
     pub fn scheduling_csv(&self) -> String {
         let s = &self.scheduling;
         let mut csv = String::from("metric,value\n");
@@ -561,6 +512,20 @@ impl RunError {
             RunError::Panic(message) => format!("panicked: {message}"),
         }
     }
+
+    /// The cause string a pool worker reported (see [`RunError::cause`]),
+    /// restored to a `RunError`. A structured error comes back as
+    /// [`CampaignError::RunFailed`] carrying only its message.
+    fn from_raw_cause(raw: String) -> Self {
+        match raw.strip_prefix("panicked: ") {
+            Some(message) => RunError::Panic(message.to_owned()),
+            None => RunError::Campaign(CampaignError::RunFailed {
+                index: 0,
+                run: String::new(),
+                cause: raw,
+            }),
+        }
+    }
 }
 
 /// Executes one run behind the isolation boundary: a panic anywhere in
@@ -804,7 +769,7 @@ pub fn execute_observed(
         scheduler: if workers <= 1 {
             "sequential"
         } else {
-            options.scheduler.label()
+            "stealing"
         },
         ..ExecutionStats::default()
     };
@@ -839,14 +804,7 @@ pub fn execute_observed(
             sink.deliver(delivery)?;
         }
     } else {
-        match options.scheduler {
-            SchedulerMode::Stealing => {
-                execute_stealing(tail, workers, options.policy, &mut sink, &mut stats)?;
-            }
-            SchedulerMode::SlotPinned => {
-                execute_pooled(tail, workers, options.policy, &mut sink, &mut stats)?;
-            }
-        }
+        execute_stealing(tail, workers, options.policy, &mut sink, &mut stats)?;
     }
     Ok(CampaignReport {
         outcomes: sink.outcomes,
@@ -864,101 +822,6 @@ pub fn execute_observed(
 /// `campaign.prelude`).
 pub fn prelude_cache_path(journal: &Path) -> PathBuf {
     journal.with_extension("prelude")
-}
-
-/// The slot-pinned run loop: round-robin dispatch, strict run-order
-/// collection, and slot-level recovery when a worker thread dies.
-fn execute_pooled(
-    tail: Vec<RunSpec>,
-    workers: usize,
-    policy: FailurePolicy,
-    sink: &mut Sink<'_>,
-    stats: &mut ExecutionStats,
-) -> Result<(), CampaignError> {
-    let total = tail.len();
-    // Shared per-slot tallies: the work closure records into them from
-    // the worker threads, the executor snapshots them at the end.
-    let tallies: Arc<Vec<WorkerTally>> =
-        Arc::new((0..workers).map(|_| WorkerTally::new()).collect());
-    let recorder = Arc::clone(&tallies);
-    let mut pool: WorkerPool<usize, RunSpec, Result<RunOutcome, String>> =
-        WorkerPool::new(workers, move |slot: usize, run: &mut RunSpec| {
-            // The isolation boundary lives *inside* the worker: a
-            // panicking run reports back as data and the worker thread
-            // survives to take the next job. (Panic payloads are
-            // flattened to strings here because `RunError` itself need
-            // not cross threads.)
-            // lint: allow(determinism) -- worker busy-time accounting; never read by simulated state
-            let started = Instant::now();
-            let result = run_isolated(run).map_err(|error| error.cause_raw());
-            // Pinned dispatch never steals: run i is bound to slot i%N.
-            recorder[slot].record(false, started.elapsed());
-            result
-        });
-    // The executor's own copy of everything currently inside the pool,
-    // per slot in dispatch order — what makes a dead worker's jobs
-    // resubmittable.
-    let mut inflight: Vec<VecDeque<RunSpec>> = (0..workers).map(|_| VecDeque::new()).collect();
-    let mut queue: VecDeque<RunSpec> = tail.into();
-    let mut dispatched = 0usize;
-    let mut collected = 0usize;
-    while collected < total {
-        // Keep every worker fed, at most one queued job ahead each.
-        while dispatched < total && dispatched - collected < 2 * workers {
-            let Some(run) = queue.pop_front() else {
-                break;
-            };
-            let slot = dispatched % workers;
-            inflight[slot].push_back(run.clone());
-            pool.dispatch(slot, slot, run);
-            dispatched += 1;
-        }
-        // Collect strictly in run order: run i always comes back from
-        // slot i % workers, and each slot answers in dispatch order.
-        let slot = collected % workers;
-        match pool.collect_recovered(slot) {
-            Collected::Done(run, result) => {
-                inflight[slot].pop_front();
-                let first = result.map_err(RunError::from_raw_cause);
-                let delivery = resolve(&run, first, policy)?;
-                sink.deliver(delivery)?;
-                collected += 1;
-            }
-            Collected::Lost {
-                message,
-                lost_jobs,
-                parked,
-            } => {
-                // The slot's oldest outstanding job — exactly run
-                // `collected` — died with the worker; everything else it
-                // held (later lost jobs, then parked jobs) was innocent
-                // and is resubmitted to the respawned slot in its
-                // original dispatch order.
-                let mut held: Vec<RunSpec> = inflight[slot].drain(..).collect();
-                if held.len() != lost_jobs + parked.len() || held.is_empty() {
-                    return Err(CampaignError::Spec {
-                        run: format!("worker slot {slot}"),
-                        message: format!(
-                            "pool recovery bookkeeping diverged: {} in-flight copies for \
-                             {lost_jobs} lost + {} parked jobs ({message})",
-                            held.len(),
-                            parked.len()
-                        ),
-                    });
-                }
-                let failed = held.remove(0);
-                let delivery = resolve(&failed, Err(RunError::Panic(message)), policy)?;
-                sink.deliver(delivery)?;
-                collected += 1;
-                for run in held {
-                    inflight[slot].push_back(run.clone());
-                    pool.dispatch(slot, slot, run);
-                }
-            }
-        }
-    }
-    stats.workers = tallies.iter().map(WorkerTally::snapshot).collect();
-    Ok(())
 }
 
 /// The work-stealing run loop: every run goes into the shared injector
@@ -980,11 +843,11 @@ fn execute_stealing(
     let total = tail.len();
     let mut pool: StealingPool<RunSpec, Result<RunOutcome, String>> =
         StealingPool::new(workers, |run: &mut RunSpec| {
-            // Same in-worker isolation boundary as the pinned path: a
+            // The isolation boundary lives inside the worker: a
             // panicking run reports back as data. (The pool's own
             // catch_unwind behind this is the backstop for panics that
             // escape it — e.g. a poisoned payload drop.)
-            run_isolated(run).map_err(|error| error.cause_raw())
+            run_isolated(run).map_err(|error| error.cause())
         });
     // The executor's own copy of every submitted run: panicked attempts
     // drop the item they carried, and `resolve` needs the spec for
@@ -1044,32 +907,6 @@ fn take_pending(pending: &mut [Option<RunSpec>], at: usize) -> Result<RunSpec, C
         run: "work-stealing pool".to_owned(),
         message: format!("run {at} completed twice"),
     })
-}
-
-impl RunError {
-    /// The raw cause string a pool worker reported (see
-    /// [`RunError::cause_raw`]), restored to a `RunError`.
-    fn from_raw_cause(raw: String) -> Self {
-        match raw.strip_prefix("panicked: ") {
-            Some(message) => RunError::Panic(message.to_owned()),
-            None => RunError::Campaign(CampaignError::RunFailed {
-                index: 0,
-                run: String::new(),
-                cause: raw,
-            }),
-        }
-    }
-
-    /// Flattens the error to the string form that crosses the pool's
-    /// result channel. Structured campaign errors under `Abort` are
-    /// rebuilt by [`resolve`] with the run's identity, so only the
-    /// cause text needs to survive the crossing.
-    fn cause_raw(&self) -> String {
-        match self {
-            RunError::Campaign(error) => error.to_string(),
-            RunError::Panic(message) => format!("panicked: {message}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1229,7 +1066,6 @@ mod tests {
         let options = ExecutionOptions {
             policy: FailurePolicy::Quarantine,
             journal: None,
-            scheduler: SchedulerMode::default(),
         };
         let report = execute_resumable(&campaign, runs, 0, &options).expect("campaign completes");
         assert_eq!(report.outcomes.len(), total - 1);
@@ -1261,7 +1097,6 @@ mod tests {
         let options = ExecutionOptions {
             policy: FailurePolicy::Retry { max_attempts: 3 },
             journal: None,
-            scheduler: SchedulerMode::default(),
         };
         let report = execute_resumable(&campaign, runs, 0, &options).expect("campaign completes");
         assert_eq!(
@@ -1282,7 +1117,6 @@ mod tests {
         let options = ExecutionOptions {
             policy: FailurePolicy::Abort,
             journal: Some(journal.clone()),
-            scheduler: SchedulerMode::default(),
         };
         let total = campaign.run_count();
         // Fresh execution: every delivery observed in run order, none
@@ -1317,7 +1151,7 @@ mod tests {
     #[test]
     fn raw_causes_round_trip_across_the_pool_channel() {
         let panic = RunError::Panic("worker went sideways".into());
-        match RunError::from_raw_cause(panic.cause_raw()) {
+        match RunError::from_raw_cause(panic.cause()) {
             RunError::Panic(message) => assert_eq!(message, "worker went sideways"),
             RunError::Campaign(_) => panic!("panic cause must stay a panic"),
         }
@@ -1325,7 +1159,7 @@ mod tests {
             run: "r".into(),
             message: "broken".into(),
         });
-        match RunError::from_raw_cause(structured.cause_raw()) {
+        match RunError::from_raw_cause(structured.cause()) {
             RunError::Campaign(error) => assert!(error.to_string().contains("broken")),
             RunError::Panic(_) => panic!("structured cause must stay structured"),
         }

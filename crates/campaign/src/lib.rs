@@ -18,11 +18,9 @@
 //!   [`CampaignSpec`] expands {mixes × defenses × `N_RH` points ×
 //!   channel counts} into an ordered [`RunSpec`] list.
 //! * [`executor`] — sequential or pooled execution over persistent
-//!   workers, under a work-stealing scheduler by default
-//!   ([`sim::pool::queue::StealingPool`] feeding a reorder buffer) or
-//!   the slot-pinned [`sim::pool::WorkerPool`]; either way results are
-//!   *delivered* in strict run order, so every worker count and
-//!   [`SchedulerMode`] emits byte-identical output. Every run executes
+//!   workers ([`sim::pool::StealingPool`] feeding a reorder buffer);
+//!   results are *delivered* in strict run order, so every worker count
+//!   emits byte-identical output. Every run executes
 //!   behind an isolation boundary with a configurable [`FailurePolicy`]
 //!   (abort / quarantine / retry), [`execute_resumable`] checkpoints
 //!   each result so a killed campaign resumes where it stopped, and the
@@ -83,7 +81,7 @@ pub use checkpoint::{fingerprint, JournalEntry, JournalError};
 pub use executor::{
     default_workers, execute, execute_observed, execute_resumable, prelude_cache_path,
     CampaignReport, DeliveryObserver, ExecutionOptions, ExecutionStats, FailurePolicy,
-    PreludeStats, SchedulerMode, WorkerSnapshot,
+    PreludeStats, WorkerSnapshot,
 };
 pub use runner::{
     record_run_traces, run_spec, CampaignError, FailedRun, RunOutcome, ThreadOutcome,

@@ -2,20 +2,23 @@
 //! workspace's determinism and hot-path invariants.
 //!
 //! Every performance PR in this repository stakes its correctness on
-//! bit-identical results across scheduler policies, stepping modes and
+//! bit-identical results across scheduler policies, advance modes and
 //! worker counts — the property BlockHammer's blacklisting-threshold
 //! math (and therefore the paper's security argument) rests on. This
 //! crate mechanizes the rules that protect that property instead of
 //! defending it only with after-the-fact equivalence tests:
 //!
 //! * **determinism** — no `HashMap`/`HashSet` iteration, no wall-clock
-//!   reads, no machine-dependent parallelism probes in product code;
+//!   reads, no machine-dependent parallelism probes in product code
+//!   (`available_parallelism` only in `campaign::executor`'s worker-count
+//!   default);
 //! * **alloc-free** — regions marked `// lint: alloc-free` (the defense
 //!   and scheduler hot paths) must not allocate;
 //! * **panic-freedom** — no `unwrap`/`expect`/`panic!` escape hatches
 //!   outside tests;
 //! * **thread-discipline** — threads are created only in `sim::pool`
-//!   and the campaign server's thread layer (`server::serve`);
+//!   (the work-stealing pool that runs whole simulations) and the
+//!   campaign server's thread layer (`server::serve`);
 //! * **recovery-discipline** — `catch_unwind`/`resume_unwind` only at
 //!   the sanctioned isolation boundaries (`sim::pool`,
 //!   `campaign::executor`);

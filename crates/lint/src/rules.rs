@@ -71,8 +71,7 @@ pub const RULES: &[RuleInfo] = &[
                  .drain/.into_iter/.retain, `for _ in &map`) is banned on identifiers \
                  the file declares with a hash type; Instant::now and SystemTime are \
                  banned everywhere in product code; available_parallelism is allowed \
-                 only in the auto-selection sites (sim/src/subsystem.rs, \
-                 campaign/src/executor.rs).",
+                 only in the worker-count default (campaign/src/executor.rs).",
     },
     RuleInfo {
         id: ALLOC_FREE,
@@ -92,17 +91,17 @@ pub const RULES: &[RuleInfo] = &[
         id: THREAD_DISCIPLINE,
         summary: "thread creation only at the sanctioned spawn sites",
         detail: "thread::spawn, thread::scope and thread::Builder are banned outside \
-                 crates/sim/src/pool.rs and crates/sim/src/pool/queue.rs (the \
-                 deterministic worker pools, slot-pinned and work-stealing) and \
-                 crates/server/src/serve.rs (the campaign server's accept/executor \
-                 threads, which never touch simulated state directly).",
+                 crates/sim/src/pool.rs (the work-stealing pool that runs whole \
+                 simulations) and crates/server/src/serve.rs (the campaign server's \
+                 accept/executor threads, which never touch simulated state \
+                 directly).",
     },
     RuleInfo {
         id: RECOVERY_DISCIPLINE,
         summary: "unwind recovery only at the sanctioned isolation boundaries",
-        detail: "catch_unwind and resume_unwind are banned outside the worker pools \
-                 (crates/sim/src/pool.rs, crates/sim/src/pool/queue.rs) and the \
-                 campaign run-isolation boundary (crates/campaign/src/executor.rs): \
+        detail: "catch_unwind and resume_unwind are banned outside the work-stealing \
+                 pool (crates/sim/src/pool.rs) and the campaign run-isolation \
+                 boundary (crates/campaign/src/executor.rs): \
                  scattered unwind recovery hides real failures and corrupts \
                  half-stepped state. A deliberate boundary elsewhere needs a \
                  justified allow.",
@@ -123,32 +122,21 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Files in which `available_parallelism` is legal: the PR 6
-/// auto-selection sites (`SteppingMode::auto`, `campaign::default_workers`).
-const PARALLELISM_ALLOWLIST: &[&str] = &[
-    "crates/sim/src/subsystem.rs",
-    "crates/campaign/src/executor.rs",
-];
+/// The one file in which `available_parallelism` is legal: the
+/// campaign worker-count default (`campaign::default_workers`). A
+/// simulation never sizes anything from the host.
+const PARALLELISM_ALLOWLIST: &[&str] = &["crates/campaign/src/executor.rs"];
 
-/// The files allowed to create threads: the deterministic worker pools
-/// (slot-pinned and work-stealing), and the campaign server's thread
-/// layer (acceptor, per-connection handlers, executor) — service
-/// plumbing that hands all simulation work to the pool-backed campaign
-/// executor. Allowlisting is by suffix, so the `pool/queue.rs` module
-/// must be named explicitly (it does not match `pool.rs`).
-const THREAD_ALLOWLIST: &[&str] = &[
-    "crates/sim/src/pool.rs",
-    "crates/sim/src/pool/queue.rs",
-    "crates/server/src/serve.rs",
-];
+/// The files allowed to create threads: the work-stealing pool that runs
+/// whole simulations, and the campaign server's thread layer (acceptor,
+/// per-connection handlers, executor) — service plumbing that hands all
+/// simulation work to the pool-backed campaign executor.
+const THREAD_ALLOWLIST: &[&str] = &["crates/sim/src/pool.rs", "crates/server/src/serve.rs"];
 
-/// Files allowed to catch or re-raise unwinds: the worker pools (worker
-/// death recovery) and the campaign executor (per-run isolation).
-const RECOVERY_ALLOWLIST: &[&str] = &[
-    "crates/sim/src/pool.rs",
-    "crates/sim/src/pool/queue.rs",
-    "crates/campaign/src/executor.rs",
-];
+/// Files allowed to catch or re-raise unwinds: the work-stealing pool
+/// (workers survive panicking jobs) and the campaign executor (per-run
+/// isolation).
+const RECOVERY_ALLOWLIST: &[&str] = &["crates/sim/src/pool.rs", "crates/campaign/src/executor.rs"];
 
 /// Tokens banned inside alloc-free regions.
 const ALLOC_TOKENS: &[&str] = &[
@@ -398,8 +386,8 @@ fn check_determinism(
     }
     if code.contains("available_parallelism") && !allowlisted(path, PARALLELISM_ALLOWLIST) {
         push(
-            "`available_parallelism` outside the auto-selection sites makes behaviour \
-             machine-dependent"
+            "`available_parallelism` outside the worker-count default \
+             (campaign::executor) makes behaviour machine-dependent"
                 .to_owned(),
         );
     }
@@ -515,7 +503,7 @@ fn check_thread_discipline(path: &str, line_no: usize, code: &str, out: &mut Vec
                 rule: THREAD_DISCIPLINE,
                 message: format!(
                     "`{token}` outside the sanctioned spawn sites (sim::pool, \
-                     server::serve); route parallelism through the worker pool"
+                     server::serve); route parallelism through the work-stealing pool"
                 ),
             });
         }

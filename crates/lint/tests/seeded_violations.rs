@@ -184,36 +184,22 @@ fn thread_discipline_allows_serve_but_flags_the_rest_of_server() {
 
 #[test]
 fn both_disciplines_allow_the_stealing_queue_but_flag_its_siblings() {
-    // The work-stealing pool lives in `src/pool/queue.rs` — a *nested*
-    // module whose path does not suffix-match `pool.rs`, so it is
-    // allowlisted by name. Its spawn + catch_unwind are clean; the same
-    // pair one module over (`src/subsystem.rs`) fires both rules.
+    // The work-stealing pool is the whole of `src/pool.rs`: its spawn +
+    // catch_unwind are clean, while the same pair one module over
+    // (`src/subsystem.rs`, where channel shards step) fires both rules.
     let fixture = Fixture::new(
         "stealing-queue",
         "sim",
         "pub mod pool;\npub mod subsystem;\n",
     );
     let src = fixture.root.join("crates/sim/src");
-    fs::create_dir_all(src.join("pool")).expect("create pool module dir");
-    fs::write(src.join("pool.rs"), "pub mod queue;\n").expect("write pool shim");
-    fs::write(
-        src.join("pool/queue.rs"),
-        "pub fn puller() -> bool {\n\
-         \x20   std::thread::spawn(|| std::panic::catch_unwind(|| {}).is_ok())\n\
-         \x20       .join()\n\
-         \x20       .unwrap_or(false)\n\
-         }\n",
-    )
-    .expect("write queue fixture");
-    fs::write(
-        src.join("subsystem.rs"),
-        "pub fn sneaky() -> bool {\n\
-         \x20   std::thread::spawn(|| std::panic::catch_unwind(|| {}).is_ok())\n\
-         \x20       .join()\n\
-         \x20       .unwrap_or(false)\n\
-         }\n",
-    )
-    .expect("write subsystem fixture");
+    let spawn_and_catch = "pub fn puller() -> bool {\n\
+                           \x20   std::thread::spawn(|| std::panic::catch_unwind(|| {}).is_ok())\n\
+                           \x20       .join()\n\
+                           \x20       .unwrap_or(false)\n\
+                           }\n";
+    fs::write(src.join("pool.rs"), spawn_and_catch).expect("write pool fixture");
+    fs::write(src.join("subsystem.rs"), spawn_and_catch).expect("write subsystem fixture");
     let findings = fixture.findings();
     assert_eq!(findings.len(), 2, "got: {findings:?}");
     assert!(findings
@@ -223,6 +209,24 @@ fn both_disciplines_allow_the_stealing_queue_but_flag_its_siblings() {
     assert!(rules.contains(&THREAD_DISCIPLINE));
     assert!(rules.contains(&RECOVERY_DISCIPLINE));
     assert_ne!(fixture.binary_exit(), 0);
+}
+
+#[test]
+fn parallelism_probe_is_allowed_only_in_the_worker_count_default() {
+    // Probing the host's parallelism is legal only where the campaign
+    // executor picks its default worker count. The same probe where
+    // channel shards step would make a simulation machine-dependent.
+    let probe = "pub fn threads() -> usize {\n\
+                 \x20   std::thread::available_parallelism().map_or(1, |n| n.get())\n\
+                 }\n";
+    let fixture = Fixture::new("parallelism", "sim", "pub mod subsystem;\n");
+    fs::write(fixture.root.join("crates/sim/src/subsystem.rs"), probe)
+        .expect("write subsystem fixture");
+    let campaign = fixture.root.join("crates/campaign/src");
+    fs::create_dir_all(&campaign).expect("create campaign fixture dir");
+    fs::write(campaign.join("lib.rs"), "pub mod executor;\n").expect("write lib shim");
+    fs::write(campaign.join("executor.rs"), probe).expect("write executor fixture");
+    assert_single(&fixture, DETERMINISM, "crates/sim/src/subsystem.rs", 2);
 }
 
 #[test]

@@ -180,9 +180,8 @@ impl<T: Any> AsAny for T {
 /// paper argues — must assume the controller-visible adjacency equals the
 /// physical adjacency to identify victims.
 ///
-/// Defenses must be [`Send`]: a channel-sharded memory subsystem steps its
-/// shards (each owning one defense instance) on scoped worker threads, and
-/// every implementation is plain owned data anyway.
+/// Defenses must be [`Send`] so a system that owns them can move between
+/// threads; every implementation is plain owned data anyway.
 pub trait RowHammerDefense: AsAny + Send {
     /// Short mechanism name used in reports ("PARA", "Graphene", ...).
     fn name(&self) -> &'static str;

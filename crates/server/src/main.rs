@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! bh-serve [addr HOST:PORT] [data DIR] [queue N] [workers N] [max-runs N]
-//!          [scheduler stealing|pinned]
 //! ```
 //!
 //! Arguments are bare `key value` words, like the repo's other
 //! binaries. Defaults: `addr 127.0.0.1:7878 data target/bh-serve
-//! queue 8 workers <cores-2> max-runs 100000 scheduler stealing`.
-//! `SIGINT`/`SIGTERM`
-//! trigger a clean shutdown: stop admitting, finish the in-flight
-//! campaign (its journal makes even a hard kill recoverable), drain
-//! connections, exit `0`.
+//! queue 8 workers <cores-2> max-runs 100000`. With `workers` of 2 or
+//! more, each campaign's runs execute on the campaign engine's
+//! work-stealing pool. `SIGINT`/`SIGTERM` trigger a clean shutdown:
+//! stop admitting, finish the in-flight campaign (its journal makes
+//! even a hard kill recoverable), drain connections, exit `0`.
 
 use server::{request_shutdown, shutdown_requested, Server, ServerConfig};
 use std::path::PathBuf;
@@ -72,14 +71,10 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                     .parse()
                     .map_err(|_| format!("bad run limit `{value}`"))?;
             }
-            "scheduler" => {
-                config.scheduler = campaign::SchedulerMode::parse(value)
-                    .ok_or_else(|| format!("bad scheduler `{value}` (stealing|pinned)"))?;
-            }
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (usage: bh-serve [addr HOST:PORT] [data DIR] \
-                     [queue N] [workers N] [max-runs N] [scheduler stealing|pinned])"
+                     [queue N] [workers N] [max-runs N])"
                 ))
             }
         }

@@ -8,8 +8,8 @@
 //!   runs them — one at a time, in admission order — through
 //!   [`campaign::execute_observed`] with a per-campaign checkpoint
 //!   journal, so simulation parallelism lives where it already is
-//!   deterministic (the campaign engine's worker pool), never in the
-//!   server;
+//!   deterministic (the campaign engine's work-stealing pool), never in
+//!   the server;
 //! * the **acceptor** polls a nonblocking listener, handing each
 //!   connection to a short-lived handler thread
 //!   ([`crate::router::handle_connection`]);
@@ -33,7 +33,7 @@ use crate::queue::JobQueue;
 use crate::registry::{CampaignState, Phase, Registry};
 use crate::router;
 use campaign::checkpoint::{fingerprint, read_journal};
-use campaign::{wire, ExecutionOptions, FailurePolicy, SchedulerMode};
+use campaign::{wire, ExecutionOptions, FailurePolicy};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -78,9 +78,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Largest admissible campaign, in expanded runs.
     pub max_runs: usize,
-    /// How pooled execution schedules runs onto workers (results are
-    /// scheduler-invariant; this trades latency only).
-    pub scheduler: SchedulerMode,
 }
 
 impl Default for ServerConfig {
@@ -93,7 +90,6 @@ impl Default for ServerConfig {
             // (acceptor + executor); the rest simulate.
             workers: campaign::default_workers().saturating_sub(1),
             max_runs: 100_000,
-            scheduler: SchedulerMode::default(),
         }
     }
 }
@@ -328,7 +324,6 @@ fn run_campaign(shared: &Shared, state: &Arc<CampaignState>) {
     let options = ExecutionOptions {
         policy: FailurePolicy::Quarantine,
         journal: Some(dir.join("campaign.journal")),
-        scheduler: shared.config.scheduler,
     };
     let runs = state.spec.expand();
     let result = campaign::execute_observed(

@@ -5,7 +5,9 @@
 //! DDR4 device model and RowHammer-defense instance per channel — plus the
 //! energy model, wired together and driven cycle by cycle (the Rust
 //! counterpart of the paper's Ramulator + DRAMPower infrastructure). See
-//! [`subsystem`] for the sharding design.
+//! [`subsystem`] for the sharding design: shards step sequentially on the
+//! calling thread, and the only threads that run simulation work are the
+//! [`pool`]'s, which fan out whole runs.
 //!
 //! On top of the [`System`] runner, the [`experiments`] module provides the
 //! drivers that regenerate the paper's figures and tables (single-core
@@ -45,6 +47,5 @@ mod system;
 
 pub use defense_factory::DefenseKind;
 pub use metrics::{ChannelStats, MultiProgramMetrics, RunResult, SteppingStats, ThreadResult};
-pub use pool::WorkerPool;
-pub use subsystem::{MemorySubsystem, SteppingMode};
+pub use subsystem::MemorySubsystem;
 pub use system::{AdvanceMode, BoxedTrace, System, SystemBuilder, SystemConfig};

@@ -91,8 +91,8 @@ pub struct ChannelStats {
 /// Complete outcome of one simulation run.
 ///
 /// Equality is field-for-field (hash-map-backed statistics compare
-/// order-independently), which is what the advance-mode and stepping-mode
-/// equivalence tests pin bit-identity with.
+/// order-independently), which is what the advance-mode equivalence tests
+/// pin bit-identity with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Defense name.

@@ -1,268 +1,301 @@
-//! A persistent worker pool for deterministic fan-out of simulation work.
+//! The work-stealing pool: the one place simulation work runs on
+//! threads.
 //!
-//! Originally built to step channel shards: the scoped-thread stepping mode
-//! spawns (and joins) one OS thread per shard on *every* simulated cycle,
-//! which dominates its cost at low channel counts. This pool spawns each
-//! worker thread once and keeps it alive for the lifetime of its owner;
-//! per step, the owner *moves* each work item to its worker over a channel,
-//! the worker processes it, and the item travels back together with the
-//! result. Moving an item is a shallow struct copy (its queues and filters
-//! live behind pointers), so the per-step cost is two channel handoffs per
-//! worker instead of a thread spawn + join.
-//!
-//! The pool is generic over three types so the same mechanism serves both
-//! of its users:
-//!
-//! * **shard stepping** (`sim::subsystem`): the context is the current
-//!   [`Cycle`](bh_types::Cycle), the item a channel shard, the result its
-//!   completion list;
-//! * **campaign execution** (the `campaign` crate): the context is `()`,
-//!   the item a whole run specification, the result the finished run's
-//!   outcome — entire simulations fan out across the same persistent
-//!   workers.
-//!
-//! Determinism is the caller's contract: `dispatch`/`collect` address
-//! worker slots explicitly, so a caller that collects results in its own
-//! fixed order observes output identical to sequential execution no matter
-//! how long each worker actually takes.
-//!
-//! Two dispatch disciplines share this module. The slot-pinned
-//! [`WorkerPool`] here pushes jobs round-robin to fixed slots — ideal
-//! when items are uniform (shard stepping). The pull-based
-//! [`queue::StealingPool`] hands jobs out through a shared injector
-//! queue and returns completions out of order, tagged with their
-//! sequence numbers — ideal when job durations are wildly skewed
-//! (campaign runs) and a pinned slot would head-of-line-block.
+//! A simulation never spawns threads of its own — channel shards share
+//! no state but step sequentially on the calling thread, because a
+//! per-cycle thread handoff costs far more than a shard's cycle of work.
+//! What parallelizes well is whole runs, and this pool fans them out:
+//! the owner pushes `(sequence, item)` jobs into one shared injector
+//! queue, idle workers *pull* the next job the moment they finish their
+//! previous one, and every completion travels back over a single channel
+//! tagged with its sequence number. No worker ever idles while the queue
+//! is non-empty, and the owner reorders completions however it likes
+//! (the campaign executor runs them through a reorder buffer to restore
+//! run order bit-exactly).
 //!
 //! # Fault tolerance
 //!
-//! A worker thread dies when its work function panics. Callers choose how
-//! that surfaces:
+//! Workers never die: each job runs under `catch_unwind`, and a panic
+//! comes back as [`Outcome::Panicked`] carrying the rendered payload
+//! (the item moved into the attempt is dropped during the unwind, so
+//! the owner must keep its own copy if it wants to retry — the campaign
+//! executor does). The thread that caught the panic simply pulls the
+//! next job.
 //!
-//! * [`WorkerPool::collect`] re-raises the worker's original panic payload
-//!   on the calling thread — the right behaviour for shard stepping, where
-//!   the shard moved into the dead worker is unrecoverable state;
-//! * [`WorkerPool::collect_recovered`] *survives* the death: it joins the
-//!   dead thread, respawns a replacement worker in the same slot, and
-//!   returns [`Collected::Lost`] describing the panic, how many moved-in
-//!   jobs died with the thread, and any jobs that never reached it
-//!   ([`WorkerPool::dispatch`] parks sends to a dead worker instead of
-//!   panicking). A caller that keeps its own copies of dispatched work —
-//!   the campaign executor clones each `RunSpec` it hands out — can
-//!   resubmit and carry on instead of unwinding the whole campaign.
+//! # Accounting
+//!
+//! Each worker keeps a tally: jobs completed, jobs *stolen* (a job
+//! whose sequence number round-robin assignment would have given to a
+//! different worker — the direct measure of how much work the shared
+//! queue moved off a busy worker), and busy wall-clock. The tallies are
+//! shared atomics, so the owner can snapshot them any time without
+//! stopping the pool.
 
-pub mod queue;
-
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// Bounded busy-wait before parking on the result channel: if the worker
-/// finishes while the owner is still distributing work or doing its own
-/// share, the result is usually ready by the time it is asked for, and
-/// spinning briefly avoids a futex round trip. Kept small so a
-/// single-hardware-thread host degrades gracefully.
-const RESULT_SPIN: u32 = 256;
+/// The shared work function: pulled jobs carry everything in the item.
+type Work<T, R> = Arc<dyn Fn(&mut T) -> R + Send + Sync + 'static>;
 
-/// The shared work function workers run on every item (kept by the pool
-/// so a replacement worker can be spawned after a panic).
-type Work<C, T, R> = Arc<dyn Fn(C, &mut T) -> R + Send + Sync + 'static>;
-
-/// One persistent worker owning a job and a result channel.
-struct Worker<C, T, R> {
-    job_tx: Option<Sender<(C, T)>>,
-    result_rx: Receiver<(T, R)>,
-    handle: Option<JoinHandle<()>>,
-    /// Jobs dispatched (including parked ones) whose results have not
-    /// been collected yet.
-    outstanding: usize,
-    /// Jobs whose send failed because the worker thread had already
-    /// died; handed back to the caller by the recovery path so nothing
-    /// is silently dropped.
-    parked: Vec<(C, T)>,
-}
-
-/// What a fallible collect observed (see
-/// [`WorkerPool::collect_recovered`]).
-pub enum Collected<C, T, R> {
-    /// The worker finished the job; the item comes back with the result.
+/// How one pulled job ended.
+pub enum Outcome<T, R> {
+    /// The work function returned; the item comes back with the result.
     Done(T, R),
-    /// The worker thread died (its work function panicked). The slot has
-    /// already been respawned and is ready for new dispatches.
-    Lost {
-        /// The panic message recovered from the dead thread.
-        message: String,
-        /// Jobs that had been moved into the worker and died with it
-        /// (the oldest of them is the one that was running). The caller
-        /// must re-create them from its own records if it wants to
-        /// resubmit.
-        lost_jobs: usize,
-        /// Jobs that never reached the dead worker (their channel send
-        /// failed); they are returned intact, in dispatch order, for the
-        /// caller to resubmit after any re-created lost jobs.
-        parked: Vec<(C, T)>,
-    },
+    /// The work function panicked. The item died in the unwind; the
+    /// rendered panic payload is all that comes back.
+    Panicked(String),
 }
 
-/// A pool of persistent worker threads, one per work slot.
-///
-/// `C` is a per-dispatch context value passed through to the work function
-/// (the simulation cycle for shard stepping, `()` for whole-run jobs),
-/// `T` the work item (moved to the worker and back), and `R` the result.
-pub struct WorkerPool<C: Send + 'static, T: Send + 'static, R: Send + 'static> {
-    workers: Vec<Worker<C, T, R>>,
-    work: Work<C, T, R>,
+/// One finished job, tagged with the sequence number it was submitted
+/// under.
+pub struct Completion<T, R> {
+    /// The caller-chosen sequence number from [`StealingPool::submit`].
+    pub seq: u64,
+    /// How the job ended.
+    pub outcome: Outcome<T, R>,
 }
 
-impl<C: Send + 'static, T: Send + 'static, R: Send + 'static> WorkerPool<C, T, R> {
-    /// Spawns `slots` worker threads, each running `work` on every item it
-    /// receives until the pool is dropped.
-    pub fn new<F>(slots: usize, work: F) -> Self
-    where
-        F: Fn(C, &mut T) -> R + Send + Sync + 'static,
-    {
-        let work: Work<C, T, R> = Arc::new(work);
-        let workers = (0..slots)
-            .map(|slot| spawn_worker(slot, Arc::clone(&work)))
-            .collect();
-        Self { workers, work }
-    }
+/// Shared per-worker counters (atomics: written by the worker, read by
+/// the owner at any time).
+struct WorkerTally {
+    jobs: AtomicU64,
+    steals: AtomicU64,
+    busy_nanos: AtomicU64,
+}
 
-    /// Number of worker slots.
-    pub fn slots(&self) -> usize {
-        self.workers.len()
-    }
+/// A point-in-time copy of one worker's tally.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerSnapshot {
+    /// Jobs this worker completed (including panicked attempts).
+    pub jobs: u64,
+    /// Completed jobs whose sequence number round-robin assignment
+    /// would have given to a *different* worker — work the shared queue
+    /// moved off a busy worker.
+    pub steals: u64,
+    /// Wall-clock spent inside the work function.
+    pub busy: Duration,
+}
 
-    /// Hands `item` to worker `slot` for one step with context `ctx`.
-    ///
-    /// A slot processes one item at a time: dispatching twice to the same
-    /// slot without an intervening [`WorkerPool::collect`] queues the
-    /// second item behind the first.
-    ///
-    /// If the slot's worker has died and its death has not yet been
-    /// observed by a collect, the job is parked instead of sent; the next
-    /// [`WorkerPool::collect_recovered`] on the slot returns parked jobs
-    /// intact so the caller can resubmit them.
-    pub fn dispatch(&mut self, slot: usize, ctx: C, item: T) {
-        let worker = &mut self.workers[slot];
-        worker.outstanding += 1;
-        let Some(job_tx) = worker.job_tx.as_ref() else {
-            // The slot's sender is only absent mid-recovery; treat like a
-            // dead worker so the job is never dropped.
-            worker.parked.push((ctx, item));
-            return;
-        };
-        if let Err(failed) = job_tx.send((ctx, item)) {
-            // The worker thread exited (panicked) before receiving this
-            // job: park it for the recovery path instead of losing it.
-            worker.parked.push(failed.0);
+impl WorkerTally {
+    /// A zeroed tally.
+    fn new() -> Self {
+        Self {
+            jobs: AtomicU64::new(0),
+            steals: AtomicU64::new(0),
+            busy_nanos: AtomicU64::new(0),
         }
     }
 
-    /// Waits for worker `slot` to finish its oldest outstanding step and
-    /// returns the item together with the step result.
-    ///
-    /// # Panics
-    ///
-    /// If the worker thread died (a panic inside the work function), the
-    /// worker is joined and its original panic payload is re-raised on
-    /// the calling thread. Use [`WorkerPool::collect_recovered`] to
-    /// survive the death instead.
-    pub fn collect(&mut self, slot: usize) -> (T, R) {
-        match self.try_collect(slot) {
-            Some(done) => done,
-            None => propagate_worker_panic(&mut self.workers[slot]),
+    /// Records one completed job. `stolen` marks a job that round-robin
+    /// assignment would have placed on another worker.
+    fn record(&self, stolen: bool, busy: Duration) {
+        self.jobs.fetch_add(1, Ordering::Relaxed);
+        if stolen {
+            self.steals.fetch_add(1, Ordering::Relaxed);
         }
+        let nanos = u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX);
+        self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Like [`WorkerPool::collect`], but a dead worker is recovered
-    /// instead of re-panicking: the thread is joined for its panic
-    /// message, a replacement worker is spawned into the slot, and the
-    /// jobs that died with the thread are reported (with any parked jobs
-    /// returned intact) so the caller can resubmit and continue.
-    pub fn collect_recovered(&mut self, slot: usize) -> Collected<C, T, R> {
-        match self.try_collect(slot) {
-            Some((item, result)) => Collected::Done(item, result),
-            None => self.recover(slot),
+    /// A consistent-enough snapshot (each counter individually exact).
+    fn snapshot(&self) -> WorkerSnapshot {
+        WorkerSnapshot {
+            jobs: self.jobs.load(Ordering::Relaxed),
+            steals: self.steals.load(Ordering::Relaxed),
+            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
         }
     }
+}
 
-    /// Spins briefly, then blocks, for the slot's next result. `None`
-    /// means the worker died without delivering it.
-    fn try_collect(&mut self, slot: usize) -> Option<(T, R)> {
-        let worker = &mut self.workers[slot];
-        for _ in 0..RESULT_SPIN {
-            match worker.result_rx.try_recv() {
-                Ok(done) => {
-                    worker.outstanding -= 1;
-                    return Some(done);
-                }
-                Err(TryRecvError::Empty) => std::hint::spin_loop(),
-                Err(TryRecvError::Disconnected) => return None,
+/// The shared injector: a FIFO of `(seq, item)` jobs plus the closed
+/// flag, under one mutex with a condvar for idle workers.
+struct Injector<T> {
+    state: Mutex<InjectorState<T>>,
+    ready: Condvar,
+}
+
+struct InjectorState<T> {
+    jobs: VecDeque<(u64, T)>,
+    closed: bool,
+}
+
+impl<T> Injector<T> {
+    /// Blocks until a job is available (returning it) or the queue is
+    /// closed and empty (returning `None`).
+    fn pull(&self) -> Option<(u64, T)> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
             }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        match worker.result_rx.recv() {
+    }
+}
+
+/// A pool of persistent workers pulling jobs from one shared queue.
+///
+/// `T` is the work item (moved to whichever worker pulls it, and back
+/// on success), `R` the result. See the module docs for the contract.
+pub struct StealingPool<T: Send + 'static, R: Send + 'static> {
+    injector: Arc<Injector<T>>,
+    result_rx: Receiver<Completion<T, R>>,
+    tallies: Vec<Arc<WorkerTally>>,
+    handles: Vec<JoinHandle<()>>,
+    /// Jobs submitted whose completions have not been taken yet.
+    outstanding: usize,
+}
+
+impl<T: Send + 'static, R: Send + 'static> StealingPool<T, R> {
+    /// Spawns `workers` (≥ 1) threads, each pulling jobs and running
+    /// `work` until the pool is dropped.
+    pub fn new<F>(workers: usize, work: F) -> Self
+    where
+        F: Fn(&mut T) -> R + Send + Sync + 'static,
+    {
+        debug_assert!(workers >= 1, "a pool needs at least one worker");
+        let work: Work<T, R> = Arc::new(work);
+        let injector = Arc::new(Injector {
+            state: Mutex::new(InjectorState {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        });
+        let (result_tx, result_rx) = channel::<Completion<T, R>>();
+        let tallies: Vec<Arc<WorkerTally>> =
+            (0..workers).map(|_| Arc::new(WorkerTally::new())).collect();
+        let handles = (0..workers)
+            .map(|id| {
+                spawn_puller(
+                    id,
+                    workers,
+                    Arc::clone(&injector),
+                    Arc::clone(&work),
+                    result_tx.clone(),
+                    Arc::clone(&tallies[id]),
+                )
+            })
+            .collect();
+        Self {
+            injector,
+            result_rx,
+            tallies,
+            handles,
+            outstanding: 0,
+        }
+    }
+
+    /// Pushes a job onto the shared queue. `seq` is an arbitrary caller
+    /// tag echoed back in the job's [`Completion`]; the campaign
+    /// executor uses the run index.
+    pub fn submit(&mut self, seq: u64, item: T) {
+        self.outstanding += 1;
+        let mut state = self
+            .injector
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.jobs.push_back((seq, item));
+        drop(state);
+        self.injector.ready.notify_one();
+    }
+
+    /// Blocks for the next completion, in whatever order jobs finish.
+    /// Returns `None` when no submitted job is outstanding — or, as a
+    /// defensive backstop, if every worker vanished (they cannot: each
+    /// job runs under `catch_unwind`).
+    pub fn next_completion(&mut self) -> Option<Completion<T, R>> {
+        if self.outstanding == 0 {
+            return None;
+        }
+        match self.result_rx.recv() {
             Ok(done) => {
-                worker.outstanding -= 1;
+                self.outstanding -= 1;
                 Some(done)
             }
             Err(_) => None,
         }
     }
 
-    /// Joins a dead worker, respawns its slot, and reports what was lost.
-    fn recover(&mut self, slot: usize) -> Collected<C, T, R> {
-        let replacement = spawn_worker(slot, Arc::clone(&self.work));
-        let worker = &mut self.workers[slot];
-        worker.job_tx.take();
-        let message = match worker.handle.take().map(JoinHandle::join) {
-            Some(Err(payload)) => panic_message(payload.as_ref()),
-            Some(Ok(())) => "worker exited without a panic".to_owned(),
-            None => "worker was already joined".to_owned(),
-        };
-        let parked = std::mem::take(&mut worker.parked);
-        // Everything dispatched but not collected is either parked (still
-        // in hand) or died inside the worker.
-        let lost_jobs = worker.outstanding - parked.len();
-        *worker = replacement;
-        Collected::Lost {
-            message,
-            lost_jobs,
-            parked,
+    /// Snapshots every worker's tally, in worker-index order.
+    pub fn tallies(&self) -> Vec<WorkerSnapshot> {
+        self.tallies.iter().map(|tally| tally.snapshot()).collect()
+    }
+}
+
+impl<T: Send + 'static, R: Send + 'static> Drop for StealingPool<T, R> {
+    fn drop(&mut self) {
+        // Discard jobs nobody started (an aborting owner must not wait
+        // for the whole backlog), close, wake every idle worker, join.
+        {
+            let mut state = self
+                .injector
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            state.jobs.clear();
+            state.closed = true;
+        }
+        self.injector.ready.notify_all();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
-/// Spawns the thread + channel pair behind one worker slot.
-fn spawn_worker<C: Send + 'static, T: Send + 'static, R: Send + 'static>(
-    slot: usize,
-    work: Work<C, T, R>,
-) -> Worker<C, T, R> {
-    let (job_tx, job_rx) = channel::<(C, T)>();
-    let (result_tx, result_rx) = channel::<(T, R)>();
-    let handle = std::thread::Builder::new()
-        .name(format!("pool-worker-{slot}"))
+/// Spawns one pulling worker thread.
+fn spawn_puller<T: Send + 'static, R: Send + 'static>(
+    id: usize,
+    workers: usize,
+    injector: Arc<Injector<T>>,
+    work: Work<T, R>,
+    result_tx: Sender<Completion<T, R>>,
+    tally: Arc<WorkerTally>,
+) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("steal-worker-{id}"))
         .spawn(move || {
-            while let Ok((ctx, mut item)) = job_rx.recv() {
-                let result = work(ctx, &mut item);
-                if result_tx.send((item, result)).is_err() {
-                    break;
+            while let Some((seq, item)) = injector.pull() {
+                // lint: allow(determinism) -- worker busy-time accounting; never read by simulated state
+                let started = Instant::now();
+                // The unwind boundary keeps this thread alive across
+                // panicking jobs; AssertUnwindSafe is sound because the
+                // item is owned by the attempt (it is dropped on panic,
+                // never observed again) and `work` is a shared Fn.
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    let mut item = item;
+                    let result = work(&mut item);
+                    (item, result)
+                }));
+                let outcome = match attempt {
+                    Ok((item, result)) => Outcome::Done(item, result),
+                    Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
+                };
+                tally.record(seq as usize % workers != id, started.elapsed());
+                if result_tx.send(Completion { seq, outcome }).is_err() {
+                    return;
                 }
             }
         })
         // lint: allow(panic-freedom) -- thread-spawn failure at pool construction is unrecoverable infrastructure loss
-        .expect("failed to spawn pool worker thread");
-    Worker {
-        job_tx: Some(job_tx),
-        result_rx,
-        handle: Some(handle),
-        outstanding: 0,
-        parked: Vec::new(),
-    }
+        .expect("failed to spawn stealing pool worker thread")
 }
 
 /// Best-effort rendering of a panic payload (panics carry `&str` or
-/// `String` in practice). Shared with the pull-based [`queue`] pool.
+/// `String` in practice). Shared with the campaign executor's run
+/// isolation boundary.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -273,187 +306,93 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A worker's result channel disconnected mid-step: the work function
-/// panicked. Join the thread to recover the original panic payload and
-/// re-raise it here, so the caller sees the real failure instead of a
-/// generic "worker died" message.
-fn propagate_worker_panic<C, T, R>(worker: &mut Worker<C, T, R>) -> ! {
-    worker.job_tx.take();
-    if let Some(handle) = worker.handle.take() {
-        if let Err(payload) = handle.join() {
-            std::panic::resume_unwind(payload);
-        }
-    }
-    // lint: allow(panic-freedom) -- unreachable fallback: a worker that died without a result resumed its unwind above
-    panic!("pool worker exited without delivering a result");
-}
-
-impl<C: Send + 'static, T: Send + 'static, R: Send + 'static> Drop for WorkerPool<C, T, R> {
-    fn drop(&mut self) {
-        // Closing the job channels lets every worker fall out of its loop;
-        // join afterwards so worker panics surface during tests.
-        for worker in &mut self.workers {
-            worker.job_tx.take();
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                // A worker that panicked already reported through collect();
-                // suppress the secondary panic during unwinding.
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn workers_step_items_and_hand_them_back() {
-        let mut pool: WorkerPool<u64, u64, u64> = WorkerPool::new(3, |now, item| {
-            *item += now;
+    fn completions_cover_every_submitted_sequence() {
+        let mut pool: StealingPool<u64, u64> = StealingPool::new(3, |item| *item * 2);
+        for seq in 0..16u64 {
+            pool.submit(seq, seq + 100);
+        }
+        let mut seen = [false; 16];
+        while let Some(done) = pool.next_completion() {
+            match done.outcome {
+                Outcome::Done(item, result) => {
+                    assert_eq!(item, done.seq + 100);
+                    assert_eq!(result, (done.seq + 100) * 2);
+                    assert!(!seen[done.seq as usize], "duplicate completion");
+                    seen[done.seq as usize] = true;
+                }
+                Outcome::Panicked(message) => panic!("unexpected panic: {message}"),
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every job completes exactly once");
+    }
+
+    #[test]
+    fn next_completion_without_outstanding_jobs_returns_none() {
+        let mut pool: StealingPool<u64, u64> = StealingPool::new(2, |item| *item);
+        assert!(pool.next_completion().is_none());
+        pool.submit(0, 9);
+        assert!(pool.next_completion().is_some());
+        assert!(pool.next_completion().is_none());
+    }
+
+    #[test]
+    fn a_panicking_job_reports_and_the_worker_survives() {
+        let mut pool: StealingPool<u32, u32> = StealingPool::new(1, |item| {
+            assert!(*item != 13, "unlucky item");
+            *item + 1
+        });
+        pool.submit(0, 13);
+        pool.submit(1, 20);
+        let mut panicked = 0;
+        let mut done = 0;
+        while let Some(completion) = pool.next_completion() {
+            match completion.outcome {
+                Outcome::Panicked(message) => {
+                    assert!(message.contains("unlucky item"), "got: {message}");
+                    assert_eq!(completion.seq, 0);
+                    panicked += 1;
+                }
+                Outcome::Done(item, result) => {
+                    assert_eq!((item, result), (20, 21));
+                    assert_eq!(completion.seq, 1);
+                    done += 1;
+                }
+            }
+        }
+        // The single worker caught the panic and still ran job 1.
+        assert_eq!((panicked, done), (1, 1));
+    }
+
+    #[test]
+    fn tallies_account_for_every_completed_job() {
+        let mut pool: StealingPool<u64, u64> = StealingPool::new(2, |item| *item);
+        for seq in 0..10u64 {
+            pool.submit(seq, seq);
+        }
+        while pool.next_completion().is_some() {}
+        let tallies = pool.tallies();
+        assert_eq!(tallies.len(), 2);
+        assert_eq!(tallies.iter().map(|t| t.jobs).sum::<u64>(), 10);
+        assert!(tallies.iter().all(|t| t.steals <= t.jobs));
+    }
+
+    #[test]
+    fn dropping_the_pool_discards_unstarted_jobs_without_hanging() {
+        let mut pool: StealingPool<u64, u64> = StealingPool::new(1, |item| {
+            std::thread::sleep(Duration::from_millis(1));
             *item
         });
-        assert_eq!(pool.slots(), 3);
-        for round in 1..=5u64 {
-            for slot in 0..3 {
-                pool.dispatch(slot, round, slot as u64);
-            }
-            for slot in 0..3 {
-                let (item, result) = pool.collect(slot);
-                assert_eq!(item, slot as u64 + round);
-                assert_eq!(result, item);
-            }
+        for seq in 0..64u64 {
+            pool.submit(seq, seq);
         }
-    }
-
-    #[test]
-    fn unit_context_jobs_run() {
-        let mut pool: WorkerPool<(), String, usize> =
-            WorkerPool::new(2, |(), item: &mut String| item.len());
-        pool.dispatch(0, (), "four".to_owned());
-        pool.dispatch(1, (), "seven!!".to_owned());
-        let (item, len) = pool.collect(0);
-        assert_eq!((item.as_str(), len), ("four", 4));
-        let (item, len) = pool.collect(1);
-        assert_eq!((item.as_str(), len), ("seven!!", 7));
-    }
-
-    #[test]
-    fn a_slot_queues_back_to_back_dispatches_in_order() {
-        let mut pool: WorkerPool<u64, u64, u64> = WorkerPool::new(1, |ctx, item| *item * 10 + ctx);
-        pool.dispatch(0, 1, 1);
-        pool.dispatch(0, 2, 2);
-        assert_eq!(pool.collect(0).1, 11);
-        assert_eq!(pool.collect(0).1, 22);
-    }
-
-    #[test]
-    fn dropping_the_pool_joins_the_workers() {
-        let mut pool: WorkerPool<u64, u32, u32> = WorkerPool::new(2, |_, item| *item);
-        pool.dispatch(0, 0, 7);
-        let (item, _) = pool.collect(0);
-        assert_eq!(item, 7);
-        drop(pool); // must not hang
-    }
-
-    #[test]
-    fn collect_propagates_the_original_panic_payload() {
-        let mut pool: WorkerPool<(), u32, u32> = WorkerPool::new(1, |(), item: &mut u32| {
-            assert!(*item != 13, "unlucky item");
-            *item
-        });
-        pool.dispatch(0, (), 13);
-        let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.collect(0)));
-        let payload = unwind.expect_err("worker panic must propagate");
-        let message = super::panic_message(payload.as_ref());
-        assert!(message.contains("unlucky item"), "got: {message}");
-    }
-
-    #[test]
-    fn a_dead_worker_is_recovered_and_the_slot_respawned() {
-        let mut pool: WorkerPool<(), u32, u32> = WorkerPool::new(1, |(), item: &mut u32| {
-            assert!(*item != 13, "unlucky item");
-            *item * 2
-        });
-        pool.dispatch(0, (), 13);
-        match pool.collect_recovered(0) {
-            Collected::Lost {
-                message,
-                lost_jobs,
-                parked,
-            } => {
-                assert!(message.contains("unlucky item"), "got: {message}");
-                assert_eq!(lost_jobs, 1);
-                assert!(parked.is_empty());
-            }
-            Collected::Done(..) => panic!("the job must be lost"),
-        }
-        // The slot was respawned in place: it accepts and runs new work.
-        pool.dispatch(0, (), 4);
-        match pool.collect_recovered(0) {
-            Collected::Done(item, result) => assert_eq!((item, result), (4, 8)),
-            Collected::Lost { message, .. } => panic!("respawned slot died: {message}"),
-        }
-    }
-
-    #[test]
-    fn jobs_behind_a_panicking_job_are_accounted_lost_or_parked() {
-        let mut pool: WorkerPool<(), u32, u32> = WorkerPool::new(1, |(), item: &mut u32| {
-            assert!(*item != 13, "unlucky item");
-            *item
-        });
-        // The panicking job plus three more behind it. Depending on timing
-        // the trailing jobs either reach the worker's queue before it dies
-        // (lost with the thread) or fail to send (returned parked); the
-        // recovery report must account for every single one either way.
-        pool.dispatch(0, (), 13);
-        for extra in [1u32, 2, 3] {
-            pool.dispatch(0, (), extra);
-        }
-        match pool.collect_recovered(0) {
-            Collected::Lost {
-                lost_jobs, parked, ..
-            } => {
-                assert_eq!(lost_jobs + parked.len(), 4, "every job accounted for");
-                assert!(lost_jobs >= 1, "the running job always dies");
-                // Parked jobs come back intact and in dispatch order.
-                let restored: Vec<u32> = parked.into_iter().map(|((), item)| item).collect();
-                assert!(
-                    restored
-                        .iter()
-                        .zip([1, 2, 3].iter().skip(3 - restored.len()))
-                        .all(|(a, b)| a == b)
-                        || restored.is_empty()
-                        || restored == [1, 2, 3]
-                        || restored == [2, 3]
-                        || restored == [3]
-                );
-            }
-            Collected::Done(..) => panic!("the poisoned batch cannot complete"),
-        }
-        // The respawned slot keeps working.
-        pool.dispatch(0, (), 21);
-        let (item, result) = pool.collect(0);
-        assert_eq!((item, result), (21, 21));
-    }
-
-    #[test]
-    fn results_buffered_before_a_death_are_still_collected() {
-        let mut pool: WorkerPool<(), u32, u32> = WorkerPool::new(1, |(), item: &mut u32| {
-            assert!(*item != 13, "unlucky item");
-            *item + 100
-        });
-        pool.dispatch(0, (), 1);
-        pool.dispatch(0, (), 2);
-        pool.dispatch(0, (), 13);
-        // The two healthy results arrive even though the worker later died.
-        assert_eq!(pool.collect(0).1, 101);
-        assert_eq!(pool.collect(0).1, 102);
-        match pool.collect_recovered(0) {
-            Collected::Lost { lost_jobs, .. } => assert_eq!(lost_jobs, 1),
-            Collected::Done(..) => panic!("the poisoned job cannot complete"),
-        }
+        // Take one completion, then drop: the backlog must be discarded,
+        // not drained (a multi-second hang would trip the test timeout).
+        assert!(pool.next_completion().is_some());
+        drop(pool);
     }
 }

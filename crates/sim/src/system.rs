@@ -3,7 +3,7 @@
 
 use crate::defense_factory::DefenseKind;
 use crate::metrics::{RunResult, SteppingStats, ThreadResult};
-use crate::subsystem::{merge_channel_stats, MemorySubsystem, ShardReqId, SteppingMode};
+use crate::subsystem::{merge_channel_stats, MemorySubsystem, ShardReqId};
 use bh_types::{AccessType, Cycle, ThreadId, TraceRecord};
 use cpu::{Core, CoreConfig, MemorySink};
 use energy::{Ddr4PowerSpec, DramEnergyModel};
@@ -58,12 +58,6 @@ pub struct SystemConfig {
     /// Whether to record every DRAM activation (needed by safety
     /// verification; costs memory).
     pub enable_activation_log: bool,
-    /// How the per-channel memory shards execute each lockstep cycle.
-    /// Results are identical in every mode (the shards share no state and
-    /// completions are collected in channel order); this only trades
-    /// per-cycle thread coordination for concurrent shard work, which pays
-    /// off for channel-heavy configurations.
-    pub stepping: SteppingMode,
     /// How the simulated clock advances between ticks (lockstep, or
     /// event-driven skipping of repeated ticks). Bit-identical either way.
     pub advance: AdvanceMode,
@@ -82,7 +76,6 @@ impl Default for SystemConfig {
             max_cycles: 2_000_000_000,
             min_cycles: 0,
             enable_activation_log: false,
-            stepping: SteppingMode::Sequential,
             advance: AdvanceMode::default(),
             seed: 1,
         }
@@ -253,8 +246,7 @@ impl System {
         defenses: Vec<Box<dyn RowHammerDefense>>,
     ) -> Self {
         assert!(!traces.is_empty(), "a system needs at least one thread");
-        let mut mem = MemorySubsystem::new(&config.memctrl, defenses, config.enable_activation_log);
-        mem.set_stepping(config.stepping);
+        let mem = MemorySubsystem::new(&config.memctrl, defenses, config.enable_activation_log);
         let channels = mem.channels();
         let llc = Llc::new(config.llc);
         let hit_latency = config.llc.hit_latency;
@@ -512,10 +504,6 @@ pub struct SystemBuilder {
     /// Pre-built trace threads (name, trace, is_attacker, instruction
     /// limit), appended after the synthetic workloads in thread order.
     trace_threads: Vec<(String, BoxedTrace, bool, u64)>,
-    /// Explicit shard stepping mode, if the caller chose one; `None`
-    /// auto-selects from the channel count and the machine's available
-    /// parallelism when the system is built.
-    stepping_override: Option<SteppingMode>,
 }
 
 impl Default for SystemBuilder {
@@ -535,7 +523,6 @@ impl SystemBuilder {
             workloads: Vec::new(),
             attacker: None,
             trace_threads: Vec::new(),
-            stepping_override: None,
         }
     }
 
@@ -572,30 +559,6 @@ impl SystemBuilder {
     pub fn channels(mut self, channels: usize) -> Self {
         assert!(channels > 0, "a system needs at least one memory channel");
         self.config.memctrl.organization.channels = channels;
-        self
-    }
-
-    /// Steps the per-channel memory shards concurrently (on the persistent
-    /// worker pool) instead of sequentially. Bit-identical results either
-    /// way; worthwhile only when the per-shard work outweighs the
-    /// per-cycle thread coordination (many channels under heavy traffic).
-    /// Without this (or [`SystemBuilder::stepping_mode`]) the mode is
-    /// auto-selected via [`SteppingMode::auto`].
-    pub fn parallel_channels(mut self, enabled: bool) -> Self {
-        self.stepping_override = Some(if enabled {
-            SteppingMode::WorkerPool
-        } else {
-            SteppingMode::Sequential
-        });
-        self
-    }
-
-    /// Selects the shard stepping mode explicitly (sequential, per-cycle
-    /// scoped threads, or the persistent worker pool), overriding the
-    /// [`SteppingMode::auto`] default. All modes produce bit-identical
-    /// results.
-    pub fn stepping_mode(mut self, stepping: SteppingMode) -> Self {
-        self.stepping_override = Some(stepping);
         self
     }
 
@@ -719,9 +682,6 @@ impl SystemBuilder {
             "add at least one workload or an attacker"
         );
         self.config.n_rh = self.effective_n_rh();
-        self.config.stepping = self
-            .stepping_override
-            .unwrap_or_else(|| SteppingMode::auto(self.config.memctrl.organization.channels));
         let thread_count = self.thread_count();
         let geometry = self.config.defense_geometry(thread_count);
         let defenses = self.defense.build_per_channel(
@@ -970,39 +930,6 @@ mod tests {
         // Two ranks overall: one per channel, concatenated in channel order.
         assert_eq!(result.dram.per_rank.len(), 2);
         assert!(result.threads.iter().all(|t| t.instructions >= 3_000));
-    }
-
-    #[test]
-    fn stepping_modes_are_bit_identical() {
-        // Sequential, per-cycle scoped threads and the persistent worker
-        // pool must produce the same run, bit for bit.
-        let run = |stepping: SteppingMode| {
-            quick_builder()
-                .channels(2)
-                .min_cycles(20_000)
-                .stepping_mode(stepping)
-                .defense(DefenseKind::BlockHammer)
-                .add_attacker()
-                .add_workload(SyntheticSpec::high_intensity("h0", 0), 2_000)
-                .run()
-        };
-        let sequential = run(SteppingMode::Sequential);
-        for stepping in [SteppingMode::ScopedThreads, SteppingMode::WorkerPool] {
-            let concurrent = run(stepping);
-            assert_eq!(sequential.total_cycles, concurrent.total_cycles);
-            assert_eq!(sequential.dram.totals(), concurrent.dram.totals());
-            assert_eq!(sequential.ctrl, concurrent.ctrl);
-            assert_eq!(
-                sequential.defense_stats.observed_activations,
-                concurrent.defense_stats.observed_activations
-            );
-            for (a, b) in sequential.threads.iter().zip(&concurrent.threads) {
-                assert_eq!(a.instructions, b.instructions);
-                assert_eq!(a.cycles, b.cycles);
-                assert_eq!(a.memory_requests, b.memory_requests);
-                assert_eq!(a.max_rhli, b.max_rhli);
-            }
-        }
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! 2. record every mix's threads to binary trace files (once per
 //!    mix × channel count — sweep points share traces),
 //! 3. execute the whole matrix from those files, sequentially and on the
-//!    persistent worker pool, and verify the two emit **byte-identical**
-//!    CSV,
+//!    work-stealing pool, and verify the two emit **byte-identical**
+//!    `campaign.csv`, `campaign.json` and `stepping.csv`,
 //! 4. write `campaign.csv` / `campaign.json`, re-parse the CSV as a
 //!    self-check, and render the normalized sweep as the same table
 //!    `fig5_multicore` prints.
 //!
 //! ```text
 //! cargo run --release -p examples-bin --bin campaign -- \
-//!     [smoke|quick|standard] [workers N] [out DIR] [journal] [abort-after N] \
-//!     [scheduler stealing|pinned]
+//!     [smoke|quick|standard] [workers N] [out DIR] [journal] [abort-after N]
 //! ```
 //!
 //! `smoke` is the 8-run CI configuration; `quick` (default) is a
@@ -31,15 +30,10 @@
 //! the N-th journal append (requires building with `--features
 //! fault-injection`); CI uses the pair to prove the kill/resume
 //! round-trip.
-//!
-//! `scheduler` picks the pooled dispatch discipline (work-stealing by
-//! default). Passing it explicitly in plain mode also makes the *pooled*
-//! report the one persisted to `DIR`, which is how CI byte-compares a
-//! stealing run's artifacts against the sequential reference.
 
 use campaign::{
     execute, execute_resumable, parse_summary_csv, record_run_traces, write_atomic, CampaignReport,
-    CampaignSpec, ExecutionOptions, SchedulerMode, TraceFormat,
+    CampaignSpec, ExecutionOptions, TraceFormat,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -68,7 +62,6 @@ fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("target/campaign");
     let mut journal = false;
     let mut abort_after: Option<u64> = None;
-    let mut scheduler: Option<SchedulerMode> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -95,14 +88,10 @@ fn main() -> ExitCode {
                 Some(n) => abort_after = Some(n),
                 None => return fail("abort-after needs an integer argument"),
             },
-            "scheduler" => match iter.next().and_then(|v| SchedulerMode::parse(v)) {
-                Some(mode) => scheduler = Some(mode),
-                None => return fail("scheduler needs `stealing` or `pinned`"),
-            },
             other => {
                 return fail(format!(
                     "unknown argument `{other}` (expected smoke|quick|standard, workers N, \
-                     out DIR, journal, abort-after N, scheduler stealing|pinned)"
+                     out DIR, journal, abort-after N)"
                 ))
             }
         }
@@ -164,7 +153,6 @@ fn main() -> ExitCode {
         }
         let options = ExecutionOptions {
             journal: Some(out_dir.join("campaign.journal")),
-            scheduler: scheduler.unwrap_or_default(),
             ..Default::default()
         };
         let resumed = match execute_resumable(&spec, replayable, workers, &options) {
@@ -193,11 +181,7 @@ fn main() -> ExitCode {
             sequential.wall,
             rate(&sequential)
         );
-        let options = ExecutionOptions {
-            scheduler: scheduler.unwrap_or_default(),
-            ..Default::default()
-        };
-        let pooled = match execute_resumable(&spec, replayable, workers, &options) {
+        let pooled = match execute(&spec, replayable, workers) {
             Ok(report) => report,
             Err(e) => return fail(e),
         };
@@ -210,17 +194,31 @@ fn main() -> ExitCode {
         );
 
         // Phase 3: pooled output must be byte-identical to sequential.
-        if pooled.summary.to_csv() != sequential.summary.to_csv() {
-            return fail("pooled execution emitted different CSV than sequential");
+        for (artifact, pooled, sequential) in [
+            (
+                "campaign.csv",
+                pooled.summary.to_csv(),
+                sequential.summary.to_csv(),
+            ),
+            (
+                "campaign.json",
+                pooled.summary.to_json(),
+                sequential.summary.to_json(),
+            ),
+            (
+                "stepping.csv",
+                pooled.stepping_csv(),
+                sequential.stepping_csv(),
+            ),
+        ] {
+            if pooled != sequential {
+                return fail(format!(
+                    "pooled execution emitted a different {artifact} than sequential"
+                ));
+            }
         }
-        println!("pooled CSV is byte-identical to sequential");
-        // An explicit scheduler request persists the *pooled* artifacts,
-        // so CI can byte-compare them against a sequential reference run.
-        if scheduler.is_some() {
-            pooled
-        } else {
-            sequential
-        }
+        println!("pooled CSV, JSON and stepping.csv are byte-identical to sequential");
+        sequential
     };
 
     // Phase 4: persist (atomically — a killed campaign must never leave a

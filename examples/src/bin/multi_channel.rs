@@ -4,22 +4,20 @@
 //! controller. The per-channel statistics show both shards carrying
 //! traffic and both defenses observing it.
 //!
-//! Pass `parallel` to step the shards on the persistent worker pool
-//! instead of sequentially — the results are bit-identical (shards share
-//! no state); only the wall-clock cost of the run changes.
+//! The shards step sequentially on the calling thread: a shard's cycle
+//! costs far less than a thread handoff, so threads pay off across whole
+//! runs (the campaign executor), not inside one.
 //!
 //! ```text
-//! cargo run --release -p examples-bin --bin multi_channel [parallel]
+//! cargo run --release -p examples-bin --bin multi_channel
 //! ```
 
 use sim::{DefenseKind, SystemBuilder};
 use workloads::SyntheticSpec;
 
 fn main() {
-    let parallel = std::env::args().any(|arg| arg == "parallel");
     let result = SystemBuilder::new()
         .channels(2)
-        .parallel_channels(parallel)
         .time_scale(8192)
         .defense(DefenseKind::BlockHammer)
         .rowhammer_threshold(32_768)
@@ -30,11 +28,7 @@ fn main() {
         .add_workload(SyntheticSpec::medium_intensity("victim.medium", 1), 10_000)
         .run();
 
-    println!(
-        "Two-channel system, double-sided attack, per-channel BlockHammer \
-         ({} shard stepping)\n",
-        if parallel { "pooled" } else { "sequential" }
-    );
+    println!("Two-channel system, double-sided attack, per-channel BlockHammer\n");
     println!("{:<28} {:>12} {:>8}", "thread", "IPC", "RHLI");
     for thread in &result.threads {
         println!(

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! serve_harness data DIR [queue N] [workers N] [abort-after N]
-//!               [stall-after N] [scheduler stealing|pinned]
+//!               [stall-after N]
 //! ```
 
 use campaign::faults::{arm, FaultPlan};
@@ -41,13 +41,6 @@ fn main() -> ExitCode {
                 Some(dir) => data_dir = Some(PathBuf::from(dir)),
                 None => return fail("data needs a directory argument"),
             },
-            "scheduler" => {
-                let mode = iter.next().and_then(|v| campaign::SchedulerMode::parse(v));
-                match mode {
-                    Some(mode) => config.scheduler = mode,
-                    None => return fail("scheduler needs `stealing` or `pinned`"),
-                }
-            }
             name @ ("queue" | "workers" | "abort-after" | "stall-after") => {
                 let Some(n) = iter.next().and_then(|v| v.parse::<u64>().ok()) else {
                     return fail(format!("{name} needs an integer argument"));

@@ -1,10 +1,10 @@
 //! Campaign determinism pins: the same `CampaignSpec` + seed produces
 //! identical run lists and identical aggregated output under sequential
-//! and pooled execution, across worker counts and scheduler modes, and
-//! whether runs execute from generators or from recorded trace files.
+//! and pooled execution, across worker counts, and whether runs execute
+//! from generators or from recorded trace files.
 //!
-//! The heart of the suite is byte-identity: sequential, slot-pinned and
-//! work-stealing execution must emit the same `campaign.csv`,
+//! The heart of the suite is byte-identity: sequential and work-stealing
+//! execution must emit the same `campaign.csv`,
 //! `campaign.json`, checkpoint-journal bytes and NDJSON record lines —
 //! including under random failure policies and injected panics
 //! (`schedulers_agree_under_random_specs_policies_and_panics`).
@@ -12,7 +12,7 @@
 use campaign::faults::{arm, disarm, FaultPlan};
 use campaign::{
     execute, execute_observed, prelude_cache_path, record_run_traces, wire, CampaignSpec,
-    ExecutionOptions, FailurePolicy, SchedulerMode, TraceFormat,
+    ExecutionOptions, FailurePolicy, TraceFormat,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -59,7 +59,7 @@ fn scratch_dir(label: &str) -> PathBuf {
 }
 
 /// Everything one journaled execution leaves behind, for byte-comparison
-/// across scheduler modes.
+/// across worker counts.
 #[derive(Debug, PartialEq)]
 struct ModeArtifacts {
     csv: String,
@@ -76,7 +76,6 @@ struct ModeArtifacts {
 fn run_mode(
     spec: &CampaignSpec,
     workers: usize,
-    scheduler: SchedulerMode,
     policy: FailurePolicy,
     label: &str,
 ) -> ModeArtifacts {
@@ -87,7 +86,6 @@ fn run_mode(
     let options = ExecutionOptions {
         policy,
         journal: Some(journal.clone()),
-        scheduler,
     };
     let mut ndjson = Vec::new();
     let result = execute_observed(spec, spec.expand(), workers, &options, &mut |entry, _| {
@@ -122,7 +120,10 @@ fn expansion_is_reproducible() {
 #[test]
 fn worker_counts_emit_byte_identical_output() {
     let _serial = fault_serial();
-    let campaign = tiny_campaign();
+    // One- and two-channel sweep points: a worker steps a multi-channel
+    // run's shards exactly as the calling thread does.
+    let mut campaign = tiny_campaign();
+    campaign.channel_counts = vec![1, 2];
     let sequential = execute(&campaign, campaign.expand(), 0).expect("sequential runs");
     let csv = sequential.summary.to_csv();
     let json = sequential.summary.to_json();
@@ -155,26 +156,10 @@ fn worker_counts_emit_byte_identical_output() {
 fn scheduler_modes_emit_byte_identical_artifacts_and_journals() {
     let _serial = fault_serial();
     let campaign = tiny_campaign();
-    let reference = run_mode(
-        &campaign,
-        0,
-        SchedulerMode::default(),
-        FailurePolicy::Quarantine,
-        "sched-sequential",
-    );
+    let reference = run_mode(&campaign, 0, FailurePolicy::Quarantine, "sched-sequential");
     assert!(reference.error.is_none());
-    for (workers, scheduler, label) in [
-        (2, SchedulerMode::SlotPinned, "sched-pinned-2"),
-        (2, SchedulerMode::Stealing, "sched-stealing-2"),
-        (4, SchedulerMode::Stealing, "sched-stealing-4"),
-    ] {
-        let mode = run_mode(
-            &campaign,
-            workers,
-            scheduler,
-            FailurePolicy::Quarantine,
-            label,
-        );
+    for (workers, label) in [(2, "sched-stealing-2"), (4, "sched-stealing-4")] {
+        let mode = run_mode(&campaign, workers, FailurePolicy::Quarantine, label);
         assert_eq!(mode, reference, "{label} diverged from sequential");
     }
 }
@@ -183,10 +168,7 @@ fn scheduler_modes_emit_byte_identical_artifacts_and_journals() {
 fn stealing_stats_account_for_every_run() {
     let _serial = fault_serial();
     let campaign = tiny_campaign();
-    let options = ExecutionOptions {
-        scheduler: SchedulerMode::Stealing,
-        ..ExecutionOptions::default()
-    };
+    let options = ExecutionOptions::default();
     let report = execute_observed(&campaign, campaign.expand(), 2, &options, &mut |_, _| {})
         .expect("stealing runs");
     let stats = &report.scheduling;
@@ -216,7 +198,6 @@ fn prelude_cache_is_reused_exactly_when_present() {
     let cache = prelude_cache_path(&journal);
     let options = ExecutionOptions {
         journal: Some(journal.clone()),
-        scheduler: SchedulerMode::Stealing,
         ..ExecutionOptions::default()
     };
     let run = || {
@@ -350,22 +331,10 @@ proptest! {
         let workers = [2usize, 4][workers_pick as usize];
 
         arm(plan.clone());
-        let sequential = run_mode(
-            &campaign,
-            0,
-            SchedulerMode::default(),
-            policy,
-            "prop-sequential",
-        );
+        let sequential = run_mode(&campaign, 0, policy, "prop-sequential");
         // Re-arm to reset the injection counters for the second pass.
         arm(plan);
-        let stealing = run_mode(
-            &campaign,
-            workers,
-            SchedulerMode::Stealing,
-            policy,
-            "prop-stealing",
-        );
+        let stealing = run_mode(&campaign, workers, policy, "prop-stealing");
         disarm();
         prop_assert_eq!(stealing, sequential);
     }

@@ -46,7 +46,6 @@ fn options(policy: FailurePolicy) -> ExecutionOptions {
     ExecutionOptions {
         policy,
         journal: None,
-        scheduler: Default::default(),
     }
 }
 
@@ -218,7 +217,6 @@ fn an_aborted_campaign_resumes_to_byte_identical_output() {
         let journaled = ExecutionOptions {
             policy: FailurePolicy::Abort,
             journal: Some(journal.clone()),
-            scheduler: Default::default(),
         };
         // First invocation dies on run 2; runs 0 and 1 are journaled.
         arm(FaultPlan {
@@ -284,7 +282,6 @@ fn a_journal_refuses_a_different_campaign() {
     let journaled = ExecutionOptions {
         policy: FailurePolicy::Abort,
         journal: Some(journal),
-        scheduler: Default::default(),
     };
     execute_resumable(&campaign, campaign.expand(), 0, &journaled).expect("first campaign runs");
     let mut other = campaign.clone();

@@ -27,7 +27,6 @@ fn start(test: &str, queue_capacity: usize, max_runs: usize) -> Server {
         queue_capacity,
         workers: 2,
         max_runs,
-        scheduler: Default::default(),
     })
     .expect("server starts on an ephemeral port")
 }

@@ -29,8 +29,8 @@ fn start_harness(data: &Path, abort_after: Option<u64>) -> (Child, String) {
     start_harness_with(data, abort_after, &[])
 }
 
-/// [`start_harness`] with additional harness arguments (scheduler,
-/// worker count, stall-after) appended verbatim.
+/// [`start_harness`] with additional harness arguments (worker count,
+/// stall-after) appended verbatim.
 fn start_harness_with(data: &Path, abort_after: Option<u64>, extra: &[&str]) -> (Child, String) {
     // A previous server's address file would race the new one's.
     let _ = std::fs::remove_file(data.join("addr"));
@@ -192,7 +192,7 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
     .expect("reference executes");
 
     let data = scratch("serve-kill-stealing");
-    let stealing_args = ["workers", "2", "scheduler", "stealing"];
+    let stealing_args = ["workers", "2"];
     let mut stalled_args = vec!["stall-after", "2"];
     stalled_args.extend_from_slice(&stealing_args);
     let (mut doomed, addr) = start_harness_with(&data, None, &stalled_args);
