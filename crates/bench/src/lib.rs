@@ -5,49 +5,21 @@
 //!
 //! Two kinds of targets live in this crate:
 //!
-//! * **Harness binaries** (`src/bin/*.rs`, run with
-//!   `cargo run --release -p bench --bin <name>`): one per table/figure,
-//!   printing the same rows or series the paper reports. Each accepts an
-//!   optional scale argument (`quick` or `standard`, default `standard`).
+//! * **The `paper` binary** (`src/bin/paper.rs`, run with
+//!   `cargo run --release -p bench --bin paper -- [quick|standard]
+//!   [ARTIFACT...]`): one entry point for every table and figure,
+//!   printing the same rows or series the paper reports. The artifacts
+//!   are `tab1 tab3 tab4 sec321 fig4 fig5 fig6 tab7 tab8 sec84`; naming
+//!   none runs all of them in paper order, and the tier defaults to
+//!   `standard`.
 //! * **Criterion micro-benchmarks** (`benches/*.rs`, run with
 //!   `cargo bench -p bench`): latency/throughput of the core BlockHammer
 //!   structures (the Section 6.2 query-latency claim) and of the simulator
 //!   substrate.
 //!
-//! The mapping from paper experiment to target is listed in DESIGN.md §3
-//! and the measured-vs-paper comparison in EXPERIMENTS.md.
+//! The README's "Paper-to-module map" lists the module behind each
+//! artifact, and its "Substitutions and scaled time" section what the
+//! reproduction substitutes for the paper's infrastructure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use sim::experiments::ExperimentScale;
-
-/// Parses the common command-line argument of the harness binaries: an
-/// optional `quick` / `standard` scale selector (default `standard`).
-pub fn scale_from_args() -> ExperimentScale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => ExperimentScale::quick(),
-        Some("standard") | None => ExperimentScale::standard(),
-        Some(other) => {
-            eprintln!("unknown scale `{other}`, expected `quick` or `standard`; using standard");
-            ExperimentScale::standard()
-        }
-    }
-}
-
-/// The full-scale RowHammer threshold used by most experiments (the paper's
-/// realistic contemporary value, Section 1).
-pub const PAPER_N_RH: u64 = 32_768;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_scale_is_standard() {
-        // No CLI arguments in the test harness beyond the test binary name,
-        // so the default branch is taken.
-        let scale = scale_from_args();
-        assert!(scale.benign_instructions >= ExperimentScale::quick().benign_instructions);
-    }
-}

@@ -13,7 +13,8 @@
 //! search energy), but the quantity the paper's argument rests on — how
 //! each mechanism's cost *scales* as `N_RH` drops from 32K to 1K — is
 //! carried entirely by the storage growth, which is modelled exactly.
-//! DESIGN.md §1 records this substitution.
+//! The README section "Substitutions and scaled time" records this
+//! substitution.
 
 use crate::config::BlockHammerConfig;
 use crate::defense::{BlockHammer, OperatingMode};
@@ -106,8 +107,8 @@ pub fn table4(n_rh: RowHammerThreshold, geometry: &DefenseGeometry) -> Vec<HwCos
     ]
 }
 
-/// Renders Table 4 rows as an aligned plain-text table (used by the bench
-/// harness binaries).
+/// Renders Table 4 rows as an aligned plain-text table (used by the
+/// `bench` crate's `paper` binary).
 pub fn render_table(rows: &[HwCostRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -11,9 +11,8 @@
 //! Emission is deliberately boring: a fixed-column CSV (with
 //! [`parse_summary_csv`] as its inverse, used by CI to validate emitted
 //! files) and a hand-rolled JSON document. [`CampaignSummary::
-//! multiprogram_rows`] bridges to `sim::report::render_multiprogram`, so
-//! campaign output renders in the same tables as the in-process
-//! experiment drivers.
+//! multiprogram_rows`] bridges to `sim::report::render_multiprogram`,
+//! which is how the paper's Figures 5 and 6 print.
 
 use crate::runner::{FailedRun, RunOutcome};
 use sim::experiments::MultiProgramRow;
@@ -361,9 +360,10 @@ impl CampaignSummary {
     }
 
     /// The points that have normalized metrics, as
-    /// `sim::experiments::MultiProgramRow`s — directly renderable with
-    /// `sim::report::render_multiprogram`, so campaign results print in
-    /// the same tables as the in-process Figure 5/6 drivers.
+    /// `sim::experiments::MultiProgramRow`s in point (expansion) order,
+    /// Baseline's own rows included at 1.0 — directly renderable with
+    /// `sim::report::render_multiprogram`, which is how Figures 5 and 6
+    /// print.
     pub fn multiprogram_rows(&self) -> Vec<MultiProgramRow> {
         self.points
             .iter()

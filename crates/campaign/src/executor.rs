@@ -56,7 +56,7 @@ use crate::checkpoint::{self, JournalEntry, JournalError, JournalWriter};
 use crate::runner::{run_spec, CampaignError, FailedRun, RunOutcome};
 use crate::spec::{CampaignSpec, RunSpec, ThreadGenerator};
 use sim::pool::{panic_message, Outcome, StealingPool};
-use sim::{DefenseKind, SystemBuilder};
+use sim::DefenseKind;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -318,17 +318,13 @@ struct PreludeJob {
 
 /// Runs one prelude job at the campaign's scale.
 fn measure_alone_ipc(campaign: &CampaignSpec, job: &PreludeJob) -> f64 {
-    let scale = campaign.scale;
-    let result = SystemBuilder::new()
-        .time_scale(scale.time_scale)
-        .llc_capacity(scale.llc_bytes)
+    let result = campaign
+        .scale
+        .builder()
         .seed(campaign.seed)
-        .max_cycles(scale.max_cycles)
-        .min_cycles(scale.min_cycles)
         .channels(job.channels)
         .defense(DefenseKind::Baseline)
-        .advance_mode(scale.advance)
-        .add_workload(job.spec.clone(), scale.benign_instructions)
+        .add_workload(job.spec.clone(), campaign.scale.benign_instructions)
         .run();
     result.threads[0].ipc
 }
@@ -510,20 +506,6 @@ impl RunError {
         match self {
             RunError::Campaign(error) => error.to_string(),
             RunError::Panic(message) => format!("panicked: {message}"),
-        }
-    }
-
-    /// The cause string a pool worker reported (see [`RunError::cause`]),
-    /// restored to a `RunError`. A structured error comes back as
-    /// [`CampaignError::RunFailed`] carrying only its message.
-    fn from_raw_cause(raw: String) -> Self {
-        match raw.strip_prefix("panicked: ") {
-            Some(message) => RunError::Panic(message.to_owned()),
-            None => RunError::Campaign(CampaignError::RunFailed {
-                index: 0,
-                run: String::new(),
-                cause: raw,
-            }),
         }
     }
 }
@@ -841,13 +823,14 @@ fn execute_stealing(
     stats: &mut ExecutionStats,
 ) -> Result<(), CampaignError> {
     let total = tail.len();
-    let mut pool: StealingPool<RunSpec, Result<RunOutcome, String>> =
+    let mut pool: StealingPool<RunSpec, Result<RunOutcome, RunError>> =
         StealingPool::new(workers, |run: &mut RunSpec| {
             // The isolation boundary lives inside the worker: a
-            // panicking run reports back as data. (The pool's own
-            // catch_unwind behind this is the backstop for panics that
-            // escape it — e.g. a poisoned payload drop.)
-            run_isolated(run).map_err(|error| error.cause())
+            // panicking run reports back as data, and a structured error
+            // crosses the pool intact. (The pool's own catch_unwind
+            // behind this is the backstop for panics that escape it —
+            // e.g. a poisoned payload drop.)
+            run_isolated(run)
         });
     // The executor's own copy of every submitted run: panicked attempts
     // drop the item they carried, and `resolve` needs the spec for
@@ -873,7 +856,7 @@ fn execute_stealing(
         completed += 1;
         let seq = done.seq as usize;
         let first = match done.outcome {
-            Outcome::Done(_, result) => result.map_err(RunError::from_raw_cause),
+            Outcome::Done(_, result) => result,
             Outcome::Panicked(message) => Err(RunError::Panic(message)),
         };
         // Admit the completion out of order; release the contiguous
@@ -1146,22 +1129,5 @@ mod tests {
         assert_eq!(resumed.replayed, total);
         assert_eq!(resumed.summary.to_csv(), report.summary.to_csv());
         let _ = std::fs::remove_file(&journal);
-    }
-
-    #[test]
-    fn raw_causes_round_trip_across_the_pool_channel() {
-        let panic = RunError::Panic("worker went sideways".into());
-        match RunError::from_raw_cause(panic.cause()) {
-            RunError::Panic(message) => assert_eq!(message, "worker went sideways"),
-            RunError::Campaign(_) => panic!("panic cause must stay a panic"),
-        }
-        let structured = RunError::Campaign(CampaignError::Spec {
-            run: "r".into(),
-            message: "broken".into(),
-        });
-        match RunError::from_raw_cause(structured.cause()) {
-            RunError::Campaign(error) => assert!(error.to_string().contains("broken")),
-            RunError::Panic(_) => panic!("structured cause must stay structured"),
-        }
     }
 }

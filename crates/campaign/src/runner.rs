@@ -206,16 +206,12 @@ impl RunOutcome {
 
 /// The system configuration shared by both materialization paths.
 fn base_builder(spec: &RunSpec) -> SystemBuilder {
-    SystemBuilder::new()
-        .time_scale(spec.scale.time_scale)
-        .llc_capacity(spec.scale.llc_bytes)
+    spec.scale
+        .builder()
         .seed(spec.seed)
-        .max_cycles(spec.scale.max_cycles)
-        .min_cycles(spec.scale.min_cycles)
         .channels(spec.channels)
         .defense(spec.defense)
         .rowhammer_threshold(spec.paper_n_rh)
-        .advance_mode(spec.scale.advance)
 }
 
 /// The generator-driven builder: attacker and synthetic workloads in

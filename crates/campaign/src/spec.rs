@@ -15,58 +15,15 @@
 //! structure at laptop/CI cost.
 
 use crate::trace::TraceSource;
-use sim::{AdvanceMode, DefenseKind};
+use sim::DefenseKind;
 use workloads::{AttackKind, SyntheticSpec, WorkloadMix};
+
+/// The simulation-size knobs every run of a campaign shares (defined in
+/// `sim`, which sizes the paper's in-process drivers the same way).
+pub use sim::RunScale;
 
 /// Golden-ratio multiplier used to decorrelate per-run seeds.
 const SEED_PHI: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Simulation-size knobs shared by every run of a campaign (the campaign
-/// analogue of `sim::experiments::ExperimentScale`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunScale {
-    /// Time-scaling factor applied to refresh window and thresholds.
-    pub time_scale: u64,
-    /// Instructions each benign thread executes.
-    pub benign_instructions: u64,
-    /// LLC capacity in bytes.
-    pub llc_bytes: u64,
-    /// Minimum simulated cycles (so slow defense dynamics are observed).
-    pub min_cycles: u64,
-    /// Safety bound on simulated cycles.
-    pub max_cycles: u64,
-    /// How the simulated clock advances. Event-driven (the default for
-    /// new campaigns) skips repeated idle ticks and is bit-identical to
-    /// lockstep, so it never changes campaign results — only wall-clock.
-    pub advance: AdvanceMode,
-}
-
-impl RunScale {
-    /// Smoke-test scale: seconds per campaign, suitable for tests and CI.
-    pub fn quick() -> Self {
-        Self {
-            time_scale: 8192,
-            benign_instructions: 2_000,
-            llc_bytes: 1 << 20,
-            // Two scaled refresh windows.
-            min_cycles: 2 * (204_800_000 / 8192),
-            max_cycles: 3_000_000,
-            advance: AdvanceMode::EventDriven,
-        }
-    }
-
-    /// The default larger scale (minutes per campaign).
-    pub fn standard() -> Self {
-        Self {
-            time_scale: 1024,
-            benign_instructions: 100_000,
-            llc_bytes: 4 << 20,
-            min_cycles: 2 * (204_800_000 / 1024),
-            max_cycles: 200_000_000,
-            advance: AdvanceMode::EventDriven,
-        }
-    }
-}
 
 /// One scenario axis of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,10 +35,10 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Stable label used in run names, CSV rows and reports. Matches the
-    /// labels of `sim::experiments` for the paper's two scenarios:
-    /// `no-attack` and `attack` (non-default attack kinds are suffixed,
-    /// e.g. `attack-many_sided_4`).
+    /// Stable label used in run names, CSV rows and reports: `no-attack`
+    /// and `attack` for the paper's two scenarios, which the Figure 5/6
+    /// tables print (non-default attack kinds are suffixed, e.g.
+    /// `attack-many_sided_4`).
     pub fn label(&self) -> String {
         match self {
             Scenario::BenignOnly => "no-attack".to_owned(),

@@ -93,7 +93,8 @@ impl MemCtrlConfig {
     }
 
     /// Returns a copy whose refresh window has been divided by `factor`
-    /// (scaled-time mode, see DESIGN.md §5).
+    /// (scaled-time mode, see the README section "Substitutions and scaled
+    /// time").
     pub fn with_time_scale(mut self, factor: u64) -> Self {
         self.timings = self.timings.with_time_scale(factor);
         self

@@ -1,35 +1,38 @@
-//! Experiment drivers that regenerate the paper's figures and tables.
+//! Experiment drivers for the paper artifacts a campaign matrix cannot
+//! express, and the row types every figure renders through.
 //!
-//! Every driver takes an [`ExperimentScale`] so the same code can run as a
-//! fast smoke test (`ExperimentScale::quick`), at the default bench size
-//! (`ExperimentScale::standard`), or at larger scales from the bench
-//! binaries. The scaled-time substitution is described in DESIGN.md §5.
+//! Figure 4, the false-positive study of Section 8.4 and Table 8 need
+//! single-core category representatives or BlockHammer internals, so they
+//! build their systems here. Figures 5 and 6 and the RHLI study of
+//! Section 3.2.1 run as `campaign` sweeps (the `bench` crate's `paper`
+//! binary builds them) and land in [`MultiProgramRow`] and [`RhliStudy`].
+//! Every driver takes an [`ExperimentScale`], so the same code runs as a
+//! fast smoke test (`ExperimentScale::quick`) or at the default bench size
+//! (`ExperimentScale::standard`). The scaled-time substitution is
+//! described in the README, "Substitutions and scaled time".
 
 use crate::defense_factory::DefenseKind;
-use crate::metrics::{average_metrics, MultiProgramMetrics, RunResult};
-use crate::system::SystemBuilder;
+use crate::metrics::MultiProgramMetrics;
+use crate::system::{RunScale, SystemBuilder};
 use blockhammer::{BlockHammer, BlockHammerConfig};
 use mitigations::{AsAny, RowHammerThreshold};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use workloads::{benign_catalog, WorkloadCategory, WorkloadMix, WorkloadSpec};
 
-/// Knobs controlling how large an experiment run is.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Knobs controlling how large an experiment is: the size of each run
+/// plus the shape of the mixes and category samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale {
-    /// Time-scaling factor applied to the refresh window and thresholds.
-    pub time_scale: u64,
-    /// Instructions each benign thread executes.
-    pub benign_instructions: u64,
+    /// Size of every run (time scale, instruction budget, LLC, cycle
+    /// bounds, advance mode).
+    pub run: RunScale,
     /// Number of workload mixes per scenario.
     pub mix_count: usize,
     /// Threads per multiprogrammed mix (the paper uses 8).
     pub threads_per_mix: usize,
     /// Benign workloads evaluated per category in single-core studies.
     pub workloads_per_category: usize,
-    /// LLC capacity in bytes (shrunk together with the instruction budget
-    /// so cacheable workloads stay memory-bound, as they are at full scale).
-    pub llc_bytes: u64,
     /// Base random seed.
     pub seed: u64,
 }
@@ -38,39 +41,31 @@ impl ExperimentScale {
     /// A smoke-test scale suitable for unit/integration tests (seconds).
     pub fn quick() -> Self {
         Self {
-            time_scale: 8192,
-            benign_instructions: 5_000,
+            run: RunScale {
+                benign_instructions: 5_000,
+                max_cycles: 200_000_000,
+                ..RunScale::quick()
+            },
             mix_count: 1,
             threads_per_mix: 4,
             workloads_per_category: 1,
-            llc_bytes: 1 << 20,
             seed: 7,
         }
     }
 
-    /// The default scale used by the bench harness binaries (minutes).
+    /// The default scale of the paper artifacts (minutes).
     pub fn standard() -> Self {
         Self {
-            time_scale: 1024,
-            benign_instructions: 100_000,
+            run: RunScale::standard(),
             mix_count: 3,
             threads_per_mix: 8,
             workloads_per_category: 2,
-            llc_bytes: 4 << 20,
             seed: 7,
         }
     }
 
     fn builder(&self) -> SystemBuilder {
-        // Run for at least two scaled refresh windows so every defense's
-        // slow dynamics (blacklist expiry, RHLI accumulation) are exercised.
-        let scaled_refresh_window = 204_800_000 / self.time_scale;
-        SystemBuilder::new()
-            .time_scale(self.time_scale)
-            .llc_capacity(self.llc_bytes)
-            .seed(self.seed)
-            .max_cycles(200_000_000)
-            .min_cycles(2 * scaled_refresh_window)
+        self.run.builder().seed(self.seed)
     }
 }
 
@@ -112,27 +107,29 @@ fn category_representatives(scale: &ExperimentScale) -> Vec<WorkloadSpec> {
 }
 
 /// Runs the Figure 4 experiment: single-core benign applications under
-/// every mechanism, normalized to the no-mitigation baseline.
+/// every mechanism, normalized to the no-mitigation baseline (simulated
+/// once per workload).
 pub fn figure4(scale: &ExperimentScale, paper_n_rh: u64) -> Vec<Figure4Row> {
     let representatives = category_representatives(scale);
+    let single_core = |kind: DefenseKind, workload: &WorkloadSpec| {
+        scale
+            .builder()
+            .defense(kind)
+            .rowhammer_threshold(paper_n_rh)
+            .add_workload(workload.synthetic.clone(), scale.run.benign_instructions)
+            .run()
+    };
+    let baselines: Vec<_> = representatives
+        .iter()
+        .map(|workload| single_core(DefenseKind::Baseline, workload))
+        .collect();
     let mut rows = Vec::new();
     for kind in DefenseKind::figure_4_and_5_set() {
         // BTreeMap: category aggregation order (and thus row output order)
         // must not depend on hash-iteration order.
         let mut per_category: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
-        for workload in &representatives {
-            let baseline = scale
-                .builder()
-                .defense(DefenseKind::Baseline)
-                .rowhammer_threshold(paper_n_rh)
-                .add_workload(workload.synthetic.clone(), scale.benign_instructions)
-                .run();
-            let protected = scale
-                .builder()
-                .defense(kind)
-                .rowhammer_threshold(paper_n_rh)
-                .add_workload(workload.synthetic.clone(), scale.benign_instructions)
-                .run();
+        for (workload, baseline) in representatives.iter().zip(&baselines) {
+            let protected = single_core(kind, workload);
             let time_ratio = protected.threads[0].cycles as f64 / baseline.threads[0].cycles as f64;
             let energy_ratio =
                 protected.dram_energy_joules() / baseline.dram_energy_joules().max(1e-18);
@@ -158,6 +155,7 @@ pub fn figure4(scale: &ExperimentScale, paper_n_rh: u64) -> Vec<Figure4Row> {
 // ---------------------------------------------------------------------------
 // Figure 5: 8-core multiprogrammed workloads, with and without an attacker.
 // Figure 6: the same study swept over the RowHammer threshold.
+// Both run as campaigns; these are the rows they render as.
 // ---------------------------------------------------------------------------
 
 /// One point of Figures 5/6: a defense's normalized multiprogrammed metrics
@@ -175,114 +173,8 @@ pub struct MultiProgramRow {
     pub normalized: MultiProgramMetrics,
 }
 
-/// Runs one mix under one defense and returns the run plus the benign
-/// threads' stand-alone IPCs (measured on the unprotected baseline).
-fn run_mix(
-    scale: &ExperimentScale,
-    mix: &WorkloadMix,
-    kind: DefenseKind,
-    paper_n_rh: u64,
-    alone_cache: &mut HashMap<String, f64>,
-) -> (RunResult, Vec<f64>) {
-    let mut builder = scale
-        .builder()
-        .defense(kind)
-        .rowhammer_threshold(paper_n_rh)
-        .seed(scale.seed ^ mix.seed);
-    if mix.has_attacker() {
-        builder = builder.add_attacker_kind(mix.attack);
-    }
-    for workload in &mix.benign {
-        builder = builder.add_workload(workload.synthetic.clone(), scale.benign_instructions);
-    }
-    let result = builder.run();
-    let alone: Vec<f64> = mix
-        .benign
-        .iter()
-        .map(|workload| {
-            let key = workload.name().to_owned();
-            *alone_cache.entry(key).or_insert_with(|| {
-                scale
-                    .builder()
-                    .defense(DefenseKind::Baseline)
-                    .rowhammer_threshold(paper_n_rh)
-                    .add_workload(workload.synthetic.clone(), scale.benign_instructions)
-                    .run()
-                    .threads[0]
-                    .ipc
-            })
-        })
-        .collect();
-    (result, alone)
-}
-
-/// Runs the Figure 5 experiment for one RowHammer threshold: normalized
-/// weighted/harmonic speedup, maximum slowdown and DRAM energy for every
-/// defense, for benign-only and attack-present mixes.
-pub fn figure5(scale: &ExperimentScale, paper_n_rh: u64) -> Vec<MultiProgramRow> {
-    multiprogram_study(scale, paper_n_rh, &DefenseKind::figure_4_and_5_set())
-}
-
-/// Runs the Figure 6 experiment: the multiprogrammed study swept across
-/// RowHammer thresholds for the four scalable mechanisms.
-pub fn figure6(scale: &ExperimentScale, thresholds: &[u64]) -> Vec<MultiProgramRow> {
-    let mut rows = Vec::new();
-    for &n_rh in thresholds {
-        rows.extend(multiprogram_study(
-            scale,
-            n_rh,
-            &DefenseKind::figure_6_set(),
-        ));
-    }
-    rows
-}
-
-fn multiprogram_study(
-    scale: &ExperimentScale,
-    paper_n_rh: u64,
-    defenses: &[DefenseKind],
-) -> Vec<MultiProgramRow> {
-    let (benign_mixes, attack_mixes) =
-        WorkloadMix::evaluation_suites(scale.mix_count, scale.threads_per_mix, scale.seed);
-    let mut alone_cache: HashMap<String, f64> = HashMap::new();
-    let mut rows = Vec::new();
-    for (scenario, mixes) in [("no-attack", &benign_mixes), ("attack", &attack_mixes)] {
-        // Baseline metrics per mix (the normalization denominator).
-        let baseline_metrics: Vec<MultiProgramMetrics> = mixes
-            .iter()
-            .map(|mix| {
-                let (run, alone) = run_mix(
-                    scale,
-                    mix,
-                    DefenseKind::Baseline,
-                    paper_n_rh,
-                    &mut alone_cache,
-                );
-                MultiProgramMetrics::compute(&run, &alone)
-            })
-            .collect();
-        for &kind in defenses {
-            let normalized: Vec<MultiProgramMetrics> = mixes
-                .iter()
-                .zip(&baseline_metrics)
-                .map(|(mix, baseline)| {
-                    let (run, alone) = run_mix(scale, mix, kind, paper_n_rh, &mut alone_cache);
-                    MultiProgramMetrics::compute(&run, &alone).normalized_to(baseline)
-                })
-                .collect();
-            rows.push(MultiProgramRow {
-                defense: kind.label().to_owned(),
-                scenario: scenario.to_owned(),
-                n_rh: paper_n_rh,
-                normalized: average_metrics(&normalized),
-            });
-        }
-    }
-    rows
-}
-
 // ---------------------------------------------------------------------------
-// Section 3.2.1: RHLI of benign and attacker threads.
+// Section 3.2.1: RHLI of benign and attacker threads (run as a campaign).
 // ---------------------------------------------------------------------------
 
 /// Result of the RHLI study (Section 3.2.1).
@@ -296,39 +188,6 @@ pub struct RhliStudy {
     pub full_attacker_rhli: f64,
     /// Ratio between the two attacker values (the paper reports ~54x).
     pub reduction_factor: f64,
-}
-
-/// Runs the RHLI study: one attack mix under BlockHammer in observe-only
-/// and full-functional modes.
-pub fn rhli_study(scale: &ExperimentScale, paper_n_rh: u64) -> RhliStudy {
-    let mix = WorkloadMix::with_attacker(0, scale.threads_per_mix, scale.seed);
-    let mut alone_cache = HashMap::new();
-    let (observe, _) = run_mix(
-        scale,
-        &mix,
-        DefenseKind::BlockHammerObserve,
-        paper_n_rh,
-        &mut alone_cache,
-    );
-    let (full, _) = run_mix(
-        scale,
-        &mix,
-        DefenseKind::BlockHammer,
-        paper_n_rh,
-        &mut alone_cache,
-    );
-    let observe_attacker = observe.attacker().map(|t| t.max_rhli).unwrap_or(0.0);
-    let observe_benign = observe
-        .benign_threads()
-        .map(|t| t.max_rhli)
-        .fold(0.0, f64::max);
-    let full_attacker = full.attacker().map(|t| t.max_rhli).unwrap_or(0.0);
-    RhliStudy {
-        observe_attacker_rhli: observe_attacker,
-        observe_benign_rhli: observe_benign,
-        full_attacker_rhli: full_attacker,
-        reduction_factor: observe_attacker / full_attacker.max(1e-9),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +221,7 @@ pub fn false_positive_study(scale: &ExperimentScale, paper_n_rh: u64) -> FalsePo
         .rowhammer_threshold(paper_n_rh)
         .add_attacker();
     for workload in &mix.benign {
-        builder = builder.add_workload(workload.synthetic.clone(), scale.benign_instructions);
+        builder = builder.add_workload(workload.synthetic.clone(), scale.run.benign_instructions);
     }
     // Re-derive the per-channel BlockHammer configuration for the
     // theoretical tDelay bound (the defense instances inside the system use
@@ -452,7 +311,7 @@ pub fn table8(scale: &ExperimentScale) -> Vec<Table8Row> {
             let run = scale
                 .builder()
                 .defense(DefenseKind::Baseline)
-                .add_workload(workload.synthetic.clone(), scale.benign_instructions)
+                .add_workload(workload.synthetic.clone(), scale.run.benign_instructions)
                 .run();
             let kilo_insts = run.threads[0].instructions as f64 / 1_000.0;
             let memory_accesses = if workload.synthetic.bypass_cache {
@@ -480,35 +339,14 @@ mod tests {
     fn quick_scale_is_smaller_than_standard() {
         let q = ExperimentScale::quick();
         let s = ExperimentScale::standard();
-        assert!(q.benign_instructions < s.benign_instructions);
+        assert!(q.run.benign_instructions < s.run.benign_instructions);
         assert!(q.mix_count <= s.mix_count);
     }
 
     #[test]
-    fn rhli_study_distinguishes_attacker_from_benign() {
-        let study = rhli_study(&ExperimentScale::quick(), 32_768);
-        assert!(
-            study.observe_attacker_rhli > 1.0,
-            "observe-only attacker RHLI = {}, expected > 1",
-            study.observe_attacker_rhli
-        );
-        assert!(study.observe_benign_rhli < 0.5);
-        assert!(
-            study.full_attacker_rhli < study.observe_attacker_rhli,
-            "full-functional mode must reduce the attacker's RHLI \
-             (observe {}, full {})",
-            study.observe_attacker_rhli,
-            study.full_attacker_rhli
-        );
-        assert!(study.reduction_factor > 1.0);
-    }
-
-    #[test]
     fn figure4_reports_every_defense_and_category() {
-        let scale = ExperimentScale {
-            benign_instructions: 1_000,
-            ..ExperimentScale::quick()
-        };
+        let mut scale = ExperimentScale::quick();
+        scale.run.benign_instructions = 1_000;
         let rows = figure4(&scale, 32_768);
         assert_eq!(rows.len(), 7 * 3);
         for row in &rows {

@@ -9,13 +9,15 @@
 //! calling thread, and the only threads that run simulation work are the
 //! [`pool`]'s, which fan out whole runs.
 //!
-//! On top of the [`System`] runner, the [`experiments`] module provides the
-//! drivers that regenerate the paper's figures and tables (single-core
-//! Figure 4, multiprogrammed Figure 5, the `N_RH` scaling study of
-//! Figure 6, the RHLI study of Section 3.2.1, the false-positive study of
-//! Section 8.4, and the Table 8 workload characterization), and
-//! [`metrics`] computes the performance metrics the paper reports
-//! (weighted speedup, harmonic speedup, maximum slowdown, DRAM energy).
+//! [`RunScale`] says how large a run is and hands out a configured
+//! [`SystemBuilder`]. On top of the [`System`] runner, the [`experiments`]
+//! module provides the single-core drivers that need more than a campaign
+//! matrix (Figure 4, the false-positive study of Section 8.4, and the
+//! Table 8 workload characterization) plus the row types of Figures 5/6
+//! and Section 3.2.1, which run as `campaign` sweeps; [`report`] renders
+//! them all, and [`metrics`] computes the performance metrics the paper
+//! reports (weighted speedup, harmonic speedup, maximum slowdown, DRAM
+//! energy).
 //!
 //! ## Example
 //!
@@ -48,4 +50,4 @@ mod system;
 pub use defense_factory::DefenseKind;
 pub use metrics::{ChannelStats, MultiProgramMetrics, RunResult, SteppingStats, ThreadResult};
 pub use subsystem::MemorySubsystem;
-pub use system::{AdvanceMode, BoxedTrace, System, SystemBuilder, SystemConfig};
+pub use system::{AdvanceMode, BoxedTrace, RunScale, System, SystemBuilder, SystemConfig};

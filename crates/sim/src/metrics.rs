@@ -210,19 +210,6 @@ impl MultiProgramMetrics {
     }
 }
 
-/// Averages a set of metric values (used to aggregate across workload
-/// mixes, as the paper averages across its 125 mixes).
-pub fn average_metrics(values: &[MultiProgramMetrics]) -> MultiProgramMetrics {
-    assert!(!values.is_empty(), "cannot average zero runs");
-    let n = values.len() as f64;
-    MultiProgramMetrics {
-        weighted_speedup: values.iter().map(|m| m.weighted_speedup).sum::<f64>() / n,
-        harmonic_speedup: values.iter().map(|m| m.harmonic_speedup).sum::<f64>() / n,
-        max_slowdown: values.iter().map(|m| m.max_slowdown).sum::<f64>() / n,
-        dram_energy_joules: values.iter().map(|m| m.dram_energy_joules).sum::<f64>() / n,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,25 +291,6 @@ mod tests {
         assert!((n.harmonic_speedup - 0.5).abs() < 1e-9);
         assert!((n.max_slowdown - 2.0).abs() < 1e-9);
         assert!((n.dram_energy_joules - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn averaging_is_arithmetic_per_component() {
-        let a = MultiProgramMetrics {
-            weighted_speedup: 1.0,
-            harmonic_speedup: 1.0,
-            max_slowdown: 1.0,
-            dram_energy_joules: 1.0,
-        };
-        let b = MultiProgramMetrics {
-            weighted_speedup: 3.0,
-            harmonic_speedup: 2.0,
-            max_slowdown: 5.0,
-            dram_energy_joules: 3.0,
-        };
-        let avg = average_metrics(&[a, b]);
-        assert!((avg.weighted_speedup - 2.0).abs() < 1e-9);
-        assert!((avg.max_slowdown - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Plain-text table rendering for experiment results.
 //!
-//! The bench harness binaries print these tables; they mirror the rows and
-//! series of the paper's figures so the reproduction can be compared
-//! side-by-side with the published plots (see EXPERIMENTS.md).
+//! The `bench` crate's `paper` binary prints these tables, for the
+//! in-process drivers and the campaign-run figures alike; they mirror the
+//! rows and series of the paper's figures so the reproduction can be
+//! compared side-by-side with the published plots.
 
 use crate::experiments::{FalsePositiveStudy, Figure4Row, MultiProgramRow, RhliStudy, Table8Row};
 

@@ -34,6 +34,68 @@ pub enum AdvanceMode {
     EventDriven,
 }
 
+/// Simulation-size knobs shared by every run of an experiment or
+/// campaign: one value says how large a run is, and
+/// [`RunScale::builder`] turns it into a configured [`SystemBuilder`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunScale {
+    /// Time-scaling factor applied to refresh window and thresholds.
+    pub time_scale: u64,
+    /// Instructions each benign thread executes.
+    pub benign_instructions: u64,
+    /// LLC capacity in bytes (shrunk together with the instruction budget
+    /// so cacheable workloads stay memory-bound, as they are at full
+    /// scale).
+    pub llc_bytes: u64,
+    /// Minimum simulated cycles (so slow defense dynamics are observed).
+    pub min_cycles: u64,
+    /// Safety bound on simulated cycles.
+    pub max_cycles: u64,
+    /// How the simulated clock advances. Event-driven skips repeated
+    /// idle ticks and is bit-identical to lockstep, so it never changes
+    /// results — only wall-clock.
+    pub advance: AdvanceMode,
+}
+
+impl RunScale {
+    /// Smoke-test scale: seconds per campaign, suitable for tests and CI.
+    pub fn quick() -> Self {
+        Self {
+            time_scale: 8192,
+            benign_instructions: 2_000,
+            llc_bytes: 1 << 20,
+            // Two scaled refresh windows.
+            min_cycles: 2 * (204_800_000 / 8192),
+            max_cycles: 3_000_000,
+            advance: AdvanceMode::EventDriven,
+        }
+    }
+
+    /// The default larger scale (minutes per campaign).
+    pub fn standard() -> Self {
+        Self {
+            time_scale: 1024,
+            benign_instructions: 100_000,
+            llc_bytes: 4 << 20,
+            min_cycles: 2 * (204_800_000 / 1024),
+            max_cycles: 200_000_000,
+            advance: AdvanceMode::EventDriven,
+        }
+    }
+
+    /// A builder configured with this scale's time scale, LLC capacity,
+    /// cycle bounds and advance mode; callers add the seed, defense,
+    /// threshold, channels and threads.
+    pub fn builder(&self) -> SystemBuilder {
+        SystemBuilder::new()
+            .time_scale(self.time_scale)
+            .llc_capacity(self.llc_bytes)
+            .min_cycles(self.min_cycles)
+            .max_cycles(self.max_cycles)
+            .advance_mode(self.advance)
+    }
+}
+
 /// Static configuration of a simulated system.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -528,7 +590,8 @@ impl SystemBuilder {
 
     /// Applies a time-scaling factor: the refresh window and the RowHammer
     /// threshold are both divided by `factor`, which preserves the defenses'
-    /// behaviour while making runs laptop-sized (DESIGN.md §5).
+    /// behaviour while making runs laptop-sized (README, "Substitutions and
+    /// scaled time").
     pub fn time_scale(mut self, factor: u64) -> Self {
         assert!(factor > 0, "time scale factor must be non-zero");
         self.config.memctrl = self.config.memctrl.clone().with_time_scale(factor);

@@ -9,7 +9,8 @@
 //! generators calibrated to the same memory-behaviour axes the paper uses
 //! to categorize its workloads*: misses per kilo-instruction (MPKI) and row
 //! buffer conflicts per kilo-instruction (RBCPKI), grouped into the L / M /
-//! H categories of Table 8. See DESIGN.md §1 for the substitution rationale.
+//! H categories of Table 8. The README section "Substitutions and scaled
+//! time" gives the substitution rationale.
 //!
 //! All generators implement `Iterator<Item = TraceRecord>` and are
 //! deterministic for a given seed.

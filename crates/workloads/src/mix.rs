@@ -129,16 +129,6 @@ impl WorkloadMix {
         self.attack_spec(mapping, geometry)
             .map(|spec| self.attack.build(spec))
     }
-
-    /// Generates the standard evaluation suites: `count` benign-only mixes
-    /// and `count` attack-present mixes of `threads` threads each.
-    pub fn evaluation_suites(count: usize, threads: usize, seed: u64) -> (Vec<Self>, Vec<Self>) {
-        let benign = (0..count).map(|i| Self::benign(i, threads, seed)).collect();
-        let attack = (0..count)
-            .map(|i| Self::with_attacker(i, threads, seed))
-            .collect();
-        (benign, attack)
-    }
 }
 
 #[cfg(test)]
@@ -190,15 +180,6 @@ mod tests {
         };
         assert_eq!(names(&a), names(&b));
         assert_ne!(names(&a), names(&c));
-    }
-
-    #[test]
-    fn evaluation_suites_have_matching_sizes() {
-        let (benign, attack) = WorkloadMix::evaluation_suites(5, 8, 99);
-        assert_eq!(benign.len(), 5);
-        assert_eq!(attack.len(), 5);
-        assert!(benign.iter().all(|m| !m.has_attacker()));
-        assert!(attack.iter().all(|m| m.has_attacker()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    `campaign.csv`, `campaign.json` and `stepping.csv`,
 //! 4. write `campaign.csv` / `campaign.json`, re-parse the CSV as a
 //!    self-check, and render the normalized sweep as the same table
-//!    `fig5_multicore` prints.
+//!    `paper fig5` prints.
 //!
 //! ```text
 //! cargo run --release -p examples-bin --bin campaign -- \
@@ -274,7 +274,7 @@ fn main() -> ExitCode {
         json_path.display()
     );
     println!(
-        "normalized sweep (same table as fig5_multicore):\n\n{}",
+        "normalized sweep (same table as `paper fig5`):\n\n{}",
         sim::report::render_multiprogram(&report.summary.multiprogram_rows())
     );
     ExitCode::SUCCESS

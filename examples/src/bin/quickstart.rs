@@ -10,8 +10,8 @@ use workloads::SyntheticSpec;
 
 fn main() {
     // A heavily time-scaled system (refresh window ~25k cycles) so the run
-    // finishes in well under a second; see DESIGN.md §5 for why this
-    // preserves BlockHammer's behaviour.
+    // finishes in well under a second; the README section "Substitutions
+    // and scaled time" explains why this preserves BlockHammer's behaviour.
     let result = SystemBuilder::new()
         .time_scale(8192)
         .defense(DefenseKind::BlockHammer)

@@ -10,7 +10,8 @@ use sim::{DefenseKind, RunResult, SystemBuilder};
 use workloads::SyntheticSpec;
 
 /// The time-scaling factor used by all integration tests (refresh window of
-/// about 25k cycles; see DESIGN.md §5).
+/// about 25k cycles; see the README section "Substitutions and scaled
+/// time").
 pub const TEST_TIME_SCALE: u64 = 8192;
 
 /// The scaled refresh window in cycles for [`TEST_TIME_SCALE`].

@@ -273,6 +273,27 @@ fn pooled_quarantine_matches_sequential_byte_for_byte() {
 }
 
 #[test]
+fn a_structured_run_error_aborts_identically_at_any_worker_count() {
+    let _guard = faults_lock();
+    disarm();
+    let campaign = tiny_campaign();
+    for workers in [0usize, 2] {
+        let mut runs = campaign.expand();
+        // A benign thread pointing at a missing trace file fails its run
+        // with a structured trace error, not a panic.
+        runs[1].threads[0].trace = Some(campaign::TraceSource {
+            path: PathBuf::from("does/not/exist.trace"),
+            repeat: false,
+        });
+        let victim = runs[1].name.clone();
+        match execute_resumable(&campaign, runs, workers, &options(FailurePolicy::Abort)) {
+            Err(CampaignError::Trace { run, .. }) => assert_eq!(run, victim, "{workers} workers"),
+            other => panic!("{workers} workers: expected the trace error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn a_journal_refuses_a_different_campaign() {
     let _guard = faults_lock();
     disarm();
