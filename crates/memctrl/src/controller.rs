@@ -72,6 +72,8 @@ pub struct MemoryController {
     victim_queue: Vec<MemRequest>,
     /// Scheduled completions: (cycle, request), in command-issue order.
     pending_completions: Vec<(Cycle, MemRequest)>,
+    /// The earliest cycle in `pending_completions` (`Cycle::MAX` if none).
+    next_completion: Cycle,
     /// In-flight demand requests per (thread, global bank). Entries are
     /// removed as soon as their count returns to zero, so the map's size is
     /// bounded by the number of currently queued requests rather than by
@@ -83,6 +85,12 @@ pub struct MemoryController {
     refresh_pending: Vec<bool>,
     /// Per-channel earliest cycle the next command may use the command bus.
     next_command_at: Vec<Cycle>,
+    /// Per channel, the cycle before which the channel's last command-slot
+    /// pass would fail again unchanged: set when a pass issues nothing
+    /// without consulting the defense, to its retry or refresh cycle, and
+    /// cleared (0) by every push and every issue (victims are injected
+    /// only by an issuing pass). See [`MemoryController::tick`].
+    pass_memo: Vec<Cycle>,
     /// Whether the controller is currently draining writes.
     drain_mode: bool,
     /// Requests that have been skipped at least once due to the defense.
@@ -94,19 +102,24 @@ pub struct MemoryController {
 }
 
 /// What one cycle of a controller did — its tick plus the admissions that
-/// follow it — as event-driven stepping needs to know it: whether it made
-/// progress, and the per-poll refusals and vetoes a repeat would redo.
+/// follow it — as event-driven stepping needs to know it: the per-poll
+/// refusals and vetoes a repeat of the cycle would redo, when its failed
+/// command-slot passes could turn out differently, and whether new work
+/// arrived after the tick.
 #[derive(Debug, Default)]
 struct TickTally {
-    /// A command issued or slot consumed, a completion, an admission, or
-    /// a request vetoed for the first time.
-    progress: bool,
     rejected_queue_full: u64,
     rejected_quota: u64,
-    /// Consults the defense vetoed, in consult order.
+    /// Consults the defense vetoed in this tick's failed passes, in consult
+    /// order (an issuing pass drops its own: its channel runs no pass
+    /// until the slot reopens).
     vetoed: Vec<(ThreadId, DramAddress)>,
-    /// Earliest cycle at which a DRAM timing check refused this tick passes.
+    /// Earliest cycle at which a failed pass of this tick could turn out
+    /// differently: a refused DRAM timing check passing, or a refresh
+    /// deadline of the pass's channel.
     retry_at: Cycle,
+    /// A request was admitted since the tick.
+    queued: bool,
 }
 
 impl MemoryController {
@@ -137,10 +150,12 @@ impl MemoryController {
             scheduler,
             victim_queue: Vec::new(),
             pending_completions: Vec::new(),
+            next_completion: Cycle::MAX,
             inflight: HashMap::new(),
             next_refresh: vec![timings.t_refi; ranks],
             refresh_pending: vec![false; ranks],
             next_command_at: vec![0; channels],
+            pass_memo: vec![0; channels],
             drain_mode: false,
             delayed_by_defense: HashSet::new(),
             next_req_id: 0,
@@ -362,7 +377,8 @@ impl MemoryController {
             let request = MemRequest::demand(id, thread, phys_addr, addr, access, now);
             *self.inflight.entry(key).or_insert(0) += 1;
             self.stats.accepted_requests += 1;
-            self.tally.progress = true;
+            self.tally.queued = true;
+            self.pass_memo.fill(0);
             self.scheduler.push(access, bank, request);
             on_accept(id, tag);
             outcome.accepted += 1;
@@ -373,6 +389,14 @@ impl MemoryController {
     /// Advances the controller by one cycle: completes finished requests,
     /// issues at most one DRAM command per channel, and consults the
     /// defense at every hook point.
+    ///
+    /// A channel's command-slot pass that issues nothing and consults no
+    /// defense is remembered until its retry or refresh cycle: until then,
+    /// or until the next push or issue (victim injection comes with an
+    /// issue), the channel skips the pass, because it would fail again the
+    /// same way. Such a pass found no legal command at all (a legal ACT
+    /// consults the defense, any other legal command issues), and legality
+    /// changes only with an issue or at a refused check's retry cycle.
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -381,51 +405,79 @@ impl MemoryController {
         self.tally.rejected_queue_full = 0;
         self.tally.rejected_quota = 0;
         self.tally.vetoed.clear();
+        self.tally.retry_at = Cycle::MAX;
+        self.tally.queued = false;
         defense.tick(now);
         let completed = self.collect_completions(now);
-        self.tally.progress = !completed.is_empty();
         for channel in 0..self.config.organization.channels {
             if now < self.next_command_at[channel] {
                 continue;
             }
-            if self.try_issue_command(channel, now, defense) {
+            if now < self.pass_memo[channel] {
+                self.tally.retry_at = self.tally.retry_at.min(self.pass_memo[channel]);
+                continue;
+            }
+            let vetoed = self.tally.vetoed.len();
+            let issued = self.try_issue_command(channel, now, defense);
+            let retry_at = self.dram.take_retry_at();
+            if issued {
                 self.next_command_at[channel] = now + self.config.command_bus_interval;
-                self.tally.progress = true;
+                self.tally.vetoed.truncate(vetoed);
+                self.pass_memo.fill(0);
+            } else {
+                let until = retry_at.min(self.refresh_deadline(channel));
+                self.tally.retry_at = self.tally.retry_at.min(until);
+                if self.tally.vetoed.len() == vetoed {
+                    self.pass_memo[channel] = until;
+                }
             }
         }
-        self.tally.retry_at = self.dram.take_retry_at();
         completed
     }
 
-    /// After a cycle that made no progress, the earliest later cycle at
-    /// which repeating it could turn out differently: a refused timing
-    /// check passing, a completion falling due, a refresh deadline, a
-    /// command slot opening, or the defense's own next event. `None` if
-    /// the cycle made progress.
+    /// The earliest auto-refresh deadline among `channel`'s ranks
+    /// (`Cycle::MAX` with refresh disabled).
+    fn refresh_deadline(&self, channel: usize) -> Cycle {
+        if !self.config.refresh_enabled {
+            return Cycle::MAX;
+        }
+        let org = &self.config.organization;
+        (0..org.ranks)
+            .map(|rank| self.next_refresh[org.rank_index(channel, rank)])
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// After the tick at `now` and the admissions that followed it, the
+    /// earliest later cycle at which ticking again could do anything but
+    /// repeat this cycle's refusals and vetoes, or `None` if that may be
+    /// the very next cycle. It is the earliest of a command slot reopening
+    /// after an issue, a completion falling due, the defense's
+    /// `next_event`, and — for a channel whose pass failed — the pass's
+    /// retry or refresh cycle; but a request admitted since the tick
+    /// gives a channel with an open slot work at once (`None`).
     ///
     /// Every other input of the tick and of admission (queue contents and
-    /// space, in-flight counts, open rows) changes only through progress,
-    /// so until then each cycle repeats this one's refusals and vetoes
-    /// exactly; [`MemoryController::replay_idle`] accounts for them.
+    /// space, in-flight counts, open rows) changes only through those
+    /// events, so until then each cycle repeats this one's refusals and
+    /// its failed passes' vetoes exactly;
+    /// [`MemoryController::replay_idle`] accounts for them.
     // lint: alloc-free
     pub fn idle_until(&self, now: Cycle, defense: &dyn RowHammerDefense) -> Option<Cycle> {
-        if self.tally.progress {
-            return None;
+        let mut at = self.tally.retry_at.min(self.next_completion);
+        for &slot in &self.next_command_at {
+            if slot > now {
+                at = at.min(slot);
+            } else if self.tally.queued {
+                return None;
+            }
         }
-        let refresh = self
-            .next_refresh
-            .iter()
-            .filter(|_| self.config.refresh_enabled);
-        let deadlines = refresh.chain(&self.next_command_at).filter(|&&at| at > now);
-        let due = self.pending_completions.iter().map(|(at, _)| at);
-        let at = due
-            .chain(deadlines)
-            .fold(self.tally.retry_at, |a, &b| a.min(b));
         Some(defense.next_event(now).map_or(at, |event| at.min(event)))
     }
 
-    /// Accounts for the cycles in `skipped`, each an exact repeat of the
-    /// last one, which made no progress: adds its per-poll refusals once
+    /// Accounts for the cycles in `skipped`, each of which would have
+    /// repeated the last cycle's refusals and failed passes (see
+    /// [`MemoryController::idle_until`]): adds its per-poll refusals once
     /// per skipped cycle and lets the defense replay its vetoed consults.
     // lint: alloc-free
     pub fn replay_idle(&mut self, skipped: Range<Cycle>, defense: &mut dyn RowHammerDefense) {
@@ -442,22 +494,26 @@ impl MemoryController {
     /// reported in the order their commands were issued (FIFO) — the
     /// downstream per-thread accounting observes this stream.
     fn collect_completions(&mut self, now: Cycle) -> Vec<CompletedRequest> {
-        // Fast path for the common tick with nothing due: scan only.
-        if self.pending_completions.iter().all(|&(at, _)| at > now) {
+        if now < self.next_completion {
             return Vec::new();
         }
-        let pending = std::mem::take(&mut self.pending_completions);
         let mut done = Vec::new();
-        for (completed_at, request) in pending {
-            if completed_at <= now {
-                self.finish_request(&request, completed_at);
+        let mut next = Cycle::MAX;
+        self.pending_completions.retain(|(completed_at, request)| {
+            if *completed_at <= now {
                 done.push(CompletedRequest {
-                    request,
-                    completed_at,
+                    request: request.clone(),
+                    completed_at: *completed_at,
                 });
+                false
             } else {
-                self.pending_completions.push((completed_at, request));
+                next = next.min(*completed_at);
+                true
             }
+        });
+        self.next_completion = next;
+        for completed in &done {
+            self.finish_request(&completed.request, completed.completed_at);
         }
         done
     }
@@ -620,6 +676,7 @@ impl MemoryController {
             };
             let outcome = self.issue_tracked(cmd, &request.dram_addr, now);
             self.stats.row_hits += 1;
+            self.next_completion = self.next_completion.min(outcome.completes_at);
             self.pending_completions
                 .push((outcome.completes_at, request));
             return true;
@@ -629,14 +686,13 @@ impl MemoryController {
         let pick = {
             let delayed = &mut self.delayed_by_defense;
             let stats = &mut self.stats;
-            let tally = &mut self.tally;
+            let vetoed = &mut self.tally.vetoed;
             self.scheduler
                 .pick_activation(kind, channel, now, &self.dram, defense, |request| {
                     if delayed.insert(request.id) {
                         stats.activations_delayed_by_defense += 1;
-                        tally.progress = true;
                     }
-                    tally.vetoed.push((request.thread, request.dram_addr));
+                    vetoed.push((request.thread, request.dram_addr));
                 })
         };
         if let Some(pick) = pick {
@@ -1062,6 +1118,92 @@ mod tests {
             done[0].completed_at
         );
         assert_eq!(ctrl.stats().activations_delayed_by_defense, 1);
+    }
+
+    #[test]
+    fn idle_until_after_an_issue_is_the_slot_reopening() {
+        let mut ctrl = controller();
+        let mut defense = NoMitigation::new();
+        ctrl.enqueue(ThreadId::new(0), 0x10_000, AccessType::Read, 0, &defense)
+            .unwrap();
+        assert!(ctrl.tick(0, &mut defense).is_empty());
+        assert_eq!(ctrl.stats().row_misses, 1, "the tick activates the row");
+        let slot = ctrl.config().command_bus_interval;
+        assert_eq!(ctrl.idle_until(0, &defense), Some(slot));
+    }
+
+    #[test]
+    fn idle_until_after_an_admission_waits_only_for_a_closed_slot() {
+        let mut ctrl = controller();
+        let mut defense = NoMitigation::new();
+        let slot = ctrl.config().command_bus_interval;
+        ctrl.tick(0, &mut defense);
+        let t_refi = ctrl.timings().t_refi;
+        assert_eq!(
+            ctrl.idle_until(0, &defense),
+            Some(t_refi),
+            "an empty controller waits for its refresh deadline"
+        );
+        ctrl.enqueue(ThreadId::new(0), 0x10_000, AccessType::Read, 0, &defense)
+            .unwrap();
+        assert_eq!(
+            ctrl.idle_until(0, &defense),
+            None,
+            "a request admitted with the slot open can issue next cycle"
+        );
+        ctrl.tick(1, &mut defense);
+        ctrl.enqueue(ThreadId::new(0), 0x80_000, AccessType::Read, 1, &defense)
+            .unwrap();
+        assert_eq!(
+            ctrl.idle_until(1, &defense),
+            Some(1 + slot),
+            "a request admitted after an issue waits for the slot"
+        );
+    }
+
+    #[test]
+    fn idle_until_after_a_failed_pass_is_its_retry_cycle() {
+        let mut ctrl = controller();
+        let mut defense = NoMitigation::new();
+        let geometry = ctrl.config().organization.geometry();
+        let mapping = ctrl.config().mapping;
+        let written = DramAddress::new(0, 0, 1, 1, 100, 0);
+        let conflicting = DramAddress::new(0, 0, 1, 1, 200, 0);
+        ctrl.enqueue(
+            ThreadId::new(0),
+            mapping.encode(&geometry, &written),
+            AccessType::Write,
+            0,
+            &defense,
+        )
+        .unwrap();
+        let mut now = 0;
+        while ctrl.write_queue_len() > 0 {
+            ctrl.tick(now, &mut defense);
+            now += 1;
+        }
+        // A read to another row of the written bank needs a PRE, which
+        // write recovery (tWR) holds back until after the write completes.
+        ctrl.enqueue(
+            ThreadId::new(0),
+            mapping.encode(&geometry, &conflicting),
+            AccessType::Read,
+            now,
+            &defense,
+        )
+        .unwrap();
+        while ctrl.tick(now, &mut defense).is_empty() {
+            now += 1;
+        }
+        let pre_at = ctrl
+            .dram()
+            .earliest_issue(MemCommand::Precharge, &conflicting)
+            .unwrap();
+        assert!(
+            pre_at > now,
+            "the PRE is still refused when the write completes"
+        );
+        assert_eq!(ctrl.idle_until(now, &defense), Some(pre_at));
     }
 
     #[test]

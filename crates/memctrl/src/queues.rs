@@ -17,6 +17,7 @@
 
 use bh_types::{MemCommand, MemRequest};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Demand requests bucketed by global bank index, FIFO within each bucket.
 ///
@@ -106,6 +107,12 @@ impl OpenRowCache {
         self.rows[bank]
     }
 
+    /// The banks of `bank`'s rank (the slice a rank-wide precharge closes).
+    pub(crate) fn rank_banks(&self, bank: usize) -> Range<usize> {
+        let start = (bank / self.banks_per_rank) * self.banks_per_rank;
+        start..start + self.banks_per_rank
+    }
+
     /// Records the effect of an issued command on `bank`'s row buffer.
     /// Rank-wide commands use `bank` only to identify the rank.
     pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, row: u64) {
@@ -123,8 +130,8 @@ impl OpenRowCache {
             // PREA closes every bank of the addressed rank: clear that
             // rank's whole slice so the mirror stays exact.
             MemCommand::PrechargeAll => {
-                let start = (bank / self.banks_per_rank) * self.banks_per_rank;
-                for slot in &mut self.rows[start..start + self.banks_per_rank] {
+                let banks = self.rank_banks(bank);
+                for slot in &mut self.rows[banks] {
                     *slot = None;
                 }
             }

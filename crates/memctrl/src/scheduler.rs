@@ -22,7 +22,12 @@
 //! * [`SchedulerPolicy::BankedIndex`] buckets requests per global bank
 //!   ([`BankedQueue`]) with an [`OpenRowCache`], so each pass touches only
 //!   banks that have queued work and performs at most one command-legality
-//!   check per bank instead of one per request.
+//!   check per bank instead of one per request. An open-row index counts,
+//!   per bank, the queued reads and writes that target the bank's open
+//!   row: it is updated on push, on row-hit removal and on every issued
+//!   ACT or precharge, so the row-hit pass skips banks without a hit and
+//!   the conflict-precharge pass answers "still wanted?" in O(1). Debug
+//!   builds recount it after every update.
 //!
 //! Both implementations make identical decisions, cycle for cycle: command
 //! legality depends only on bank and rank state (never on the column), so
@@ -88,10 +93,21 @@ pub(crate) struct Scheduler {
     read: QueueRepr,
     write: QueueRepr,
     open_rows: OpenRowCache,
+    /// Banked policy only: per global bank, the queued reads and writes
+    /// (indexed by [`kind_index`]) that target the bank's open row.
+    open_row_hits: Vec<[u32; 2]>,
     banks_per_channel: usize,
     /// Scratch cursor list for `pick_activation`'s banked merge, kept
     /// across calls so the per-cycle pass never allocates.
     act_cursors: Vec<(usize, usize)>,
+}
+
+/// The slot of an access type in a per-bank `[reads, writes]` pair.
+fn kind_index(kind: AccessType) -> usize {
+    match kind {
+        AccessType::Read => 0,
+        AccessType::Write => 1,
+    }
 }
 
 impl Scheduler {
@@ -111,6 +127,7 @@ impl Scheduler {
             read: make(read_capacity),
             write: make(write_capacity),
             open_rows: OpenRowCache::new(total_banks, banks_per_rank),
+            open_row_hits: vec![[0; 2]; total_banks],
             banks_per_channel,
             act_cursors: Vec::new(),
         }
@@ -144,17 +161,70 @@ impl Scheduler {
     /// index.
     // lint: alloc-free
     pub(crate) fn push(&mut self, kind: AccessType, bank: usize, request: MemRequest) {
+        let hits_open_row = self.open_rows.get(bank) == Some(request.dram_addr.row());
         match self.queue_mut(kind) {
             QueueRepr::Linear(q) => q.push(request),
-            QueueRepr::Banked(q) => q.push(bank, request),
+            QueueRepr::Banked(q) => {
+                q.push(bank, request);
+                if hits_open_row {
+                    self.open_row_hits[bank][kind_index(kind)] += 1;
+                }
+                self.debug_check_open_row_hits(bank);
+            }
         }
     }
 
     /// Records the row-buffer effect of a command the controller issued on
-    /// `bank` (keeps the open-row cache exact).
+    /// `bank` (keeps the open-row cache and the open-row index exact).
     // lint: alloc-free
     pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, row: u64) {
         self.open_rows.note_issue(cmd, bank, row);
+        let (QueueRepr::Banked(reads), QueueRepr::Banked(writes)) = (&self.read, &self.write)
+        else {
+            return;
+        };
+        match cmd {
+            MemCommand::Activate => {
+                let count = |q: &BankedQueue| {
+                    q.bucket(bank)
+                        .iter()
+                        .filter(|r| r.dram_addr.row() == row)
+                        .count() as u32
+                };
+                self.open_row_hits[bank] = [count(reads), count(writes)];
+            }
+            MemCommand::Precharge | MemCommand::ReadAp | MemCommand::WriteAp => {
+                self.open_row_hits[bank] = [0; 2];
+            }
+            MemCommand::PrechargeAll => {
+                for hits in &mut self.open_row_hits[self.open_rows.rank_banks(bank)] {
+                    *hits = [0; 2];
+                }
+            }
+            MemCommand::Read | MemCommand::Write | MemCommand::Refresh => {}
+        }
+        for bank in self.open_rows.rank_banks(bank) {
+            self.debug_check_open_row_hits(bank);
+        }
+    }
+
+    /// Debug builds: recounts `bank`'s open-row index from the queues and
+    /// the open-row cache (a no-op under the linear policy).
+    fn debug_check_open_row_hits(&self, bank: usize) {
+        if let (QueueRepr::Banked(reads), QueueRepr::Banked(writes)) = (&self.read, &self.write) {
+            let open = self.open_rows.get(bank);
+            let count = |q: &BankedQueue| {
+                q.bucket(bank)
+                    .iter()
+                    .filter(|r| Some(r.dram_addr.row()) == open)
+                    .count() as u32
+            };
+            debug_assert_eq!(
+                self.open_row_hits[bank],
+                [count(reads), count(writes)],
+                "open-row index diverged from the queues on bank {bank}"
+            );
+        }
     }
 
     /// The cached open row of a global bank (debug cross-checks).
@@ -201,14 +271,14 @@ impl Scheduler {
             QueueRepr::Banked(q) => {
                 let mut best: Option<(ReqId, usize, usize)> = None;
                 for bank in self.channel_banks(channel) {
-                    let bucket = q.bucket(bank);
-                    if bucket.is_empty() {
+                    if self.open_row_hits[bank][kind_index(kind)] == 0 {
                         continue;
                     }
                     let Some(open) = self.open_rows.get(bank) else {
                         continue;
                     };
-                    let Some((pos, request)) = bucket
+                    let Some((pos, request)) = q
+                        .bucket(bank)
                         .iter()
                         .enumerate()
                         .find(|(_, r)| r.dram_addr.row() == open)
@@ -229,7 +299,10 @@ impl Scheduler {
                     // lint: allow(panic-freedom) -- queue representation is chosen once at construction and never changes
                     unreachable!("queue representation is fixed at construction");
                 };
-                Some(q.remove(bank, pos))
+                let hit = q.remove(bank, pos);
+                self.open_row_hits[bank][kind_index(kind)] -= 1;
+                self.debug_check_open_row_hits(bank);
+                Some(hit)
             }
         }
     }
@@ -338,7 +411,8 @@ impl Scheduler {
     /// Pass 3: the oldest request of `channel` conflicting with its bank's
     /// open row, provided no queued request (of either queue) still wants
     /// that open row and the PRE is legal at `now`. Returns the conflicting
-    /// request's address (the PRE target).
+    /// request's address (the PRE target). The banked policy reads "still
+    /// wanted" from the open-row index.
     // lint: alloc-free
     pub(crate) fn pick_conflict_precharge(
         &self,
@@ -378,26 +452,19 @@ impl Scheduler {
                 }
                 None
             }
-            (QueueRepr::Banked(q), QueueRepr::Banked(reads), QueueRepr::Banked(writes)) => {
+            (QueueRepr::Banked(q), QueueRepr::Banked(_), QueueRepr::Banked(_)) => {
                 let mut best: Option<(ReqId, DramAddress)> = None;
                 for bank in self.channel_banks(channel) {
-                    let Some(open) = self.open_rows.get(bank) else {
-                        continue;
-                    };
-                    let Some(request) = q.bucket(bank).iter().find(|r| r.dram_addr.row() != open)
-                    else {
-                        continue;
-                    };
-                    // "Still wanted" is a bank-level property: check the
-                    // bank's own buckets only.
-                    let still_wanted = reads
-                        .bucket(bank)
-                        .iter()
-                        .chain(writes.bucket(bank).iter())
-                        .any(|other| other.dram_addr.row() == open);
-                    if still_wanted {
+                    // Keep the row open while any queued read or write
+                    // still hits it.
+                    if self.open_rows.get(bank).is_none() || self.open_row_hits[bank] != [0; 2] {
                         continue;
                     }
+                    // No queued request targets the open row, so the
+                    // bucket's oldest request conflicts with it.
+                    let Some(request) = q.bucket(bank).front() else {
+                        continue;
+                    };
                     // PRE legality never depends on the row, so one check
                     // covers every conflicting request of the bank.
                     if !dram.can_issue(MemCommand::Precharge, &request.dram_addr, now) {
@@ -569,6 +636,44 @@ mod tests {
             .unwrap();
         assert_eq!(pre.bank_group(), 1);
         assert_eq!(pre.row(), 31);
+    }
+
+    #[test]
+    fn open_row_index_follows_activations_hits_and_precharges() {
+        let mut dram = device();
+        let mut s = scheduler(SchedulerPolicy::BankedIndex);
+        let bank = bank_index(0, 0);
+        let mut write = request(2, 0, 0, 10);
+        write.access = AccessType::Write;
+        s.push(AccessType::Read, bank, request(1, 0, 0, 10));
+        s.push(AccessType::Write, bank, write);
+        s.push(AccessType::Read, bank, request(3, 0, 0, 11));
+        assert_eq!(
+            s.open_row_hits[bank],
+            [0, 0],
+            "a precharged bank has no hits"
+        );
+        open(&mut s, &mut dram, 0, 0, 10, 0);
+        assert_eq!(
+            s.open_row_hits[bank],
+            [1, 1],
+            "an ACT counts the queued hits"
+        );
+        let t = *dram.timings();
+        let hit = s.take_row_hit(AccessType::Read, 0, t.t_rcd, &dram).unwrap();
+        assert_eq!(hit.id, 1);
+        assert_eq!(s.open_row_hits[bank], [0, 1]);
+        assert_eq!(
+            s.pick_conflict_precharge(AccessType::Read, 0, t.t_ras, &dram),
+            None,
+            "the queued write still wants row 10"
+        );
+        s.note_issue(MemCommand::Precharge, bank, 10);
+        assert_eq!(
+            s.open_row_hits[bank],
+            [0, 0],
+            "a PRE clears the bank's hits"
+        );
     }
 
     #[test]

@@ -215,14 +215,14 @@ pub trait RowHammerDefense: AsAny + Send {
     /// means the defense only changes state in response to the hooks the
     /// controller already drives.
     ///
-    /// Event-driven stepping reads this after every tick that made no
-    /// progress and may jump straight to the answer, repeating that tick's
-    /// vetoes through [`RowHammerDefense::replay_vetoes`] in between. A
-    /// defense whose veto can lift, or whose quota can change, with time
-    /// alone must report that cycle here, or the skip will jump past it.
-    /// A [`RowHammerDefense::tick`] is guaranteed at or before the
-    /// returned cycle, so per-boundary work is never batched across a
-    /// jump.
+    /// Event-driven stepping reads this after every tick in which no core
+    /// could act and may jump as far as the answer, repeating the vetoes
+    /// of that tick's failed command-slot passes through
+    /// [`RowHammerDefense::replay_vetoes`] in between. A defense whose
+    /// veto can lift, or whose quota can change, with time alone must
+    /// report that cycle here, or the skip will jump past it. A
+    /// [`RowHammerDefense::tick`] is guaranteed at or before the returned
+    /// cycle, so per-boundary work is never batched across a jump.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let _ = now;
         None
@@ -230,12 +230,14 @@ pub trait RowHammerDefense: AsAny + Send {
 
     /// Replays consults that event-driven stepping skipped. `vetoed` lists
     /// the `(thread, address)` consults [`RowHammerDefense::is_activation_safe`]
-    /// vetoed during the last tick, in consult order, and that tick
-    /// repeated unchanged on every cycle of `skipped` (none of which
-    /// reaches [`RowHammerDefense::next_event`]). The default re-asks each
-    /// consult once per skipped cycle, which is exact for any defense; a
-    /// mechanism whose vetoes only bump counters may override it with
-    /// arithmetic.
+    /// vetoed in the last tick's failed command-slot passes, in consult
+    /// order; each of those passes would have repeated unchanged on every
+    /// cycle of `skipped` (none of which reaches
+    /// [`RowHammerDefense::next_event`]). A pass that issued a command is
+    /// not listed: its channel runs no pass until the command slot
+    /// reopens, which ends the skip. The default re-asks each consult once
+    /// per skipped cycle, which is exact for any defense; a mechanism whose
+    /// vetoes only bump counters may override it with arithmetic.
     // lint: alloc-free
     fn replay_vetoes(&mut self, skipped: Range<Cycle>, vetoed: &[(ThreadId, DramAddress)]) {
         for now in skipped {

@@ -36,7 +36,7 @@ pub struct ThreadResult {
 /// stepping earned its speedup).
 ///
 /// These counters depend on the advance mode — lockstep simulates every
-/// cycle, event-driven skips ticks that would repeat the one before — so
+/// cycle, event-driven skips cycles in which nothing can act — so
 /// equivalence comparisons must ignore them, and the campaign's summary
 /// CSV/JSON never include them (they are reported through a separate
 /// stepping report instead).

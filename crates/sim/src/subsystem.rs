@@ -198,9 +198,9 @@ impl MemorySubsystem {
         completed
     }
 
-    /// After a cycle, `None` if any shard made progress in it, otherwise
-    /// the earliest later cycle at which a shard's repeat of it could turn
-    /// out differently (see [`MemoryController::idle_until`]).
+    /// After a cycle, the earliest later cycle at which some shard could do
+    /// anything but repeat it, or `None` if a shard may act in the very
+    /// next cycle (see [`MemoryController::idle_until`]).
     // lint: alloc-free
     pub fn idle_until(&self, now: Cycle) -> Option<Cycle> {
         self.shards.iter().try_fold(Cycle::MAX, |at, shard| {

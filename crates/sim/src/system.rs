@@ -21,16 +21,18 @@ pub type BoxedTrace = Box<dyn Iterator<Item = TraceRecord>>;
 ///
 /// Both modes produce bit-identical results (pinned by
 /// `tests/tests/event_equivalence.rs`): event-driven stepping only skips
-/// cycles that would repeat the tick before them, and replays the per-poll
-/// refusals and vetoes those repeats would have counted.
+/// cycles in which no component could act, and replays the per-poll
+/// refusals and vetoes those cycles would have counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdvanceMode {
     /// Tick every cycle (`now + 1`), the reference behaviour.
     #[default]
     Lockstep,
-    /// After a tick that made no progress, jump to the earliest cycle at
-    /// which any check it failed could pass (timing, completions, refresh,
-    /// the LLC hit queue, defense events).
+    /// After a tick in which no core retired or issued and nothing reached
+    /// a core, jump to the earliest cycle at which a controller or the LLC
+    /// hit queue can act: a command slot reopening, a completion, a failed
+    /// pass's retry or refresh cycle, new work for an open slot, the LLC
+    /// hit queue's front, or a defense event.
     EventDriven,
 }
 
@@ -51,9 +53,9 @@ pub struct RunScale {
     pub min_cycles: u64,
     /// Safety bound on simulated cycles.
     pub max_cycles: u64,
-    /// How the simulated clock advances. Event-driven skips repeated
-    /// idle ticks and is bit-identical to lockstep, so it never changes
-    /// results — only wall-clock.
+    /// How the simulated clock advances. Event-driven skips cycles in
+    /// which nothing can act and is bit-identical to lockstep, so it never
+    /// changes results — only wall-clock.
     pub advance: AdvanceMode,
 }
 
@@ -121,7 +123,8 @@ pub struct SystemConfig {
     /// verification; costs memory).
     pub enable_activation_log: bool,
     /// How the simulated clock advances between ticks (lockstep, or
-    /// event-driven skipping of repeated ticks). Bit-identical either way.
+    /// event-driven skipping of cycles in which nothing can act).
+    /// Bit-identical either way.
     pub advance: AdvanceMode,
     /// Seed for workload generators and probabilistic defenses.
     pub seed: u64,
@@ -442,12 +445,14 @@ impl System {
     /// tick at `now` in which no core retired or issued and nothing was
     /// delivered.
     ///
-    /// If no memory shard made progress either, the tick changed nothing
-    /// but per-poll counters, and every later cycle repeats it until one of
-    /// the checks it failed can pass: a shard's horizon or the LLC hit
-    /// queue's front, bounded by `min_cycles`/`max_cycles`. The clock jumps
-    /// there, and the skipped repeats' refusals and vetoes are replayed so
-    /// every statistic matches lockstep.
+    /// The cores then repeat that tick until the uncore changes under them,
+    /// and each memory shard reports the earliest cycle at which it can do
+    /// anything but repeat its refusals and failed passes
+    /// ([`MemorySubsystem::idle_until`]; `None` if a shard may act in the
+    /// very next cycle). The clock jumps to the earliest shard horizon or
+    /// the LLC hit queue's front, bounded by `min_cycles`/`max_cycles`, and
+    /// the skipped cycles' refusals and vetoes are replayed so every
+    /// statistic matches lockstep.
     fn skip_idle(&mut self, now: Cycle, all_done: bool) -> Cycle {
         let Some(mut next) = self.uncore.mem.idle_until(now) else {
             return now + 1;
@@ -626,11 +631,12 @@ impl SystemBuilder {
     }
 
     /// Selects how the simulated clock advances: per-cycle lockstep or
-    /// event-driven, which skips ticks that would only repeat the one
-    /// before them. Both modes are bit-identical; event-driven is faster
-    /// whenever cycles repeat (idle padding out to `min_cycles`, cores
-    /// stalled on memory, or requests the defense keeps vetoing or the
-    /// queues keep refusing).
+    /// event-driven, which skips the cycles in which no core, controller or
+    /// LLC hit can act. Both modes are bit-identical; event-driven is
+    /// faster whenever cores wait (idle padding out to `min_cycles`, cores
+    /// stalled on memory while the controller waits on DRAM timing or its
+    /// command slot, or requests the defense keeps vetoing or the queues
+    /// keep refusing).
     pub fn advance_mode(mut self, advance: AdvanceMode) -> Self {
         self.config.advance = advance;
         self

@@ -17,6 +17,15 @@ pub const TEST_TIME_SCALE: u64 = 8192;
 /// The scaled refresh window in cycles for [`TEST_TIME_SCALE`].
 pub const TEST_REFRESH_WINDOW: u64 = 204_800_000 / TEST_TIME_SCALE;
 
+/// Every defense kind the factory can build: Baseline, the Figure 4/5
+/// set, and BlockHammer in observe-only mode.
+pub fn all_defenses() -> Vec<DefenseKind> {
+    let mut kinds = vec![DefenseKind::Baseline];
+    kinds.extend(DefenseKind::figure_4_and_5_set());
+    kinds.push(DefenseKind::BlockHammerObserve);
+    kinds
+}
+
 /// Builds the standard attack-plus-victims system used by several
 /// integration tests: one double-sided attacker and two benign threads.
 pub fn attack_system(kind: DefenseKind) -> SystemBuilder {

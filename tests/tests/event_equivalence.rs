@@ -4,20 +4,14 @@
 //! every defense, channel count and workload shape, and whole campaigns
 //! must emit byte-identical CSV/JSON in both modes.
 
-use bh_types::{Cycle, DramAddress, ThreadId};
+use bh_types::{Cycle, DramAddress, ThreadId, TraceRecord};
 use campaign::{execute, CampaignSpec};
+use integration_tests::all_defenses;
+use memctrl::MemCtrlConfig;
 use mitigations::{DefenseStats, MetadataFootprint, RowHammerDefense};
 use proptest::prelude::*;
 use sim::{AdvanceMode, DefenseKind, RunResult, SteppingStats, System, SystemBuilder};
 use workloads::{AttackKind, SyntheticSpec};
-
-/// Every defense kind the factory can build.
-fn all_defenses() -> Vec<DefenseKind> {
-    let mut kinds = vec![DefenseKind::Baseline];
-    kinds.extend(DefenseKind::figure_4_and_5_set());
-    kinds.push(DefenseKind::BlockHammerObserve);
-    kinds
-}
 
 /// The comparable form of a run: the full `RunResult` with the
 /// advance-mode-dependent stepping counters zeroed (they are the *only*
@@ -229,6 +223,93 @@ fn a_veto_lifting_with_time_alone_is_ticked_at_its_lift() {
         event.stepping.cycles_skipped
     );
     assert_eq!(canonical(lockstep), canonical(event));
+}
+
+/// Records every cycle the controller ticked it and every activation it
+/// saw.
+#[derive(Debug, Default)]
+struct TickRecorder {
+    ticks: Vec<Cycle>,
+    activations: Vec<Cycle>,
+}
+
+impl RowHammerDefense for TickRecorder {
+    fn name(&self) -> &'static str {
+        "TickRecorder"
+    }
+    fn tick(&mut self, now: Cycle) {
+        self.ticks.push(now);
+    }
+    fn on_activation(
+        &mut self,
+        now: Cycle,
+        _thread: ThreadId,
+        _addr: &DramAddress,
+    ) -> Vec<DramAddress> {
+        self.activations.push(now);
+        Vec::new()
+    }
+    fn metadata(&self) -> MetadataFootprint {
+        MetadataFootprint::default()
+    }
+    fn stats(&self) -> DefenseStats {
+        DefenseStats::default()
+    }
+}
+
+#[test]
+fn a_command_only_tick_is_followed_by_no_detection_tick() {
+    // One thread loads four rows of one bank and then waits, so the
+    // controller works through its ACT, RD and PRE commands while no core
+    // can move. An issue closes the channel's command slot, and the
+    // controller reports the slot reopening as its horizon: the clock
+    // jumps there instead of ticking the next cycle only to find that
+    // nothing can happen.
+    let memctrl = MemCtrlConfig::default();
+    let geometry = memctrl.organization.geometry();
+    let loads: Vec<TraceRecord> = (1..=4u64)
+        .map(|row| {
+            let addr = DramAddress::new(0, 0, 2, 1, row * 64, 0);
+            TraceRecord::load(0, memctrl.mapping.encode(&geometry, &addr))
+        })
+        .collect();
+    let run = |advance: AdvanceMode| {
+        let builder = || {
+            quick_builder(5, 1)
+                .advance_mode(advance)
+                .min_cycles(0)
+                .add_trace("loads", Box::new(loads.clone().into_iter()), false, 4)
+        };
+        let system = System::new(
+            builder().build().config().clone(),
+            builder().into_thread_traces(),
+            vec![Box::new(TickRecorder::default())],
+        );
+        let (result, defenses) = system.run_into_parts();
+        let recorder = defenses[0]
+            .as_ref()
+            .as_any()
+            .downcast_ref::<TickRecorder>()
+            .expect("the test defense comes back");
+        (result, recorder.ticks.clone(), recorder.activations.clone())
+    };
+    let (lockstep, _, _) = run(AdvanceMode::Lockstep);
+    let (event, ticks, activations) = run(AdvanceMode::EventDriven);
+    assert_eq!(canonical(lockstep), canonical(event.clone()));
+    assert_eq!(activations.len(), 4, "every load opens its own row");
+    for act in &activations {
+        assert!(
+            !ticks.contains(&(act + 1)),
+            "the cycle after the ACT at {act} was ticked: {ticks:?}"
+        );
+    }
+    // The bound is this run's tick count. A detection tick after each of
+    // its eight command-only ticks would make it 36.
+    assert!(
+        event.stepping.cycles_simulated <= 28,
+        "{} ticks: {ticks:?}",
+        event.stepping.cycles_simulated
+    );
 }
 
 #[test]
