@@ -10,7 +10,6 @@
 //!   by the paper's simulated system (Table 5), which interleaves a small
 //!   block of consecutive cache lines in the same row across banks.
 
-use crate::ids::{BankGroupId, BankId, ChannelId, RankId, RowId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -70,34 +69,9 @@ impl DramAddress {
         self.row
     }
 
-    /// Typed row identifier.
-    pub fn row_id(&self) -> RowId {
-        RowId::new(self.row)
-    }
-
     /// The column (cache-line granular) within the row.
     pub fn column(&self) -> u64 {
         self.column
-    }
-
-    /// Typed channel identifier.
-    pub fn channel_id(&self) -> ChannelId {
-        ChannelId::new(self.channel)
-    }
-
-    /// Typed rank identifier.
-    pub fn rank_id(&self) -> RankId {
-        RankId::new(self.rank)
-    }
-
-    /// Typed bank-group identifier.
-    pub fn bank_group_id(&self) -> BankGroupId {
-        BankGroupId::new(self.bank_group)
-    }
-
-    /// Typed bank identifier (within its bank group).
-    pub fn bank_id(&self) -> BankId {
-        BankId::new(self.bank)
     }
 
     /// Flat bank index within a rank: `bank_group * banks_per_group + bank`.

@@ -1,82 +1,47 @@
-//! Strongly-typed identifiers for hardware threads and DRAM structures.
+//! The hardware-thread identifier.
 //!
-//! Newtypes are used instead of bare integers so that a bank index can never
-//! be accidentally passed where a row index is expected (C-NEWTYPE).
+//! A newtype is used instead of a bare integer so that a thread index can
+//! never be accidentally passed where a bank or row index is expected
+//! (C-NEWTYPE).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-macro_rules! define_id {
-    ($(#[$doc:meta])* $name:ident, $inner:ty) => {
-        $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
-        pub struct $name($inner);
+/// Identifier of a hardware thread (one simulated core runs one thread).
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
+pub struct ThreadId(usize);
 
-        impl $name {
-            /// Creates a new identifier from its raw index.
-            pub const fn new(index: $inner) -> Self {
-                Self(index)
-            }
+impl ThreadId {
+    /// Creates a new identifier from its raw index.
+    pub const fn new(index: usize) -> Self {
+        Self(index)
+    }
 
-            /// Returns the raw index backing this identifier.
-            pub const fn index(self) -> $inner {
-                self.0
-            }
-        }
-
-        impl From<$inner> for $name {
-            fn from(value: $inner) -> Self {
-                Self(value)
-            }
-        }
-
-        impl From<$name> for $inner {
-            fn from(value: $name) -> Self {
-                value.0
-            }
-        }
-
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!(stringify!($name), "({})"), self.0)
-            }
-        }
-    };
+    /// Returns the raw index backing this identifier.
+    pub const fn index(self) -> usize {
+        self.0
+    }
 }
 
-define_id!(
-    /// Identifier of a hardware thread (one simulated core runs one thread).
-    ThreadId,
-    usize
-);
-define_id!(
-    /// Identifier of a memory channel.
-    ChannelId,
-    usize
-);
-define_id!(
-    /// Identifier of a DRAM rank within a channel.
-    RankId,
-    usize
-);
-define_id!(
-    /// Identifier of a DRAM bank group within a rank (DDR4).
-    BankGroupId,
-    usize
-);
-define_id!(
-    /// Identifier of a DRAM bank within a bank group.
-    BankId,
-    usize
-);
-define_id!(
-    /// Identifier of a DRAM row within a bank (memory-controller visible).
-    RowId,
-    u64
-);
+impl From<usize> for ThreadId {
+    fn from(value: usize) -> Self {
+        Self(value)
+    }
+}
+
+impl From<ThreadId> for usize {
+    fn from(value: ThreadId) -> Self {
+        value.0
+    }
+}
+
+impl fmt::Display for ThreadId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ThreadId({})", self.0)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -93,22 +58,21 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        let a = RowId::new(1);
-        let b = RowId::new(2);
+        let a = ThreadId::new(1);
+        let b = ThreadId::new(2);
         assert!(a < b);
-        let set: HashSet<RowId> = [a, b, a].into_iter().collect();
+        let set: HashSet<ThreadId> = [a, b, a].into_iter().collect();
         assert_eq!(set.len(), 2);
     }
 
     #[test]
     fn display_is_never_empty() {
-        assert_eq!(format!("{}", BankId::new(3)), "BankId(3)");
-        assert_eq!(format!("{}", RowId::new(0)), "RowId(0)");
+        assert_eq!(format!("{}", ThreadId::new(3)), "ThreadId(3)");
+        assert_eq!(format!("{}", ThreadId::new(0)), "ThreadId(0)");
     }
 
     #[test]
     fn default_is_zero() {
-        assert_eq!(ChannelId::default().index(), 0);
-        assert_eq!(RowId::default().index(), 0);
+        assert_eq!(ThreadId::default().index(), 0);
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! Every other crate in the workspace (the DRAM device model, the memory
 //! controller, the RowHammer defenses, the full-system harness) speaks in
-//! terms of the types defined here: identifiers for threads, channels,
-//! ranks, banks and rows; decoded DRAM addresses; DRAM bus commands; memory
-//! requests; and clock/time conversion helpers.
+//! terms of the types defined here: the thread identifier; decoded DRAM
+//! addresses and the address mappings; DRAM bus commands; memory requests;
+//! and clock/time conversion helpers.
 //!
 //! The crate is deliberately dependency-light so that it can sit at the
 //! bottom of the dependency graph.
@@ -39,7 +39,7 @@ mod trace;
 pub use address::{AddressMapping, AddressMappingGeometry, DramAddress};
 pub use command::{CommandClass, MemCommand};
 pub use error::ConfigError;
-pub use ids::{BankGroupId, BankId, ChannelId, RankId, RowId, ThreadId};
-pub use request::{AccessType, MemRequest, ReqId, RequestOrigin};
+pub use ids::ThreadId;
+pub use request::{AccessType, MemRequest, ReqId};
 pub use time::{Cycle, CyclesPerSecond, Nanoseconds, TimeConverter};
 pub use trace::TraceRecord;

@@ -39,43 +39,28 @@ impl fmt::Display for AccessType {
     }
 }
 
-/// Who generated a request. The memory controller and the energy model use
-/// this to attribute bandwidth and energy, and the defenses use it to
-/// distinguish demand traffic from their own victim-refresh traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RequestOrigin {
-    /// Demand traffic from a core (load/store miss or writeback).
-    Core,
-    /// A victim-row refresh injected by a reactive-refresh defense
-    /// (PARA, PRoHIT, MRLoc, CBT, TWiCe, Graphene).
-    VictimRefresh,
-}
-
-/// A memory request travelling from the LLC to DRAM.
+/// A demand request travelling from the LLC to DRAM: a core's load or
+/// store miss, or a writeback. (A defense's victim refreshes never become
+/// requests; the controller queues their addresses directly.)
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemRequest {
     /// Unique request identifier.
     pub id: ReqId,
     /// Issuing hardware thread.
     pub thread: ThreadId,
-    /// Physical byte address.
-    pub phys_addr: u64,
     /// Decoded DRAM coordinates.
     pub dram_addr: DramAddress,
     /// Read or write.
     pub access: AccessType,
     /// Cycle at which the request entered the memory controller queue.
     pub arrival: Cycle,
-    /// Who generated the request.
-    pub origin: RequestOrigin,
 }
 
 impl MemRequest {
-    /// Creates a demand request originating from a core.
+    /// Creates a demand request of `thread`.
     pub fn demand(
         id: ReqId,
         thread: ThreadId,
-        phys_addr: u64,
         dram_addr: DramAddress,
         access: AccessType,
         arrival: Cycle,
@@ -83,34 +68,10 @@ impl MemRequest {
         Self {
             id,
             thread,
-            phys_addr,
             dram_addr,
             access,
             arrival,
-            origin: RequestOrigin::Core,
         }
-    }
-
-    /// Creates a victim-refresh request injected by a RowHammer defense.
-    ///
-    /// Victim refreshes are modelled as reads of the victim row: they cost
-    /// an activation plus a column access, which is how reactive-refresh
-    /// proposals account for their overhead.
-    pub fn victim_refresh(id: ReqId, dram_addr: DramAddress, arrival: Cycle) -> Self {
-        Self {
-            id,
-            thread: ThreadId::new(usize::MAX),
-            phys_addr: 0,
-            dram_addr,
-            access: AccessType::Read,
-            arrival,
-            origin: RequestOrigin::VictimRefresh,
-        }
-    }
-
-    /// Whether the request is defense-injected victim-refresh traffic.
-    pub fn is_victim_refresh(&self) -> bool {
-        self.origin == RequestOrigin::VictimRefresh
     }
 }
 
@@ -118,8 +79,8 @@ impl fmt::Display for MemRequest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "req#{} {} {} by {} @{} ({:?})",
-            self.id, self.access, self.dram_addr, self.thread, self.arrival, self.origin
+            "req#{} {} {} by {} @{}",
+            self.id, self.access, self.dram_addr, self.thread, self.arrival
         )
     }
 }
@@ -133,20 +94,11 @@ mod tests {
     }
 
     #[test]
-    fn demand_request_carries_thread_and_origin() {
-        let r = MemRequest::demand(1, ThreadId::new(3), 0x1000, addr(), AccessType::Write, 42);
+    fn demand_request_carries_thread_and_access() {
+        let r = MemRequest::demand(1, ThreadId::new(3), addr(), AccessType::Write, 42);
         assert_eq!(r.thread.index(), 3);
-        assert_eq!(r.origin, RequestOrigin::Core);
-        assert!(!r.is_victim_refresh());
         assert!(r.access.is_write());
-    }
-
-    #[test]
-    fn victim_refresh_is_flagged() {
-        let r = MemRequest::victim_refresh(7, addr(), 10);
-        assert!(r.is_victim_refresh());
-        assert!(r.access.is_read());
-        assert_eq!(r.arrival, 10);
+        assert_eq!(r.arrival, 42);
     }
 
     #[test]
@@ -157,7 +109,7 @@ mod tests {
 
     #[test]
     fn display_contains_key_fields() {
-        let r = MemRequest::demand(9, ThreadId::new(1), 0x40, addr(), AccessType::Read, 5);
+        let r = MemRequest::demand(9, ThreadId::new(1), addr(), AccessType::Read, 5);
         let s = r.to_string();
         assert!(s.contains("req#9"));
         assert!(s.contains("read"));

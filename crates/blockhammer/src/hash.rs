@@ -86,11 +86,6 @@ impl H3HashFamily {
         }
     }
 
-    /// Number of hash functions in the family.
-    pub fn function_count(&self) -> usize {
-        self.seeds.len()
-    }
-
     /// Output range of every function.
     pub fn size(&self) -> usize {
         self.size

@@ -224,10 +224,10 @@ impl CampaignReport {
 
     /// Per-run idle-skip accounting as CSV (one row per run, in run
     /// order): how much of each run's simulated time the event-driven
-    /// advance loop skipped. Kept separate from
-    /// [`CampaignSummary`](crate::CampaignSummary)'s CSV/JSON on purpose —
-    /// those artifacts are pinned byte-identical across advance modes,
-    /// while these counters are mode-dependent by construction.
+    /// advance loop skipped. Kept separate from [`CampaignSummary`]'s
+    /// CSV/JSON on purpose — those artifacts are pinned byte-identical
+    /// across advance modes, while these counters are mode-dependent by
+    /// construction.
     pub fn stepping_csv(&self) -> String {
         let mut csv = String::from(
             "index,name,defense,channels,total_cycles,cycles_simulated,\

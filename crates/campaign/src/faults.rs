@@ -6,12 +6,12 @@
 //! otherwise go untested. This module plants explicit, deterministic
 //! hooks at the three fault boundaries:
 //!
-//! * [`before_run`]: panic on a chosen run index (optionally only for
+//! * `before_run`: panic on a chosen run index (optionally only for
 //!   its first N attempts, so `FailurePolicy::Retry` paths can observe a
 //!   *transient* fault);
-//! * [`before_trace_open`]: fail the next N trace-file opens with an
+//! * `before_trace_open`: fail the next N trace-file opens with an
 //!   injected I/O error;
-//! * [`after_journal_append`]: abort the process (or stall it, so a test
+//! * `after_journal_append`: abort the process (or stall it, so a test
 //!   can deliver a real kill signal) once the checkpoint journal holds a
 //!   chosen number of records.
 //!

@@ -839,7 +839,7 @@ pub fn entry_to_ndjson(entry: &JournalEntry) -> String {
     }
 }
 
-/// One-line JSON rendering of [`ExecutionStats`] — the scheduling
+/// One-line JSON rendering of [`ExecutionStats`](crate::ExecutionStats) — the scheduling
 /// fragment the server embeds in its status documents. The scheduler
 /// label needs no escaping (it is one of three fixed identifiers), so
 /// the whole document is assembled by formatting, like the NDJSON

@@ -81,7 +81,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length bounds for [`vec`] (stand-in for
+    /// Length bounds for [`vec()`] (stand-in for
     /// `proptest::collection::SizeRange`).
     pub struct SizeRange {
         min: usize,
@@ -116,7 +116,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -15,8 +15,10 @@ pub struct IssueOutcome {
     pub completes_at: Cycle,
 }
 
-/// A complete DRAM subsystem (all channels and ranks) with cycle-accurate
-/// command legality checks.
+/// The DRAM of one memory channel (its ranks) with cycle-accurate command
+/// legality checks. An address's channel coordinate is not consulted: a
+/// system with several channels has one device per channel, each behind its
+/// own memory controller.
 ///
 /// The device is passive: the memory controller decides *what* to issue and
 /// asks the device *when* it may legally do so.
@@ -32,20 +34,27 @@ pub struct DramDevice {
 }
 
 impl DramDevice {
-    /// Creates a device with the given organization and timing parameters.
+    /// Creates the device of one channel with the given organization and
+    /// timing parameters.
     ///
     /// # Panics
     ///
-    /// Panics if the organization fails validation (zero-sized dimension).
+    /// Panics if the organization fails validation (zero-sized dimension)
+    /// or `organization.channels` is not 1.
     pub fn new(organization: DramOrganization, timings: TimingsInCycles) -> Self {
         // lint: allow(panic-freedom) -- documented constructor contract; DramOrganization::validate is the fallible path
         organization.validate().expect("invalid DRAM organization");
-        let total_ranks = organization.total_ranks();
+        assert_eq!(
+            organization.channels, 1,
+            "a DRAM device models exactly one channel"
+        );
         Self {
             organization,
             timings,
-            ranks: (0..total_ranks).map(|_| Rank::new(&organization)).collect(),
-            stats: DramStats::new(total_ranks),
+            ranks: (0..organization.ranks)
+                .map(|_| Rank::new(&organization))
+                .collect(),
+            stats: DramStats::new(organization.ranks),
             retry_at: Cell::new(Cycle::MAX),
         }
     }
@@ -66,11 +75,7 @@ impl DramDevice {
         self.stats.enable_activation_log();
     }
 
-    fn rank_index(&self, addr: &DramAddress) -> usize {
-        self.organization.rank_index(addr.channel(), addr.rank())
-    }
-
-    /// Immutable access to a rank by flat index.
+    /// Immutable access to a rank by index.
     ///
     /// # Panics
     ///
@@ -79,20 +84,15 @@ impl DramDevice {
         &self.ranks[index]
     }
 
-    /// Number of ranks in the system.
-    pub fn rank_count(&self) -> usize {
-        self.ranks.len()
-    }
-
     /// The currently open row in the bank addressed by `addr`, if any.
     pub fn open_row(&self, addr: &DramAddress) -> Option<u64> {
-        let rank = &self.ranks[self.rank_index(addr)];
+        let rank = &self.ranks[addr.rank()];
         rank.bank(addr.bank_in_rank(self.organization.banks_per_group))
             .open_row()
     }
 
-    /// The currently open row of the bank identified by its flat rank index
-    /// and its flat bank index within the rank, if any.
+    /// The currently open row of the bank identified by its rank index and
+    /// its flat bank index within the rank, if any.
     ///
     /// This is the index-based counterpart of [`DramDevice::open_row`]: a
     /// scheduler that tracks banks by index (rather than by decoded
@@ -106,17 +106,11 @@ impl DramDevice {
         self.ranks[rank_index].bank(bank_in_rank).open_row()
     }
 
-    /// Banks per rank (the index space of [`DramDevice::open_row_at`]'s
-    /// second argument).
-    pub fn banks_per_rank(&self) -> usize {
-        self.organization.banks_per_rank()
-    }
-
     /// Earliest cycle at which `cmd` to `addr` could be legally issued, or
     /// `None` if it is illegal in the current state (wrong row open, bank
     /// not activated, ...).
     pub fn earliest_issue(&self, cmd: MemCommand, addr: &DramAddress) -> Option<Cycle> {
-        self.ranks[self.rank_index(addr)].earliest_issue(cmd, addr, &self.timings)
+        self.ranks[addr.rank()].earliest_issue(cmd, addr, &self.timings)
     }
 
     /// Whether `cmd` to `addr` may be issued at `now`. A command that is
@@ -147,9 +141,9 @@ impl DramDevice {
     /// Panics if the command is illegal at `now`; callers must consult
     /// [`DramDevice::can_issue`] first.
     pub fn issue(&mut self, cmd: MemCommand, addr: &DramAddress, now: Cycle) -> IssueOutcome {
-        let rank_idx = self.rank_index(addr);
-        let completes_at = self.ranks[rank_idx].issue(cmd, addr, now, &self.timings);
-        self.stats.per_rank[rank_idx].record(cmd);
+        let rank = addr.rank();
+        let completes_at = self.ranks[rank].issue(cmd, addr, now, &self.timings);
+        self.stats.per_rank[rank].record(cmd);
         if cmd == MemCommand::Activate {
             let global_bank = addr.global_bank_index(
                 self.organization.ranks,
@@ -194,6 +188,18 @@ mod tests {
 
     fn addr(bg: usize, bank: usize, row: u64, col: u64) -> DramAddress {
         DramAddress::new(0, 0, bg, bank, row, col)
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one channel")]
+    fn new_rejects_more_than_one_channel() {
+        DramDevice::new(
+            DramOrganization {
+                channels: 2,
+                ..DramOrganization::default()
+            },
+            DramTimings::ddr4_2400().into_cycles(&TimeConverter::default()),
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! The model captures everything a RowHammer mitigation study needs from a
 //! DRAM device:
 //!
-//! * the bank / bank-group / rank / channel organization,
+//! * the bank / bank-group / rank organization of one channel,
 //! * the row-buffer state machine of every bank,
 //! * the DDR4 timing constraints that bound how fast rows can be activated
 //!   (`tRC`, `tRCD`, `tRP`, `tRAS`, `tRRD_S/L`, `tFAW`, `tCCD_S/L`, `tWTR`,

@@ -6,7 +6,10 @@ use serde::{Deserialize, Serialize};
 /// The physical organization of the simulated DRAM subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramOrganization {
-    /// Number of independent memory channels.
+    /// Number of independent memory channels. A
+    /// [`DramDevice`](crate::DramDevice) models exactly one; a
+    /// multi-channel system builds one device per channel from
+    /// [`DramOrganization::per_channel`].
     pub channels: usize,
     /// Ranks per channel.
     pub ranks: usize,
@@ -20,14 +23,11 @@ pub struct DramOrganization {
     pub columns_per_row: u64,
     /// Cache-line size in bytes.
     pub line_bytes: u64,
-    /// Number of hardware threads sharing this memory system (used to size
-    /// per-thread defense state).
-    pub threads: usize,
 }
 
 impl Default for DramOrganization {
     /// The paper's simulated system (Table 5): one channel, one rank,
-    /// 4 bank groups x 4 banks, 64K rows per bank, eight cores.
+    /// 4 bank groups x 4 banks, 64K rows per bank.
     fn default() -> Self {
         Self {
             channels: 1,
@@ -37,7 +37,6 @@ impl Default for DramOrganization {
             rows_per_bank: 65_536,
             columns_per_row: 128,
             line_bytes: 64,
-            threads: 8,
         }
     }
 }
@@ -60,7 +59,6 @@ impl DramOrganization {
         nonzero!(rows_per_bank);
         nonzero!(columns_per_row);
         nonzero!(line_bytes);
-        nonzero!(threads);
         Ok(())
     }
 
@@ -69,24 +67,14 @@ impl DramOrganization {
         self.bank_groups * self.banks_per_group
     }
 
-    /// Total ranks in the system.
-    pub fn total_ranks(&self) -> usize {
-        self.channels * self.ranks
-    }
-
     /// Total banks in the system.
     pub fn total_banks(&self) -> usize {
-        self.total_ranks() * self.banks_per_rank()
+        self.channels * self.banks_per_channel()
     }
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.total_banks() as u64 * self.rows_per_bank * self.columns_per_row * self.line_bytes
-    }
-
-    /// Flat rank index for a (channel, rank) pair.
-    pub fn rank_index(&self, channel: usize, rank: usize) -> usize {
-        channel * self.ranks + rank
     }
 
     /// Banks within one channel.
@@ -128,7 +116,6 @@ mod tests {
         assert_eq!(o.total_banks(), 16);
         assert_eq!(o.banks_per_rank(), 16);
         assert_eq!(o.capacity_bytes(), 8 << 30);
-        assert_eq!(o.threads, 8);
         assert!(o.validate().is_ok());
     }
 
@@ -148,21 +135,5 @@ mod tests {
         let g = o.geometry();
         assert_eq!(g.total_banks(), o.total_banks());
         assert_eq!(g.capacity_bytes(), o.capacity_bytes());
-    }
-
-    #[test]
-    fn rank_index_is_dense() {
-        let o = DramOrganization {
-            channels: 2,
-            ranks: 2,
-            ..DramOrganization::default()
-        };
-        let mut seen = std::collections::HashSet::new();
-        for ch in 0..2 {
-            for ra in 0..2 {
-                assert!(seen.insert(o.rank_index(ch, ra)));
-            }
-        }
-        assert_eq!(seen.len(), o.total_ranks());
     }
 }

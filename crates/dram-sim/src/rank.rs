@@ -13,7 +13,6 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Rank {
     banks: Vec<Bank>,
-    bank_groups: usize,
     banks_per_group: usize,
     /// Issue cycles of the most recent activations (bounded to 4, for tFAW).
     recent_activations: VecDeque<Cycle>,
@@ -36,7 +35,6 @@ impl Rank {
     pub fn new(org: &DramOrganization) -> Self {
         Self {
             banks: (0..org.banks_per_rank()).map(|_| Bank::new()).collect(),
-            bank_groups: org.bank_groups,
             banks_per_group: org.banks_per_group,
             recent_activations: VecDeque::with_capacity(4),
             last_activate: None,
@@ -46,11 +44,6 @@ impl Rank {
             refresh_busy_until: 0,
             refreshes: 0,
         }
-    }
-
-    /// Number of banks in this rank.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
     }
 
     /// Immutable view of a bank by its flat index within the rank.
@@ -266,11 +259,6 @@ impl Rank {
     /// Total cycles banks of this rank spent with a row open.
     pub fn total_active_cycles(&self) -> Cycle {
         self.banks.iter().map(Bank::active_cycles).sum()
-    }
-
-    /// Number of bank groups in this rank.
-    pub fn bank_group_count(&self) -> usize {
-        self.bank_groups
     }
 }
 

@@ -6,6 +6,10 @@ use dram_sim::{DramOrganization, DramTimings};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::MemoryController`].
+///
+/// The full-system configuration uses the same type for every channel at
+/// once: there `organization.channels` may exceed 1, and each channel's
+/// controller gets a copy with [`DramOrganization::per_channel`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MemCtrlConfig {
     /// DRAM organization.
@@ -26,13 +30,10 @@ pub struct MemCtrlConfig {
     /// Write-drain low watermark: draining stops once the write queue falls
     /// to this level.
     pub write_drain_low: usize,
-    /// Minimum gap between two commands on one channel's command bus, in
+    /// Minimum gap between two commands on the channel's command bus, in
     /// simulation cycles (the DDR4 command bus runs slower than the CPU
     /// clock).
     pub command_bus_interval: Cycle,
-    /// Whether periodic auto-refresh is performed. Disabling it is useful
-    /// only for focused unit tests.
-    pub refresh_enabled: bool,
     /// How the FR-FCFS scheduling passes scan the demand queues. The two
     /// policies make identical decisions; [`SchedulerPolicy::LinearScan`]
     /// exists as the equivalence and benchmark baseline.
@@ -53,7 +54,6 @@ impl Default for MemCtrlConfig {
             write_drain_high: 48,
             write_drain_low: 16,
             command_bus_interval: 3,
-            refresh_enabled: true,
             scheduler: SchedulerPolicy::default(),
         }
     }

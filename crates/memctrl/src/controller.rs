@@ -3,9 +3,7 @@
 use crate::config::MemCtrlConfig;
 use crate::scheduler::Scheduler;
 use crate::stats::CtrlStats;
-use bh_types::{
-    AccessType, Cycle, DramAddress, MemCommand, MemRequest, ReqId, RequestOrigin, ThreadId,
-};
+use bh_types::{AccessType, Cycle, DramAddress, MemCommand, MemRequest, ReqId, ThreadId};
 use dram_sim::{DramDevice, DramStats, IssueOutcome, TimingsInCycles};
 use mitigations::RowHammerDefense;
 use std::collections::hash_map::Entry;
@@ -58,7 +56,7 @@ pub struct CompletedRequest {
     pub completed_at: Cycle,
 }
 
-/// The DDR4 memory controller.
+/// The DDR4 memory controller of one channel.
 ///
 /// See the crate-level documentation for the scheduling policy and the
 /// defense hook points.
@@ -69,7 +67,8 @@ pub struct MemoryController {
     dram: DramDevice,
     /// The demand queues plus the FR-FCFS scheduling index over them.
     scheduler: Scheduler,
-    victim_queue: Vec<MemRequest>,
+    /// Victim rows the defense asked to refresh, each served as one ACT.
+    victim_queue: Vec<DramAddress>,
     /// Scheduled completions: (cycle, request), in command-issue order.
     pending_completions: Vec<(Cycle, MemRequest)>,
     /// The earliest cycle in `pending_completions` (`Cycle::MAX` if none).
@@ -83,17 +82,18 @@ pub struct MemoryController {
     next_refresh: Vec<Cycle>,
     /// Whether a refresh is overdue per rank.
     refresh_pending: Vec<bool>,
-    /// Per-channel earliest cycle the next command may use the command bus.
-    next_command_at: Vec<Cycle>,
-    /// Per channel, the cycle before which the channel's last command-slot
-    /// pass would fail again unchanged: set when a pass issues nothing
-    /// without consulting the defense, to its retry or refresh cycle, and
-    /// cleared (0) by every push and every issue (victims are injected
-    /// only by an issuing pass). See [`MemoryController::tick`].
-    pass_memo: Vec<Cycle>,
+    /// Earliest cycle the next command may use the command bus.
+    next_command_at: Cycle,
+    /// The cycle before which the last command-slot pass would fail again
+    /// unchanged: set when a pass issues nothing without consulting the
+    /// defense, to its retry or refresh cycle, and cleared (0) by every
+    /// push and every issue (victims are queued only by an issuing pass).
+    /// See [`MemoryController::tick`].
+    pass_memo: Cycle,
     /// Whether the controller is currently draining writes.
     drain_mode: bool,
-    /// Requests that have been skipped at least once due to the defense.
+    /// Queued requests that have been skipped at least once due to the
+    /// defense; an id leaves the set when its request completes.
     delayed_by_defense: HashSet<ReqId>,
     next_req_id: ReqId,
     stats: CtrlStats,
@@ -103,44 +103,49 @@ pub struct MemoryController {
 
 /// What one cycle of a controller did — its tick plus the admissions that
 /// follow it — as event-driven stepping needs to know it: the per-poll
-/// refusals and vetoes a repeat of the cycle would redo, when its failed
-/// command-slot passes could turn out differently, and whether new work
+/// refusals and vetoes a repeat of the cycle would redo, when a failed
+/// command-slot pass could turn out differently, and whether new work
 /// arrived after the tick.
 #[derive(Debug, Default)]
 struct TickTally {
     rejected_queue_full: u64,
     rejected_quota: u64,
-    /// Consults the defense vetoed in this tick's failed passes, in consult
-    /// order (an issuing pass drops its own: its channel runs no pass
-    /// until the slot reopens).
+    /// Consults the defense vetoed in this tick's pass if it failed, in
+    /// consult order (an issuing pass drops its own: no pass runs until
+    /// the slot reopens).
     vetoed: Vec<(ThreadId, DramAddress)>,
-    /// Earliest cycle at which a failed pass of this tick could turn out
+    /// Earliest cycle at which this tick's failed pass could turn out
     /// differently: a refused DRAM timing check passing, or a refresh
-    /// deadline of the pass's channel.
+    /// deadline.
     retry_at: Cycle,
     /// A request was admitted since the tick.
     queued: bool,
 }
 
 impl MemoryController {
-    /// Creates a controller from its configuration.
+    /// Creates the controller of one memory channel from its
+    /// configuration. A system with several channels runs one controller
+    /// per channel (the `sim` crate's `MemorySubsystem`).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid; use
-    /// [`MemCtrlConfig::validate`] to check it fallibly first.
+    /// Panics if the configuration is invalid (use
+    /// [`MemCtrlConfig::validate`] to check it fallibly first) or if
+    /// `config.organization.channels` is not 1.
     pub fn new(config: MemCtrlConfig) -> Self {
         // lint: allow(panic-freedom) -- documented constructor contract; MemCtrlConfig::validate is the fallible path
         config.validate().expect("invalid memory controller config");
+        assert_eq!(
+            config.organization.channels, 1,
+            "a memory controller models exactly one channel"
+        );
         let timings = config.timings.into_cycles(&config.clock);
         let dram = DramDevice::new(config.organization, timings);
-        let ranks = config.organization.total_ranks();
-        let channels = config.organization.channels;
+        let ranks = config.organization.ranks;
         let scheduler = Scheduler::new(
             config.scheduler,
             config.organization.total_banks(),
             config.organization.banks_per_rank(),
-            config.organization.banks_per_channel(),
             config.read_queue_capacity,
             config.write_queue_capacity,
         );
@@ -154,8 +159,8 @@ impl MemoryController {
             inflight: HashMap::new(),
             next_refresh: vec![timings.t_refi; ranks],
             refresh_pending: vec![false; ranks],
-            next_command_at: vec![0; channels],
-            pass_memo: vec![0; channels],
+            next_command_at: 0,
+            pass_memo: 0,
             drain_mode: false,
             delayed_by_defense: HashSet::new(),
             next_req_id: 0,
@@ -209,13 +214,11 @@ impl MemoryController {
         addr.global_bank_index(org.ranks, org.bank_groups, org.banks_per_group)
     }
 
-    /// The single admission predicate shared by [`MemoryController::can_accept`],
-    /// [`MemoryController::enqueue`] and [`MemoryController::enqueue_batch`],
-    /// so they can never disagree on which rejection fires first: defense
-    /// quota, then queue space. `quota` is the defense's in-flight limit
-    /// for the `<thread, bank>` pair (batched callers amortize that trait
-    /// call); `free_slots` is the remaining space in the target queue.
-    fn admission_error_with(
+    /// The admission predicate: defense quota first, then queue space.
+    /// `quota` is the defense's in-flight limit for the `<thread, bank>`
+    /// pair (the batch amortizes that trait call); `free_slots` is the
+    /// remaining space in the target queue.
+    fn admission_error(
         &self,
         thread: ThreadId,
         bank: usize,
@@ -247,39 +250,6 @@ impl MemoryController {
                 .write_queue_capacity
                 .saturating_sub(self.write_queue_len()),
         }
-    }
-
-    fn admission_error(
-        &self,
-        thread: ThreadId,
-        bank: usize,
-        access: AccessType,
-        defense: &dyn RowHammerDefense,
-    ) -> Option<EnqueueError> {
-        self.admission_error_with(
-            thread,
-            bank,
-            defense.inflight_quota(thread, bank),
-            self.free_slots(access),
-        )
-    }
-
-    /// Whether a new demand request from `thread` for `phys_addr` would be
-    /// accepted right now (defense quota and queue space).
-    pub fn can_accept(
-        &self,
-        thread: ThreadId,
-        phys_addr: u64,
-        access: AccessType,
-        defense: &dyn RowHammerDefense,
-    ) -> bool {
-        let addr = self
-            .config
-            .mapping
-            .decode(&self.config.organization.geometry(), phys_addr);
-        let bank = self.global_bank(&addr);
-        self.admission_error(thread, bank, access, defense)
-            .is_none()
     }
 
     /// Accepts a demand request into the controller.
@@ -356,7 +326,7 @@ impl MemoryController {
                     quota
                 }
             };
-            match self.admission_error_with(thread, bank, quota, free_slots) {
+            match self.admission_error(thread, bank, quota, free_slots) {
                 Some(EnqueueError::QuotaExceeded) => {
                     self.stats.rejected_quota += 1;
                     self.tally.rejected_quota += 1;
@@ -374,11 +344,11 @@ impl MemoryController {
             free_slots -= 1;
             let id = self.next_req_id;
             self.next_req_id += 1;
-            let request = MemRequest::demand(id, thread, phys_addr, addr, access, now);
+            let request = MemRequest::demand(id, thread, addr, access, now);
             *self.inflight.entry(key).or_insert(0) += 1;
             self.stats.accepted_requests += 1;
             self.tally.queued = true;
-            self.pass_memo.fill(0);
+            self.pass_memo = 0;
             self.scheduler.push(access, bank, request);
             on_accept(id, tag);
             outcome.accepted += 1;
@@ -387,14 +357,14 @@ impl MemoryController {
     }
 
     /// Advances the controller by one cycle: completes finished requests,
-    /// issues at most one DRAM command per channel, and consults the
-    /// defense at every hook point.
+    /// issues at most one DRAM command when the command slot is open, and
+    /// consults the defense at every hook point.
     ///
-    /// A channel's command-slot pass that issues nothing and consults no
-    /// defense is remembered until its retry or refresh cycle: until then,
-    /// or until the next push or issue (victim injection comes with an
-    /// issue), the channel skips the pass, because it would fail again the
-    /// same way. Such a pass found no legal command at all (a legal ACT
+    /// A command-slot pass that issues nothing and consults no defense is
+    /// remembered until its retry or refresh cycle: until then, or until
+    /// the next push or issue (victims are queued only with an issue), the
+    /// controller skips the pass, because it would fail again the same
+    /// way. Such a pass found no legal command at all (a legal ACT
     /// consults the defense, any other legal command issues), and legality
     /// changes only with an issue or at a refused check's retry cycle.
     pub fn tick(
@@ -409,41 +379,33 @@ impl MemoryController {
         self.tally.queued = false;
         defense.tick(now);
         let completed = self.collect_completions(now);
-        for channel in 0..self.config.organization.channels {
-            if now < self.next_command_at[channel] {
-                continue;
-            }
-            if now < self.pass_memo[channel] {
-                self.tally.retry_at = self.tally.retry_at.min(self.pass_memo[channel]);
-                continue;
-            }
-            let vetoed = self.tally.vetoed.len();
-            let issued = self.try_issue_command(channel, now, defense);
-            let retry_at = self.dram.take_retry_at();
-            if issued {
-                self.next_command_at[channel] = now + self.config.command_bus_interval;
-                self.tally.vetoed.truncate(vetoed);
-                self.pass_memo.fill(0);
-            } else {
-                let until = retry_at.min(self.refresh_deadline(channel));
-                self.tally.retry_at = self.tally.retry_at.min(until);
-                if self.tally.vetoed.len() == vetoed {
-                    self.pass_memo[channel] = until;
-                }
+        if now < self.next_command_at {
+            return completed;
+        }
+        if now < self.pass_memo {
+            self.tally.retry_at = self.pass_memo;
+            return completed;
+        }
+        let issued = self.try_issue_command(now, defense);
+        let retry_at = self.dram.take_retry_at();
+        if issued {
+            self.next_command_at = now + self.config.command_bus_interval;
+            self.tally.vetoed.clear();
+            self.pass_memo = 0;
+        } else {
+            self.tally.retry_at = retry_at.min(self.refresh_deadline());
+            if self.tally.vetoed.is_empty() {
+                self.pass_memo = self.tally.retry_at;
             }
         }
         completed
     }
 
-    /// The earliest auto-refresh deadline among `channel`'s ranks
-    /// (`Cycle::MAX` with refresh disabled).
-    fn refresh_deadline(&self, channel: usize) -> Cycle {
-        if !self.config.refresh_enabled {
-            return Cycle::MAX;
-        }
-        let org = &self.config.organization;
-        (0..org.ranks)
-            .map(|rank| self.next_refresh[org.rank_index(channel, rank)])
+    /// The earliest auto-refresh deadline among the ranks.
+    fn refresh_deadline(&self) -> Cycle {
+        self.next_refresh
+            .iter()
+            .copied()
             .min()
             .unwrap_or(Cycle::MAX)
     }
@@ -451,32 +413,30 @@ impl MemoryController {
     /// After the tick at `now` and the admissions that followed it, the
     /// earliest later cycle at which ticking again could do anything but
     /// repeat this cycle's refusals and vetoes, or `None` if that may be
-    /// the very next cycle. It is the earliest of a command slot reopening
-    /// after an issue, a completion falling due, the defense's
-    /// `next_event`, and — for a channel whose pass failed — the pass's
-    /// retry or refresh cycle; but a request admitted since the tick
-    /// gives a channel with an open slot work at once (`None`).
+    /// the very next cycle. It is the earliest of the command slot
+    /// reopening after an issue, a completion falling due, the defense's
+    /// `next_event`, and — if the pass failed — the pass's retry or
+    /// refresh cycle; but a request admitted since the tick gives an open
+    /// slot work at once (`None`).
     ///
     /// Every other input of the tick and of admission (queue contents and
     /// space, in-flight counts, open rows) changes only through those
     /// events, so until then each cycle repeats this one's refusals and
-    /// its failed passes' vetoes exactly;
-    /// [`MemoryController::replay_idle`] accounts for them.
+    /// its failed pass's vetoes exactly; [`MemoryController::replay_idle`]
+    /// accounts for them.
     // lint: alloc-free
     pub fn idle_until(&self, now: Cycle, defense: &dyn RowHammerDefense) -> Option<Cycle> {
         let mut at = self.tally.retry_at.min(self.next_completion);
-        for &slot in &self.next_command_at {
-            if slot > now {
-                at = at.min(slot);
-            } else if self.tally.queued {
-                return None;
-            }
+        if self.next_command_at > now {
+            at = at.min(self.next_command_at);
+        } else if self.tally.queued {
+            return None;
         }
         Some(defense.next_event(now).map_or(at, |event| at.min(event)))
     }
 
     /// Accounts for the cycles in `skipped`, each of which would have
-    /// repeated the last cycle's refusals and failed passes (see
+    /// repeated the last cycle's refusals and failed pass (see
     /// [`MemoryController::idle_until`]): adds its per-poll refusals once
     /// per skipped cycle and lets the defense replay its vetoed consults.
     // lint: alloc-free
@@ -520,40 +480,32 @@ impl MemoryController {
 
     fn finish_request(&mut self, request: &MemRequest, completed_at: Cycle) {
         let bank = self.global_bank(&request.dram_addr);
-        if request.origin == RequestOrigin::Core {
-            if let Entry::Occupied(mut entry) = self.inflight.entry((request.thread.index(), bank))
-            {
-                let count = entry.get_mut();
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    entry.remove();
-                }
+        if let Entry::Occupied(mut entry) = self.inflight.entry((request.thread.index(), bank)) {
+            let count = entry.get_mut();
+            *count = count.saturating_sub(1);
+            if *count == 0 {
+                entry.remove();
             }
-            match request.access {
-                AccessType::Read => {
-                    let latency = completed_at.saturating_sub(request.arrival);
-                    self.stats.record_read_completion(request.thread, latency);
-                }
-                AccessType::Write => self.stats.writes_completed += 1,
+        }
+        self.delayed_by_defense.remove(&request.id);
+        match request.access {
+            AccessType::Read => {
+                let latency = completed_at.saturating_sub(request.arrival);
+                self.stats.record_read_completion(request.thread, latency);
             }
+            AccessType::Write => self.stats.writes_completed += 1,
         }
     }
 
-    /// Attempts to issue one command on `channel`. Returns whether a
-    /// command (or an internally-completed victim refresh) consumed the
-    /// command slot.
-    fn try_issue_command(
-        &mut self,
-        channel: usize,
-        now: Cycle,
-        defense: &mut dyn RowHammerDefense,
-    ) -> bool {
-        if self.config.refresh_enabled && self.handle_refresh(channel, now) {
+    /// Attempts to issue one command. Returns whether a command (or an
+    /// internally-completed victim refresh) consumed the command slot.
+    fn try_issue_command(&mut self, now: Cycle, defense: &mut dyn RowHammerDefense) -> bool {
+        if self.handle_refresh(now) {
             return true;
         }
-        // Victim refreshes injected by the defense have priority: they are
+        // Victim refreshes the defense asked for have priority: they are
         // the defense's security-critical traffic.
-        if !self.victim_queue.is_empty() && self.serve_victim_queue(channel, now, defense) {
+        if !self.victim_queue.is_empty() && self.serve_victim_queue(now) {
             return true;
         }
         // Write-drain hysteresis.
@@ -564,45 +516,44 @@ impl MemoryController {
         }
         let serve_writes = self.drain_mode || self.scheduler.is_empty(AccessType::Read);
         if serve_writes && !self.scheduler.is_empty(AccessType::Write) {
-            self.serve_demand_queue(AccessType::Write, channel, now, defense)
+            self.serve_demand_queue(AccessType::Write, now, defense)
         } else if !self.scheduler.is_empty(AccessType::Read) {
-            self.serve_demand_queue(AccessType::Read, channel, now, defense)
+            self.serve_demand_queue(AccessType::Read, now, defense)
         } else {
             false
         }
     }
 
     /// Issues precharges / REF commands needed for overdue auto-refresh.
-    /// Every rank of the channel is scanned before deciding: the first rank
-    /// with an actionable pending refresh gets the command slot, and the
-    /// slot is only held idle (blocking demand traffic, so no new
-    /// activations can postpone the refresh further) when at least one rank
-    /// has a pending refresh and *no* rank could issue anything for it.
-    /// Returns whether a command slot was consumed.
-    fn handle_refresh(&mut self, channel: usize, now: Cycle) -> bool {
+    /// Every rank is scanned before deciding: the first rank with an
+    /// actionable pending refresh gets the command slot, and the slot is
+    /// only held idle (blocking demand traffic, so no new activations can
+    /// postpone the refresh further) when at least one rank has a pending
+    /// refresh and *no* rank could issue anything for it. Returns whether a
+    /// command slot was consumed.
+    fn handle_refresh(&mut self, now: Cycle) -> bool {
         let org = self.config.organization;
         let mut pending_blocked = false;
-        for rank_in_channel in 0..org.ranks {
-            let rank_idx = org.rank_index(channel, rank_in_channel);
-            if now >= self.next_refresh[rank_idx] {
-                self.refresh_pending[rank_idx] = true;
+        for rank in 0..org.ranks {
+            if now >= self.next_refresh[rank] {
+                self.refresh_pending[rank] = true;
             }
-            if !self.refresh_pending[rank_idx] {
+            if !self.refresh_pending[rank] {
                 continue;
             }
             // Any address within the rank works for rank-wide commands.
-            let probe = DramAddress::new(channel, rank_in_channel, 0, 0, 0, 0);
+            let probe = DramAddress::new(0, rank, 0, 0, 0, 0);
             if self.dram.can_issue(MemCommand::Refresh, &probe, now) {
                 self.issue_tracked(MemCommand::Refresh, &probe, now);
                 self.stats.auto_refreshes += 1;
-                self.refresh_pending[rank_idx] = false;
-                self.next_refresh[rank_idx] += self.timings.t_refi;
+                self.refresh_pending[rank] = false;
+                self.next_refresh[rank] += self.timings.t_refi;
                 return true;
             }
             // Close any open bank so the refresh can proceed.
             for bg in 0..org.bank_groups {
                 for ba in 0..org.banks_per_group {
-                    let addr = DramAddress::new(channel, rank_in_channel, bg, ba, 0, 0);
+                    let addr = DramAddress::new(0, rank, bg, ba, 0, 0);
                     if self.dram.open_row(&addr).is_some()
                         && self.dram.can_issue(MemCommand::Precharge, &addr, now)
                     {
@@ -622,17 +573,9 @@ impl MemoryController {
     /// physically an activation of the victim row; a victim whose row is
     /// already open has effectively just been refreshed and completes
     /// without a command.
-    fn serve_victim_queue(
-        &mut self,
-        channel: usize,
-        now: Cycle,
-        _defense: &mut dyn RowHammerDefense,
-    ) -> bool {
+    fn serve_victim_queue(&mut self, now: Cycle) -> bool {
         for i in 0..self.victim_queue.len() {
-            let addr = self.victim_queue[i].dram_addr;
-            if addr.channel() != channel {
-                continue;
-            }
+            let addr = self.victim_queue[i];
             match self.dram.open_row(&addr) {
                 Some(open) if open == addr.row() => {
                     // Row already open: the restore has just happened.
@@ -664,12 +607,11 @@ impl MemoryController {
     fn serve_demand_queue(
         &mut self,
         kind: AccessType,
-        channel: usize,
         now: Cycle,
         defense: &mut dyn RowHammerDefense,
     ) -> bool {
         // Pass 1: oldest row-buffer hit.
-        if let Some(request) = self.scheduler.take_row_hit(kind, channel, now, &self.dram) {
+        if let Some(request) = self.scheduler.take_row_hit(kind, now, &self.dram) {
             let cmd = match kind {
                 AccessType::Read => MemCommand::Read,
                 AccessType::Write => MemCommand::Write,
@@ -688,20 +630,18 @@ impl MemoryController {
             let stats = &mut self.stats;
             let vetoed = &mut self.tally.vetoed;
             self.scheduler
-                .pick_activation(kind, channel, now, &self.dram, defense, |request| {
+                .pick_activation(kind, now, &self.dram, defense, |request| {
                     if delayed.insert(request.id) {
                         stats.activations_delayed_by_defense += 1;
                     }
                     vetoed.push((request.thread, request.dram_addr));
                 })
         };
-        if let Some(pick) = pick {
-            self.issue_tracked(MemCommand::Activate, &pick.addr, now);
+        if let Some((thread, addr)) = pick {
+            self.issue_tracked(MemCommand::Activate, &addr, now);
             self.stats.row_misses += 1;
-            if pick.origin == RequestOrigin::Core {
-                let victims = defense.on_activation(now, pick.thread, &pick.addr);
-                self.inject_victim_refreshes(victims, now);
-            }
+            let victims = defense.on_activation(now, thread, &addr);
+            self.victim_queue.extend(victims);
             return true;
         }
         // Pass 3: oldest conflicting request -> precharge, but only if no
@@ -709,7 +649,7 @@ impl MemoryController {
         // FR-FCFS).
         if let Some(addr) = self
             .scheduler
-            .pick_conflict_precharge(kind, channel, now, &self.dram)
+            .pick_conflict_precharge(kind, now, &self.dram)
         {
             self.issue_tracked(MemCommand::Precharge, &addr, now);
             self.stats.row_conflicts += 1;
@@ -726,25 +666,15 @@ impl MemoryController {
         self.scheduler.note_issue(cmd, bank, addr.row());
         #[cfg(debug_assertions)]
         {
-            let org = &self.config.organization;
-            let rank_idx = org.rank_index(addr.channel(), addr.rank());
+            let banks_per_group = self.config.organization.banks_per_group;
             debug_assert_eq!(
                 self.scheduler.cached_open_row(bank),
                 self.dram
-                    .open_row_at(rank_idx, addr.bank_in_rank(org.banks_per_group)),
+                    .open_row_at(addr.rank(), addr.bank_in_rank(banks_per_group)),
                 "open-row cache diverged from the device on {cmd} to {addr}"
             );
         }
         outcome
-    }
-
-    fn inject_victim_refreshes(&mut self, victims: Vec<DramAddress>, now: Cycle) {
-        for victim in victims {
-            let id = self.next_req_id;
-            self.next_req_id += 1;
-            self.victim_queue
-                .push(MemRequest::victim_refresh(id, victim, now));
-        }
     }
 
     /// Finalizes the run at `now`, returning DRAM statistics (command
@@ -789,6 +719,14 @@ mod tests {
             }
         }
         done
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one channel")]
+    fn new_rejects_more_than_one_channel() {
+        let mut config = MemCtrlConfig::default();
+        config.organization.channels = 2;
+        MemoryController::new(config);
     }
 
     #[test]
@@ -1007,29 +945,34 @@ mod tests {
         let geometry = ctrl.config().organization.geometry();
         let mapping = ctrl.config().mapping;
         let mut cycle = 0;
+        let mut reads = Vec::new();
+        let mut done = Vec::new();
         // Hammer two rows of one bank alternately.
         for i in 0..400u64 {
             let row = if i % 2 == 0 { 1000 } else { 1002 };
             let phys = mapping.encode(&geometry, &DramAddress::new(0, 0, 0, 0, row, 0));
             loop {
-                if ctrl
-                    .enqueue(ThreadId::new(0), phys, AccessType::Read, cycle, &defense)
-                    .is_ok()
+                if let Ok(id) =
+                    ctrl.enqueue(ThreadId::new(0), phys, AccessType::Read, cycle, &defense)
                 {
+                    reads.push(id);
                     break;
                 }
-                ctrl.tick(cycle, &mut defense);
+                done.extend(ctrl.tick(cycle, &mut defense));
                 cycle += 1;
             }
         }
         while !ctrl.is_idle() && cycle < 2_000_000 {
-            ctrl.tick(cycle, &mut defense);
+            done.extend(ctrl.tick(cycle, &mut defense));
             cycle += 1;
         }
         assert!(
             ctrl.stats().victim_refreshes_performed > 0,
             "PARA's victim refreshes must reach DRAM"
         );
+        let mut completed: Vec<ReqId> = done.iter().map(|c| c.request.id).collect();
+        completed.sort_unstable();
+        assert_eq!(completed, reads, "exactly the 400 demand reads complete");
         assert!(defense.stats().victim_refreshes >= ctrl.stats().victim_refreshes_performed);
     }
 
@@ -1070,8 +1013,6 @@ mod tests {
             .enqueue(ThreadId::new(1), 0x2000, AccessType::Read, 0, &defense)
             .unwrap_err();
         assert_eq!(err, EnqueueError::QuotaExceeded);
-        assert!(!ctrl.can_accept(ThreadId::new(1), 0x2000, AccessType::Read, &defense));
-        assert!(ctrl.can_accept(ThreadId::new(0), 0x3000, AccessType::Read, &defense));
     }
 
     #[test]
@@ -1118,6 +1059,10 @@ mod tests {
             done[0].completed_at
         );
         assert_eq!(ctrl.stats().activations_delayed_by_defense, 1);
+        assert!(
+            ctrl.delayed_by_defense.is_empty(),
+            "a completed request leaves the delayed set"
+        );
     }
 
     #[test]

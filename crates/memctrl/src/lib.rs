@@ -6,15 +6,17 @@
 //! The controller implements the system described in the BlockHammer
 //! paper's methodology (Table 5): FR-FCFS scheduling with write draining,
 //! 64-entry read and write queues, MOP address mapping, open-page row
-//! buffer policy, and periodic all-bank refresh. A [`RowHammerDefense`]
-//! (the trait from the `mitigations` crate) is consulted:
+//! buffer policy, and periodic all-bank refresh. One controller drives one
+//! memory channel; a system with more channels runs one controller (and
+//! one defense) per channel. A [`RowHammerDefense`] (the trait from the
+//! `mitigations` crate) is consulted:
 //!
 //! * before every row activation (`is_activation_safe`) — proactive
 //!   throttling defenses such as BlockHammer answer `false` to delay an
 //!   unsafe activation;
 //! * after every demand activation (`on_activation`) — reactive-refresh
-//!   defenses return victim rows, which the controller turns into
-//!   high-priority refresh traffic;
+//!   defenses return victim rows, which join a queue of row addresses that
+//!   the controller serves as ACTs, ahead of demand traffic;
 //! * on request admission (`inflight_quota`) — AttackThrottler-style
 //!   defenses bound a thread's in-flight requests per bank.
 //!

@@ -148,7 +148,6 @@ mod tests {
         MemRequest::demand(
             id,
             ThreadId::new(0),
-            0,
             DramAddress::new(0, 0, bank_group, bank, row, 0),
             AccessType::Read,
             id,

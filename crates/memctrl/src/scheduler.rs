@@ -40,7 +40,7 @@
 //! this equivalence on randomized workloads.
 
 use crate::queues::{BankedQueue, OpenRowCache};
-use bh_types::{AccessType, Cycle, DramAddress, MemCommand, MemRequest, ReqId, RequestOrigin};
+use bh_types::{AccessType, Cycle, DramAddress, MemCommand, MemRequest, ReqId, ThreadId};
 use dram_sim::DramDevice;
 use mitigations::RowHammerDefense;
 use serde::{Deserialize, Serialize};
@@ -48,8 +48,7 @@ use serde::{Deserialize, Serialize};
 /// How the controller's scheduling hot path scans the demand queues.
 ///
 /// Both policies implement the same FR-FCFS semantics and make identical
-/// decisions; they differ only in cost. See the [module](self)
-/// documentation.
+/// decisions; they differ only in cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SchedulerPolicy {
     /// One flat vector per queue, re-scanned O(queue length) per pass.
@@ -58,16 +57,6 @@ pub enum SchedulerPolicy {
     /// banks that have work.
     #[default]
     BankedIndex,
-}
-
-/// Fields of a request the controller needs after deciding to activate:
-/// the queue keeps the request (it completes later as a row hit), so the
-/// scheduler hands back copies instead of removing it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ActivationPick {
-    pub thread: bh_types::ThreadId,
-    pub addr: DramAddress,
-    pub origin: RequestOrigin,
 }
 
 /// One demand queue in the representation its policy requires.
@@ -96,7 +85,6 @@ pub(crate) struct Scheduler {
     /// Banked policy only: per global bank, the queued reads and writes
     /// (indexed by [`kind_index`]) that target the bank's open row.
     open_row_hits: Vec<[u32; 2]>,
-    banks_per_channel: usize,
     /// Scratch cursor list for `pick_activation`'s banked merge, kept
     /// across calls so the per-cycle pass never allocates.
     act_cursors: Vec<(usize, usize)>,
@@ -115,7 +103,6 @@ impl Scheduler {
         policy: SchedulerPolicy,
         total_banks: usize,
         banks_per_rank: usize,
-        banks_per_channel: usize,
         read_capacity: usize,
         write_capacity: usize,
     ) -> Self {
@@ -128,7 +115,6 @@ impl Scheduler {
             write: make(write_capacity),
             open_rows: OpenRowCache::new(total_banks, banks_per_rank),
             open_row_hits: vec![[0; 2]; total_banks],
-            banks_per_channel,
             act_cursors: Vec::new(),
         }
     }
@@ -233,20 +219,12 @@ impl Scheduler {
         self.open_rows.get(bank)
     }
 
-    /// Global banks belonging to `channel`, per the
-    /// [`DramAddress::global_bank_index`] layout (channel bits on top).
-    fn channel_banks(&self, channel: usize) -> std::ops::Range<usize> {
-        let start = channel * self.banks_per_channel;
-        start..start + self.banks_per_channel
-    }
-
-    /// Pass 1: removes and returns the oldest row-buffer hit of `channel`
-    /// whose column command is legal at `now`.
+    /// Pass 1: removes and returns the oldest row-buffer hit whose column
+    /// command is legal at `now`.
     // lint: alloc-free
     pub(crate) fn take_row_hit(
         &mut self,
         kind: AccessType,
-        channel: usize,
         now: Cycle,
         dram: &DramDevice,
     ) -> Option<MemRequest> {
@@ -258,9 +236,7 @@ impl Scheduler {
             QueueRepr::Linear(q) => {
                 let i = q.iter().position(|request| {
                     let addr = &request.dram_addr;
-                    addr.channel() == channel
-                        && dram.open_row(addr) == Some(addr.row())
-                        && dram.can_issue(cmd, addr, now)
+                    dram.open_row(addr) == Some(addr.row()) && dram.can_issue(cmd, addr, now)
                 })?;
                 let QueueRepr::Linear(q) = self.queue_mut(kind) else {
                     // lint: allow(panic-freedom) -- queue representation is chosen once at construction and never changes
@@ -270,7 +246,7 @@ impl Scheduler {
             }
             QueueRepr::Banked(q) => {
                 let mut best: Option<(ReqId, usize, usize)> = None;
-                for bank in self.channel_banks(channel) {
+                for bank in 0..self.open_row_hits.len() {
                     if self.open_row_hits[bank][kind_index(kind)] == 0 {
                         continue;
                     }
@@ -307,31 +283,30 @@ impl Scheduler {
         }
     }
 
-    /// Pass 2: the oldest request of `channel` to a precharged bank whose
-    /// ACT is legal at `now` and which the defense does not veto. The
-    /// request stays queued (it completes later as a row hit); `on_veto` is
-    /// called for every request the defense skipped, in consult order.
+    /// Pass 2: the oldest request to a precharged bank whose ACT is legal
+    /// at `now` and which the defense does not veto, as its thread and
+    /// address. The request stays queued (it completes later as a row
+    /// hit); `on_veto` is called for every request the defense skipped, in
+    /// consult order.
     // lint: alloc-free
     pub(crate) fn pick_activation(
         &mut self,
         kind: AccessType,
-        channel: usize,
         now: Cycle,
         dram: &DramDevice,
         defense: &mut dyn RowHammerDefense,
         mut on_veto: impl FnMut(&MemRequest),
-    ) -> Option<ActivationPick> {
+    ) -> Option<(ThreadId, DramAddress)> {
         // The banked path's cursor list lives on the scheduler so this
         // per-cycle pass never allocates (it reaches capacity — at most
-        // banks-per-channel entries — after the first few calls).
+        // one entry per bank — after the first few calls).
         let mut cursors = std::mem::take(&mut self.act_cursors);
         cursors.clear();
         let result = match self.queue(kind) {
             QueueRepr::Linear(q) => 'linear: {
                 for request in q {
                     let addr = &request.dram_addr;
-                    if addr.channel() != channel
-                        || dram.open_row(addr).is_some()
+                    if dram.open_row(addr).is_some()
                         || !dram.can_issue(MemCommand::Activate, addr, now)
                     {
                         continue;
@@ -339,17 +314,11 @@ impl Scheduler {
                     // The defense may veto (delay) this activation;
                     // skipping the request effectively prioritizes
                     // RowHammer-safe requests, as Section 3.1 describes.
-                    if request.origin == RequestOrigin::Core
-                        && !defense.is_activation_safe(now, request.thread, addr)
-                    {
+                    if !defense.is_activation_safe(now, request.thread, addr) {
                         on_veto(request);
                         continue;
                     }
-                    break 'linear Some(ActivationPick {
-                        thread: request.thread,
-                        addr: *addr,
-                        origin: request.origin,
-                    });
+                    break 'linear Some((request.thread, *addr));
                 }
                 None
             }
@@ -357,7 +326,7 @@ impl Scheduler {
                 // Banks whose ACT is legal now; eligibility is a bank-level
                 // property (activation legality never depends on the row),
                 // so it is decided once per bank.
-                for bank in self.channel_banks(channel) {
+                for bank in 0..self.open_row_hits.len() {
                     let Some(front) = q.bucket(bank).front() else {
                         continue;
                     };
@@ -384,9 +353,7 @@ impl Scheduler {
                     };
                     let (bank, pos) = cursors[cursor];
                     let request = &q.bucket(bank)[pos];
-                    if request.origin == RequestOrigin::Core
-                        && !defense.is_activation_safe(now, request.thread, &request.dram_addr)
-                    {
+                    if !defense.is_activation_safe(now, request.thread, &request.dram_addr) {
                         on_veto(request);
                         if pos + 1 < q.bucket(bank).len() {
                             cursors[cursor].1 = pos + 1;
@@ -395,11 +362,7 @@ impl Scheduler {
                         }
                         continue;
                     }
-                    break Some(ActivationPick {
-                        thread: request.thread,
-                        addr: request.dram_addr,
-                        origin: request.origin,
-                    });
+                    break Some((request.thread, request.dram_addr));
                 }
             }
         };
@@ -408,16 +371,15 @@ impl Scheduler {
         result
     }
 
-    /// Pass 3: the oldest request of `channel` conflicting with its bank's
-    /// open row, provided no queued request (of either queue) still wants
-    /// that open row and the PRE is legal at `now`. Returns the conflicting
-    /// request's address (the PRE target). The banked policy reads "still
-    /// wanted" from the open-row index.
+    /// Pass 3: the oldest request conflicting with its bank's open row,
+    /// provided no queued request (of either queue) still wants that open
+    /// row and the PRE is legal at `now`. Returns the conflicting request's
+    /// address (the PRE target). The banked policy reads "still wanted"
+    /// from the open-row index.
     // lint: alloc-free
     pub(crate) fn pick_conflict_precharge(
         &self,
         kind: AccessType,
-        channel: usize,
         now: Cycle,
         dram: &DramDevice,
     ) -> Option<DramAddress> {
@@ -425,9 +387,6 @@ impl Scheduler {
             (QueueRepr::Linear(q), QueueRepr::Linear(reads), QueueRepr::Linear(writes)) => {
                 for request in q {
                     let addr = &request.dram_addr;
-                    if addr.channel() != channel {
-                        continue;
-                    }
                     let Some(open) = dram.open_row(addr) else {
                         continue;
                     };
@@ -437,8 +396,7 @@ impl Scheduler {
                     // Keep the row open while any queued request still hits
                     // it.
                     let still_wanted = reads.iter().chain(writes.iter()).any(|other| {
-                        other.dram_addr.channel() == addr.channel()
-                            && other.dram_addr.rank() == addr.rank()
+                        other.dram_addr.rank() == addr.rank()
                             && other.dram_addr.bank_group() == addr.bank_group()
                             && other.dram_addr.bank() == addr.bank()
                             && other.dram_addr.row() == open
@@ -454,7 +412,7 @@ impl Scheduler {
             }
             (QueueRepr::Banked(q), QueueRepr::Banked(_), QueueRepr::Banked(_)) => {
                 let mut best: Option<(ReqId, DramAddress)> = None;
-                for bank in self.channel_banks(channel) {
+                for bank in 0..self.open_row_hits.len() {
                     // Keep the row open while any queued read or write
                     // still hits it.
                     if self.open_rows.get(bank).is_none() || self.open_row_hits[bank] != [0; 2] {
@@ -498,21 +456,13 @@ mod tests {
 
     fn scheduler(policy: SchedulerPolicy) -> Scheduler {
         let org = DramOrganization::default();
-        Scheduler::new(
-            policy,
-            org.total_banks(),
-            org.banks_per_rank(),
-            org.banks_per_channel(),
-            64,
-            64,
-        )
+        Scheduler::new(policy, org.total_banks(), org.banks_per_rank(), 64, 64)
     }
 
     fn request(id: u64, bank_group: usize, bank: usize, row: u64) -> MemRequest {
         MemRequest::demand(
             id,
             ThreadId::new(0),
-            0,
             DramAddress::new(0, 0, bank_group, bank, row, 0),
             AccessType::Read,
             id,
@@ -546,7 +496,7 @@ mod tests {
         s.push(AccessType::Read, bank_index(1, 0), request(5, 1, 0, 20));
         s.push(AccessType::Read, bank_index(0, 0), request(6, 0, 0, 10));
         let now = t.t_rrd_s + t.t_rcd; // both column commands legal
-        let hit = s.take_row_hit(AccessType::Read, 0, now, &dram).unwrap();
+        let hit = s.take_row_hit(AccessType::Read, now, &dram).unwrap();
         assert_eq!(hit.id, 5, "the oldest hit wins even in a later bank");
         assert_eq!(s.len(AccessType::Read), 1);
     }
@@ -592,13 +542,13 @@ mod tests {
         }
         let mut defense = VetoFirstTwo(0);
         let mut vetoed = Vec::new();
-        let pick = s
-            .pick_activation(AccessType::Read, 0, 0, &dram, &mut defense, |r| {
+        let (_, addr) = s
+            .pick_activation(AccessType::Read, 0, &dram, &mut defense, |r| {
                 vetoed.push(r.id);
             })
             .unwrap();
         assert_eq!(vetoed, vec![1, 2], "vetoes follow arrival order");
-        assert_eq!(pick.addr.row(), 9, "the third-oldest request survives");
+        assert_eq!(addr.row(), 9, "the third-oldest request survives");
         assert_eq!(
             s.len(AccessType::Read),
             3,
@@ -622,7 +572,6 @@ mod tests {
             MemRequest::demand(
                 2,
                 ThreadId::new(1),
-                0,
                 DramAddress::new(0, 0, 0, 0, 10, 0),
                 AccessType::Write,
                 2,
@@ -632,7 +581,7 @@ mod tests {
         s.push(AccessType::Read, bank_index(1, 0), request(3, 1, 0, 31));
         let now = t.t_rrd_s + t.t_ras; // PRE legal in both banks
         let pre = s
-            .pick_conflict_precharge(AccessType::Read, 0, now, &dram)
+            .pick_conflict_precharge(AccessType::Read, now, &dram)
             .unwrap();
         assert_eq!(pre.bank_group(), 1);
         assert_eq!(pre.row(), 31);
@@ -660,11 +609,11 @@ mod tests {
             "an ACT counts the queued hits"
         );
         let t = *dram.timings();
-        let hit = s.take_row_hit(AccessType::Read, 0, t.t_rcd, &dram).unwrap();
+        let hit = s.take_row_hit(AccessType::Read, t.t_rcd, &dram).unwrap();
         assert_eq!(hit.id, 1);
         assert_eq!(s.open_row_hits[bank], [0, 1]);
         assert_eq!(
-            s.pick_conflict_precharge(AccessType::Read, 0, t.t_ras, &dram),
+            s.pick_conflict_precharge(AccessType::Read, t.t_ras, &dram),
             None,
             "the queued write still wants row 10"
         );
@@ -696,18 +645,14 @@ mod tests {
                 }
             }
             let now = dram.timings().t_rcd;
-            let a = linear.take_row_hit(kind, 0, now, &dram).map(|r| r.id);
-            let b = banked.take_row_hit(kind, 0, now, &dram).map(|r| r.id);
+            let a = linear.take_row_hit(kind, now, &dram).map(|r| r.id);
+            let b = banked.take_row_hit(kind, now, &dram).map(|r| r.id);
             assert_eq!(a, b);
-            let a = linear
-                .pick_activation(kind, 0, now, &dram, &mut defense, |_| {})
-                .map(|p| p.addr);
-            let b = banked
-                .pick_activation(kind, 0, now, &dram, &mut defense, |_| {})
-                .map(|p| p.addr);
+            let a = linear.pick_activation(kind, now, &dram, &mut defense, |_| {});
+            let b = banked.pick_activation(kind, now, &dram, &mut defense, |_| {});
             assert_eq!(a, b);
-            let a = linear.pick_conflict_precharge(kind, 0, now, &dram);
-            let b = banked.pick_conflict_precharge(kind, 0, now, &dram);
+            let a = linear.pick_conflict_precharge(kind, now, &dram);
+            let b = banked.pick_conflict_precharge(kind, now, &dram);
             assert_eq!(a, b);
         }
     }

@@ -5,14 +5,14 @@
 //! six state-of-the-art baselines the BlockHammer paper compares against
 //! (Section 7):
 //!
-//! | Mechanism | Approach | Module |
+//! | Mechanism | Approach | Type |
 //! |---|---|---|
-//! | PARA      | probabilistic reactive refresh | [`para`] |
-//! | PRoHIT    | probabilistic reactive refresh with a hot/cold history table | [`prohit`] |
-//! | MRLoc     | probabilistic reactive refresh with a locality queue | [`mrloc`] |
-//! | CBT       | deterministic reactive refresh, counter tree over row regions | [`cbt`] |
-//! | TWiCe     | deterministic reactive refresh, pruned per-row counter table | [`twice`] |
-//! | Graphene  | deterministic reactive refresh, Misra–Gries frequent-element counters | [`graphene`] |
+//! | PARA      | probabilistic reactive refresh | [`Para`] |
+//! | PRoHIT    | probabilistic reactive refresh with a hot/cold history table | [`ProHit`] |
+//! | MRLoc     | probabilistic reactive refresh with a locality queue | [`MrLoc`] |
+//! | CBT       | deterministic reactive refresh, counter tree over row regions | [`Cbt`] |
+//! | TWiCe     | deterministic reactive refresh, pruned per-row counter table | [`TwiCe`] |
+//! | Graphene  | deterministic reactive refresh, Misra–Gries frequent-element counters | [`Graphene`] |
 //!
 //! plus [`NoMitigation`], the unprotected baseline. BlockHammer itself lives
 //! in the `blockhammer` crate and implements the same trait.

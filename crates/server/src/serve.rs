@@ -12,7 +12,7 @@
 //!   the server;
 //! * the **acceptor** polls a nonblocking listener, handing each
 //!   connection to a short-lived handler thread
-//!   ([`crate::router::handle_connection`]);
+//!   (`router::handle_connection`);
 //! * handler threads read one request, write one response, and exit.
 //!
 //! # Crash safety

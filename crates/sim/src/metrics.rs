@@ -139,11 +139,6 @@ impl RunResult {
     pub fn dram_energy_joules(&self) -> f64 {
         self.energy.total_joules()
     }
-
-    /// IPC of a specific thread.
-    pub fn ipc_of(&self, thread: usize) -> f64 {
-        self.threads[thread].ipc
-    }
 }
 
 /// The multiprogrammed metrics of Section 7, computed for the benign

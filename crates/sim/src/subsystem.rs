@@ -5,18 +5,16 @@
 //! controller — and BlockHammer is instantiated *per memory controller*,
 //! so every channel owns an independent defense. This module models
 //! exactly that: one [`MemoryController`] + DRAM device + boxed
-//! [`RowHammerDefense`] per channel (a [`ChannelShard`]), with physical
-//! addresses routed to shards by the address mapping's channel bits.
+//! [`RowHammerDefense`] per channel (a channel shard), with physical
+//! addresses routed to shards by the address mapping's channel bits. It
+//! is the only place that knows about channels: each shard's controller
+//! and device model exactly one channel, and see channel-local addresses.
 //!
 //! Shards step in lockstep on the calling thread, one cycle at a time and
 //! with completions always collected in channel order, so runs are
 //! deterministic. The shards share no state, but a shard's cycle is far
 //! cheaper than a thread handoff, so parallelism lives one level up:
 //! whole runs fan out over the campaign executor's work-stealing pool.
-//!
-//! With `channels = 1` the subsystem degenerates to exactly the
-//! pre-sharding behaviour: addresses pass through unchanged and the single
-//! shard is the old controller + defense pair.
 
 use crate::metrics::ChannelStats;
 use bh_types::{AccessType, AddressMapping, AddressMappingGeometry, Cycle, ReqId, ThreadId};
@@ -47,6 +45,7 @@ pub struct MemorySubsystem {
     /// Full-system geometry, used only to split addresses into
     /// `(channel, channel-local address)`.
     geometry: AddressMappingGeometry,
+    /// Banks within one channel (the index space of per-shard defenses).
     banks_per_channel: usize,
     /// The shards, in channel order.
     shards: Vec<ChannelShard>,
@@ -105,19 +104,9 @@ impl MemorySubsystem {
         self.shards.len()
     }
 
-    /// Banks within one channel (the index space of per-shard defenses).
-    pub fn banks_per_channel(&self) -> usize {
-        self.banks_per_channel
-    }
-
     /// The channel shard a physical address routes to.
     pub fn channel_of(&self, phys_addr: u64) -> usize {
         self.mapping.channel_of(&self.geometry, phys_addr)
-    }
-
-    /// The defense instance protecting `channel`.
-    pub fn defense(&self, channel: usize) -> &dyn RowHammerDefense {
-        self.shards[channel].defense.as_ref()
     }
 
     /// Mutable access to the defense instance protecting `channel` (e.g.

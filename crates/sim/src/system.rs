@@ -381,7 +381,7 @@ impl System {
         // 1. Memory subsystem: every channel shard issues commands in
         //    lockstep; collect the completions of all shards.
         for (channel, completed) in uncore.mem.tick(now) {
-            if completed.request.is_victim_refresh() || completed.request.access.is_write() {
+            if completed.request.access.is_write() {
                 continue;
             }
             let req_id = (channel, completed.request.id);
