@@ -5,84 +5,21 @@ use std::fmt;
 
 /// A DRAM bus command.
 ///
-/// The set matches what a DDR4 memory controller issues: row commands
-/// (activate / precharge), column commands (read / write, with or without
-/// auto-precharge) and refresh.
+/// The set is what the memory controller's FR-FCFS scheduler issues: row
+/// commands (activate, and precharge of one bank), column commands (read,
+/// write) and all-bank refresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MemCommand {
     /// Open (activate) a row: latches the row into the bank's row buffer.
     Activate,
     /// Close (precharge) the currently open row of a bank.
     Precharge,
-    /// Precharge every bank of a rank (used before refresh).
-    PrechargeAll,
     /// Read a column from the open row.
     Read,
-    /// Read a column and auto-precharge the bank afterwards.
-    ReadAp,
     /// Write a column of the open row.
     Write,
-    /// Write a column and auto-precharge the bank afterwards.
-    WriteAp,
     /// All-bank auto refresh.
     Refresh,
-}
-
-/// Broad classification of commands used by timing bookkeeping and the
-/// energy model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CommandClass {
-    /// Row activation.
-    Activate,
-    /// Row precharge (single bank or all banks).
-    Precharge,
-    /// Column read.
-    Read,
-    /// Column write.
-    Write,
-    /// Refresh.
-    Refresh,
-}
-
-impl MemCommand {
-    /// The broad class this command belongs to.
-    pub fn class(&self) -> CommandClass {
-        match self {
-            MemCommand::Activate => CommandClass::Activate,
-            MemCommand::Precharge | MemCommand::PrechargeAll => CommandClass::Precharge,
-            MemCommand::Read | MemCommand::ReadAp => CommandClass::Read,
-            MemCommand::Write | MemCommand::WriteAp => CommandClass::Write,
-            MemCommand::Refresh => CommandClass::Refresh,
-        }
-    }
-
-    /// Whether this command opens or closes a row (activate / precharge).
-    pub fn is_row_command(&self) -> bool {
-        matches!(
-            self.class(),
-            CommandClass::Activate | CommandClass::Precharge
-        )
-    }
-
-    /// Whether this command transfers data on the bus (read / write).
-    pub fn is_column_command(&self) -> bool {
-        matches!(self.class(), CommandClass::Read | CommandClass::Write)
-    }
-
-    /// Whether this command auto-precharges its bank when it completes.
-    pub fn auto_precharges(&self) -> bool {
-        matches!(self, MemCommand::ReadAp | MemCommand::WriteAp)
-    }
-
-    /// Whether this is a read-direction column command.
-    pub fn is_read(&self) -> bool {
-        matches!(self.class(), CommandClass::Read)
-    }
-
-    /// Whether this is a write-direction column command.
-    pub fn is_write(&self) -> bool {
-        matches!(self.class(), CommandClass::Write)
-    }
 }
 
 impl fmt::Display for MemCommand {
@@ -90,11 +27,8 @@ impl fmt::Display for MemCommand {
         let s = match self {
             MemCommand::Activate => "ACT",
             MemCommand::Precharge => "PRE",
-            MemCommand::PrechargeAll => "PREA",
             MemCommand::Read => "RD",
-            MemCommand::ReadAp => "RDA",
             MemCommand::Write => "WR",
-            MemCommand::WriteAp => "WRA",
             MemCommand::Refresh => "REF",
         };
         f.write_str(s)
@@ -106,48 +40,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classes_cover_every_command() {
-        assert_eq!(MemCommand::Activate.class(), CommandClass::Activate);
-        assert_eq!(MemCommand::Precharge.class(), CommandClass::Precharge);
-        assert_eq!(MemCommand::PrechargeAll.class(), CommandClass::Precharge);
-        assert_eq!(MemCommand::Read.class(), CommandClass::Read);
-        assert_eq!(MemCommand::ReadAp.class(), CommandClass::Read);
-        assert_eq!(MemCommand::Write.class(), CommandClass::Write);
-        assert_eq!(MemCommand::WriteAp.class(), CommandClass::Write);
-        assert_eq!(MemCommand::Refresh.class(), CommandClass::Refresh);
-    }
-
-    #[test]
-    fn row_and_column_commands_are_disjoint() {
-        for cmd in [
-            MemCommand::Activate,
-            MemCommand::Precharge,
-            MemCommand::PrechargeAll,
-            MemCommand::Read,
-            MemCommand::ReadAp,
-            MemCommand::Write,
-            MemCommand::WriteAp,
-            MemCommand::Refresh,
-        ] {
-            assert!(
-                !(cmd.is_row_command() && cmd.is_column_command()),
-                "{cmd} classified as both row and column command"
-            );
-        }
-    }
-
-    #[test]
-    fn auto_precharge_flags() {
-        assert!(MemCommand::ReadAp.auto_precharges());
-        assert!(MemCommand::WriteAp.auto_precharges());
-        assert!(!MemCommand::Read.auto_precharges());
-        assert!(!MemCommand::Activate.auto_precharges());
-    }
-
-    #[test]
     fn display_is_the_jedec_mnemonic() {
         assert_eq!(MemCommand::Activate.to_string(), "ACT");
         assert_eq!(MemCommand::Refresh.to_string(), "REF");
-        assert_eq!(MemCommand::WriteAp.to_string(), "WRA");
+        assert_eq!(MemCommand::Write.to_string(), "WR");
     }
 }

@@ -19,8 +19,7 @@
 //! let addr = DramAddress::new(0, 0, 1, 2, 0x1234, 40);
 //! assert_eq!(addr.row(), 0x1234);
 //! assert_eq!(addr.global_bank_index(1, 4, 4), 6);
-//! let act = MemCommand::Activate;
-//! assert!(act.is_row_command());
+//! assert_eq!(MemCommand::Activate.to_string(), "ACT");
 //! let t = ThreadId::new(3);
 //! assert_eq!(t.index(), 3);
 //! ```
@@ -37,7 +36,7 @@ mod time;
 mod trace;
 
 pub use address::{AddressMapping, AddressMappingGeometry, DramAddress};
-pub use command::{CommandClass, MemCommand};
+pub use command::MemCommand;
 pub use error::ConfigError;
 pub use ids::ThreadId;
 pub use request::{AccessType, MemRequest, ReqId};

@@ -54,20 +54,10 @@ impl TimeConverter {
         self.frequency_hz
     }
 
-    /// Duration of one cycle in nanoseconds.
-    pub fn cycle_time_ns(&self) -> Nanoseconds {
-        1e9 / self.frequency_hz
-    }
-
     /// Converts a duration in nanoseconds to cycles, rounding up so that a
     /// converted timing constraint is never shorter than the original.
     pub fn ns_to_cycles(&self, ns: Nanoseconds) -> Cycle {
         (ns * self.frequency_hz / 1e9).ceil() as Cycle
-    }
-
-    /// Converts a duration in microseconds to cycles (rounding up).
-    pub fn us_to_cycles(&self, us: f64) -> Cycle {
-        self.ns_to_cycles(us * 1e3)
     }
 
     /// Converts a duration in milliseconds to cycles (rounding up).
@@ -105,7 +95,7 @@ mod tests {
             let cycles = clk.ns_to_cycles(ns);
             let back = clk.cycles_to_ns(cycles);
             assert!(back >= ns - 1e-9, "round trip shortened {ns} -> {back}");
-            assert!(back - ns <= clk.cycle_time_ns() + 1e-9);
+            assert!(back - ns <= clk.cycles_to_ns(1) + 1e-9);
         }
     }
 
@@ -127,7 +117,8 @@ mod tests {
     #[test]
     fn us_and_ms_consistent_with_ns() {
         let clk = TimeConverter::new(2.4e9);
-        assert_eq!(clk.us_to_cycles(1.0), clk.ns_to_cycles(1000.0));
+        // One microsecond, given in milliseconds.
+        assert_eq!(clk.ms_to_cycles(0.001), clk.ns_to_cycles(1000.0));
         assert_eq!(clk.ms_to_cycles(1.0), clk.ns_to_cycles(1_000_000.0));
     }
 

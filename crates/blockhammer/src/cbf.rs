@@ -62,7 +62,6 @@ pub struct CountingBloomFilter {
     /// Saturation value of each counter (the paper uses 12-13-bit counters
     /// sized to count up to the blacklisting threshold).
     saturation: u32,
-    insertions: u64,
     /// Current generation; bumped by [`CountingBloomFilter::clear`].
     generation: u32,
 }
@@ -82,7 +81,6 @@ impl CountingBloomFilter {
             counters: vec![0; size],
             hashes: H3HashFamily::new(hash_count, size, seed),
             saturation,
-            insertions: 0,
             generation: 0,
         }
     }
@@ -90,11 +88,6 @@ impl CountingBloomFilter {
     /// Number of counters.
     pub fn size(&self) -> usize {
         self.counters.len()
-    }
-
-    /// Total insertions since the last clear.
-    pub fn insertions(&self) -> u64 {
-        self.insertions
     }
 
     /// The counter indices `row` maps to under the filter's current hash
@@ -115,7 +108,6 @@ impl CountingBloomFilter {
     /// [`CountingBloomFilter::index_set`] under the current seeds).
     // lint: alloc-free
     pub fn insert_at(&mut self, set: &IndexSet) {
-        self.insertions += 1;
         let generation = self.generation;
         let saturation = self.saturation;
         for &idx in set.as_slice() {
@@ -185,7 +177,6 @@ impl CountingBloomFilter {
             self.counters.fill(0);
         }
         self.hashes.reseed(reseed_value);
-        self.insertions = 0;
     }
 }
 
@@ -220,8 +211,6 @@ pub struct DualCountingBloomFilter {
     /// Number of clear operations performed (also used to derive reseed
     /// values).
     clears: u64,
-    /// Rows inserted while already blacklisted (statistic).
-    blacklisted_insertions: u64,
 }
 
 impl DualCountingBloomFilter {
@@ -248,7 +237,6 @@ impl DualCountingBloomFilter {
             next_swap: epoch_cycles.max(1),
             blacklist_threshold,
             clears: 0,
-            blacklisted_insertions: 0,
         }
     }
 
@@ -270,11 +258,6 @@ impl DualCountingBloomFilter {
     /// Number of clear (epoch-rollover) operations performed so far.
     pub fn clears(&self) -> u64 {
         self.clears
-    }
-
-    /// Insertions that targeted an already-blacklisted row.
-    pub fn blacklisted_insertions(&self) -> u64 {
-        self.blacklisted_insertions
     }
 
     fn active_filter(&self) -> &CountingBloomFilter {
@@ -364,9 +347,6 @@ impl DualCountingBloomFilter {
             ActiveFilter::B => self.filter_b.estimate_at(&set_b),
         };
         let blacklisted = estimate >= self.blacklist_threshold;
-        if blacklisted {
-            self.blacklisted_insertions += 1;
-        }
         self.filter_a.insert_at(&set_a);
         self.filter_b.insert_at(&set_b);
         blacklisted
@@ -427,7 +407,6 @@ mod tests {
         assert!(cbf.estimate(7) >= 500);
         cbf.clear(123);
         assert_eq!(cbf.estimate(7), 0);
-        assert_eq!(cbf.insertions(), 0);
     }
 
     #[test]
@@ -570,13 +549,12 @@ mod tests {
     }
 
     #[test]
-    fn observe_reports_blacklisted_insertions() {
+    fn observe_reports_blacklisted_activations() {
         let mut d = DualCountingBloomFilter::new(1024, 4, 10, 1_000_000, 5);
         for i in 0..9 {
             assert!(!d.observe(i, 3));
         }
         assert!(!d.observe(9, 3), "tenth insertion reaches the threshold");
         assert!(d.observe(10, 3), "the row is blacklisted from then on");
-        assert_eq!(d.blacklisted_insertions(), 1);
     }
 }

@@ -14,20 +14,6 @@ use crate::history::HistoryBuffer;
 use bh_types::{Cycle, DramAddress};
 use mitigations::DefenseGeometry;
 
-/// Counters RowBlocker exposes for the analyses in Section 8.4.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RowBlockerStats {
-    /// Activations observed (inserted into the filters).
-    pub observed_activations: u64,
-    /// Queries answered "unsafe" (the activation had to be delayed).
-    pub unsafe_responses: u64,
-    /// Queries whose target row was blacklisted (whether or not it was also
-    /// recently activated).
-    pub blacklisted_queries: u64,
-    /// Activations of rows that were blacklisted at insertion time.
-    pub blacklisted_activations: u64,
-}
-
 /// The RowBlocker mechanism (RowBlocker-BL + RowBlocker-HB).
 #[derive(Debug, Clone)]
 pub struct RowBlocker {
@@ -42,7 +28,6 @@ pub struct RowBlocker {
     /// against this cache answers "is any epoch work due?" in O(1) instead
     /// of walking every bank's filter on every query.
     next_epoch_at: Cycle,
-    stats: RowBlockerStats,
 }
 
 impl RowBlocker {
@@ -83,18 +68,12 @@ impl RowBlocker {
             filters,
             history,
             next_epoch_at,
-            stats: RowBlockerStats::default(),
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &BlockHammerConfig {
         &self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &RowBlockerStats {
-        &self.stats
     }
 
     /// The cycle of the next epoch boundary (filter swap), or
@@ -153,17 +132,10 @@ impl RowBlocker {
     pub fn is_activation_safe(&mut self, now: Cycle, addr: &DramAddress) -> bool {
         self.advance_epochs(now);
         let blacklisted = self.is_blacklisted(addr);
-        if blacklisted {
-            self.stats.blacklisted_queries += 1;
-        }
         let row_key = self.row_key(addr);
         let rank = self.rank_index(addr);
         let recently = self.history[rank].recently_activated(now, row_key);
-        let safe = !(blacklisted && recently);
-        if !safe {
-            self.stats.unsafe_responses += 1;
-        }
-        safe
+        !(blacklisted && recently)
     }
 
     /// When a veto of `addr`'s row lifts with time alone: the cycle its
@@ -177,28 +149,16 @@ impl RowBlocker {
             .unwrap_or(Cycle::MAX)
     }
 
-    /// Counts `count` more queries of blacklisted, recently activated rows,
-    /// exactly as asking [`RowBlocker::is_activation_safe`] for them would.
-    // lint: alloc-free
-    pub fn count_unsafe_queries(&mut self, count: u64) {
-        self.stats.blacklisted_queries += count;
-        self.stats.unsafe_responses += count;
-    }
-
     /// Records an issued activation (steps 8 and 9 in Figure 2). Returns
     /// whether the activated row was blacklisted, which is the event
     /// AttackThrottler counts towards RHLI.
     // lint: alloc-free
     pub fn on_activation(&mut self, now: Cycle, addr: &DramAddress) -> bool {
         self.advance_epochs(now);
-        self.stats.observed_activations += 1;
         let bank = self.bank_index(addr);
         // `observe` computes each filter's H3 index set once and shares it
         // between the blacklist test and the insertion.
         let blacklisted = self.filters[bank].observe(now, addr.row());
-        if blacklisted {
-            self.stats.blacklisted_activations += 1;
-        }
         let row_key = self.row_key(addr);
         let rank = self.rank_index(addr);
         self.history[rank].record(now, row_key);
@@ -248,7 +208,6 @@ mod tests {
                 let _ = round;
             }
         }
-        assert_eq!(rb.stats().unsafe_responses, 0);
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub struct Bank {
     last_activate: Cycle,
     /// Total cycles this bank has spent with a row open.
     active_cycles: Cycle,
-    /// Total ACT commands this bank has received.
-    activations: u64,
 }
 
 impl Default for Bank {
@@ -56,7 +54,6 @@ impl Bank {
             next_column: 0,
             last_activate: 0,
             active_cycles: 0,
-            activations: 0,
         }
     }
 
@@ -71,11 +68,6 @@ impl Bank {
             BankState::Active { row } => Some(row),
             BankState::Precharged => None,
         }
-    }
-
-    /// Total ACT commands this bank has received.
-    pub fn activations(&self) -> u64 {
-        self.activations
     }
 
     /// Total cycles this bank has spent with a row open, up to the last
@@ -103,15 +95,13 @@ impl Bank {
         match (cmd, self.state) {
             (MemCommand::Activate, BankState::Precharged) => Some(self.next_activate),
             (MemCommand::Activate, BankState::Active { .. }) => None,
-            (MemCommand::Precharge | MemCommand::PrechargeAll, _) => Some(self.next_precharge),
-            (
-                MemCommand::Read | MemCommand::ReadAp | MemCommand::Write | MemCommand::WriteAp,
-                BankState::Active { row: open },
-            ) if open == row => Some(self.next_column),
-            (
-                MemCommand::Read | MemCommand::ReadAp | MemCommand::Write | MemCommand::WriteAp,
-                _,
-            ) => None,
+            (MemCommand::Precharge, _) => Some(self.next_precharge),
+            (MemCommand::Read | MemCommand::Write, BankState::Active { row: open })
+                if open == row =>
+            {
+                Some(self.next_column)
+            }
+            (MemCommand::Read | MemCommand::Write, _) => None,
             // Refresh legality (all banks precharged) is checked by the rank.
             (MemCommand::Refresh, BankState::Precharged) => Some(self.next_activate),
             (MemCommand::Refresh, BankState::Active { .. }) => None,
@@ -140,28 +130,23 @@ impl Bank {
         match cmd {
             MemCommand::Activate => {
                 self.state = BankState::Active { row };
-                self.activations += 1;
                 self.last_activate = now;
                 self.next_activate = now + t.t_rc;
                 self.next_precharge = now + t.t_ras;
                 self.next_column = now + t.t_rcd;
             }
-            MemCommand::Precharge | MemCommand::PrechargeAll => {
-                self.do_precharge(now, t);
+            MemCommand::Precharge => {
+                if let BankState::Active { .. } = self.state {
+                    self.active_cycles += now - self.last_activate;
+                }
+                self.state = BankState::Precharged;
+                self.next_activate = self.next_activate.max(now + t.t_rp);
             }
             MemCommand::Read => {
                 self.next_precharge = self.next_precharge.max(now + t.t_rtp);
             }
             MemCommand::Write => {
                 self.next_precharge = self.next_precharge.max(now + t.t_cwl + t.t_bl + t.t_wr);
-            }
-            MemCommand::ReadAp => {
-                let pre_at = self.next_precharge.max(now + t.t_rtp);
-                self.auto_precharge(pre_at, now, t);
-            }
-            MemCommand::WriteAp => {
-                let pre_at = self.next_precharge.max(now + t.t_cwl + t.t_bl + t.t_wr);
-                self.auto_precharge(pre_at, now, t);
             }
             MemCommand::Refresh => {
                 // Refresh occupies the whole rank; the rank pushes the
@@ -175,25 +160,6 @@ impl Bank {
     /// rank for refresh and by tests).
     pub(crate) fn delay_activate_until(&mut self, cycle: Cycle) {
         self.next_activate = self.next_activate.max(cycle);
-    }
-
-    fn do_precharge(&mut self, now: Cycle, t: &TimingsInCycles) {
-        if let BankState::Active { .. } = self.state {
-            self.active_cycles += now - self.last_activate;
-        }
-        self.state = BankState::Precharged;
-        self.next_activate = self.next_activate.max(now + t.t_rp);
-    }
-
-    /// Models an auto-precharge that takes effect at `pre_at` (>= now).
-    fn auto_precharge(&mut self, pre_at: Cycle, now: Cycle, t: &TimingsInCycles) {
-        debug_assert!(pre_at >= now);
-        if let BankState::Active { .. } = self.state {
-            self.active_cycles += pre_at - self.last_activate;
-        }
-        self.state = BankState::Precharged;
-        self.next_activate = self.next_activate.max(pre_at + t.t_rp);
-        self.next_precharge = self.next_precharge.max(pre_at);
     }
 }
 
@@ -265,19 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn read_with_auto_precharge_closes_the_row() {
-        let t = timings();
-        let mut b = Bank::new();
-        b.issue(MemCommand::Activate, 1, 0, &t);
-        b.issue(MemCommand::ReadAp, 1, t.t_rcd, &t);
-        assert_eq!(b.open_row(), None);
-        // The implicit precharge still honours tRP before the next ACT.
-        let pre_at = (t.t_rcd + t.t_rtp).max(t.t_ras);
-        assert!(!b.can_issue(MemCommand::Activate, 2, pre_at + t.t_rp - 1));
-        assert!(b.can_issue(MemCommand::Activate, 2, (pre_at + t.t_rp).max(t.t_rc)));
-    }
-
-    #[test]
     fn activation_rate_is_bounded_by_trc() {
         // Hammer a single row as fast as the bank allows and verify the
         // achievable rate equals tREFW / tRC (the physical upper bound the
@@ -303,7 +256,6 @@ mod tests {
         let period = (t.t_ras + t.t_rp).max(t.t_rc);
         assert!(acts <= horizon / t.t_rc + 1);
         assert!(acts >= horizon / period - 1);
-        assert_eq!(b.activations(), acts);
     }
 
     #[test]

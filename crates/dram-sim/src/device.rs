@@ -75,15 +75,6 @@ impl DramDevice {
         self.stats.enable_activation_log();
     }
 
-    /// Immutable access to a rank by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn rank(&self, index: usize) -> &Rank {
-        &self.ranks[index]
-    }
-
     /// The currently open row in the bank addressed by `addr`, if any.
     pub fn open_row(&self, addr: &DramAddress) -> Option<u64> {
         let rank = &self.ranks[addr.rank()];

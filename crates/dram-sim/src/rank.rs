@@ -18,16 +18,15 @@ pub struct Rank {
     recent_activations: VecDeque<Cycle>,
     /// Cycle and bank group of the most recent ACT (for tRRD_S / tRRD_L).
     last_activate: Option<(Cycle, usize)>,
-    /// Cycle, bank group and direction of the most recent column command.
-    last_column: Option<(Cycle, usize, bool)>, // (cycle, bank group, is_write)
+    /// Cycle and bank group of the most recent column command (for
+    /// tCCD_S / tCCD_L).
+    last_column: Option<(Cycle, usize)>,
     /// Earliest cycle a read column command may be issued (turnarounds).
     next_read: Cycle,
     /// Earliest cycle a write column command may be issued (turnarounds).
     next_write: Cycle,
     /// The rank is busy refreshing until this cycle.
     refresh_busy_until: Cycle,
-    /// Number of REF commands received.
-    refreshes: u64,
 }
 
 impl Rank {
@@ -42,7 +41,6 @@ impl Rank {
             next_read: 0,
             next_write: 0,
             refresh_busy_until: 0,
-            refreshes: 0,
         }
     }
 
@@ -53,16 +51,6 @@ impl Rank {
     /// Panics if `index` is out of range.
     pub fn bank(&self, index: usize) -> &Bank {
         &self.banks[index]
-    }
-
-    /// Number of REF commands this rank has received.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
-    }
-
-    /// Iterates over the banks of this rank.
-    pub fn banks(&self) -> impl Iterator<Item = &Bank> {
-        self.banks.iter()
     }
 
     /// Flat bank index for an address within this rank.
@@ -104,9 +92,9 @@ impl Rank {
                 }
                 Some(earliest)
             }
-            MemCommand::Read | MemCommand::ReadAp => {
+            MemCommand::Read => {
                 let mut earliest = after_refresh.max(self.next_read);
-                if let Some((when, bg, _)) = self.last_column {
+                if let Some((when, bg)) = self.last_column {
                     let ccd = if bg == addr.bank_group() {
                         t.t_ccd_l
                     } else {
@@ -116,9 +104,9 @@ impl Rank {
                 }
                 Some(earliest)
             }
-            MemCommand::Write | MemCommand::WriteAp => {
+            MemCommand::Write => {
                 let mut earliest = after_refresh.max(self.next_write);
-                if let Some((when, bg, _)) = self.last_column {
+                if let Some((when, bg)) = self.last_column {
                     let ccd = if bg == addr.bank_group() {
                         t.t_ccd_l
                     } else {
@@ -128,7 +116,7 @@ impl Rank {
                 }
                 Some(earliest)
             }
-            MemCommand::Precharge | MemCommand::PrechargeAll => Some(after_refresh),
+            MemCommand::Precharge => Some(after_refresh),
             MemCommand::Refresh => {
                 if self.all_banks_precharged() {
                     Some(after_refresh)
@@ -150,7 +138,7 @@ impl Rank {
     ) -> Option<Cycle> {
         let rank_level = self.earliest_rank_level(cmd, addr, timings)?;
         match cmd {
-            MemCommand::Refresh | MemCommand::PrechargeAll => {
+            MemCommand::Refresh => {
                 // Must be legal on every bank; take the max over banks.
                 let mut earliest = rank_level;
                 for bank in &self.banks {
@@ -209,9 +197,9 @@ impl Rank {
                 self.last_activate = Some((now, addr.bank_group()));
                 now
             }
-            MemCommand::Read | MemCommand::ReadAp => {
+            MemCommand::Read => {
                 self.banks[bank_idx].issue(cmd, addr.row(), now, timings);
-                self.last_column = Some((now, addr.bank_group(), false));
+                self.last_column = Some((now, addr.bank_group()));
                 // Read-to-write turnaround: the write burst must not collide
                 // with the read burst on the shared data bus.
                 self.next_write = self
@@ -219,9 +207,9 @@ impl Rank {
                     .max(now + timings.t_cl + timings.t_bl - timings.t_cwl.min(timings.t_cl) + 2);
                 now + timings.read_latency()
             }
-            MemCommand::Write | MemCommand::WriteAp => {
+            MemCommand::Write => {
                 self.banks[bank_idx].issue(cmd, addr.row(), now, timings);
-                self.last_column = Some((now, addr.bank_group(), true));
+                self.last_column = Some((now, addr.bank_group()));
                 // Write-to-read turnaround (tWTR after the write burst).
                 self.next_read = self
                     .next_read
@@ -232,14 +220,7 @@ impl Rank {
                 self.banks[bank_idx].issue(cmd, addr.row(), now, timings);
                 now
             }
-            MemCommand::PrechargeAll => {
-                for bank in &mut self.banks {
-                    bank.issue(MemCommand::Precharge, 0, now, timings);
-                }
-                now
-            }
             MemCommand::Refresh => {
-                self.refreshes += 1;
                 self.refresh_busy_until = now + timings.t_rfc;
                 for bank in &mut self.banks {
                     bank.delay_activate_until(self.refresh_busy_until);
@@ -362,7 +343,6 @@ mod tests {
         // No activation can proceed during tRFC.
         assert!(!rank.can_issue(MemCommand::Activate, &a, ref_at + t.t_rfc - 1, &t));
         assert!(rank.can_issue(MemCommand::Activate, &a, ref_at + t.t_rfc, &t));
-        assert_eq!(rank.refreshes(), 1);
     }
 
     #[test]
@@ -390,20 +370,5 @@ mod tests {
         let rd_at = rank.earliest_issue(MemCommand::Read, &a, &t).unwrap();
         let done = rank.issue(MemCommand::Read, &a, rd_at, &t);
         assert_eq!(done, rd_at + t.read_latency());
-    }
-
-    #[test]
-    fn precharge_all_closes_every_bank() {
-        let (mut rank, t, _) = setup();
-        rank.issue(MemCommand::Activate, &addr(0, 0, 3), 0, &t);
-        let second_at = rank
-            .earliest_issue(MemCommand::Activate, &addr(1, 1, 4), &t)
-            .unwrap();
-        rank.issue(MemCommand::Activate, &addr(1, 1, 4), second_at, &t);
-        let prea_at = rank
-            .earliest_issue(MemCommand::PrechargeAll, &addr(0, 0, 0), &t)
-            .unwrap();
-        rank.issue(MemCommand::PrechargeAll, &addr(0, 0, 0), prea_at, &t);
-        assert!(rank.all_banks_precharged());
     }
 }

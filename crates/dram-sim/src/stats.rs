@@ -13,7 +13,7 @@ use std::collections::HashMap;
 pub struct CommandCounts {
     /// Row activations.
     pub activates: u64,
-    /// Precharges (single-bank and all-bank count each bank closure once).
+    /// Precharges.
     pub precharges: u64,
     /// Column reads.
     pub reads: u64,
@@ -28,9 +28,9 @@ impl CommandCounts {
     pub fn record(&mut self, cmd: MemCommand) {
         match cmd {
             MemCommand::Activate => self.activates += 1,
-            MemCommand::Precharge | MemCommand::PrechargeAll => self.precharges += 1,
-            MemCommand::Read | MemCommand::ReadAp => self.reads += 1,
-            MemCommand::Write | MemCommand::WriteAp => self.writes += 1,
+            MemCommand::Precharge => self.precharges += 1,
+            MemCommand::Read => self.reads += 1,
+            MemCommand::Write => self.writes += 1,
             MemCommand::Refresh => self.refreshes += 1,
         }
     }
@@ -171,21 +171,19 @@ mod tests {
         for cmd in [
             MemCommand::Activate,
             MemCommand::Precharge,
-            MemCommand::PrechargeAll,
             MemCommand::Read,
-            MemCommand::ReadAp,
+            MemCommand::Read,
             MemCommand::Write,
-            MemCommand::WriteAp,
             MemCommand::Refresh,
         ] {
             c.record(cmd);
         }
         assert_eq!(c.activates, 1);
-        assert_eq!(c.precharges, 2);
+        assert_eq!(c.precharges, 1);
         assert_eq!(c.reads, 2);
-        assert_eq!(c.writes, 2);
+        assert_eq!(c.writes, 1);
         assert_eq!(c.refreshes, 1);
-        assert_eq!(c.column_commands(), 4);
+        assert_eq!(c.column_commands(), 3);
     }
 
     #[test]

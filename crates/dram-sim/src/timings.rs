@@ -85,17 +85,6 @@ impl DramTimings {
         }
     }
 
-    /// LPDDR4-like variant: identical to DDR4-2400 except the refresh
-    /// window is halved (32 ms), which is the difference the paper calls
-    /// out when discussing tuning for different standards (Section 3.1.3).
-    pub fn lpddr4_3200() -> Self {
-        Self {
-            t_refw: 32.0e6,
-            t_rc: 48.0,
-            ..Self::ddr4_2400()
-        }
-    }
-
     /// Returns a copy with the refresh window (and refresh interval) divided
     /// by `factor`, used by the scaled-time simulation mode. All per-command
     /// timings are left untouched so row activation costs stay realistic.
@@ -186,23 +175,6 @@ impl TimingsInCycles {
     pub fn write_latency(&self) -> Cycle {
         self.t_cwl + self.t_bl
     }
-
-    /// The maximum number of activations a single bank can sustain within a
-    /// refresh window given `tRC` alone (an upper bound used by security
-    /// analyses and tests).
-    pub fn max_acts_per_refresh_window_per_bank(&self) -> u64 {
-        self.t_refw / self.t_rc.max(1)
-    }
-
-    /// The maximum number of activations a rank can sustain within a window
-    /// of `window` cycles given the four-activation-window constraint.
-    pub fn max_acts_in_window_per_rank(&self, window: Cycle) -> u64 {
-        if self.t_faw == 0 {
-            return u64::MAX;
-        }
-        // At most 4 ACTs per tFAW.
-        4 * window.div_ceil(self.t_faw)
-    }
 }
 
 impl Default for TimingsInCycles {
@@ -241,26 +213,6 @@ mod tests {
         assert!((scaled.t_refw - base.t_refw / 64.0).abs() < 1e-6);
         assert_eq!(scaled.t_rc, base.t_rc);
         assert_eq!(scaled.t_faw, base.t_faw);
-    }
-
-    #[test]
-    fn lpddr4_halves_refresh_window() {
-        let d = DramTimings::ddr4_2400();
-        let l = DramTimings::lpddr4_3200();
-        assert!((l.t_refw - d.t_refw / 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn max_acts_bounds_are_consistent() {
-        let t = TimingsInCycles::default();
-        let per_bank = t.max_acts_per_refresh_window_per_bank();
-        // 64ms / 46.25ns ~ 1.38M activations.
-        assert!(per_bank > 1_300_000 && per_bank < 1_450_000);
-        let per_rank_faw = t.max_acts_in_window_per_rank(t.t_refw);
-        assert!(
-            per_rank_faw > per_bank,
-            "tFAW bound is rank-wide and looser per bank"
-        );
     }
 
     #[test]

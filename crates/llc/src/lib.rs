@@ -14,26 +14,26 @@
 //!
 //! ```
 //! use llc::{AccessResult, Llc, LlcConfig};
-//! use bh_types::ThreadId;
 //!
 //! let mut llc = Llc::new(LlcConfig::default());
-//! let thread = ThreadId::new(0);
-//! // A cold access misses and allocates an MSHR entry.
-//! assert!(matches!(llc.access(thread, 0x1000, false), AccessResult::MissAllocated));
-//! // A second access to the same line merges into the outstanding miss.
-//! assert!(matches!(llc.access(thread, 0x1008, false), AccessResult::MissMerged));
+//! // A cold access misses and allocates an MSHR entry: the caller fetches
+//! // the line.
+//! assert!(matches!(llc.access(0x1000, false), AccessResult::MissAllocated));
+//! // A second access to the same line merges into the outstanding miss
+//! // and needs no fetch of its own.
+//! assert!(matches!(llc.access(0x1008, false), AccessResult::MissMerged));
 //! // When the line returns from memory the cache is filled.
 //! let fill = llc.fill(0x1000);
 //! assert!(fill.writeback.is_none());
 //! // Subsequent accesses hit.
-//! assert!(matches!(llc.access(thread, 0x1000, false), AccessResult::Hit));
+//! assert!(matches!(llc.access(0x1000, false), AccessResult::Hit));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bh_types::{ConfigError, ThreadId};
-use std::collections::{HashMap, HashSet};
+use bh_types::ConfigError;
+use std::collections::HashSet;
 
 /// Configuration of the last-level cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,35 +129,14 @@ struct Line {
     lru: u64,
 }
 
-/// Per-thread and aggregate cache statistics.
+/// Aggregate cache statistics.
 #[derive(Debug, Clone, Default)]
 pub struct LlcStats {
     /// Demand accesses that hit.
     pub hits: u64,
-    /// Demand accesses that missed (allocated or merged).
+    /// Demand accesses that missed (allocated or merged). An access
+    /// refused for full MSHRs is retried, and counts only when it resolves.
     pub misses: u64,
-    /// Accesses rejected because the MSHRs were full. A retried access
-    /// counts once per ticked cycle: event-driven stepping skips repeats.
-    pub mshr_rejections: u64,
-    /// Dirty lines written back to memory.
-    pub writebacks: u64,
-    /// Misses per thread.
-    pub misses_per_thread: HashMap<usize, u64>,
-    /// Accesses per thread, counting a retry refused for full MSHRs once
-    /// per ticked cycle, like `mshr_rejections`.
-    pub accesses_per_thread: HashMap<usize, u64>,
-}
-
-impl LlcStats {
-    /// Miss rate over all demand accesses.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 /// The shared last-level cache.
@@ -217,22 +196,15 @@ impl Llc {
         self.line_addr(phys)
     }
 
-    /// Whether a fetch for the line containing `phys` is outstanding.
-    pub fn is_miss_pending(&self, phys: u64) -> bool {
-        self.mshr.contains(&self.line_addr(phys))
-    }
-
-    /// Performs a demand access.
-    pub fn access(&mut self, thread: ThreadId, phys: u64, is_write: bool) -> AccessResult {
+    /// Performs a demand access. Only [`AccessResult::MissAllocated`]
+    /// asks the caller to fetch the line: its MSHR entry lives until
+    /// [`Llc::fill`] delivers that fetch, and every other miss to the line
+    /// meanwhile merges into it.
+    pub fn access(&mut self, phys: u64, is_write: bool) -> AccessResult {
         let line_addr = self.line_addr(phys);
         let set_idx = self.set_index(line_addr);
         let tag = self.tag(line_addr);
         self.lru_clock += 1;
-        *self
-            .stats
-            .accesses_per_thread
-            .entry(thread.index())
-            .or_insert(0) += 1;
         if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.tag == tag) {
             line.lru = self.lru_clock;
             if is_write {
@@ -241,27 +213,15 @@ impl Llc {
             self.stats.hits += 1;
             return AccessResult::Hit;
         }
-        self.stats.misses += 1;
-        *self
-            .stats
-            .misses_per_thread
-            .entry(thread.index())
-            .or_insert(0) += 1;
-        if self.mshr.contains(&line_addr) {
-            return AccessResult::MissMerged;
-        }
-        if self.mshr.len() >= self.config.mshr_entries {
-            self.stats.mshr_rejections += 1;
-            // The access itself will be retried, so do not count it as a
-            // resolved miss.
-            self.stats.misses -= 1;
-            if let Some(count) = self.stats.misses_per_thread.get_mut(&thread.index()) {
-                *count -= 1;
-            }
+        if self.mshr.len() >= self.config.mshr_entries && !self.mshr.contains(&line_addr) {
             return AccessResult::MshrFull;
         }
-        self.mshr.insert(line_addr);
-        AccessResult::MissAllocated
+        self.stats.misses += 1;
+        if self.mshr.insert(line_addr) {
+            AccessResult::MissAllocated
+        } else {
+            AccessResult::MissMerged
+        }
     }
 
     /// Installs the line containing `phys` (previously reported as
@@ -302,10 +262,9 @@ impl Llc {
             dirty: false,
             lru: lru_clock,
         };
-        let writeback = victim.dirty.then(|| {
-            self.stats.writebacks += 1;
-            (victim.tag * self.config.sets() + set_idx as u64) * self.config.line_bytes
-        });
+        let writeback = victim
+            .dirty
+            .then(|| (victim.tag * self.config.sets() + set_idx as u64) * self.config.line_bytes);
         Fill { writeback }
     }
 }
@@ -345,86 +304,74 @@ mod tests {
     #[test]
     fn miss_then_fill_then_hit() {
         let mut llc = small_cache();
-        let t = ThreadId::new(0);
-        assert_eq!(llc.access(t, 0x1000, false), AccessResult::MissAllocated);
-        assert!(llc.is_miss_pending(0x1010));
-        assert_eq!(llc.access(t, 0x1020, false), AccessResult::MissMerged);
+        assert_eq!(llc.access(0x1000, false), AccessResult::MissAllocated);
+        assert_eq!(llc.access(0x1020, false), AccessResult::MissMerged);
         let fill = llc.fill(0x1000);
         assert!(fill.writeback.is_none());
-        assert_eq!(llc.access(t, 0x1000, false), AccessResult::Hit);
-        assert!((llc.stats().miss_rate() - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(llc.access(0x1000, false), AccessResult::Hit);
+        assert_eq!((llc.stats().hits, llc.stats().misses), (1, 2));
     }
 
     #[test]
     fn dirty_eviction_generates_writeback() {
         let mut llc = small_cache();
-        let t = ThreadId::new(0);
         let sets = llc.config().sets();
         // Three lines mapping to the same set in a 2-way cache.
         let a = 0;
         let b = sets * 64;
         let c = 2 * sets * 64;
         for addr in [a, b] {
-            assert_eq!(llc.access(t, addr, true), AccessResult::MissAllocated);
+            assert_eq!(llc.access(addr, true), AccessResult::MissAllocated);
             llc.fill(addr);
             // Retry of the store marks the line dirty.
-            assert_eq!(llc.access(t, addr, true), AccessResult::Hit);
+            assert_eq!(llc.access(addr, true), AccessResult::Hit);
         }
-        assert_eq!(llc.access(t, c, false), AccessResult::MissAllocated);
+        assert_eq!(llc.access(c, false), AccessResult::MissAllocated);
         let fill = llc.fill(c);
         let wb = fill.writeback.expect("a dirty line must be written back");
         assert!(wb == a || wb == b, "writeback {wb:#x} is not a or b");
-        assert_eq!(llc.stats().writebacks, 1);
     }
 
     #[test]
     fn mshr_capacity_is_enforced() {
         let mut llc = small_cache();
-        let t = ThreadId::new(1);
         for i in 0..4u64 {
             assert_eq!(
-                llc.access(t, 0x10_000 + i * 64, false),
+                llc.access(0x10_000 + i * 64, false),
                 AccessResult::MissAllocated
             );
         }
         assert_eq!(
-            llc.access(t, 0x20_000, false),
+            llc.access(0x20_000, false),
             AccessResult::MshrFull,
             "fifth outstanding miss must be rejected"
         );
-        assert_eq!(llc.stats().mshr_rejections, 1);
+        assert_eq!(llc.stats().misses, 4, "a refused access is not a miss");
+        assert_eq!(
+            llc.access(0x10_008, false),
+            AccessResult::MissMerged,
+            "a full MSHR still merges misses to an outstanding line"
+        );
         llc.fill(0x10_000);
-        assert_eq!(llc.access(t, 0x20_000, false), AccessResult::MissAllocated);
+        assert_eq!(llc.access(0x20_000, false), AccessResult::MissAllocated);
     }
 
     #[test]
     fn lru_keeps_recently_used_lines() {
         let mut llc = small_cache();
-        let t = ThreadId::new(0);
         let sets = llc.config().sets();
         let a = 0;
         let b = sets * 64;
         let c = 2 * sets * 64;
         for addr in [a, b] {
-            llc.access(t, addr, false);
+            llc.access(addr, false);
             llc.fill(addr);
         }
         // Touch `a` so `b` becomes the LRU victim.
-        assert_eq!(llc.access(t, a, false), AccessResult::Hit);
-        llc.access(t, c, false);
+        assert_eq!(llc.access(a, false), AccessResult::Hit);
+        llc.access(c, false);
         llc.fill(c);
-        assert_eq!(llc.access(t, a, false), AccessResult::Hit);
-        assert_eq!(llc.access(t, b, false), AccessResult::MissAllocated);
-    }
-
-    #[test]
-    fn per_thread_stats_are_tracked() {
-        let mut llc = small_cache();
-        llc.access(ThreadId::new(0), 0x0, false);
-        llc.access(ThreadId::new(1), 0x40, false);
-        llc.access(ThreadId::new(1), 0x80, false);
-        assert_eq!(llc.stats().accesses_per_thread[&0], 1);
-        assert_eq!(llc.stats().accesses_per_thread[&1], 2);
-        assert_eq!(llc.stats().misses_per_thread[&1], 2);
+        assert_eq!(llc.access(a, false), AccessResult::Hit);
+        assert_eq!(llc.access(b, false), AccessResult::MissAllocated);
     }
 }

@@ -145,7 +145,6 @@ impl MemoryController {
         let scheduler = Scheduler::new(
             config.scheduler,
             config.organization.total_banks(),
-            config.organization.banks_per_rank(),
             config.read_queue_capacity,
             config.write_queue_capacity,
         );

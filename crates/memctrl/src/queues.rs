@@ -17,7 +17,6 @@
 
 use bh_types::{MemCommand, MemRequest};
 use std::collections::VecDeque;
-use std::ops::Range;
 
 /// Demand requests bucketed by global bank index, FIFO within each bucket.
 ///
@@ -75,30 +74,23 @@ impl BankedQueue {
 /// global bank.
 ///
 /// The cache is exact, not approximate: every DRAM command the controller
-/// issues flows through [`OpenRowCache::note_issue`], and the command
-/// legality checks the controller performs before issuing guarantee the
-/// transitions match the device (an ACT is only legal on a precharged
-/// bank, a REF only with every bank of the rank closed, and so on). The
-/// controller cross-checks the mirror against
+/// issues flows through [`OpenRowCache::note_issue`], and only an ACT or a
+/// PRE changes a row buffer. The command legality checks the controller
+/// performs before issuing guarantee the transitions match the device (an
+/// ACT is only legal on a precharged bank, a REF only with every bank of
+/// the rank closed). The controller cross-checks the mirror against
 /// [`dram_sim::DramDevice::open_row_at`] in debug builds.
 #[derive(Debug, Clone)]
 pub(crate) struct OpenRowCache {
     rows: Vec<Option<u64>>,
-    /// Banks per rank: rank-wide commands (PREA) clear one contiguous
-    /// slice of `rows`.
-    banks_per_rank: usize,
 }
 
 impl OpenRowCache {
     /// Creates a cache with every bank precharged (the device's reset
-    /// state). `banks_per_rank` defines the rank-aligned slices a
-    /// rank-wide precharge closes; it must divide `banks` (callers pass
-    /// geometry from a validated `DramOrganization`).
-    pub(crate) fn new(banks: usize, banks_per_rank: usize) -> Self {
-        debug_assert!(banks_per_rank > 0 && banks % banks_per_rank == 0);
+    /// state).
+    pub(crate) fn new(banks: usize) -> Self {
         Self {
             rows: vec![None; banks],
-            banks_per_rank: banks_per_rank.max(1),
         }
     }
 
@@ -107,34 +99,15 @@ impl OpenRowCache {
         self.rows[bank]
     }
 
-    /// The banks of `bank`'s rank (the slice a rank-wide precharge closes).
-    pub(crate) fn rank_banks(&self, bank: usize) -> Range<usize> {
-        let start = (bank / self.banks_per_rank) * self.banks_per_rank;
-        start..start + self.banks_per_rank
-    }
-
     /// Records the effect of an issued command on `bank`'s row buffer.
-    /// Rank-wide commands use `bank` only to identify the rank.
     pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, row: u64) {
         match cmd {
             MemCommand::Activate => self.rows[bank] = Some(row),
-            // Auto-precharging column commands close the bank (the device
-            // flips its state to precharged at issue time).
-            MemCommand::Precharge | MemCommand::ReadAp | MemCommand::WriteAp => {
-                self.rows[bank] = None;
-            }
-            // Plain column commands leave the row buffer as-is; a REF is
-            // only legal with every bank of the rank already precharged,
-            // so it cannot change any cached entry either.
+            MemCommand::Precharge => self.rows[bank] = None,
+            // Column commands leave the row buffer as-is; a REF is only
+            // legal with every bank of the rank already precharged, so it
+            // cannot change any cached entry either.
             MemCommand::Read | MemCommand::Write | MemCommand::Refresh => {}
-            // PREA closes every bank of the addressed rank: clear that
-            // rank's whole slice so the mirror stays exact.
-            MemCommand::PrechargeAll => {
-                let banks = self.rank_banks(bank);
-                for slot in &mut self.rows[banks] {
-                    *slot = None;
-                }
-            }
         }
     }
 }
@@ -172,7 +145,7 @@ mod tests {
 
     #[test]
     fn open_row_cache_tracks_activate_and_precharge() {
-        let mut cache = OpenRowCache::new(2, 2);
+        let mut cache = OpenRowCache::new(2);
         assert_eq!(cache.get(0), None);
         cache.note_issue(MemCommand::Activate, 0, 42);
         assert_eq!(cache.get(0), Some(42));
@@ -181,22 +154,5 @@ mod tests {
         cache.note_issue(MemCommand::Precharge, 0, 42);
         assert_eq!(cache.get(0), None);
         assert_eq!(cache.get(1), None, "other banks are untouched");
-        cache.note_issue(MemCommand::Activate, 1, 7);
-        cache.note_issue(MemCommand::ReadAp, 1, 7);
-        assert_eq!(cache.get(1), None, "auto-precharge closes the bank");
-    }
-
-    #[test]
-    fn open_row_cache_rank_wide_precharge_closes_only_that_rank() {
-        // 4 banks, 2 per rank: PREA on rank 1 must close banks 2..4 and
-        // leave rank 0 untouched.
-        let mut cache = OpenRowCache::new(4, 2);
-        cache.note_issue(MemCommand::Activate, 0, 11);
-        cache.note_issue(MemCommand::Activate, 2, 22);
-        cache.note_issue(MemCommand::Activate, 3, 33);
-        cache.note_issue(MemCommand::PrechargeAll, 3, 0);
-        assert_eq!(cache.get(0), Some(11), "other rank keeps its open row");
-        assert_eq!(cache.get(2), None);
-        assert_eq!(cache.get(3), None);
     }
 }

@@ -102,7 +102,6 @@ impl Scheduler {
     pub(crate) fn new(
         policy: SchedulerPolicy,
         total_banks: usize,
-        banks_per_rank: usize,
         read_capacity: usize,
         write_capacity: usize,
     ) -> Self {
@@ -113,7 +112,7 @@ impl Scheduler {
         Self {
             read: make(read_capacity),
             write: make(write_capacity),
-            open_rows: OpenRowCache::new(total_banks, banks_per_rank),
+            open_rows: OpenRowCache::new(total_banks),
             open_row_hits: vec![[0; 2]; total_banks],
             act_cursors: Vec::new(),
         }
@@ -161,7 +160,10 @@ impl Scheduler {
     }
 
     /// Records the row-buffer effect of a command the controller issued on
-    /// `bank` (keeps the open-row cache and the open-row index exact).
+    /// `bank` (keeps the open-row cache and the open-row index exact). Only
+    /// an ACT or a PRE changes them, and only on `bank` (a REF needs its
+    /// rank's banks closed already), so debug builds recount that bank
+    /// alone.
     // lint: alloc-free
     pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, row: u64) {
         self.open_rows.note_issue(cmd, bank, row);
@@ -179,19 +181,10 @@ impl Scheduler {
                 };
                 self.open_row_hits[bank] = [count(reads), count(writes)];
             }
-            MemCommand::Precharge | MemCommand::ReadAp | MemCommand::WriteAp => {
-                self.open_row_hits[bank] = [0; 2];
-            }
-            MemCommand::PrechargeAll => {
-                for hits in &mut self.open_row_hits[self.open_rows.rank_banks(bank)] {
-                    *hits = [0; 2];
-                }
-            }
+            MemCommand::Precharge => self.open_row_hits[bank] = [0; 2],
             MemCommand::Read | MemCommand::Write | MemCommand::Refresh => {}
         }
-        for bank in self.open_rows.rank_banks(bank) {
-            self.debug_check_open_row_hits(bank);
-        }
+        self.debug_check_open_row_hits(bank);
     }
 
     /// Debug builds: recounts `bank`'s open-row index from the queues and
@@ -456,7 +449,7 @@ mod tests {
 
     fn scheduler(policy: SchedulerPolicy) -> Scheduler {
         let org = DramOrganization::default();
-        Scheduler::new(policy, org.total_banks(), org.banks_per_rank(), 64, 64)
+        Scheduler::new(policy, org.total_banks(), 64, 64)
     }
 
     fn request(id: u64, bank_group: usize, bank: usize, row: u64) -> MemRequest {

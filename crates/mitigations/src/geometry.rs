@@ -137,34 +137,6 @@ impl BlastModel {
             self.impact_decay.powi(k as i32 - 1)
         }
     }
-
-    /// Victim rows of an aggressor at `addr` within the blast radius,
-    /// clamped to the bank boundaries.
-    pub fn victims(&self, addr: &DramAddress, rows_per_bank: u64) -> Vec<DramAddress> {
-        let mut out = Vec::with_capacity(2 * self.radius as usize);
-        for k in 1..=self.radius as i64 {
-            if let Some(v) = addr.neighbor_row(-k, rows_per_bank) {
-                out.push(v);
-            }
-            if let Some(v) = addr.neighbor_row(k, rows_per_bank) {
-                out.push(v);
-            }
-        }
-        out
-    }
-
-    /// Immediately adjacent victim rows only (what the reactive-refresh
-    /// baselines refresh).
-    pub fn adjacent_victims(&self, addr: &DramAddress, rows_per_bank: u64) -> Vec<DramAddress> {
-        let mut out = Vec::with_capacity(2);
-        if let Some(v) = addr.neighbor_row(-1, rows_per_bank) {
-            out.push(v);
-        }
-        if let Some(v) = addr.neighbor_row(1, rows_per_bank) {
-            out.push(v);
-        }
-        out
-    }
 }
 
 impl Default for BlastModel {
@@ -207,17 +179,6 @@ mod tests {
         assert_eq!(b.impact_factor(3), 0.25);
         assert_eq!(b.impact_factor(7), 0.0);
         assert_eq!(b.impact_factor(0), 0.0);
-    }
-
-    #[test]
-    fn victims_are_clamped_at_bank_edges() {
-        let b = BlastModel::worst_case_observed();
-        let edge = DramAddress::new(0, 0, 0, 0, 0, 0);
-        let victims = b.victims(&edge, 65_536);
-        assert_eq!(victims.len(), 6, "only the +k side exists at row 0");
-        let middle = DramAddress::new(0, 0, 0, 0, 100, 0);
-        assert_eq!(b.victims(&middle, 65_536).len(), 12);
-        assert_eq!(b.adjacent_victims(&middle, 65_536).len(), 2);
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl CampaignState {
         self.lock().phase
     }
 
-    /// Record lines already recorded.
-    pub fn lines_recorded(&self) -> usize {
-        self.lock().lines.len()
-    }
-
     /// Waits (up to `timeout`) until there are record lines beyond
     /// `seen` or the campaign is terminal, then returns the new lines
     /// and the phase at that moment. A timeout returns an empty vector

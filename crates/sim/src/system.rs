@@ -203,16 +203,6 @@ struct Uncore {
     hit_latency: Cycle,
 }
 
-impl Uncore {
-    /// Whether a fetch of `line` is already queued or in flight on its
-    /// channel (used to merge misses to the same line).
-    fn line_fetch_pending(&self, channel: usize, line: u64) -> bool {
-        // lint: allow(determinism) -- values().any is an existence check, independent of iteration order
-        self.line_fetch_reqs.values().any(|&l| l == line)
-            || self.fetch_queues[channel].iter().any(|&(_, l)| l == line)
-    }
-}
-
 /// Memory-side adapter handed to a core during its tick.
 struct CoreSink<'a> {
     uncore: &'a mut Uncore,
@@ -249,7 +239,7 @@ impl MemorySink for CoreSink<'_> {
                 Err(_) => None,
             }
         } else {
-            match uncore.llc.access(thread, address, is_write) {
+            match uncore.llc.access(address, is_write) {
                 AccessResult::Hit => {
                     uncore.next_token += 1;
                     let token = uncore.next_token;
@@ -258,7 +248,7 @@ impl MemorySink for CoreSink<'_> {
                         .push_back((now + uncore.hit_latency, self.core_index, token));
                     Some(token)
                 }
-                AccessResult::MissAllocated | AccessResult::MissMerged => {
+                result @ (AccessResult::MissAllocated | AccessResult::MissMerged) => {
                     let line = uncore.llc.line_of(address);
                     uncore.next_token += 1;
                     let token = uncore.next_token;
@@ -271,10 +261,11 @@ impl MemorySink for CoreSink<'_> {
                     } else {
                         uncore.dirty_on_fill.insert(line);
                     }
-                    let channel = uncore.mem.channel_of(line);
-                    if uncore.llc.is_miss_pending(address)
-                        && !uncore.line_fetch_pending(channel, line)
-                    {
+                    // Only an allocating miss fetches the line. Its MSHR
+                    // entry lives until that fetch fills it, so a merged
+                    // miss's fetch is already queued or in flight.
+                    if result == AccessResult::MissAllocated {
+                        let channel = uncore.mem.channel_of(line);
                         uncore.fetch_queues[channel].push_back((thread, line));
                     }
                     Some(token)
@@ -389,7 +380,7 @@ impl System {
                 let fill = uncore.llc.fill(line);
                 if uncore.dirty_on_fill.remove(&line) {
                     // Re-apply the write-allocated store so the line is dirty.
-                    let _ = uncore.llc.access(completed.request.thread, line, true);
+                    let _ = uncore.llc.access(line, true);
                 }
                 if let Some(writeback) = fill.writeback {
                     let wb_channel = uncore.mem.channel_of(writeback);
@@ -848,6 +839,24 @@ mod tests {
         assert!(result.threads[0].ipc > 0.0);
         assert!(result.dram.totals().activates > 0);
         assert!(result.energy.total_joules() > 0.0);
+    }
+
+    #[test]
+    fn misses_to_one_line_fetch_it_once() {
+        // Two loads and a store to one line miss in the same cycle: the
+        // first allocates the MSHR entry and the other two merge into it,
+        // so the controller sees a single line fetch.
+        let trace = vec![
+            TraceRecord::load(0, 0x4000),
+            TraceRecord::load(0, 0x4008),
+            TraceRecord::store(0, 0x4010),
+        ];
+        let result = quick_builder()
+            .add_trace("one-line", Box::new(trace.into_iter()), false, u64::MAX)
+            .run();
+        assert_eq!(result.threads[0].instructions, 3);
+        assert_eq!(result.llc_misses, 3);
+        assert_eq!(result.ctrl.accepted_requests, 1);
     }
 
     #[test]

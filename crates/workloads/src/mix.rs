@@ -5,7 +5,7 @@
 //! replaced by a double-sided RowHammer attack (Section 7). [`WorkloadMix`]
 //! reproduces that construction deterministically from a seed.
 
-use crate::attack::{AttackGenerator, AttackKind, AttackSpec};
+use crate::attack::AttackKind;
 use crate::catalog::{benign_catalog, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,27 +108,6 @@ impl WorkloadMix {
     pub fn has_attacker(&self) -> bool {
         self.kind == MixKind::WithAttacker
     }
-
-    /// The attack specification for the attacker thread (thread 0), if any.
-    pub fn attack_spec(
-        &self,
-        mapping: bh_types::AddressMapping,
-        geometry: bh_types::AddressMappingGeometry,
-    ) -> Option<AttackSpec> {
-        self.has_attacker()
-            .then(|| AttackSpec::default_for(mapping, geometry))
-    }
-
-    /// The built trace generator for the attacker thread (thread 0), if
-    /// any, using the mix's [`WorkloadMix::attack`] pattern.
-    pub fn attack_generator(
-        &self,
-        mapping: bh_types::AddressMapping,
-        geometry: bh_types::AddressMappingGeometry,
-    ) -> Option<AttackGenerator> {
-        self.attack_spec(mapping, geometry)
-            .map(|spec| self.attack.build(spec))
-    }
 }
 
 #[cfg(test)]
@@ -162,12 +141,6 @@ mod tests {
         assert_eq!(mix.thread_count(), 8);
         assert_eq!(mix.benign.len(), 7);
         assert!(mix.has_attacker());
-        assert!(mix
-            .attack_spec(
-                bh_types::AddressMapping::default(),
-                bh_types::AddressMappingGeometry::default()
-            )
-            .is_some());
     }
 
     #[test]
@@ -206,24 +179,6 @@ mod tests {
             assert_eq!(names(&explicit), names(&default));
         }
         assert_eq!(default.attack, AttackKind::DoubleSided);
-    }
-
-    #[test]
-    fn attack_generator_follows_the_mix_kind() {
-        let mapping = bh_types::AddressMapping::default();
-        let geometry = bh_types::AddressMappingGeometry::default();
-        let benign = WorkloadMix::benign(0, 4, 9);
-        assert!(benign.attack_generator(mapping, geometry).is_none());
-        let many = WorkloadMix::with_attacker_kind(0, 4, 9, AttackKind::ManySided { sides: 4 });
-        let generator = many
-            .attack_generator(mapping, geometry)
-            .expect("attack mix has a generator");
-        let direct =
-            AttackKind::ManySided { sides: 4 }.build(AttackSpec::default_for(mapping, geometry));
-        assert_eq!(generator.period(), direct.period());
-        let a: Vec<_> = generator.take(32).collect();
-        let b: Vec<_> = direct.take(32).collect();
-        assert_eq!(a, b);
     }
 
     /// Regression pin for the default mix construction: the exact benign
