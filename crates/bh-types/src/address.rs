@@ -193,6 +193,24 @@ impl AddressMappingGeometry {
     }
 }
 
+/// `(x / d, x % d)`: a shift and a mask when `d` is a power of two, a
+/// division otherwise (which panics on zero, as `/` does).
+fn div_rem(x: u64, d: u64) -> (u64, u64) {
+    if d.is_power_of_two() {
+        (x >> d.trailing_zeros(), x & (d - 1))
+    } else {
+        (x / d, x % d)
+    }
+}
+
+/// The number of cache lines the geometry addresses (at least 1): the
+/// modulus at which out-of-range addresses wrap.
+fn total_lines(geometry: &AddressMappingGeometry) -> u64 {
+    div_rem(geometry.capacity_bytes(), geometry.line_bytes)
+        .0
+        .max(1)
+}
+
 /// Physical-address-to-DRAM-coordinate mapping scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AddressMapping {
@@ -238,12 +256,10 @@ impl AddressMapping {
         geometry: &AddressMappingGeometry,
         phys_addr: u64,
     ) -> (usize, u64) {
-        let total_lines = (geometry.capacity_bytes() / geometry.line_bytes).max(1);
-        let line = (phys_addr / geometry.line_bytes) % total_lines;
-        let channel = (line % geometry.channels as u64) as usize;
-        let local_line = line / geometry.channels as u64;
-        let local_phys = local_line * geometry.line_bytes + phys_addr % geometry.line_bytes;
-        (channel, local_phys)
+        let (line, offset) = div_rem(phys_addr, geometry.line_bytes);
+        let (_, line) = div_rem(line, total_lines(geometry));
+        let (local_line, channel) = div_rem(line, geometry.channels as u64);
+        (channel as usize, local_line * geometry.line_bytes + offset)
     }
 
     /// Decodes a physical byte address into DRAM coordinates.
@@ -251,43 +267,47 @@ impl AddressMapping {
     /// Addresses beyond the geometry's capacity wrap around; the simulator
     /// synthesises addresses inside the capacity so wrapping only guards
     /// against malformed traces.
+    ///
+    /// Each coordinate is a remainder of the line index, and each divisor
+    /// is a geometry dimension. A power-of-two divisor, which every
+    /// geometry in use has, costs a shift and a mask; any other divisor
+    /// takes a division and decodes the same coordinates.
     pub fn decode(&self, geometry: &AddressMappingGeometry, phys_addr: u64) -> DramAddress {
-        let line = (phys_addr / geometry.line_bytes)
-            % (geometry.capacity_bytes() / geometry.line_bytes).max(1);
+        let (line, _) = div_rem(phys_addr, geometry.line_bytes);
+        let (_, line) = div_rem(line, total_lines(geometry));
+        let (x, channel) = div_rem(line, geometry.channels as u64);
         match *self {
             AddressMapping::RoBaRaCoCh => {
-                let mut x = line;
-                let channel = (x % geometry.channels as u64) as usize;
-                x /= geometry.channels as u64;
-                let column = x % geometry.columns;
-                x /= geometry.columns;
-                let bank = (x % geometry.banks_per_group as u64) as usize;
-                x /= geometry.banks_per_group as u64;
-                let bank_group = (x % geometry.bank_groups as u64) as usize;
-                x /= geometry.bank_groups as u64;
-                let rank = (x % geometry.ranks as u64) as usize;
-                x /= geometry.ranks as u64;
-                let row = x % geometry.rows;
-                DramAddress::new(channel, rank, bank_group, bank, row, column)
+                let (x, column) = div_rem(x, geometry.columns);
+                let (x, bank) = div_rem(x, geometry.banks_per_group as u64);
+                let (x, bank_group) = div_rem(x, geometry.bank_groups as u64);
+                let (x, rank) = div_rem(x, geometry.ranks as u64);
+                let (_, row) = div_rem(x, geometry.rows);
+                DramAddress::new(
+                    channel as usize,
+                    rank as usize,
+                    bank_group as usize,
+                    bank as usize,
+                    row,
+                    column,
+                )
             }
             AddressMapping::Mop { mop_lines } => {
                 let mop = mop_lines.max(1);
-                let mut x = line;
-                let channel = (x % geometry.channels as u64) as usize;
-                x /= geometry.channels as u64;
-                let col_lo = x % mop;
-                x /= mop;
-                let bank = (x % geometry.banks_per_group as u64) as usize;
-                x /= geometry.banks_per_group as u64;
-                let bank_group = (x % geometry.bank_groups as u64) as usize;
-                x /= geometry.bank_groups as u64;
-                let rank = (x % geometry.ranks as u64) as usize;
-                x /= geometry.ranks as u64;
-                let col_hi = x % (geometry.columns / mop).max(1);
-                x /= (geometry.columns / mop).max(1);
-                let row = x % geometry.rows;
-                let column = col_hi * mop + col_lo;
-                DramAddress::new(channel, rank, bank_group, bank, row, column)
+                let (x, col_lo) = div_rem(x, mop);
+                let (x, bank) = div_rem(x, geometry.banks_per_group as u64);
+                let (x, bank_group) = div_rem(x, geometry.bank_groups as u64);
+                let (x, rank) = div_rem(x, geometry.ranks as u64);
+                let (x, col_hi) = div_rem(x, div_rem(geometry.columns, mop).0.max(1));
+                let (_, row) = div_rem(x, geometry.rows);
+                DramAddress::new(
+                    channel as usize,
+                    rank as usize,
+                    bank_group as usize,
+                    bank as usize,
+                    row,
+                    col_hi * mop + col_lo,
+                )
             }
         }
     }

@@ -170,16 +170,16 @@ impl RowHammerDefense for BlockHammer {
     fn is_activation_safe(&mut self, now: Cycle, _thread: ThreadId, addr: &DramAddress) -> bool {
         let swapped = self.rowblocker.advance_epochs(now);
         self.handle_epoch_swap(swapped);
-        let safe = self.rowblocker.is_activation_safe(now, addr);
-        if !safe {
+        let veto = self.rowblocker.veto(now, addr);
+        if let Some(lifts_at) = veto {
             self.stats.blocked_activations += 1;
             let (at, earliest) = self.veto_lift;
             let earliest = if at == now { earliest } else { Cycle::MAX };
-            self.veto_lift = (now, earliest.min(self.rowblocker.veto_lifts_at(now, addr)));
+            self.veto_lift = (now, earliest.min(lifts_at));
         }
         match self.mode {
             OperatingMode::ObserveOnly => true,
-            OperatingMode::FullFunctional => safe,
+            OperatingMode::FullFunctional => veto.is_none(),
         }
     }
 

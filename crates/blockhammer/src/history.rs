@@ -147,16 +147,10 @@ impl HistoryBuffer {
             });
     }
 
-    /// Whether `row_key` was activated within the last `window` cycles
-    /// (the "Recently Activated?" CAM lookup).
-    // lint: alloc-free
-    pub fn recently_activated(&mut self, now: Cycle, row_key: u64) -> bool {
-        self.expire(now);
-        self.index.contains_key(&row_key)
-    }
-
     /// Cycle at which `row_key`'s most recent activation expires from the
-    /// window, if it is currently present.
+    /// window, if it is currently present: the "Recently Activated?" CAM
+    /// lookup, which is `Some` exactly when `row_key` was activated within
+    /// the last `window` cycles.
     // lint: alloc-free
     pub fn expires_at(&mut self, now: Cycle, row_key: u64) -> Option<Cycle> {
         self.expire(now);
@@ -174,10 +168,10 @@ mod tests {
     fn remembers_recent_rows_and_forgets_old_ones() {
         let mut hb = HistoryBuffer::new(16, 100);
         hb.record(10, 7);
-        assert!(hb.recently_activated(50, 7));
-        assert!(!hb.recently_activated(50, 8));
+        assert!(hb.expires_at(50, 7).is_some());
+        assert!(hb.expires_at(50, 8).is_none());
         // At cycle 110 the entry from cycle 10 has aged out.
-        assert!(!hb.recently_activated(110, 7));
+        assert!(hb.expires_at(110, 7).is_none());
         assert!(hb.is_empty());
     }
 
@@ -185,8 +179,8 @@ mod tests {
     fn expiry_is_exactly_at_the_window_boundary() {
         let mut hb = HistoryBuffer::new(4, 100);
         hb.record(0, 1);
-        assert!(hb.recently_activated(99, 1));
-        assert!(!hb.recently_activated(100, 1));
+        assert_eq!(hb.expires_at(99, 1), Some(100));
+        assert!(hb.expires_at(100, 1).is_none());
         hb.record(200, 2);
         assert_eq!(hb.expires_at(200, 2), Some(300));
     }
@@ -222,8 +216,8 @@ mod tests {
         assert_eq!(hb.overflows(), 1);
         assert_eq!(hb.len(), 2);
         // The oldest entry (row 1) was displaced.
-        assert!(!hb.recently_activated(3, 1));
-        assert!(hb.recently_activated(3, 3));
+        assert!(hb.expires_at(3, 1).is_none());
+        assert!(hb.expires_at(3, 3).is_some());
     }
 
     #[test]
@@ -233,9 +227,8 @@ mod tests {
         hb.record(60, 5);
         // The first record would have expired at 100, but the second keeps
         // the row "recently activated" until 160.
-        assert!(hb.recently_activated(120, 5));
         assert_eq!(hb.expires_at(120, 5), Some(160));
-        assert!(!hb.recently_activated(160, 5));
+        assert!(hb.expires_at(160, 5).is_none());
     }
 
     #[test]
@@ -247,10 +240,10 @@ mod tests {
         hb.record(0, 9);
         hb.record(50, 9);
         hb.record(50, 10);
-        assert!(hb.recently_activated(100, 9), "second record still live");
+        assert!(hb.expires_at(100, 9).is_some(), "second record still live");
         assert_eq!(hb.len(), 2);
-        assert!(!hb.recently_activated(150, 9));
-        assert!(!hb.recently_activated(150, 10));
+        assert!(hb.expires_at(150, 9).is_none());
+        assert!(hb.expires_at(150, 10).is_none());
         assert!(hb.is_empty());
     }
 }

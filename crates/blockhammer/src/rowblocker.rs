@@ -7,6 +7,11 @@
 //! therefore delayed by the memory request scheduler — exactly when its
 //! target row is blacklisted **and** appears in the history buffer, i.e.
 //! it was activated less than `tDelay` ago (Figure 2).
+//!
+//! [`RowBlocker::veto`] answers that query as the cycle the delay lifts.
+//! It tests the blacklist first and searches the history buffer only for
+//! a blacklisted row, in one lookup that yields both the answer and the
+//! lift cycle.
 
 use crate::cbf::DualCountingBloomFilter;
 use crate::config::BlockHammerConfig;
@@ -126,27 +131,23 @@ impl RowBlocker {
 
     /// The "Is this ACT RowHammer-safe?" query (step 1 in Figure 2).
     ///
-    /// Returns `true` if the activation may be issued now, `false` if the
-    /// scheduler must delay it.
+    /// Returns `None` if the activation may be issued now. Otherwise the
+    /// scheduler must delay it, and the result is the cycle the veto lifts
+    /// with time alone: when the row's latest activation leaves the
+    /// history buffer. An epoch boundary may clear its blacklisting
+    /// earlier.
+    ///
+    /// Only a blacklisted row is looked up in the history buffer. The
+    /// buffer expires its entries lazily, before every lookup and every
+    /// record, so a skipped lookup changes no later answer.
     // lint: alloc-free
-    pub fn is_activation_safe(&mut self, now: Cycle, addr: &DramAddress) -> bool {
+    pub fn veto(&mut self, now: Cycle, addr: &DramAddress) -> Option<Cycle> {
         self.advance_epochs(now);
-        let blacklisted = self.is_blacklisted(addr);
-        let row_key = self.row_key(addr);
-        let rank = self.rank_index(addr);
-        let recently = self.history[rank].recently_activated(now, row_key);
-        !(blacklisted && recently)
-    }
-
-    /// When a veto of `addr`'s row lifts with time alone: the cycle its
-    /// latest activation leaves the history buffer (`Cycle::MAX` if it is
-    /// not there). An epoch boundary may clear its blacklisting earlier.
-    // lint: alloc-free
-    pub fn veto_lifts_at(&mut self, now: Cycle, addr: &DramAddress) -> Cycle {
+        if !self.is_blacklisted(addr) {
+            return None;
+        }
         let (rank, row_key) = (self.rank_index(addr), self.row_key(addr));
-        self.history[rank]
-            .expires_at(now, row_key)
-            .unwrap_or(Cycle::MAX)
+        self.history[rank].expires_at(now, row_key)
     }
 
     /// Records an issued activation (steps 8 and 9 in Figure 2). Returns
@@ -202,7 +203,7 @@ mod tests {
         for round in 0..10u64 {
             for row in 0..200u64 {
                 let a = addr((row % 4) as usize, (row % 16 / 4) as usize, row);
-                assert!(rb.is_activation_safe(now, &a));
+                assert_eq!(rb.veto(now, &a), None);
                 rb.on_activation(now, &a);
                 now += 200;
                 let _ = round;
@@ -220,15 +221,21 @@ mod tests {
         let mut now = 0;
         // Hammer up to the blacklisting threshold: all safe.
         for _ in 0..n_bl {
-            assert!(rb.is_activation_safe(now, &aggressor));
+            assert_eq!(rb.veto(now, &aggressor), None);
             rb.on_activation(now, &aggressor);
             now += 148; // tRC
         }
         assert!(rb.is_blacklisted(&aggressor));
-        // The next activation attempt right away is unsafe...
-        assert!(!rb.is_activation_safe(now, &aggressor));
-        // ...but becomes safe once tDelay has elapsed since the last ACT.
-        assert!(rb.is_activation_safe(now + t_delay, &aggressor));
+        // The next activation attempt right away is unsafe, and the veto
+        // lifts tDelay after the last ACT...
+        let last_act = now - 148;
+        assert_eq!(rb.veto(now, &aggressor), Some(last_act + t_delay));
+        assert_eq!(
+            rb.veto(last_act + t_delay - 1, &aggressor),
+            Some(last_act + t_delay)
+        );
+        // ...when the activation becomes safe.
+        assert_eq!(rb.veto(last_act + t_delay, &aggressor), None);
     }
 
     #[test]
@@ -241,7 +248,7 @@ mod tests {
         let mut now = 0;
         let mut activations = 0u64;
         while now < config.t_refw_cycles {
-            if rb.is_activation_safe(now, &aggressor) {
+            if rb.veto(now, &aggressor).is_none() {
                 rb.on_activation(now, &aggressor);
                 activations += 1;
                 now += geometry.t_rc_cycles; // fastest physically possible
@@ -271,7 +278,7 @@ mod tests {
         let benign = addr(0, 0, 43);
         let mut now = 0;
         for _ in 0..(n_bl * 2) {
-            if rb.is_activation_safe(now, &aggressor) {
+            if rb.veto(now, &aggressor).is_none() {
                 rb.on_activation(now, &aggressor);
             }
             now += 148;
@@ -279,7 +286,7 @@ mod tests {
         // The benign neighbour row in the same bank is not blacklisted
         // (false positives across *rows* require hash aliasing, which the
         // re-seeded 4-hash filter makes unlikely for a single row).
-        assert!(rb.is_activation_safe(now, &benign));
+        assert_eq!(rb.veto(now, &benign), None);
     }
 
     #[test]
@@ -298,7 +305,7 @@ mod tests {
         let later = now + config.t_cbf_cycles + 2;
         rb.advance_epochs(later);
         assert!(!rb.is_blacklisted(&aggressor));
-        assert!(rb.is_activation_safe(later, &aggressor));
+        assert_eq!(rb.veto(later, &aggressor), None);
     }
 
     #[test]

@@ -65,9 +65,17 @@ impl MemCtrlConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the offending field if queue sizes
-    /// are zero or the drain watermarks are inconsistent.
+    /// are zero, the drain watermarks are inconsistent, or a channel has
+    /// more than 64 banks (the scheduler keeps one bit per bank of the
+    /// channel in a `u64`).
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.organization.validate()?;
+        if self.organization.banks_per_channel() > 64 {
+            return Err(ConfigError::new(
+                "organization",
+                "a channel may have at most 64 banks",
+            ));
+        }
         if self.read_queue_capacity == 0 {
             return Err(ConfigError::new("read_queue_capacity", "must be non-zero"));
         }
@@ -122,6 +130,17 @@ mod tests {
         let mut c = MemCtrlConfig::default();
         c.write_drain_high = c.write_queue_capacity + 1;
         assert_eq!(c.validate().unwrap_err().field(), "write_drain_high");
+    }
+
+    #[test]
+    fn validate_bounds_a_channel_to_64_banks() {
+        let mut c = MemCtrlConfig::default();
+        c.organization.ranks = 4;
+        assert_eq!(c.organization.banks_per_channel(), 64);
+        assert!(c.validate().is_ok());
+        c.organization.ranks = 5;
+        assert_eq!(c.organization.banks_per_channel(), 80);
+        assert_eq!(c.validate().unwrap_err().field(), "organization");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! paper's methodology (Table 5): FR-FCFS scheduling with write draining,
 //! 64-entry read and write queues, MOP address mapping, open-page row
 //! buffer policy, and periodic all-bank refresh. One controller drives one
-//! memory channel; a system with more channels runs one controller (and
-//! one defense) per channel. A [`RowHammerDefense`] (the trait from the
+//! memory channel of at most 64 banks; a system with more channels runs
+//! one controller (and one defense) per channel. A [`RowHammerDefense`] (the trait from the
 //! `mitigations` crate) is consulted:
 //!
 //! * before every row activation (`is_activation_safe`) — proactive

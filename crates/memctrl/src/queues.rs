@@ -14,6 +14,14 @@
 //! controller assigns ids monotonically at admission, so "oldest request"
 //! is always "smallest id", and a k-way merge over bucket heads visits
 //! requests in exactly the order a linear scan of a flat queue would.
+//!
+//! Both structures also keep a *bank set* — a `u64` with one bit per bank
+//! of the channel — of the banks with a queued request
+//! ([`BankedQueue::banks`]) and of the open banks
+//! ([`OpenRowCache::open_banks`]). The scheduling passes combine these
+//! sets and walk the result lowest bit first, which is ascending bank
+//! order, so they visit no bank without work. A `u64` bounds a channel to
+//! 64 banks; [`crate::MemCtrlConfig::validate`] enforces it.
 
 use bh_types::{MemCommand, MemRequest};
 use std::collections::VecDeque;
@@ -26,6 +34,8 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub(crate) struct BankedQueue {
     buckets: Vec<VecDeque<MemRequest>>,
+    /// The bank set of the non-empty buckets.
+    banks: u64,
     len: usize,
 }
 
@@ -34,6 +44,7 @@ impl BankedQueue {
     pub(crate) fn new(banks: usize) -> Self {
         Self {
             buckets: vec![VecDeque::new(); banks],
+            banks: 0,
             len: 0,
         }
     }
@@ -43,9 +54,16 @@ impl BankedQueue {
         self.len
     }
 
+    /// The set of banks with at least one queued request (bit `b` for
+    /// bank `b`).
+    pub(crate) fn banks(&self) -> u64 {
+        self.banks
+    }
+
     /// Appends a request to its bank's bucket.
     pub(crate) fn push(&mut self, bank: usize, request: MemRequest) {
         self.buckets[bank].push_back(request);
+        self.banks |= 1 << bank;
         self.len += 1;
     }
 
@@ -65,6 +83,9 @@ impl BankedQueue {
             .remove(pos)
             // lint: allow(panic-freedom) -- documented pub(crate) contract: positions come from peeking the same bucket
             .expect("bucket position out of range");
+        if self.buckets[bank].is_empty() {
+            self.banks &= !(1 << bank);
+        }
         self.len -= 1;
         request
     }
@@ -83,6 +104,8 @@ impl BankedQueue {
 #[derive(Debug, Clone)]
 pub(crate) struct OpenRowCache {
     rows: Vec<Option<u64>>,
+    /// The bank set of the banks with an open row.
+    open: u64,
 }
 
 impl OpenRowCache {
@@ -91,6 +114,7 @@ impl OpenRowCache {
     pub(crate) fn new(banks: usize) -> Self {
         Self {
             rows: vec![None; banks],
+            open: 0,
         }
     }
 
@@ -99,11 +123,22 @@ impl OpenRowCache {
         self.rows[bank]
     }
 
+    /// The set of banks with an open row (bit `b` for bank `b`).
+    pub(crate) fn open_banks(&self) -> u64 {
+        self.open
+    }
+
     /// Records the effect of an issued command on `bank`'s row buffer.
     pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, row: u64) {
         match cmd {
-            MemCommand::Activate => self.rows[bank] = Some(row),
-            MemCommand::Precharge => self.rows[bank] = None,
+            MemCommand::Activate => {
+                self.rows[bank] = Some(row);
+                self.open |= 1 << bank;
+            }
+            MemCommand::Precharge => {
+                self.rows[bank] = None;
+                self.open &= !(1 << bank);
+            }
             // Column commands leave the row buffer as-is; a REF is only
             // legal with every bank of the rank already precharged, so it
             // cannot change any cached entry either.
@@ -135,12 +170,15 @@ mod tests {
         q.push(1, request(2, 0, 1, 30));
         q.push(3, request(3, 0, 3, 40));
         assert_eq!(q.len(), 4);
+        assert_eq!(q.banks(), 0b1010);
         let removed = q.remove(1, 1);
         assert_eq!(removed.id, 1);
         let remaining: Vec<u64> = q.bucket(1).iter().map(|r| r.id).collect();
         assert_eq!(remaining, vec![0, 2], "removal must be stable");
         assert_eq!(q.len(), 3);
         assert_eq!(q.bucket(2).len(), 0);
+        q.remove(3, 0);
+        assert_eq!(q.banks(), 0b0010, "an emptied bucket leaves the set");
     }
 
     #[test]
@@ -149,10 +187,12 @@ mod tests {
         assert_eq!(cache.get(0), None);
         cache.note_issue(MemCommand::Activate, 0, 42);
         assert_eq!(cache.get(0), Some(42));
+        assert_eq!(cache.open_banks(), 0b01);
         cache.note_issue(MemCommand::Read, 0, 42);
         assert_eq!(cache.get(0), Some(42), "column commands keep the row");
         cache.note_issue(MemCommand::Precharge, 0, 42);
         assert_eq!(cache.get(0), None);
+        assert_eq!(cache.open_banks(), 0);
         assert_eq!(cache.get(1), None, "other banks are untouched");
     }
 }

@@ -25,9 +25,20 @@
 //!   check per bank instead of one per request. An open-row index counts,
 //!   per bank, the queued reads and writes that target the bank's open
 //!   row: it is updated on push, on row-hit removal and on every issued
-//!   ACT or precharge, so the row-hit pass skips banks without a hit and
-//!   the conflict-precharge pass answers "still wanted?" in O(1). Debug
-//!   builds recount it after every update.
+//!   ACT or precharge. Debug builds recount it after every update.
+//!
+//! The banked passes walk *bank sets*: `u64`s with one bit per bank of
+//! the channel, kept next to the structures they summarise (the banks
+//! with a queued request, the open banks, and per queue kind the banks
+//! whose open-row hit count is non-zero). The row-hit pass walks the hit
+//! set, the activation pass the queued banks that are not open, and the
+//! conflict-precharge pass the queued open banks whose row no request of
+//! either queue still wants. Each walk goes lowest bit first, which is
+//! the ascending bank order of a `0..banks` loop, so the legality checks,
+//! the defense consults and the refused cycles a failed pass records are
+//! exactly those of such a loop. The row-hit pass also checks a bank's
+//! column-command legality before it walks the bank's bucket: legality
+//! is a bank-level fact, and most calls find no legal hit.
 //!
 //! Both implementations make identical decisions, cycle for cycle: command
 //! legality depends only on bank and rank state (never on the column), so
@@ -85,6 +96,9 @@ pub(crate) struct Scheduler {
     /// Banked policy only: per global bank, the queued reads and writes
     /// (indexed by [`kind_index`]) that target the bank's open row.
     open_row_hits: Vec<[u32; 2]>,
+    /// Banked policy only: per queue kind (indexed by [`kind_index`]), the
+    /// bank set of the banks whose `open_row_hits` entry is non-zero.
+    hit_banks: [u64; 2],
     /// Scratch cursor list for `pick_activation`'s banked merge, kept
     /// across calls so the per-cycle pass never allocates.
     act_cursors: Vec<(usize, usize)>,
@@ -96,6 +110,17 @@ fn kind_index(kind: AccessType) -> usize {
         AccessType::Read => 0,
         AccessType::Write => 1,
     }
+}
+
+/// The banks of a bank set in ascending order (lowest set bit first).
+fn banks_in(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let bank = set.trailing_zeros() as usize;
+            set &= set - 1;
+            bank
+        })
+    })
 }
 
 impl Scheduler {
@@ -114,6 +139,7 @@ impl Scheduler {
             write: make(write_capacity),
             open_rows: OpenRowCache::new(total_banks),
             open_row_hits: vec![[0; 2]; total_banks],
+            hit_banks: [0; 2],
             act_cursors: Vec::new(),
         }
     }
@@ -153,6 +179,7 @@ impl Scheduler {
                 q.push(bank, request);
                 if hits_open_row {
                     self.open_row_hits[bank][kind_index(kind)] += 1;
+                    self.hit_banks[kind_index(kind)] |= 1 << bank;
                 }
                 self.debug_check_open_row_hits(bank);
             }
@@ -160,10 +187,10 @@ impl Scheduler {
     }
 
     /// Records the row-buffer effect of a command the controller issued on
-    /// `bank` (keeps the open-row cache and the open-row index exact). Only
-    /// an ACT or a PRE changes them, and only on `bank` (a REF needs its
-    /// rank's banks closed already), so debug builds recount that bank
-    /// alone.
+    /// `bank` (keeps the open-row cache, the open-row index and the bank
+    /// sets exact). Only an ACT or a PRE changes them, and only on `bank`
+    /// (a REF needs its rank's banks closed already), so debug builds
+    /// recount that bank alone.
     // lint: alloc-free
     pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, row: u64) {
         self.open_rows.note_issue(cmd, bank, row);
@@ -180,16 +207,31 @@ impl Scheduler {
                         .count() as u32
                 };
                 self.open_row_hits[bank] = [count(reads), count(writes)];
+                for (set, hits) in self.hit_banks.iter_mut().zip(self.open_row_hits[bank]) {
+                    if hits > 0 {
+                        *set |= 1 << bank;
+                    }
+                }
             }
-            MemCommand::Precharge => self.open_row_hits[bank] = [0; 2],
+            MemCommand::Precharge => {
+                self.open_row_hits[bank] = [0; 2];
+                for set in &mut self.hit_banks {
+                    *set &= !(1 << bank);
+                }
+            }
             MemCommand::Read | MemCommand::Write | MemCommand::Refresh => {}
         }
         self.debug_check_open_row_hits(bank);
     }
 
-    /// Debug builds: recounts `bank`'s open-row index from the queues and
-    /// the open-row cache (a no-op under the linear policy).
+    /// Debug builds: recounts `bank`'s open-row index and its bits in the
+    /// three bank sets (queued, open, hit) from the queues and the
+    /// open-row cache (a no-op under the linear policy and in release
+    /// builds).
     fn debug_check_open_row_hits(&self, bank: usize) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         if let (QueueRepr::Banked(reads), QueueRepr::Banked(writes)) = (&self.read, &self.write) {
             let open = self.open_rows.get(bank);
             let count = |q: &BankedQueue| {
@@ -198,10 +240,29 @@ impl Scheduler {
                     .filter(|r| Some(r.dram_addr.row()) == open)
                     .count() as u32
             };
+            let hits = [count(reads), count(writes)];
             debug_assert_eq!(
-                self.open_row_hits[bank],
-                [count(reads), count(writes)],
+                self.open_row_hits[bank], hits,
                 "open-row index diverged from the queues on bank {bank}"
+            );
+            let bit = |set: u64| (set >> bank) & 1 == 1;
+            debug_assert_eq!(
+                [bit(self.hit_banks[0]), bit(self.hit_banks[1])],
+                hits.map(|n| n > 0),
+                "hit set diverged from the open-row index on bank {bank}"
+            );
+            debug_assert_eq!(
+                [bit(reads.banks()), bit(writes.banks())],
+                [
+                    !reads.bucket(bank).is_empty(),
+                    !writes.bucket(bank).is_empty()
+                ],
+                "queued set diverged from the buckets on bank {bank}"
+            );
+            debug_assert_eq!(
+                bit(self.open_rows.open_banks()),
+                open.is_some(),
+                "open set diverged from the open-row cache on bank {bank}"
             );
         }
     }
@@ -239,13 +300,18 @@ impl Scheduler {
             }
             QueueRepr::Banked(q) => {
                 let mut best: Option<(ReqId, usize, usize)> = None;
-                for bank in 0..self.open_row_hits.len() {
-                    if self.open_row_hits[bank][kind_index(kind)] == 0 {
-                        continue;
-                    }
-                    let Some(open) = self.open_rows.get(bank) else {
+                for bank in banks_in(self.hit_banks[kind_index(kind)]) {
+                    let (Some(open), Some(front)) =
+                        (self.open_rows.get(bank), q.bucket(bank).front())
+                    else {
                         continue;
                     };
+                    // Column-command legality depends on the bank and its
+                    // open row, never on the column, so one check covers
+                    // every hit of the bank, and it comes before the walk.
+                    if !dram.can_issue(cmd, &front.dram_addr.with_row(open), now) {
+                        continue;
+                    }
                     let Some((pos, request)) = q
                         .bucket(bank)
                         .iter()
@@ -254,11 +320,6 @@ impl Scheduler {
                     else {
                         continue;
                     };
-                    // Column-command legality is identical for every
-                    // same-row request of the bank, so one check suffices.
-                    if !dram.can_issue(cmd, &request.dram_addr, now) {
-                        continue;
-                    }
                     if best.map_or(true, |(id, _, _)| request.id < id) {
                         best = Some((request.id, bank, pos));
                     }
@@ -269,7 +330,11 @@ impl Scheduler {
                     unreachable!("queue representation is fixed at construction");
                 };
                 let hit = q.remove(bank, pos);
-                self.open_row_hits[bank][kind_index(kind)] -= 1;
+                let hits = &mut self.open_row_hits[bank][kind_index(kind)];
+                *hits -= 1;
+                if *hits == 0 {
+                    self.hit_banks[kind_index(kind)] &= !(1 << bank);
+                }
                 self.debug_check_open_row_hits(bank);
                 Some(hit)
             }
@@ -316,16 +381,14 @@ impl Scheduler {
                 None
             }
             QueueRepr::Banked(q) => {
-                // Banks whose ACT is legal now; eligibility is a bank-level
-                // property (activation legality never depends on the row),
-                // so it is decided once per bank.
-                for bank in 0..self.open_row_hits.len() {
+                // Precharged banks with queued work whose ACT is legal now;
+                // eligibility is a bank-level property (activation legality
+                // never depends on the row), so it is decided once per bank.
+                for bank in banks_in(q.banks() & !self.open_rows.open_banks()) {
                     let Some(front) = q.bucket(bank).front() else {
                         continue;
                     };
-                    if self.open_rows.get(bank).is_some()
-                        || !dram.can_issue(MemCommand::Activate, &front.dram_addr, now)
-                    {
+                    if !dram.can_issue(MemCommand::Activate, &front.dram_addr, now) {
                         continue;
                     }
                     cursors.push((bank, 0));
@@ -405,12 +468,10 @@ impl Scheduler {
             }
             (QueueRepr::Banked(q), QueueRepr::Banked(_), QueueRepr::Banked(_)) => {
                 let mut best: Option<(ReqId, DramAddress)> = None;
-                for bank in 0..self.open_row_hits.len() {
-                    // Keep the row open while any queued read or write
-                    // still hits it.
-                    if self.open_rows.get(bank).is_none() || self.open_row_hits[bank] != [0; 2] {
-                        continue;
-                    }
+                // Open banks with queued work, keeping a row open while any
+                // queued read or write still hits it.
+                let still_wanted = self.hit_banks[0] | self.hit_banks[1];
+                for bank in banks_in(q.banks() & self.open_rows.open_banks() & !still_wanted) {
                     // No queued request targets the open row, so the
                     // bucket's oldest request conflicts with it.
                     let Some(request) = q.bucket(bank).front() else {
@@ -580,41 +641,85 @@ mod tests {
         assert_eq!(pre.row(), 31);
     }
 
+    /// The banked scheduler's bank sets: queued reads, queued writes, open
+    /// banks, read hits and write hits.
+    fn bank_sets(s: &Scheduler) -> [u64; 5] {
+        let queued = |q: &QueueRepr| match q {
+            QueueRepr::Banked(q) => q.banks(),
+            QueueRepr::Linear(_) => unreachable!("the banked policy"),
+        };
+        [
+            queued(&s.read),
+            queued(&s.write),
+            s.open_rows.open_banks(),
+            s.hit_banks[0],
+            s.hit_banks[1],
+        ]
+    }
+
     #[test]
     fn open_row_index_follows_activations_hits_and_precharges() {
         let mut dram = device();
         let mut s = scheduler(SchedulerPolicy::BankedIndex);
         let bank = bank_index(0, 0);
+        let other = bank_index(1, 2);
+        let (b, o) = (1 << bank, 1 << other);
         let mut write = request(2, 0, 0, 10);
         write.access = AccessType::Write;
         s.push(AccessType::Read, bank, request(1, 0, 0, 10));
         s.push(AccessType::Write, bank, write);
         s.push(AccessType::Read, bank, request(3, 0, 0, 11));
+        s.push(AccessType::Read, other, request(4, 1, 2, 50));
         assert_eq!(
             s.open_row_hits[bank],
             [0, 0],
             "a precharged bank has no hits"
         );
+        assert_eq!(bank_sets(&s), [b | o, b, 0, 0, 0]);
         open(&mut s, &mut dram, 0, 0, 10, 0);
         assert_eq!(
             s.open_row_hits[bank],
             [1, 1],
             "an ACT counts the queued hits"
         );
+        assert_eq!(bank_sets(&s), [b | o, b, b, b, b]);
         let t = *dram.timings();
         let hit = s.take_row_hit(AccessType::Read, t.t_rcd, &dram).unwrap();
         assert_eq!(hit.id, 1);
         assert_eq!(s.open_row_hits[bank], [0, 1]);
         assert_eq!(
+            bank_sets(&s),
+            [b | o, b, b, 0, b],
+            "the last read hit leaves the read hit set"
+        );
+        assert_eq!(
             s.pick_conflict_precharge(AccessType::Read, t.t_ras, &dram),
             None,
             "the queued write still wants row 10"
         );
+        let row10 = DramAddress::new(0, 0, 0, 0, 10, 0);
+        let pre_at = dram.earliest_issue(MemCommand::Precharge, &row10).unwrap();
+        dram.issue(MemCommand::Precharge, &row10, pre_at);
         s.note_issue(MemCommand::Precharge, bank, 10);
         assert_eq!(
             s.open_row_hits[bank],
             [0, 0],
             "a PRE clears the bank's hits"
+        );
+        assert_eq!(bank_sets(&s), [b | o, b, 0, 0, 0]);
+        let served = s.take_row_hit(AccessType::Write, pre_at, &dram);
+        assert_eq!(served, None, "a precharged bank serves no hit");
+        let act_at = dram.earliest_issue(MemCommand::Activate, &row10).unwrap();
+        open(&mut s, &mut dram, 0, 0, 11, act_at);
+        assert_eq!(bank_sets(&s), [b | o, b, b, b, 0]);
+        let hit = s
+            .take_row_hit(AccessType::Read, act_at + t.t_rcd, &dram)
+            .unwrap();
+        assert_eq!(hit.id, 3);
+        assert_eq!(
+            bank_sets(&s),
+            [o, b, b, 0, 0],
+            "an emptied bucket leaves the queued set"
         );
     }
 

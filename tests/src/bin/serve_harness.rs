@@ -4,14 +4,13 @@
 //! Starts a [`server::Server`] on an ephemeral loopback port with its
 //! data directory under `DIR`, writes the bound address to `DIR/addr`
 //! (atomically, so the test can poll for it), then parks. The test
-//! submits a campaign over HTTP, lets the armed fault injector
-//! `process::abort()` the whole server mid-campaign, re-spawns this
-//! binary on the same directory, and verifies the resumed campaign
-//! streams and writes byte-identical results.
+//! submits a campaign over HTTP, lets the armed fault injector stall the
+//! executor mid-campaign, SIGKILLs the server, re-spawns this binary on
+//! the same directory, and verifies the resumed campaign streams and
+//! writes byte-identical results.
 //!
 //! ```text
-//! serve_harness data DIR [queue N] [workers N] [abort-after N]
-//!               [stall-after N]
+//! serve_harness data DIR [queue N] [workers N] [stall-after N]
 //! ```
 
 use campaign::faults::{arm, FaultPlan};
@@ -41,14 +40,13 @@ fn main() -> ExitCode {
                 Some(dir) => data_dir = Some(PathBuf::from(dir)),
                 None => return fail("data needs a directory argument"),
             },
-            name @ ("queue" | "workers" | "abort-after" | "stall-after") => {
+            name @ ("queue" | "workers" | "stall-after") => {
                 let Some(n) = iter.next().and_then(|v| v.parse::<u64>().ok()) else {
                     return fail(format!("{name} needs an integer argument"));
                 };
                 match name {
                     "queue" => config.queue_capacity = n as usize,
                     "workers" => config.workers = n as usize,
-                    "abort-after" => plan.abort_after_journal_records = Some(n),
                     _ => plan.stall_after_journal_records = Some(n),
                 }
             }
@@ -59,7 +57,7 @@ fn main() -> ExitCode {
         return fail("data DIR is required");
     };
     config.data_dir = data_dir.clone();
-    if plan.abort_after_journal_records.is_some() || plan.stall_after_journal_records.is_some() {
+    if plan.stall_after_journal_records.is_some() {
         arm(plan);
     }
     let server = match Server::start(config) {
@@ -69,7 +67,7 @@ fn main() -> ExitCode {
     if let Err(error) = write_atomic(&data_dir.join("addr"), server.addr().to_string()) {
         return fail(format!("writing addr file: {error}"));
     }
-    // Park until the test kills us (SIGKILL, or the armed fault abort).
+    // Park until the test kills us.
     loop {
         std::thread::sleep(Duration::from_millis(100));
     }

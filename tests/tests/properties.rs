@@ -1,6 +1,6 @@
 //! Property-based tests on cross-crate invariants.
 
-use bh_types::{AddressMapping, AddressMappingGeometry};
+use bh_types::{AddressMapping, AddressMappingGeometry, DramAddress};
 use blockhammer::config::{compute_t_delay, BlockHammerConfig};
 use blockhammer::{security, DualCountingBloomFilter};
 use mitigations::{DefenseGeometry, RowHammerThreshold};
@@ -15,7 +15,52 @@ fn geometry_with_channels(channels: usize) -> AddressMappingGeometry {
     }
 }
 
+/// A geometry none of whose dimensions but the bank counts and the line
+/// size is a power of two: 3 channels, 3,000 rows and 96 columns. With a
+/// MOP width of 3 it sends every decode through the division branch.
+fn odd_geometry() -> AddressMappingGeometry {
+    AddressMappingGeometry {
+        channels: 3,
+        rows: 3_000,
+        columns: 96,
+        ..AddressMappingGeometry::default()
+    }
+}
+
 proptest! {
+    /// Address decoding divides by each geometry dimension, with a shift
+    /// and a mask for a power of two and a division otherwise. On a
+    /// geometry whose dimensions are not powers of two, `decode` still
+    /// inverts the unchanged `encode`, wraps past the capacity, and agrees
+    /// with the channel-local split, under both mappings.
+    #[test]
+    fn decoding_a_non_power_of_two_geometry_round_trips(
+        line in 0u64..3 * 16 * 3_000 * 96,
+        offset in 0u64..64,
+    ) {
+        let geometry = odd_geometry();
+        let local_geometry = geometry.per_channel();
+        for mapping in [AddressMapping::Mop { mop_lines: 3 }, AddressMapping::RoBaRaCoCh] {
+            let phys = line * 64;
+            let decoded = mapping.decode(&geometry, phys + offset);
+            prop_assert_eq!(mapping.encode(&geometry, &decoded), phys);
+            prop_assert_eq!(mapping.decode(&geometry, phys + geometry.capacity_bytes()), decoded);
+            let (channel, local_phys) = mapping.to_channel_local(&geometry, phys + offset);
+            prop_assert_eq!(channel, decoded.channel());
+            prop_assert_eq!(local_phys % 64, offset);
+            let local = mapping.decode(&local_geometry, local_phys);
+            let expected = DramAddress::new(
+                0,
+                decoded.rank(),
+                decoded.bank_group(),
+                decoded.bank(),
+                decoded.row(),
+                decoded.column(),
+            );
+            prop_assert_eq!(local, expected);
+        }
+    }
+
     /// `decode` followed by `encode` is the identity on line-aligned
     /// physical addresses for every mapping scheme and for 1-, 2- and
     /// 4-channel organizations — the invariant the channel-sharded memory

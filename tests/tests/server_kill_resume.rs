@@ -1,16 +1,16 @@
 //! Crash-safety of the campaign *server*, end-to-end over HTTP: a
-//! server killed mid-campaign (the armed fault injector aborts the
-//! whole process after 2 journal records) is restarted on the same data
-//! directory, re-admits the interrupted campaign from its persisted
-//! spec, resumes it from the journal — and the results a client then
-//! streams, plus the final artifacts, are byte-identical to an
-//! uninterrupted batch run.
+//! server SIGKILLed mid-campaign (the armed fault injector stalls its
+//! executor after 2 journal records, so the kill lands at a known
+//! journal state) is restarted on the same data directory, re-admits the
+//! interrupted campaign from its persisted spec, resumes it from the
+//! journal — and the results a client then streams, plus the final
+//! artifacts, are byte-identical to an uninterrupted batch run.
 //!
 //! The server under test is the `serve_harness` binary (a kill must hit
 //! a whole process); the campaign is [`integration_tests::serve_campaign`].
 
-use campaign::checkpoint::fingerprint;
-use campaign::{execute_observed, wire, ExecutionOptions};
+use campaign::checkpoint::{fingerprint, read_journal};
+use campaign::{execute_observed, wire, CampaignSpec, ExecutionOptions};
 use integration_tests::serve_campaign;
 use server::http::client;
 use std::path::{Path, PathBuf};
@@ -24,14 +24,10 @@ fn scratch(label: &str) -> PathBuf {
     dir
 }
 
-/// Spawns `serve_harness` on `data` and waits for its address file.
-fn start_harness(data: &Path, abort_after: Option<u64>) -> (Child, String) {
-    start_harness_with(data, abort_after, &[])
-}
-
-/// [`start_harness`] with additional harness arguments (worker count,
-/// stall-after) appended verbatim.
-fn start_harness_with(data: &Path, abort_after: Option<u64>, extra: &[&str]) -> (Child, String) {
+/// Spawns `serve_harness` on `data`, with additional harness arguments
+/// (worker count, stall-after) appended verbatim, and waits for its
+/// address file.
+fn start_harness(data: &Path, extra: &[&str]) -> (Child, String) {
     // A previous server's address file would race the new one's.
     let _ = std::fs::remove_file(data.join("addr"));
     let mut command = Command::new(env!("CARGO_BIN_EXE_serve_harness"));
@@ -40,9 +36,6 @@ fn start_harness_with(data: &Path, abort_after: Option<u64>, extra: &[&str]) -> 
         command.args(["workers", "0"]);
     }
     command.args(extra);
-    if let Some(n) = abort_after {
-        command.args(["abort-after", &n.to_string()]);
-    }
     let mut child = command.spawn().expect("spawn serve_harness");
     let addr_file = data.join("addr");
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -58,6 +51,29 @@ fn start_harness_with(data: &Path, abort_after: Option<u64>, extra: &[&str]) -> 
         assert!(
             Instant::now() < deadline,
             "serve_harness never wrote its address file"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Waits until the journal of campaign `spec` under `data` holds exactly
+/// `records` records (a harness started with `stall-after records` then
+/// parks its executor for good).
+fn wait_for_journal(data: &Path, spec: &CampaignSpec, records: usize) {
+    let journal = data
+        .join(format!("{:016x}", fingerprint(spec)))
+        .join("campaign.journal");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let journaled = read_journal(&journal, fingerprint(spec), spec.run_count() as u64)
+            .map(|scan| scan.entries.len())
+            .unwrap_or(0);
+        if journaled == records {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stalled server never journaled {records} records (got {journaled})"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -81,16 +97,18 @@ fn sigkilled_server_resumes_campaign_with_byte_identical_results() {
     .expect("reference executes");
 
     let data = scratch("serve-kill-resume");
-    // First server: armed to abort the whole process once 2 of the 4
-    // runs are journaled.
-    let (mut doomed, addr) = start_harness(&data, Some(2));
+    // First server: armed to stall its executor once 2 of the 4 runs are
+    // journaled. The stall keeps the process alive until its 201 has
+    // reached the client; then a SIGKILL ends it without unwinding or
+    // flushing anything besides the journal.
+    let (mut doomed, addr) = start_harness(&data, &["stall-after", "2"]);
     let body = wire::spec_to_json(&spec);
     let response =
         client::request(&addr, "POST", "/campaigns", &[], body.as_bytes()).expect("submit");
     assert_eq!(response.status, 201, "{}", response.utf8().unwrap_or(""));
-    // The abort fires on the executor thread mid-campaign; the process
-    // dies without unwinding or flushing anything besides the journal.
-    let status = doomed.wait().expect("reap aborted server");
+    wait_for_journal(&data, &spec, 2);
+    doomed.kill().expect("SIGKILL the stalled server");
+    let status = doomed.wait().expect("reap the killed server");
     assert!(!status.success(), "the armed server must die");
     assert!(
         !data.join(&id).join("campaign.json").exists(),
@@ -100,7 +118,7 @@ fn sigkilled_server_resumes_campaign_with_byte_identical_results() {
     // Second server, same data directory: recovery finds spec.json
     // without a completion marker, re-admits the campaign, and the
     // journal resume skips the 2 already-finished runs.
-    let (survivor, addr) = start_harness(&data, None);
+    let (survivor, addr) = start_harness(&data, &[]);
     let mut streamed = Vec::new();
     let status = client::stream(&addr, &format!("/campaigns/{id}/results"), &mut |line| {
         streamed.push(line.to_owned());
@@ -156,7 +174,7 @@ fn sigkilled_server_resumes_campaign_with_byte_identical_results() {
     let mut survivor = survivor;
     survivor.kill().expect("kill the second server");
     survivor.wait().expect("reap the second server");
-    let (mut third, addr) = start_harness(&data, None);
+    let (mut third, addr) = start_harness(&data, &[]);
     let mut replayed = Vec::new();
     let status = client::stream(&addr, &format!("/campaigns/{id}/results"), &mut |line| {
         replayed.push(line.to_owned());
@@ -179,7 +197,6 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
     let mut spec = serve_campaign();
     spec.name = "serve-kill-stealing".to_owned();
     let id = format!("{:016x}", fingerprint(&spec));
-    let total = spec.run_count();
 
     let mut expected_lines = Vec::new();
     let report = execute_observed(
@@ -195,7 +212,7 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
     let stealing_args = ["workers", "2"];
     let mut stalled_args = vec!["stall-after", "2"];
     stalled_args.extend_from_slice(&stealing_args);
-    let (mut doomed, addr) = start_harness_with(&data, None, &stalled_args);
+    let (mut doomed, addr) = start_harness(&data, &stalled_args);
     let body = wire::spec_to_json(&spec);
     let response =
         client::request(&addr, "POST", "/campaigns", &[], body.as_bytes()).expect("submit");
@@ -203,22 +220,7 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
 
     // Wait until exactly 2 runs are journaled (the executor then stalls
     // forever) and the prelude cache is on disk, then deliver the kill.
-    let journal = data.join(&id).join("campaign.journal");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let journaled =
-            campaign::checkpoint::read_journal(&journal, fingerprint(&spec), total as u64)
-                .map(|scan| scan.entries.len())
-                .unwrap_or(0);
-        if journaled == 2 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "the stalled server never journaled 2 records (got {journaled})"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_for_journal(&data, &spec, 2);
     assert!(
         data.join(&id).join("campaign.prelude").is_file(),
         "the first server must leave its prelude cache behind"
@@ -229,7 +231,7 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
     // The survivor resumes with the same stealing scheduler, replays the
     // 2 journaled runs, serves the prelude from the cache, and streams
     // bytes identical to the uninterrupted sequential reference.
-    let (mut survivor, addr) = start_harness_with(&data, None, &stealing_args);
+    let (mut survivor, addr) = start_harness(&data, &stealing_args);
     let mut streamed = Vec::new();
     let status = client::stream(&addr, &format!("/campaigns/{id}/results"), &mut |line| {
         streamed.push(line.to_owned());
