@@ -54,6 +54,9 @@ pub struct MemRequest {
     pub access: AccessType,
     /// Cycle at which the request entered the memory controller queue.
     pub arrival: Cycle,
+    /// Whether the RowHammer defense has vetoed this request's activation
+    /// at least once while it was queued.
+    pub delayed_by_defense: bool,
 }
 
 impl MemRequest {
@@ -71,6 +74,7 @@ impl MemRequest {
             dram_addr,
             access,
             arrival,
+            delayed_by_defense: false,
         }
     }
 }

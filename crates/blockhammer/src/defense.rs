@@ -33,6 +33,7 @@ pub struct BlockHammerStats {
     pub true_positive_delays: u64,
     /// Observed gaps (in cycles) between consecutive activations of
     /// blacklisted rows — the delay penalty distribution of Section 8.4.
+    /// Sampled only with false-positive tracking on.
     pub delay_samples: Vec<Cycle>,
     /// Number of epoch (filter swap) events.
     pub epoch_swaps: u64,
@@ -52,7 +53,7 @@ pub struct BlockHammer {
     shadow_current: HashMap<(usize, u64), u64>,
     shadow_previous: HashMap<(usize, u64), u64>,
     /// Last activation cycle per (bank, row) for blacklisted rows, used to
-    /// sample the imposed delay.
+    /// sample the imposed delay (only with false-positive tracking on).
     last_blacklisted_act: HashMap<(usize, u64), Cycle>,
     track_false_positives: bool,
     /// The cycle of the latest veto, and the earliest cycle at which a row
@@ -90,8 +91,8 @@ impl BlockHammer {
     }
 
     /// Enables exact shadow tracking so delays can be classified as true or
-    /// false positives (Section 8.4). Off by default because it costs a
-    /// hash-map update per activation.
+    /// false positives, and the delay penalty sampled (Section 8.4). Off
+    /// by default because it costs a hash-map update per activation.
     pub fn enable_false_positive_tracking(&mut self) {
         self.track_false_positives = true;
     }
@@ -132,8 +133,8 @@ impl BlockHammer {
             self.throttler.swap_and_clear();
             if self.track_false_positives {
                 self.shadow_previous = std::mem::take(&mut self.shadow_current);
+                self.last_blacklisted_act.clear();
             }
-            self.last_blacklisted_act.clear();
         }
     }
 }
@@ -209,14 +210,14 @@ impl RowHammerDefense for BlockHammer {
         if was_blacklisted {
             self.stats.blacklist_insertions += 1;
             self.throttler.record_blacklisted_activation(thread, bank);
-            // Sample the imposed inter-activation gap for Section 8.4.
-            if let Some(&last) = self.last_blacklisted_act.get(&(bank, row)) {
-                if self.bh_stats.delay_samples.len() < 1_000_000 {
-                    self.bh_stats.delay_samples.push(now.saturating_sub(last));
-                }
-            }
-            self.last_blacklisted_act.insert((bank, row), now);
             if self.track_false_positives {
+                // Sample the imposed inter-activation gap for Section 8.4.
+                if let Some(&last) = self.last_blacklisted_act.get(&(bank, row)) {
+                    if self.bh_stats.delay_samples.len() < 1_000_000 {
+                        self.bh_stats.delay_samples.push(now.saturating_sub(last));
+                    }
+                }
+                self.last_blacklisted_act.insert((bank, row), now);
                 if self.exact_count(bank, row) >= self.config.n_bl {
                     self.bh_stats.true_positive_delays += 1;
                 } else {
@@ -398,6 +399,31 @@ mod tests {
         // Delay samples were collected and the largest is close to tDelay.
         let largest = stats.delay_samples.iter().copied().max().unwrap_or(0);
         assert!(largest >= bh.config().t_delay_cycles / 2);
+    }
+
+    #[test]
+    fn untracked_blockhammer_blocks_without_sampling_delays() {
+        let (mut bh, _) = small_setup(OperatingMode::FullFunctional);
+        let attacker = ThreadId::new(0);
+        let target = addr(0, 0, 11);
+        let mut now = 0;
+        let mut vetoes = 0;
+        while now < 150_000 {
+            if bh.is_activation_safe(now, attacker, &target) {
+                bh.on_activation(now, attacker, &target);
+                now += 148;
+            } else {
+                vetoes += 1;
+                now += 64;
+            }
+        }
+        assert!(vetoes > 0, "the aggressor was never delayed");
+        assert!(bh.stats().blacklist_insertions > 1);
+        // Section 8.4's bookkeeping stays off unless the study asks.
+        let stats = bh.blockhammer_stats();
+        assert!(stats.delay_samples.is_empty());
+        assert_eq!(stats.true_positive_delays + stats.false_positive_delays, 0);
+        assert!(bh.last_blacklisted_act.is_empty());
     }
 
     #[test]

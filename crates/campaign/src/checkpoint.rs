@@ -9,6 +9,12 @@
 //! one torn trailing record, and [`resume_or_create`] turns that back
 //! into a campaign that re-runs only the tail.
 //!
+//! A normalized campaign's journal also keeps its alone-IPC reference
+//! table ([`PreludeTable`]): a fresh journal records it as its first
+//! record, before any run, so a resumed campaign reads its references
+//! back instead of re-simulating them. The journal is the campaign's one
+//! durable file.
+//!
 //! # On-disk format
 //!
 //! The format follows the binary trace conventions of
@@ -20,8 +26,12 @@
 //!          | total runs (u64 LE)
 //! record:  payload length (varint) | payload | FNV-1a 64 checksum of
 //!          the payload (u64 LE)
-//! payload: tag (0 = outcome, 1 = failure) | tag-specific fields
-//!          (varints, length-prefixed UTF-8 strings, f64 bit patterns LE)
+//! payload: tag (0 = outcome, 1 = failure, 2 = prelude) | tag-specific
+//!          fields (varints, length-prefixed UTF-8 strings, f64 bit
+//!          patterns LE)
+//! prelude: entry count (varint) | per entry: workload name (string)
+//!          | channels (varint) | alone IPC (f64), sorted by
+//!          (name, channels); only ever the first record
 //! ```
 //!
 //! The header pins *which* campaign the journal belongs to: the
@@ -34,6 +44,7 @@
 //! clean prefix, and [`resume_or_create`] truncates the file back to
 //! that prefix before appending — a corrupt record is *dropped*, never
 //! trusted (property-pinned in `tests/tests/checkpoint_robustness.rs`).
+//! A dropped prelude record costs only its recomputation.
 
 use crate::runner::{FailedRun, RunOutcome, ThreadOutcome};
 use crate::spec::{CampaignSpec, Scenario};
@@ -55,6 +66,8 @@ const HEADER_LEN: usize = 4 + 1 + 8 + 8;
 /// hundred bytes (one `RunOutcome` with its threads); anything claiming
 /// to be larger is a corrupt length prefix, not a record worth reading.
 const MAX_PAYLOAD: u64 = 1 << 22;
+/// Payload tag of the prelude record.
+const PRELUDE_TAG: u8 = 2;
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -112,6 +125,11 @@ impl From<io::Error> for JournalError {
         JournalError::Io(e)
     }
 }
+
+/// A normalized campaign's stand-alone IPC references: one
+/// `(workload name, channels, alone IPC)` entry per distinct pair,
+/// sorted by `(name, channels)`.
+pub type PreludeTable = Vec<(String, usize, f64)>;
 
 /// One journaled run result, in campaign run order.
 #[derive(Debug, Clone, PartialEq)]
@@ -329,6 +347,17 @@ impl<'a> PayloadCursor<'a> {
         self.at = end;
         Ok(s)
     }
+
+    /// Fails unless the whole payload was consumed.
+    fn finish(&self) -> Result<(), String> {
+        if self.at != self.bytes.len() {
+            return Err(format!(
+                "{} trailing byte(s) in record payload",
+                self.bytes.len() - self.at
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Deserializes one record payload. Called only after the checksum
@@ -423,13 +452,53 @@ fn decode_entry(payload: &[u8]) -> Result<JournalEntry, String> {
         }
         other => return Err(format!("unknown entry tag {other}")),
     };
-    if cursor.at != payload.len() {
-        return Err(format!(
-            "{} trailing byte(s) in record payload",
-            payload.len() - cursor.at
-        ));
-    }
+    cursor.finish()?;
     Ok(entry)
+}
+
+/// Serializes the prelude's reference table to its record payload.
+fn encode_prelude(table: &[(String, usize, f64)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + table.len() * 32);
+    out.push(PRELUDE_TAG);
+    push_varint(&mut out, table.len() as u64);
+    for (name, channels, ipc) in table {
+        push_str(&mut out, name);
+        push_varint(&mut out, *channels as u64);
+        push_f64(&mut out, *ipc);
+    }
+    out
+}
+
+/// Deserializes a prelude record payload (tag included), refusing a
+/// table the executor could not binary-search: unsorted or duplicated
+/// keys.
+fn decode_prelude(payload: &[u8]) -> Result<PreludeTable, String> {
+    let mut cursor = PayloadCursor {
+        bytes: payload,
+        at: 1,
+    };
+    let count = cursor.usize()?;
+    if count > payload.len() {
+        // Each entry needs several payload bytes; a count beyond the
+        // payload length is corrupt, not a huge allocation.
+        return Err(format!("prelude count {count} exceeds payload size"));
+    }
+    let mut table: PreludeTable = Vec::with_capacity(count);
+    for _ in 0..count {
+        let name = cursor.string()?;
+        let channels = cursor.usize()?;
+        let ipc = cursor.f64()?;
+        if let Some((last_name, last_channels, _)) = table.last() {
+            if (last_name, *last_channels) >= (&name, channels) {
+                return Err(format!(
+                    "prelude entry ({name}, {channels}) is out of order"
+                ));
+            }
+        }
+        table.push((name, channels, ipc));
+    }
+    cursor.finish()?;
+    Ok(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -439,6 +508,9 @@ fn decode_entry(payload: &[u8]) -> Result<JournalEntry, String> {
 /// Result of scanning journal bytes: the clean prefix and where it ends.
 #[derive(Debug)]
 pub struct JournalScan {
+    /// The prelude's reference table, when the clean prefix opens with
+    /// one.
+    pub prelude: Option<PreludeTable>,
     /// The decoded entries of the clean prefix, in run order.
     pub entries: Vec<JournalEntry>,
     /// Byte length of the clean prefix (header + intact records) — the
@@ -461,8 +533,9 @@ pub struct JournalScan {
 /// * [`JournalError::SpecMismatch`] if the journal was written for a
 ///   different campaign;
 /// * [`JournalError::Corrupt`] if a checksum-valid record fails to
-///   decode or its run index is out of order — states an append-only
-///   writer cannot produce, so nothing after them is trustworthy.
+///   decode, its run index is out of order, or a prelude record is not
+///   the first record — states an append-only writer cannot produce, so
+///   nothing after them is trustworthy.
 pub fn parse_journal(
     bytes: &[u8],
     expect_fingerprint: u64,
@@ -507,6 +580,7 @@ pub fn parse_journal(
         });
     }
 
+    let mut prelude = None;
     let mut entries = Vec::new();
     let mut good_len = HEADER_LEN;
     let mut cursor = HEADER_LEN;
@@ -538,9 +612,18 @@ pub fn parse_journal(
             dropped_trailing = true;
             break;
         };
-        let record = entries.len() as u64;
-        let entry =
-            decode_entry(payload).map_err(|message| JournalError::Corrupt { record, message })?;
+        let record = (usize::from(prelude.is_some()) + entries.len()) as u64;
+        let corrupt = |message| JournalError::Corrupt { record, message };
+        if payload[0] == PRELUDE_TAG {
+            if record != 0 {
+                return Err(corrupt("a prelude record after the first".to_owned()));
+            }
+            prelude = Some(decode_prelude(payload).map_err(corrupt)?);
+            cursor = frame_end;
+            good_len = frame_end;
+            continue;
+        }
+        let entry = decode_entry(payload).map_err(corrupt)?;
         if entry.index() != entries.len() {
             return Err(JournalError::Corrupt {
                 record,
@@ -562,6 +645,7 @@ pub fn parse_journal(
         good_len = frame_end;
     }
     Ok(JournalScan {
+        prelude,
         entries,
         good_len: good_len as u64,
         dropped_trailing,
@@ -586,34 +670,53 @@ pub fn read_journal(
 // Writing
 // ---------------------------------------------------------------------------
 
-/// Appends run results to an open journal, flushing each record before
-/// returning so a completed run is durable before the next one starts.
+/// Appends records to an open journal, flushing each before returning
+/// so a completed run is durable before the next one starts.
 pub struct JournalWriter {
     sink: File,
     records: u64,
 }
 
 impl JournalWriter {
-    /// Appends one entry (length frame + payload + checksum) and flushes.
+    /// Appends one run result (length frame + payload + checksum) and
+    /// flushes.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn append(&mut self, entry: &JournalEntry) -> io::Result<()> {
-        let payload = encode_entry(entry);
-        let mut frame = Vec::with_capacity(payload.len() + 18);
-        push_varint(&mut frame, payload.len() as u64);
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a(&payload, FNV_OFFSET).to_le_bytes());
-        self.sink.write_all(&frame)?;
-        self.sink.flush()?;
+        self.write_record(&encode_entry(entry))?;
         self.records += 1;
         crate::faults::after_journal_append(self.records);
         Ok(())
     }
 
-    /// Records appended across the journal's lifetime (including the
-    /// replayed prefix this writer resumed from).
+    /// Appends the prelude's reference table (sorted by `(name,
+    /// channels)`) and flushes. Only a journal that holds no record yet
+    /// may take it: [`parse_journal`] refuses a prelude record anywhere
+    /// but first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn append_prelude(&mut self, table: &[(String, usize, f64)]) -> io::Result<()> {
+        self.write_record(&encode_prelude(table))
+    }
+
+    /// Frames `payload` (length + payload + checksum), writes and
+    /// flushes it.
+    fn write_record(&mut self, payload: &[u8]) -> io::Result<()> {
+        let mut frame = Vec::with_capacity(payload.len() + 18);
+        push_varint(&mut frame, payload.len() as u64);
+        frame.extend_from_slice(payload);
+        frame.extend_from_slice(&fnv1a(payload, FNV_OFFSET).to_le_bytes());
+        self.sink.write_all(&frame)?;
+        self.sink.flush()
+    }
+
+    /// Run records appended across the journal's lifetime (including the
+    /// replayed prefix this writer resumed from); the prelude record does
+    /// not count.
     pub fn records(&self) -> u64 {
         self.records
     }
@@ -621,6 +724,8 @@ impl JournalWriter {
 
 /// An opened (or freshly created) journal, ready to resume from.
 pub struct ResumedJournal {
+    /// The prelude's reference table, when the journal holds one.
+    pub prelude: Option<PreludeTable>,
     /// The clean prefix of already-finished runs, in run order; empty
     /// for a fresh journal.
     pub entries: Vec<JournalEntry>,
@@ -665,6 +770,7 @@ pub fn resume_or_create(
         sink.write_all(&header)?;
         sink.flush()?;
         return Ok(ResumedJournal {
+            prelude: None,
             entries: Vec::new(),
             dropped_trailing: false,
             writer: JournalWriter { sink, records: 0 },
@@ -680,133 +786,11 @@ pub fn resume_or_create(
     sink.seek(SeekFrom::Start(scan.good_len))?;
     let records = scan.entries.len() as u64;
     Ok(ResumedJournal {
+        prelude: scan.prelude,
         entries: scan.entries,
         dropped_trailing: scan.dropped_trailing,
         writer: JournalWriter { sink, records },
     })
-}
-
-// ---------------------------------------------------------------------------
-// Prelude cache
-// ---------------------------------------------------------------------------
-
-/// Magic prefix of the prelude cache (`"BHPC"`, BlockHammer Prelude
-/// Cache).
-const PRELUDE_MAGIC: [u8; 4] = *b"BHPC";
-/// Prelude cache format version.
-const PRELUDE_VERSION: u8 = 1;
-
-/// Fingerprint of a normalization prelude: the campaign fields that
-/// influence a stand-alone IPC measurement (scale, advance mode, seed)
-/// plus the sorted (workload name, channel count) key list. Defense and
-/// attack axes deliberately do *not* participate — the references are
-/// measured on the unprotected baseline with the benign workload alone,
-/// so two campaigns differing only in those axes share a cache.
-pub fn prelude_fingerprint(spec: &CampaignSpec, keys: &[(String, usize)]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    hash = mix_u64(hash, spec.scale.time_scale);
-    hash = mix_u64(hash, spec.scale.benign_instructions);
-    hash = mix_u64(hash, spec.scale.llc_bytes);
-    hash = mix_u64(hash, spec.scale.min_cycles);
-    hash = mix_u64(hash, spec.scale.max_cycles);
-    hash = mix_u64(
-        hash,
-        match spec.scale.advance {
-            AdvanceMode::Lockstep => 0,
-            AdvanceMode::EventDriven => 1,
-        },
-    );
-    hash = mix_u64(hash, spec.seed);
-    hash = mix_u64(hash, keys.len() as u64);
-    for (name, channels) in keys {
-        hash = mix_bytes(hash, name.as_bytes());
-        hash = mix_u64(hash, *channels as u64);
-    }
-    hash
-}
-
-/// Reads the prelude cache at `path`, returning its sorted
-/// `(workload, channels, alone IPC)` entries only when the whole file
-/// is intact *and* its stored fingerprint equals `fingerprint`. Any
-/// mismatch, truncation or corruption returns `None`: the cache is an
-/// optimization, so the worst a bad file can cost is one recomputed
-/// prelude, never a wrong table.
-pub fn load_prelude_cache(path: &Path, fingerprint: u64) -> Option<Vec<(String, usize, f64)>> {
-    let bytes = std::fs::read(path).ok()?;
-    // magic + version + fingerprint + entry count + trailing checksum.
-    let header_len = 4 + 1 + 8 + 8;
-    if bytes.len() < header_len + 8 || bytes[..4] != PRELUDE_MAGIC || bytes[4] != PRELUDE_VERSION {
-        return None;
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let mut checksum = [0u8; 8];
-    checksum.copy_from_slice(&bytes[bytes.len() - 8..]);
-    if fnv1a(body, FNV_OFFSET) != u64::from_le_bytes(checksum) {
-        return None;
-    }
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(&bytes[5..13]);
-    if u64::from_le_bytes(stored) != fingerprint {
-        return None;
-    }
-    let mut count = [0u8; 8];
-    count.copy_from_slice(&bytes[13..21]);
-    let count = usize::try_from(u64::from_le_bytes(count)).ok()?;
-    if count > body.len() {
-        // Each entry needs several payload bytes; a count beyond the
-        // body length is corrupt, not a huge allocation.
-        return None;
-    }
-    let mut cursor = PayloadCursor {
-        bytes: &body[header_len..],
-        at: 0,
-    };
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = cursor.string().ok()?;
-        let channels = cursor.usize().ok()?;
-        let ipc = cursor.f64().ok()?;
-        if let Some(&(ref last_name, last_channels, _)) = entries.last() {
-            // The executor binary-searches this table: refuse an
-            // unsorted (or duplicated) file rather than missing lookups.
-            if (last_name, last_channels) >= (&name, channels) {
-                return None;
-            }
-        }
-        entries.push((name, channels, ipc));
-    }
-    if cursor.at != body.len() - header_len {
-        return None;
-    }
-    Some(entries)
-}
-
-/// Writes the prelude cache (atomically, via the same staging-rename as
-/// every artifact): header, length-delimited entries, FNV-1a trailer.
-/// `entries` must be sorted by (name, channels) — the order
-/// [`load_prelude_cache`] enforces.
-///
-/// # Errors
-///
-/// Propagates I/O errors (callers treat them as "no cache this time").
-pub fn store_prelude_cache(
-    path: &Path,
-    fingerprint: u64,
-    entries: &[(String, usize, f64)],
-) -> io::Result<()> {
-    let mut out = Vec::with_capacity(64 + entries.len() * 32);
-    out.extend_from_slice(&PRELUDE_MAGIC);
-    out.push(PRELUDE_VERSION);
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (name, channels, ipc) in entries {
-        push_str(&mut out, name);
-        push_varint(&mut out, *channels as u64);
-        push_f64(&mut out, *ipc);
-    }
-    let checksum = fnv1a(&out, FNV_OFFSET);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    crate::artifacts::write_atomic(path, &out)
 }
 
 #[cfg(test)]
@@ -1017,6 +1001,99 @@ mod tests {
             .expect("append");
         assert!(matches!(
             read_journal(&path, 1, 8),
+            Err(JournalError::Corrupt { record: 0, .. })
+        ));
+    }
+
+    fn sample_table() -> PreludeTable {
+        vec![
+            ("random.a".to_owned(), 1, 0.75),
+            ("streaming.a".to_owned(), 1, 0.5),
+            ("streaming.a".to_owned(), 2, 0.625),
+        ]
+    }
+
+    #[test]
+    fn a_prelude_record_round_trips_ahead_of_the_runs() {
+        let path = scratch("prelude.journal");
+        let mut resumed = resume_or_create(&path, 0xfeed, 8).expect("create");
+        resumed
+            .writer
+            .append_prelude(&sample_table())
+            .expect("append prelude");
+        assert_eq!(resumed.writer.records(), 0, "the table is not a run");
+        let entries = sample_entries();
+        for entry in &entries {
+            resumed.writer.append(entry).expect("append");
+        }
+        drop(resumed);
+        let scan = read_journal(&path, 0xfeed, 8).expect("read");
+        assert_eq!(scan.prelude, Some(sample_table()));
+        assert_eq!(scan.entries, entries);
+        let resumed = resume_or_create(&path, 0xfeed, 8).expect("resume");
+        assert_eq!(resumed.prelude, Some(sample_table()));
+        assert_eq!(resumed.writer.records(), 3);
+        // A reader that knows only run records refuses the table with a
+        // structured error rather than misreading it.
+        assert_eq!(
+            decode_entry(&encode_prelude(&sample_table())),
+            Err("unknown entry tag 2".to_owned())
+        );
+    }
+
+    #[test]
+    fn a_torn_prelude_record_is_dropped() {
+        let path = scratch("torn-prelude.journal");
+        let mut resumed = resume_or_create(&path, 0xfeed, 8).expect("create");
+        resumed
+            .writer
+            .append_prelude(&sample_table())
+            .expect("append prelude");
+        drop(resumed);
+        let full = std::fs::read(&path).expect("read bytes");
+        std::fs::write(&path, &full[..full.len() - 3]).expect("truncate");
+        let resumed = resume_or_create(&path, 0xfeed, 8).expect("resume");
+        assert_eq!(resumed.prelude, None, "the torn table is not trusted");
+        assert!(resumed.entries.is_empty());
+        assert!(resumed.dropped_trailing);
+        // Truncated back to the bare header: the journal is fresh again,
+        // so the next invocation recomputes and records the table.
+        assert_eq!(
+            std::fs::metadata(&path).expect("stat").len(),
+            HEADER_LEN as u64
+        );
+    }
+
+    #[test]
+    fn a_prelude_record_after_a_run_record_is_corrupt() {
+        let path = scratch("late-prelude.journal");
+        let mut resumed = resume_or_create(&path, 0xfeed, 8).expect("create");
+        resumed
+            .writer
+            .append(&JournalEntry::Outcome(sample_outcome(0)))
+            .expect("append");
+        resumed
+            .writer
+            .append_prelude(&sample_table())
+            .expect("append prelude");
+        assert!(matches!(
+            read_journal(&path, 0xfeed, 8),
+            Err(JournalError::Corrupt { record: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn an_unsorted_prelude_record_is_corrupt() {
+        let path = scratch("unsorted-prelude.journal");
+        let mut table = sample_table();
+        table.swap(0, 2);
+        let mut resumed = resume_or_create(&path, 0xfeed, 8).expect("create");
+        resumed
+            .writer
+            .append_prelude(&table)
+            .expect("append prelude");
+        assert!(matches!(
+            read_journal(&path, 0xfeed, 8),
             Err(JournalError::Corrupt { record: 0, .. })
         ));
     }

@@ -10,18 +10,18 @@
 //!    jobs are independent of each other, so they fan out over the same
 //!    worker pool as the run matrix; the finished table is keyed and
 //!    stored *sorted*, so its contents are identical for every worker
-//!    count. With a journal configured, the table is also cached on disk
-//!    next to it (`<journal stem>.prelude`, keyed by a fingerprint over
-//!    the workload names, channel counts, scale and seed), so resumed
-//!    and re-submitted campaigns skip re-simulating the references
-//!    entirely — observable as [`PreludeStats::from_cache`].
+//!    count. With a journal configured, a fresh journal records the
+//!    table as its first record, so a resumed campaign reads its
+//!    references back instead of re-simulating them — observable as
+//!    [`PreludeStats::from_cache`].
 //! 2. **The run matrix**: every [`RunSpec`], either on the calling
-//!    thread (`workers <= 1`) or fanned out over `workers` persistent
-//!    threads. Runs go into the shared injector queue of a
-//!    [`StealingPool`] — idle workers pull the next run the moment they
-//!    finish, so no worker ever waits behind a long run — and
-//!    completions, which arrive in *finish* order, pass through a
-//!    reorder buffer that releases them strictly in run order. Outcomes
+//!    thread (`workers <= 1`) or fanned out over `workers` threads. The
+//!    executor keeps the one copy of the run list and hands a
+//!    [`StealingPool`] only its length: idle workers claim the next run
+//!    index from a shared cursor the moment they finish, so no worker
+//!    ever waits behind a long run, and completions, which arrive in
+//!    *finish* order, pass through a reorder buffer that releases them
+//!    strictly in run order. Outcomes
 //!    therefore stream back — and fold into the [`CampaignAggregator`] —
 //!    in exactly the sequential order no matter which worker finishes
 //!    first, so sequential and work-stealing execution of the same
@@ -52,14 +52,14 @@
 //! uninterrupted one (pinned by `tests/tests/kill_resume.rs`).
 
 use crate::aggregate::{escape_json, CampaignAggregator, CampaignSummary};
-use crate::checkpoint::{self, JournalEntry, JournalError, JournalWriter};
+use crate::checkpoint::{self, JournalEntry, JournalError, JournalWriter, PreludeTable};
 use crate::runner::{run_spec, CampaignError, FailedRun, RunOutcome};
 use crate::spec::{CampaignSpec, RunSpec, ThreadGenerator};
 use sim::pool::{panic_message, Outcome, StealingPool};
 use sim::DefenseKind;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workloads::SyntheticSpec;
@@ -98,8 +98,9 @@ pub struct ExecutionOptions {
     pub policy: FailurePolicy,
     /// When set, every delivered result is appended to the checkpoint
     /// journal at this path (created on first use), and execution
-    /// resumes after any runs the journal already holds. Also enables
-    /// the on-disk prelude cache at `<path stem>.prelude`.
+    /// resumes after any runs the journal already holds. A fresh
+    /// journal also records the normalization prelude's reference table
+    /// as its first record, which a resumed campaign reads back.
     pub journal: Option<PathBuf>,
 }
 
@@ -111,7 +112,7 @@ pub struct PreludeStats {
     pub references: usize,
     /// References simulated by this invocation.
     pub computed: usize,
-    /// References loaded from the on-disk prelude cache instead of
+    /// References read back from the checkpoint journal instead of
     /// simulated.
     pub from_cache: usize,
 }
@@ -159,7 +160,7 @@ pub struct CampaignReport {
     /// Worker threads used (0 = sequential on the calling thread).
     pub workers: usize,
     /// Scheduling telemetry (worker tallies, reorder-buffer high-water
-    /// mark, prelude cache accounting).
+    /// mark, prelude accounting).
     pub scheduling: ExecutionStats,
 }
 
@@ -294,7 +295,7 @@ pub fn default_workers() -> usize {
 /// run.
 struct AloneIpcTable {
     /// `(workload name, channels, alone IPC)`, sorted by the key pair.
-    entries: Vec<(String, usize, f64)>,
+    entries: PreludeTable,
 }
 
 impl AloneIpcTable {
@@ -306,14 +307,12 @@ impl AloneIpcTable {
     }
 }
 
-/// One queued prelude measurement: a workload run stand-alone on the
+/// One prelude measurement: a workload run stand-alone on the
 /// unprotected baseline.
 struct PreludeJob {
     name: String,
     channels: usize,
     spec: SyntheticSpec,
-    /// Filled by the measurement.
-    ipc: f64,
 }
 
 /// Runs one prelude job at the campaign's scale.
@@ -329,19 +328,16 @@ fn measure_alone_ipc(campaign: &CampaignSpec, job: &PreludeJob) -> f64 {
     result.threads[0].ipc
 }
 
-/// Builds the stand-alone IPC reference table for `runs`, preferring the
-/// on-disk prelude cache (when `cache` names one and its fingerprint
-/// matches) and otherwise measuring every pair — fanned out over
-/// `workers` pool threads when pooling is on, since the jobs are
-/// mutually independent and the table is sorted regardless of
-/// completion order. A freshly measured table is written back to the
-/// cache (best-effort: a failed write costs only the next invocation's
-/// prelude time).
+/// Builds the stand-alone IPC reference table for `runs`: the
+/// `journaled` table when its keys are exactly this run list's, and
+/// otherwise a measurement of every pair — fanned out over `workers`
+/// pool threads when pooling is on, since the jobs are mutually
+/// independent and the table is sorted regardless of completion order.
 fn alone_ipc_table(
     campaign: &CampaignSpec,
     runs: &[RunSpec],
     workers: usize,
-    cache: Option<&Path>,
+    journaled: Option<PreludeTable>,
     stats: &mut PreludeStats,
 ) -> AloneIpcTable {
     // Deduplicate straight into sorted order: one owned key per
@@ -361,112 +357,54 @@ fn alone_ipc_table(
                         name: thread.name.clone(),
                         channels: run.channels,
                         spec: spec.clone(),
-                        ipc: 0.0,
                     },
                 ),
             }
         }
     }
     stats.references = jobs.len();
-    // One owned key pair per distinct reference (not per run) — these
-    // outlive the jobs, which move into the pool below.
-    let keys: Vec<(String, usize)> = jobs.iter().map(|j| (j.name.clone(), j.channels)).collect();
-    let fingerprint = checkpoint::prelude_fingerprint(campaign, &keys);
-    if let Some(path) = cache {
-        if let Some(entries) = checkpoint::load_prelude_cache(path, fingerprint) {
-            // The fingerprint covers the key list, so a match should
-            // imply identical keys; verify anyway before trusting it.
-            let matches = entries.len() == keys.len()
-                && entries
-                    .iter()
-                    .zip(keys.iter())
-                    .all(|((n, c, _), (name, channels))| n == name && c == channels);
-            if matches {
-                stats.from_cache = entries.len();
-                return AloneIpcTable { entries };
-            }
+    if let Some(entries) = journaled {
+        let matches = entries.len() == jobs.len()
+            && entries
+                .iter()
+                .zip(&jobs)
+                .all(|((name, channels, _), job)| *name == job.name && *channels == job.channels);
+        if matches {
+            stats.from_cache = entries.len();
+            return AloneIpcTable { entries };
         }
     }
     stats.computed = jobs.len();
+    let jobs = Arc::new(jobs);
+    let mut measured: Vec<Option<f64>> = vec![None; jobs.len()];
     if workers >= 2 && jobs.len() >= 2 {
-        // Fan the measurements over a pull-based pool. Each completion
-        // carries its job's position, so the sorted order is restored by
-        // construction no matter which worker finishes first.
+        // Each completion carries its job's index, so the sorted order
+        // is restored by construction no matter which worker finishes
+        // first.
         let reference = Arc::new(campaign.clone());
-        let measure = {
-            let reference = Arc::clone(&reference);
-            move |job: &mut PreludeJob| {
-                job.ipc = measure_alone_ipc(&reference, job);
+        let shared = Arc::clone(&jobs);
+        let mut pool = StealingPool::new(workers, jobs.len(), move |at| {
+            measure_alone_ipc(&reference, &shared[at])
+        });
+        while let Some((at, outcome)) = pool.next_completion() {
+            if let Outcome::Done(ipc) = outcome {
+                measured[at] = Some(ipc);
             }
-        };
-        let mut pool: StealingPool<PreludeJob, ()> = StealingPool::new(workers, measure);
-        let mut slots: Vec<Option<PreludeJob>> = Vec::new();
-        for job in jobs.drain(..) {
-            pool.submit(slots.len() as u64, job);
-            slots.push(None);
-        }
-        while let Some(done) = pool.next_completion() {
-            match done.outcome {
-                Outcome::Done(job, ()) => slots[done.seq as usize] = Some(job),
-                // A panicking prelude job falls back to an in-line
-                // measurement below, where the panic (a simulator bug,
-                // not a per-run fault) propagates to the caller.
-                Outcome::Panicked(_) => {}
-            }
-        }
-        jobs = slots
-            .into_iter()
-            .enumerate()
-            .map(|(at, slot)| match slot {
-                Some(job) => job,
-                None => {
-                    let mut job = rebuild_prelude_job(runs, &keys[at]);
-                    job.ipc = measure_alone_ipc(campaign, &job);
-                    job
-                }
-            })
-            .collect();
-    } else {
-        for job in &mut jobs {
-            job.ipc = measure_alone_ipc(campaign, job);
         }
     }
-    let entries: Vec<(String, usize, f64)> = jobs
-        .into_iter()
-        .map(|job| (job.name, job.channels, job.ipc))
+    // Whatever the pool did not measure (everything when sequential, a
+    // panicked job otherwise) is measured in-line from the owner's copy,
+    // where a panic — a simulator bug, not a per-run fault — propagates
+    // to the caller.
+    let entries = jobs
+        .iter()
+        .zip(measured)
+        .map(|(job, ipc)| {
+            let ipc = ipc.unwrap_or_else(|| measure_alone_ipc(campaign, job));
+            (job.name.clone(), job.channels, ipc)
+        })
         .collect();
-    if let Some(path) = cache {
-        let _ = checkpoint::store_prelude_cache(path, fingerprint, &entries);
-    }
     AloneIpcTable { entries }
-}
-
-/// Re-derives a prelude job from its key pair (the original was
-/// consumed by a panicked pool attempt — the rare path).
-fn rebuild_prelude_job(runs: &[RunSpec], key: &(String, usize)) -> PreludeJob {
-    let (name, channels) = key;
-    for run in runs {
-        if run.channels != *channels {
-            continue;
-        }
-        for thread in run.benign_threads() {
-            if thread.name != *name {
-                continue;
-            }
-            if let ThreadGenerator::Synthetic(spec) = &thread.generator {
-                return PreludeJob {
-                    name: name.clone(),
-                    channels: *channels,
-                    spec: spec.clone(),
-                    ipc: 0.0,
-                };
-            }
-        }
-    }
-    // The key list was built from exactly these runs; reaching here
-    // would mean the run list changed under us mid-call.
-    // lint: allow(panic-freedom) -- keys are derived from `runs` in this same call; the pair must exist
-    unreachable!("prelude key ({name}, {channels}) not found in the run list")
 }
 
 /// Fills every run's `alone_ipc` from the reference table. Lookups use
@@ -661,7 +599,7 @@ fn check_replay(entries: &[JournalEntry], runs: &[RunSpec]) -> Result<(), Campai
 /// default options: [`FailurePolicy::Abort`] and no checkpoint journal.
 ///
 /// `workers <= 1` executes sequentially on the calling thread; larger
-/// values fan runs out over that many persistent worker threads. The
+/// values fan runs out over that many worker threads. The
 /// report — outcomes, aggregation and serialized summaries — is
 /// byte-identical for every worker count.
 ///
@@ -682,11 +620,13 @@ pub fn execute(
 ///
 /// When `options.journal` is set, each delivered result is appended to
 /// the journal before the campaign moves on; re-invoking with the same
-/// spec and journal path replays the finished prefix (skipping even the
-/// normalization prelude when nothing is left to run) and executes only
-/// the tail. Replayed results flow through the aggregator in their
-/// original run order, so an interrupted-and-resumed campaign reports
-/// byte-identical CSV/JSON to an uninterrupted one.
+/// spec and journal path replays the finished prefix and executes only
+/// the tail. The normalization prelude is skipped when nothing is left
+/// to run, and otherwise read back from the journal's prelude record
+/// when that matches this run list's references. Replayed results flow
+/// through the aggregator in their original run order, so an
+/// interrupted-and-resumed campaign reports byte-identical CSV/JSON to
+/// an uninterrupted one.
 ///
 /// # Errors
 ///
@@ -734,7 +674,7 @@ pub fn execute_observed(
     // lint: allow(determinism) -- wall-clock duration is report metadata, never simulated state
     let started = Instant::now();
     let total = runs.len();
-    let (replay, writer) = match &options.journal {
+    let (journaled, replay, mut writer) = match &options.journal {
         Some(path) => {
             let resumed = checkpoint::resume_or_create(
                 path,
@@ -742,9 +682,9 @@ pub fn execute_observed(
                 total as u64,
             )?;
             check_replay(&resumed.entries, &runs)?;
-            (resumed.entries, Some(resumed.writer))
+            (resumed.prelude, resumed.entries, Some(resumed.writer))
         }
-        None => (Vec::new(), None),
+        None => (None, Vec::new(), None),
     };
     let replayed = replay.len();
     let mut stats = ExecutionStats {
@@ -758,14 +698,18 @@ pub fn execute_observed(
     // The prelude feeds only runs that will actually execute; a resume
     // with nothing left to do (or an unnormalized campaign) skips it.
     if campaign.normalize && replayed < total {
-        let cache = options.journal.as_deref().map(prelude_cache_path);
-        let table = alone_ipc_table(
-            campaign,
-            &runs,
-            workers,
-            cache.as_deref(),
-            &mut stats.prelude,
-        );
+        // Only a journal that holds no record yet can take the table as
+        // its first; any other is left as it is (an older journal, or a
+        // table whose keys this run list does not share).
+        let fresh = journaled.is_none() && replayed == 0;
+        let table = alone_ipc_table(campaign, &runs, workers, journaled, &mut stats.prelude);
+        if let Some(writer) = writer.as_mut().filter(|_| fresh) {
+            writer
+                .append_prelude(&table.entries)
+                .map_err(|e| CampaignError::Checkpoint {
+                    error: JournalError::Io(e),
+                })?;
+        }
         attach_alone_ipc(&mut runs, &table)?;
     }
     let mut sink = Sink {
@@ -799,22 +743,15 @@ pub fn execute_observed(
     })
 }
 
-/// Where the prelude cache lives for a given journal path: the journal's
-/// sibling with the `prelude` extension (`campaign.journal` →
-/// `campaign.prelude`).
-pub fn prelude_cache_path(journal: &Path) -> PathBuf {
-    journal.with_extension("prelude")
-}
-
-/// The work-stealing run loop: every run goes into the shared injector
-/// queue tagged with its position, completions come back in *finish*
-/// order, and a reorder buffer releases them to the sink strictly in
-/// run order — so the journal, the aggregator and the delivery observer
-/// see exactly the sequential sequence while no worker ever idles
-/// behind a long run. The failure policy is applied at *release* time
-/// (not completion time), which keeps even `Abort`'s journaled prefix
-/// and `Retry`'s attempt ordering byte-identical to sequential
-/// execution.
+/// The work-stealing run loop: workers claim run indices from the
+/// pool's shared cursor and read the runs from the executor's one copy,
+/// completions come back in *finish* order, and a reorder buffer
+/// releases them to the sink strictly in run order — so the journal, the
+/// aggregator and the delivery observer see exactly the sequential
+/// sequence while no worker ever idles behind a long run. The failure
+/// policy is applied at *release* time (not completion time), which
+/// keeps even `Abort`'s journaled prefix and `Retry`'s attempt ordering
+/// byte-identical to sequential execution.
 fn execute_stealing(
     tail: Vec<RunSpec>,
     workers: usize,
@@ -823,28 +760,19 @@ fn execute_stealing(
     stats: &mut ExecutionStats,
 ) -> Result<(), CampaignError> {
     let total = tail.len();
-    let mut pool: StealingPool<RunSpec, Result<RunOutcome, RunError>> =
-        StealingPool::new(workers, |run: &mut RunSpec| {
-            // The isolation boundary lives inside the worker: a
-            // panicking run reports back as data, and a structured error
-            // crosses the pool intact. (The pool's own catch_unwind
-            // behind this is the backstop for panics that escape it —
-            // e.g. a poisoned payload drop.)
-            run_isolated(run)
-        });
-    // The executor's own copy of every submitted run: panicked attempts
-    // drop the item they carried, and `resolve` needs the spec for
-    // retries and failure identity.
-    let mut pending: Vec<Option<RunSpec>> = tail.iter().map(|run| Some(run.clone())).collect();
-    for (seq, run) in tail.into_iter().enumerate() {
-        pool.submit(seq as u64, run);
-    }
+    let tail = Arc::new(tail);
+    let runs = Arc::clone(&tail);
+    // The isolation boundary lives inside the worker: a panicking run
+    // reports back as data, and a structured error crosses the pool
+    // intact. (The pool's own catch_unwind behind this is the backstop
+    // for panics that escape it — e.g. a poisoned payload drop.)
+    let mut pool = StealingPool::new(workers, total, move |at| run_isolated(&runs[at]));
     let mut buffer: BTreeMap<usize, Result<RunOutcome, RunError>> = BTreeMap::new();
     let mut next = 0usize;
     let mut high_water = 0usize;
     let mut completed = 0usize;
     while completed < total {
-        let Some(done) = pool.next_completion() else {
+        let Some((at, outcome)) = pool.next_completion() else {
             return Err(CampaignError::Spec {
                 run: "work-stealing pool".to_owned(),
                 message: format!(
@@ -854,9 +782,8 @@ fn execute_stealing(
             });
         };
         completed += 1;
-        let seq = done.seq as usize;
-        let first = match done.outcome {
-            Outcome::Done(_, result) => result,
+        let first = match outcome {
+            Outcome::Done(result) => result,
             Outcome::Panicked(message) => Err(RunError::Panic(message)),
         };
         // Admit the completion out of order; release the contiguous
@@ -865,13 +792,12 @@ fn execute_stealing(
         // aggregation) live behind `resolve` and `Sink::deliver`.
         // lint: alloc-free
         {
-            buffer.insert(seq, first);
+            buffer.insert(at, first);
             if buffer.len() > high_water {
                 high_water = buffer.len();
             }
             while let Some(first) = buffer.remove(&next) {
-                let spec = take_pending(&mut pending, next)?;
-                let delivery = resolve(&spec, first, policy)?;
+                let delivery = resolve(&tail[next], first, policy)?;
                 sink.deliver(delivery)?;
                 next += 1;
             }
@@ -880,16 +806,6 @@ fn execute_stealing(
     stats.workers = pool.tallies();
     stats.reorder_high_water = high_water;
     Ok(())
-}
-
-/// Claims the executor-side copy of run `at` exactly once; a second
-/// claim means the pool delivered a duplicate completion (impossible by
-/// construction, surfaced as a structured error rather than trusted).
-fn take_pending(pending: &mut [Option<RunSpec>], at: usize) -> Result<RunSpec, CampaignError> {
-    pending[at].take().ok_or_else(|| CampaignError::Spec {
-        run: "work-stealing pool".to_owned(),
-        message: format!("run {at} completed twice"),
-    })
 }
 
 #[cfg(test)]

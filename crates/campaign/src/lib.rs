@@ -17,17 +17,20 @@
 //! * [`spec`] — the deterministic, seedable run matrix:
 //!   [`CampaignSpec`] expands {mixes × defenses × `N_RH` points ×
 //!   channel counts} into an ordered [`RunSpec`] list.
-//! * [`executor`] — sequential or pooled execution over persistent
-//!   workers ([`sim::pool::StealingPool`] feeding a reorder buffer);
-//!   results are *delivered* in strict run order, so every worker count
-//!   emits byte-identical output. Every run executes
+//! * [`executor`] — sequential or pooled execution
+//!   ([`sim::pool::StealingPool`] workers claim run indices from a
+//!   shared cursor over the executor's one copy of the run list, feeding
+//!   a reorder buffer); results are *delivered* in strict run order, so
+//!   every worker count emits byte-identical output. Every run executes
 //!   behind an isolation boundary with a configurable [`FailurePolicy`]
 //!   (abort / quarantine / retry), [`execute_resumable`] checkpoints
 //!   each result so a killed campaign resumes where it stopped, and the
-//!   normalization prelude fans out over the same pool with an on-disk
-//!   cache next to the journal ([`ExecutionStats`] reports all of it).
+//!   normalization prelude fans out over the same pool, its table kept
+//!   as the journal's first record ([`ExecutionStats`] reports all of
+//!   it).
 //! * [`checkpoint`] — the append-only, checksummed journal behind
-//!   resume: records completed runs in run order, keyed by a
+//!   resume, the campaign's one durable file: the prelude's reference
+//!   table, then completed runs in run order, keyed by a
 //!   [`CampaignSpec`] fingerprint, dropping (never trusting) a torn
 //!   trailing record.
 //! * [`aggregate`] — incremental reduction into per-sweep-point
@@ -79,9 +82,9 @@ pub use aggregate::{parse_summary_csv, CampaignAggregator, CampaignSummary, Swee
 pub use artifacts::write_atomic;
 pub use checkpoint::{fingerprint, JournalEntry, JournalError};
 pub use executor::{
-    default_workers, execute, execute_observed, execute_resumable, prelude_cache_path,
-    CampaignReport, DeliveryObserver, ExecutionOptions, ExecutionStats, FailurePolicy,
-    PreludeStats, WorkerSnapshot,
+    default_workers, execute, execute_observed, execute_resumable, CampaignReport,
+    DeliveryObserver, ExecutionOptions, ExecutionStats, FailurePolicy, PreludeStats,
+    WorkerSnapshot,
 };
 pub use runner::{
     record_run_traces, run_spec, CampaignError, FailedRun, RunOutcome, ThreadOutcome,

@@ -7,7 +7,7 @@ use bh_types::{AccessType, Cycle, DramAddress, MemCommand, MemRequest, ReqId, Th
 use dram_sim::{DramDevice, DramStats, IssueOutcome, TimingsInCycles};
 use mitigations::RowHammerDefense;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -92,9 +92,6 @@ pub struct MemoryController {
     pass_memo: Cycle,
     /// Whether the controller is currently draining writes.
     drain_mode: bool,
-    /// Queued requests that have been skipped at least once due to the
-    /// defense; an id leaves the set when its request completes.
-    delayed_by_defense: HashSet<ReqId>,
     next_req_id: ReqId,
     stats: CtrlStats,
     /// What the current cycle's tick and admissions did.
@@ -161,7 +158,6 @@ impl MemoryController {
             next_command_at: 0,
             pass_memo: 0,
             drain_mode: false,
-            delayed_by_defense: HashSet::new(),
             next_req_id: 0,
             stats: CtrlStats::default(),
             tally: TickTally::default(),
@@ -486,7 +482,6 @@ impl MemoryController {
                 entry.remove();
             }
         }
-        self.delayed_by_defense.remove(&request.id);
         match request.access {
             AccessType::Read => {
                 let latency = completed_at.saturating_sub(request.arrival);
@@ -625,12 +620,11 @@ impl MemoryController {
         // Pass 2: oldest request to a precharged bank -> activate. The
         // request stays queued and completes later as a row hit.
         let pick = {
-            let delayed = &mut self.delayed_by_defense;
             let stats = &mut self.stats;
             let vetoed = &mut self.tally.vetoed;
             self.scheduler
-                .pick_activation(kind, now, &self.dram, defense, |request| {
-                    if delayed.insert(request.id) {
+                .pick_activation(kind, now, &self.dram, defense, |request, first| {
+                    if first {
                         stats.activations_delayed_by_defense += 1;
                     }
                     vetoed.push((request.thread, request.dram_addr));
@@ -1058,10 +1052,6 @@ mod tests {
             done[0].completed_at
         );
         assert_eq!(ctrl.stats().activations_delayed_by_defense, 1);
-        assert!(
-            ctrl.delayed_by_defense.is_empty(),
-            "a completed request leaves the delayed set"
-        );
     }
 
     #[test]

@@ -72,6 +72,16 @@ impl BankedQueue {
         &self.buckets[bank]
     }
 
+    /// The request at `pos` within `bank`'s bucket, for updates that
+    /// leave its bank and arrival order alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range for the bucket.
+    pub(crate) fn request_mut(&mut self, bank: usize, pos: usize) -> &mut MemRequest {
+        &mut self.buckets[bank][pos]
+    }
+
     /// Removes and returns the request at `pos` within `bank`'s bucket,
     /// keeping the order of the remaining requests.
     ///

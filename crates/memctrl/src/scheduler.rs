@@ -345,7 +345,8 @@ impl Scheduler {
     /// at `now` and which the defense does not veto, as its thread and
     /// address. The request stays queued (it completes later as a row
     /// hit); `on_veto` is called for every request the defense skipped, in
-    /// consult order.
+    /// consult order, with whether this was the request's first veto (its
+    /// `delayed_by_defense` flag is set here).
     // lint: alloc-free
     pub(crate) fn pick_activation(
         &mut self,
@@ -353,16 +354,17 @@ impl Scheduler {
         now: Cycle,
         dram: &DramDevice,
         defense: &mut dyn RowHammerDefense,
-        mut on_veto: impl FnMut(&MemRequest),
+        mut on_veto: impl FnMut(&MemRequest, bool),
     ) -> Option<(ThreadId, DramAddress)> {
         // The banked path's cursor list lives on the scheduler so this
         // per-cycle pass never allocates (it reaches capacity — at most
         // one entry per bank — after the first few calls).
         let mut cursors = std::mem::take(&mut self.act_cursors);
         cursors.clear();
-        let result = match self.queue(kind) {
+        let open_banks = self.open_rows.open_banks();
+        let result = match self.queue_mut(kind) {
             QueueRepr::Linear(q) => 'linear: {
-                for request in q {
+                for request in q.iter_mut() {
                     let addr = &request.dram_addr;
                     if dram.open_row(addr).is_some()
                         || !dram.can_issue(MemCommand::Activate, addr, now)
@@ -373,7 +375,8 @@ impl Scheduler {
                     // skipping the request effectively prioritizes
                     // RowHammer-safe requests, as Section 3.1 describes.
                     if !defense.is_activation_safe(now, request.thread, addr) {
-                        on_veto(request);
+                        let first = !std::mem::replace(&mut request.delayed_by_defense, true);
+                        on_veto(request, first);
                         continue;
                     }
                     break 'linear Some((request.thread, *addr));
@@ -384,7 +387,7 @@ impl Scheduler {
                 // Precharged banks with queued work whose ACT is legal now;
                 // eligibility is a bank-level property (activation legality
                 // never depends on the row), so it is decided once per bank.
-                for bank in banks_in(q.banks() & !self.open_rows.open_banks()) {
+                for bank in banks_in(q.banks() & !open_banks) {
                     let Some(front) = q.bucket(bank).front() else {
                         continue;
                     };
@@ -408,9 +411,10 @@ impl Scheduler {
                         break None;
                     };
                     let (bank, pos) = cursors[cursor];
-                    let request = &q.bucket(bank)[pos];
+                    let request = q.request_mut(bank, pos);
                     if !defense.is_activation_safe(now, request.thread, &request.dram_addr) {
-                        on_veto(request);
+                        let first = !std::mem::replace(&mut request.delayed_by_defense, true);
+                        on_veto(request, first);
                         if pos + 1 < q.bucket(bank).len() {
                             cursors[cursor].1 = pos + 1;
                         } else {
@@ -597,11 +601,15 @@ mod tests {
         let mut defense = VetoFirstTwo(0);
         let mut vetoed = Vec::new();
         let (_, addr) = s
-            .pick_activation(AccessType::Read, 0, &dram, &mut defense, |r| {
-                vetoed.push(r.id);
+            .pick_activation(AccessType::Read, 0, &dram, &mut defense, |r, first| {
+                vetoed.push((r.id, first));
             })
             .unwrap();
-        assert_eq!(vetoed, vec![1, 2], "vetoes follow arrival order");
+        assert_eq!(
+            vetoed,
+            vec![(1, true), (2, true)],
+            "vetoes follow arrival order"
+        );
         assert_eq!(addr.row(), 9, "the third-oldest request survives");
         assert_eq!(
             s.len(AccessType::Read),
@@ -746,8 +754,8 @@ mod tests {
             let a = linear.take_row_hit(kind, now, &dram).map(|r| r.id);
             let b = banked.take_row_hit(kind, now, &dram).map(|r| r.id);
             assert_eq!(a, b);
-            let a = linear.pick_activation(kind, now, &dram, &mut defense, |_| {});
-            let b = banked.pick_activation(kind, now, &dram, &mut defense, |_| {});
+            let a = linear.pick_activation(kind, now, &dram, &mut defense, |_, _| {});
+            let b = banked.pick_activation(kind, now, &dram, &mut defense, |_, _| {});
             assert_eq!(a, b);
             let a = linear.pick_conflict_precharge(kind, now, &dram);
             let b = banked.pick_conflict_precharge(kind, now, &dram);

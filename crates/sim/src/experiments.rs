@@ -15,7 +15,7 @@ use crate::defense_factory::DefenseKind;
 use crate::metrics::MultiProgramMetrics;
 use crate::system::{RunScale, SystemBuilder};
 use blockhammer::{BlockHammer, BlockHammerConfig};
-use mitigations::{AsAny, RowHammerThreshold};
+use mitigations::RowHammerThreshold;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use workloads::{benign_catalog, WorkloadCategory, WorkloadMix, WorkloadSpec};
@@ -245,9 +245,17 @@ pub fn false_positive_study(scale: &ExperimentScale, paper_n_rh: u64) -> FalsePo
     }
     let (result, defenses) = system.run_into_parts();
     // Aggregate exact-tracking statistics across the per-channel instances.
+    // Downcast the trait object, not its `Box`.
     let per_channel: Vec<&BlockHammer> = defenses
         .iter()
-        .filter_map(|defense| defense.as_any().downcast_ref::<BlockHammer>())
+        .map(|defense| {
+            defense
+                .as_ref()
+                .as_any()
+                .downcast_ref::<BlockHammer>()
+                // lint: allow(panic-freedom) -- every channel of this system was built with DefenseKind::BlockHammer
+                .expect("the false-positive study runs under BlockHammer")
+        })
         .collect();
     let false_positives: u64 = per_channel
         .iter()
@@ -341,6 +349,17 @@ mod tests {
         let s = ExperimentScale::standard();
         assert!(q.run.benign_instructions < s.run.benign_instructions);
         assert!(q.mix_count <= s.mix_count);
+    }
+
+    #[test]
+    fn the_quick_false_positive_study_samples_delays() {
+        // The attacker's rows are blacklisted at quick scale, so the
+        // study reads at least one delay sample from its BlockHammer
+        // instances: a gap between two activations, never zero.
+        let study = false_positive_study(&ExperimentScale::quick(), 32_768);
+        assert!(study.delay_p50_us > 0.0, "no delay sample: {study:?}");
+        assert!(study.delay_p50_us <= study.delay_p90_us);
+        assert!(study.delay_p90_us <= study.delay_p100_us);
     }
 
     #[test]

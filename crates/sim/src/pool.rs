@@ -5,59 +5,45 @@
 //! no state but step sequentially on the calling thread, because a
 //! per-cycle thread handoff costs far more than a shard's cycle of work.
 //! What parallelizes well is whole runs, and this pool fans them out:
-//! the owner pushes `(sequence, item)` jobs into one shared injector
-//! queue, idle workers *pull* the next job the moment they finish their
-//! previous one, and every completion travels back over a single channel
-//! tagged with its sequence number. No worker ever idles while the queue
-//! is non-empty, and the owner reorders completions however it likes
-//! (the campaign executor runs them through a reorder buffer to restore
-//! run order bit-exactly).
+//! the owner hands over a whole batch of `jobs` up front, keeping the
+//! jobs themselves, and the work function reads job `i` by index. Idle
+//! workers *pull* the lowest unstarted index from one shared atomic
+//! cursor the moment they finish their previous job, and every
+//! completion travels back over a single channel as `(index, outcome)`.
+//! No worker ever idles while an index is unstarted, and the owner
+//! reorders completions however it likes (the campaign executor runs
+//! them through a reorder buffer to restore run order bit-exactly).
 //!
 //! # Fault tolerance
 //!
 //! Workers never die: each job runs under `catch_unwind`, and a panic
-//! comes back as [`Outcome::Panicked`] carrying the rendered payload
-//! (the item moved into the attempt is dropped during the unwind, so
-//! the owner must keep its own copy if it wants to retry — the campaign
-//! executor does). The thread that caught the panic simply pulls the
-//! next job.
+//! comes back as [`Outcome::Panicked`] carrying the rendered payload.
+//! The job itself stays with the owner, who can retry it from there.
+//! The thread that caught the panic simply pulls the next index.
 //!
 //! # Accounting
 //!
 //! Each worker keeps a tally: jobs completed, jobs *stolen* (a job
-//! whose sequence number round-robin assignment would have given to a
-//! different worker — the direct measure of how much work the shared
-//! queue moved off a busy worker), and busy wall-clock. The tallies are
-//! shared atomics, so the owner can snapshot them any time without
-//! stopping the pool.
+//! whose index round-robin assignment would have given to a different
+//! worker — the direct measure of how much work the shared cursor moved
+//! off a busy worker), and busy wall-clock. The tallies are shared
+//! atomics, so the owner can snapshot them any time without stopping
+//! the pool.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The shared work function: pulled jobs carry everything in the item.
-type Work<T, R> = Arc<dyn Fn(&mut T) -> R + Send + Sync + 'static>;
-
 /// How one pulled job ended.
-pub enum Outcome<T, R> {
-    /// The work function returned; the item comes back with the result.
-    Done(T, R),
-    /// The work function panicked. The item died in the unwind; the
-    /// rendered panic payload is all that comes back.
+pub enum Outcome<R> {
+    /// The work function returned this result.
+    Done(R),
+    /// The work function panicked; the rendered panic payload is all
+    /// that comes back.
     Panicked(String),
-}
-
-/// One finished job, tagged with the sequence number it was submitted
-/// under.
-pub struct Completion<T, R> {
-    /// The caller-chosen sequence number from [`StealingPool::submit`].
-    pub seq: u64,
-    /// How the job ended.
-    pub outcome: Outcome<T, R>,
 }
 
 /// Shared per-worker counters (atomics: written by the worker, read by
@@ -73,9 +59,9 @@ struct WorkerTally {
 pub struct WorkerSnapshot {
     /// Jobs this worker completed (including panicked attempts).
     pub jobs: u64,
-    /// Completed jobs whose sequence number round-robin assignment
-    /// would have given to a *different* worker — work the shared queue
-    /// moved off a busy worker.
+    /// Completed jobs whose index round-robin assignment would have
+    /// given to a *different* worker — work the shared cursor moved off
+    /// a busy worker.
     pub steals: u64,
     /// Wall-clock spent inside the work function.
     pub busy: Duration,
@@ -112,121 +98,74 @@ impl WorkerTally {
     }
 }
 
-/// The shared injector: a FIFO of `(seq, item)` jobs plus the closed
-/// flag, under one mutex with a condvar for idle workers.
-struct Injector<T> {
-    state: Mutex<InjectorState<T>>,
-    ready: Condvar,
-}
-
-struct InjectorState<T> {
-    jobs: VecDeque<(u64, T)>,
-    closed: bool,
-}
-
-impl<T> Injector<T> {
-    /// Blocks until a job is available (returning it) or the queue is
-    /// closed and empty (returning `None`).
-    fn pull(&self) -> Option<(u64, T)> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A pool of persistent workers pulling jobs from one shared queue.
+/// A pool of workers pulling the indices `0..jobs` of one batch from a
+/// shared cursor.
 ///
-/// `T` is the work item (moved to whichever worker pulls it, and back
-/// on success), `R` the result. See the module docs for the contract.
-pub struct StealingPool<T: Send + 'static, R: Send + 'static> {
-    injector: Arc<Injector<T>>,
-    result_rx: Receiver<Completion<T, R>>,
+/// `R` is the result of one job. See the module docs for the contract.
+pub struct StealingPool<R: Send + 'static> {
+    /// The lowest index no worker has claimed yet.
+    cursor: Arc<AtomicUsize>,
+    jobs: usize,
+    result_rx: Receiver<(usize, Outcome<R>)>,
     tallies: Vec<Arc<WorkerTally>>,
     handles: Vec<JoinHandle<()>>,
-    /// Jobs submitted whose completions have not been taken yet.
+    /// Jobs whose completions have not been taken yet.
     outstanding: usize,
 }
 
-impl<T: Send + 'static, R: Send + 'static> StealingPool<T, R> {
-    /// Spawns `workers` (≥ 1) threads, each pulling jobs and running
-    /// `work` until the pool is dropped.
-    pub fn new<F>(workers: usize, work: F) -> Self
+impl<R: Send + 'static> StealingPool<R> {
+    /// Spawns `workers` (≥ 1) threads that run `work(i)` for every index
+    /// `i` in `0..jobs`, lowest unstarted index first, each exiting once
+    /// the batch is claimed.
+    pub fn new<F>(workers: usize, jobs: usize, work: F) -> Self
     where
-        F: Fn(&mut T) -> R + Send + Sync + 'static,
+        F: Fn(usize) -> R + Send + Sync + 'static,
     {
         debug_assert!(workers >= 1, "a pool needs at least one worker");
-        let work: Work<T, R> = Arc::new(work);
-        let injector = Arc::new(Injector {
-            state: Mutex::new(InjectorState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let (result_tx, result_rx) = channel::<Completion<T, R>>();
+        let work = Arc::new(work);
+        let cursor = Arc::new(AtomicUsize::new(0));
+        let (result_tx, result_rx) = channel();
         let tallies: Vec<Arc<WorkerTally>> =
             (0..workers).map(|_| Arc::new(WorkerTally::new())).collect();
         let handles = (0..workers)
             .map(|id| {
-                spawn_puller(
+                let puller = Puller {
                     id,
                     workers,
-                    Arc::clone(&injector),
-                    Arc::clone(&work),
-                    result_tx.clone(),
-                    Arc::clone(&tallies[id]),
-                )
+                    jobs,
+                    cursor: Arc::clone(&cursor),
+                    work: Arc::clone(&work),
+                    result_tx: result_tx.clone(),
+                    tally: Arc::clone(&tallies[id]),
+                };
+                std::thread::Builder::new()
+                    .name(format!("steal-worker-{id}"))
+                    .spawn(move || puller.run())
+                    // lint: allow(panic-freedom) -- thread-spawn failure at pool construction is unrecoverable infrastructure loss
+                    .expect("failed to spawn stealing pool worker thread")
             })
             .collect();
         Self {
-            injector,
+            cursor,
+            jobs,
             result_rx,
             tallies,
             handles,
-            outstanding: 0,
+            outstanding: jobs,
         }
     }
 
-    /// Pushes a job onto the shared queue. `seq` is an arbitrary caller
-    /// tag echoed back in the job's [`Completion`]; the campaign
-    /// executor uses the run index.
-    pub fn submit(&mut self, seq: u64, item: T) {
-        self.outstanding += 1;
-        let mut state = self
-            .injector
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        state.jobs.push_back((seq, item));
-        drop(state);
-        self.injector.ready.notify_one();
-    }
-
-    /// Blocks for the next completion, in whatever order jobs finish.
-    /// Returns `None` when no submitted job is outstanding — or, as a
-    /// defensive backstop, if every worker vanished (they cannot: each
-    /// job runs under `catch_unwind`).
-    pub fn next_completion(&mut self) -> Option<Completion<T, R>> {
+    /// Blocks for the next `(index, outcome)` completion, in whatever
+    /// order jobs finish. Returns `None` once every job of the batch has
+    /// been taken — or, as a defensive backstop, if every worker vanished
+    /// (they cannot: each job runs under `catch_unwind`).
+    pub fn next_completion(&mut self) -> Option<(usize, Outcome<R>)> {
         if self.outstanding == 0 {
             return None;
         }
-        match self.result_rx.recv() {
-            Ok(done) => {
-                self.outstanding -= 1;
-                Some(done)
-            }
-            Err(_) => None,
-        }
+        let done = self.result_rx.recv().ok()?;
+        self.outstanding -= 1;
+        Some(done)
     }
 
     /// Snapshots every worker's tally, in worker-index order.
@@ -235,62 +174,58 @@ impl<T: Send + 'static, R: Send + 'static> StealingPool<T, R> {
     }
 }
 
-impl<T: Send + 'static, R: Send + 'static> Drop for StealingPool<T, R> {
+impl<R: Send + 'static> Drop for StealingPool<R> {
     fn drop(&mut self) {
         // Discard jobs nobody started (an aborting owner must not wait
-        // for the whole backlog), close, wake every idle worker, join.
-        {
-            let mut state = self
-                .injector
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            state.jobs.clear();
-            state.closed = true;
-        }
-        self.injector.ready.notify_all();
+        // for the whole backlog): every later claim lands past the batch.
+        self.cursor.fetch_max(self.jobs, Ordering::Relaxed);
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// Spawns one pulling worker thread.
-fn spawn_puller<T: Send + 'static, R: Send + 'static>(
+/// One worker's view of the pool.
+struct Puller<F, R> {
     id: usize,
     workers: usize,
-    injector: Arc<Injector<T>>,
-    work: Work<T, R>,
-    result_tx: Sender<Completion<T, R>>,
+    jobs: usize,
+    cursor: Arc<AtomicUsize>,
+    work: Arc<F>,
+    result_tx: Sender<(usize, Outcome<R>)>,
     tally: Arc<WorkerTally>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("steal-worker-{id}"))
-        .spawn(move || {
-            while let Some((seq, item)) = injector.pull() {
-                // lint: allow(determinism) -- worker busy-time accounting; never read by simulated state
-                let started = Instant::now();
-                // The unwind boundary keeps this thread alive across
-                // panicking jobs; AssertUnwindSafe is sound because the
-                // item is owned by the attempt (it is dropped on panic,
-                // never observed again) and `work` is a shared Fn.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let mut item = item;
-                    let result = work(&mut item);
-                    (item, result)
-                }));
-                let outcome = match attempt {
-                    Ok((item, result)) => Outcome::Done(item, result),
-                    Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
-                };
-                tally.record(seq as usize % workers != id, started.elapsed());
-                if result_tx.send(Completion { seq, outcome }).is_err() {
-                    return;
-                }
+}
+
+impl<F: Fn(usize) -> R, R> Puller<F, R> {
+    /// Claims and runs indices until the batch is exhausted or the owner
+    /// hung up.
+    fn run(self) {
+        loop {
+            // Relaxed suffices: the cursor publishes no data (the jobs
+            // were in place before the workers spawned, and results
+            // travel over the channel), and `fetch_add` alone makes
+            // every claim unique.
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= self.jobs {
+                return;
             }
-        })
-        // lint: allow(panic-freedom) -- thread-spawn failure at pool construction is unrecoverable infrastructure loss
-        .expect("failed to spawn stealing pool worker thread")
+            // lint: allow(determinism) -- worker busy-time accounting; never read by simulated state
+            let started = Instant::now();
+            // The unwind boundary keeps this thread alive across
+            // panicking jobs; AssertUnwindSafe is sound because the job
+            // is only read through a shared `Fn`, and its result (if
+            // any) is dropped in the unwind, never observed.
+            let outcome = match catch_unwind(AssertUnwindSafe(|| (self.work)(index))) {
+                Ok(result) => Outcome::Done(result),
+                Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
+            };
+            self.tally
+                .record(index % self.workers != self.id, started.elapsed());
+            if self.result_tx.send((index, outcome)).is_err() {
+                return;
+            }
+        }
+    }
 }
 
 /// Best-effort rendering of a panic payload (panics carry `&str` or
@@ -310,20 +245,23 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    /// Drains a pool, returning its completions in arrival order.
+    fn drain<R: Send + 'static>(pool: &mut StealingPool<R>) -> Vec<(usize, Outcome<R>)> {
+        std::iter::from_fn(|| pool.next_completion()).collect()
+    }
+
     #[test]
     fn completions_cover_every_submitted_sequence() {
-        let mut pool: StealingPool<u64, u64> = StealingPool::new(3, |item| *item * 2);
-        for seq in 0..16u64 {
-            pool.submit(seq, seq + 100);
-        }
+        let items: Arc<Vec<u64>> = Arc::new((0..16u64).map(|i| i + 100).collect());
+        let jobs = Arc::clone(&items);
+        let mut pool = StealingPool::new(3, items.len(), move |i| jobs[i] * 2);
         let mut seen = [false; 16];
-        while let Some(done) = pool.next_completion() {
-            match done.outcome {
-                Outcome::Done(item, result) => {
-                    assert_eq!(item, done.seq + 100);
-                    assert_eq!(result, (done.seq + 100) * 2);
-                    assert!(!seen[done.seq as usize], "duplicate completion");
-                    seen[done.seq as usize] = true;
+        for (index, outcome) in drain(&mut pool) {
+            match outcome {
+                Outcome::Done(result) => {
+                    assert_eq!(result, items[index] * 2);
+                    assert!(!seen[index], "duplicate completion");
+                    seen[index] = true;
                 }
                 Outcome::Panicked(message) => panic!("unexpected panic: {message}"),
             }
@@ -333,33 +271,32 @@ mod tests {
 
     #[test]
     fn next_completion_without_outstanding_jobs_returns_none() {
-        let mut pool: StealingPool<u64, u64> = StealingPool::new(2, |item| *item);
-        assert!(pool.next_completion().is_none());
-        pool.submit(0, 9);
+        let mut empty = StealingPool::new(2, 0, |i| i);
+        assert!(empty.next_completion().is_none());
+        let mut pool = StealingPool::new(2, 1, |i| i + 9);
         assert!(pool.next_completion().is_some());
         assert!(pool.next_completion().is_none());
     }
 
     #[test]
     fn a_panicking_job_reports_and_the_worker_survives() {
-        let mut pool: StealingPool<u32, u32> = StealingPool::new(1, |item| {
-            assert!(*item != 13, "unlucky item");
-            *item + 1
+        let items = [13u32, 20];
+        let mut pool = StealingPool::new(1, items.len(), move |i| {
+            assert!(items[i] != 13, "unlucky item");
+            items[i] + 1
         });
-        pool.submit(0, 13);
-        pool.submit(1, 20);
         let mut panicked = 0;
         let mut done = 0;
-        while let Some(completion) = pool.next_completion() {
-            match completion.outcome {
+        for (index, outcome) in drain(&mut pool) {
+            match outcome {
                 Outcome::Panicked(message) => {
                     assert!(message.contains("unlucky item"), "got: {message}");
-                    assert_eq!(completion.seq, 0);
+                    assert_eq!(index, 0);
                     panicked += 1;
                 }
-                Outcome::Done(item, result) => {
-                    assert_eq!((item, result), (20, 21));
-                    assert_eq!(completion.seq, 1);
+                Outcome::Done(result) => {
+                    assert_eq!(result, 21);
+                    assert_eq!(index, 1);
                     done += 1;
                 }
             }
@@ -369,12 +306,23 @@ mod tests {
     }
 
     #[test]
+    fn a_single_worker_completes_the_batch_in_ascending_index_order() {
+        // The steal tally and the reorder buffer's high-water mark both
+        // read against this order: one worker claims 0, 1, 2, … in turn.
+        let mut pool = StealingPool::new(1, 32, |i| i);
+        let order: Vec<usize> = drain(&mut pool).into_iter().map(|(i, _)| i).collect();
+        assert_eq!(order, (0..32).collect::<Vec<_>>());
+        assert_eq!(
+            pool.tallies()[0].steals,
+            0,
+            "worker 0 of 1 owns every index"
+        );
+    }
+
+    #[test]
     fn tallies_account_for_every_completed_job() {
-        let mut pool: StealingPool<u64, u64> = StealingPool::new(2, |item| *item);
-        for seq in 0..10u64 {
-            pool.submit(seq, seq);
-        }
-        while pool.next_completion().is_some() {}
+        let mut pool = StealingPool::new(2, 10, |i| i);
+        drain(&mut pool);
         let tallies = pool.tallies();
         assert_eq!(tallies.len(), 2);
         assert_eq!(tallies.iter().map(|t| t.jobs).sum::<u64>(), 10);
@@ -383,13 +331,10 @@ mod tests {
 
     #[test]
     fn dropping_the_pool_discards_unstarted_jobs_without_hanging() {
-        let mut pool: StealingPool<u64, u64> = StealingPool::new(1, |item| {
+        let mut pool = StealingPool::new(1, 64, |i| {
             std::thread::sleep(Duration::from_millis(1));
-            *item
+            i
         });
-        for seq in 0..64u64 {
-            pool.submit(seq, seq);
-        }
         // Take one completion, then drop: the backlog must be discarded,
         // not drained (a multi-second hang would trip the test timeout).
         assert!(pool.next_completion().is_some());

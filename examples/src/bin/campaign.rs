@@ -161,7 +161,7 @@ fn main() -> ExitCode {
         };
         println!(
             "journaled ({workers} workers, {} scheduler): {} runs ({} replayed from journal, \
-             {} references from prelude cache) in {:.2?} ({})",
+             {} prelude references from journal) in {:.2?} ({})",
             resumed.scheduling.scheduler,
             resumed.outcomes.len(),
             resumed.replayed,

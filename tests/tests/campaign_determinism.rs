@@ -9,9 +9,10 @@
 //! including under random failure policies and injected panics
 //! (`schedulers_agree_under_random_specs_policies_and_panics`).
 
+use campaign::checkpoint::{parse_journal, resume_or_create};
 use campaign::faults::{arm, disarm, FaultPlan};
 use campaign::{
-    execute, execute_observed, prelude_cache_path, record_run_traces, wire, CampaignSpec,
+    execute, execute_observed, fingerprint, record_run_traces, wire, CampaignSpec,
     ExecutionOptions, FailurePolicy, TraceFormat,
 };
 use proptest::prelude::*;
@@ -195,42 +196,86 @@ fn prelude_cache_is_reused_exactly_when_present() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let journal = dir.join("campaign.journal");
-    let cache = prelude_cache_path(&journal);
     let options = ExecutionOptions {
         journal: Some(journal.clone()),
         ..ExecutionOptions::default()
     };
-    let run = || {
-        execute_observed(&campaign, campaign.expand(), 2, &options, &mut |_, _| {})
-            .expect("campaign runs")
+    let run = || execute_observed(&campaign, campaign.expand(), 2, &options, &mut |_, _| {});
+    let scan = |bytes: &[u8]| {
+        parse_journal(bytes, fingerprint(&campaign), campaign.run_count() as u64)
+            .expect("the journal parses")
     };
 
-    // Cold: every reference simulated, and the cache written to disk.
-    let cold = run();
+    // Cold: every reference simulated, and the table journaled as the
+    // first record of the campaign's one durable file.
+    let cold = run().expect("campaign runs");
     let references = cold.scheduling.prelude.references;
     assert!(references > 0);
     assert_eq!(cold.scheduling.prelude.computed, references);
     assert_eq!(cold.scheduling.prelude.from_cache, 0);
-    assert!(cache.is_file(), "prelude cache written next to the journal");
+    let cold_bytes = std::fs::read(&journal).expect("read journal");
+    let table = scan(&cold_bytes).prelude.expect("the table is journaled");
+    assert_eq!(table.len(), references);
+    let files: Vec<_> = std::fs::read_dir(&dir).expect("list dir").collect();
+    assert_eq!(files.len(), 1, "the journal is the only file written");
 
-    // Warm: journal deleted (so every run re-executes) but cache kept —
-    // the whole prelude is served from disk.
+    // A campaign aborted at its first run leaves the header and the
+    // table alone in the journal.
     std::fs::remove_file(&journal).expect("delete journal");
-    let warm = run();
+    arm(FaultPlan {
+        panic_on_run: Some((0, u32::MAX)),
+        ..FaultPlan::default()
+    });
+    let aborted = run();
+    disarm();
+    assert!(aborted.is_err(), "the injected panic aborts the campaign");
+    let prelude_only = std::fs::read(&journal).expect("read journal");
+    let prelude_scan = scan(&prelude_only);
+    assert!(prelude_scan.entries.is_empty());
+    assert_eq!(prelude_scan.prelude.as_ref(), Some(&table));
+
+    // Warm: every run re-executes, the whole prelude is read back.
+    let warm = run().expect("campaign resumes");
+    assert_eq!(warm.replayed, 0);
     assert_eq!(warm.scheduling.prelude.from_cache, references);
     assert_eq!(warm.scheduling.prelude.computed, 0);
+    assert_eq!(std::fs::read(&journal).expect("read journal"), cold_bytes);
 
-    // Cold again: deleting the cache too forces recomputation.
-    std::fs::remove_file(&journal).expect("delete journal");
-    std::fs::remove_file(&cache).expect("delete cache");
-    let recomputed = run();
+    // A torn table is dropped: the prelude is recomputed and journaled
+    // again.
+    std::fs::write(&journal, &prelude_only[..prelude_only.len() - 1]).expect("tear the table");
+    let recomputed = run().expect("campaign resumes");
     assert_eq!(recomputed.scheduling.prelude.computed, references);
     assert_eq!(recomputed.scheduling.prelude.from_cache, 0);
+    assert_eq!(std::fs::read(&journal).expect("read journal"), cold_bytes);
 
-    // Cache state must never change results.
-    assert_eq!(warm.summary.to_csv(), cold.summary.to_csv());
-    assert_eq!(warm.summary.to_json(), cold.summary.to_json());
-    assert_eq!(recomputed.summary.to_csv(), cold.summary.to_csv());
+    // A journal written without a table (the header, then two run
+    // records) recomputes the prelude and stays without one.
+    std::fs::remove_file(&journal).expect("delete journal");
+    let mut tableless = resume_or_create(
+        &journal,
+        fingerprint(&campaign),
+        campaign.run_count() as u64,
+    )
+    .expect("create a tableless journal");
+    for entry in &scan(&cold_bytes).entries[..2] {
+        tableless.writer.append(entry).expect("append a run record");
+    }
+    drop(tableless);
+    let older = run().expect("campaign resumes");
+    assert_eq!(older.replayed, 2);
+    assert_eq!(older.scheduling.prelude.computed, references);
+    assert_eq!(older.scheduling.prelude.from_cache, 0);
+    assert_eq!(
+        scan(&std::fs::read(&journal).expect("read journal")).prelude,
+        None
+    );
+
+    // Journal state must never change results.
+    for report in [&warm, &recomputed, &older] {
+        assert_eq!(report.summary.to_csv(), cold.summary.to_csv());
+        assert_eq!(report.summary.to_json(), cold.summary.to_json());
+    }
 }
 
 #[test]

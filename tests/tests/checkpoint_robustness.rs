@@ -1,21 +1,22 @@
 //! Journal corruption properties: any truncation or single-byte flip of
 //! a checkpoint journal either resumes cleanly from the last good record
 //! or fails with a structured [`JournalError`] — it never panics and
-//! never silently replays a corrupted outcome.
+//! never silently replays a corrupted outcome or prelude table.
 //!
 //! The journal under attack is produced by a real (tiny) campaign run,
 //! so the bytes exercised are exactly what production resume would read.
 
-use campaign::checkpoint::{parse_journal, resume_or_create, JournalScan};
+use campaign::checkpoint::{parse_journal, resume_or_create, JournalScan, PreludeTable};
 use campaign::{execute_resumable, fingerprint, CampaignSpec, ExecutionOptions, JournalEntry};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-/// A pristine journal: its bytes, the entries it holds, and the
-/// fingerprint/run-count it was written under.
+/// A pristine journal: its bytes, the prelude table and entries it
+/// holds, and the fingerprint/run-count it was written under.
 struct PristineJournal {
     bytes: Vec<u8>,
+    prelude: PreludeTable,
     entries: Vec<JournalEntry>,
     fingerprint: u64,
     total_runs: u64,
@@ -54,6 +55,8 @@ fn pristine() -> &'static PristineJournal {
         assert!(!scan.dropped_trailing);
         PristineJournal {
             bytes,
+            // The campaign normalizes, so its journal opens with the table.
+            prelude: scan.prelude.expect("the prelude table was journaled"),
             entries: scan.entries,
             fingerprint: fp,
             total_runs: total,
@@ -66,8 +69,17 @@ fn assert_survives(mutated: &[u8], label: &str) {
     let p = pristine();
     match parse_journal(mutated, p.fingerprint, p.total_runs) {
         Ok(JournalScan {
-            entries, good_len, ..
+            prelude,
+            entries,
+            good_len,
+            ..
         }) => {
+            // A successful parse yields no table or the pristine one —
+            // never an altered reference.
+            assert!(
+                prelude.is_none() || prelude.as_ref() == Some(&p.prelude),
+                "{label}: a recovered prelude table must be the pristine one"
+            );
             // A successful parse must yield an exact prefix of the
             // original entries — never a spliced or altered outcome.
             assert!(

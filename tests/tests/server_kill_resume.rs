@@ -192,8 +192,8 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
     // Same recovery story, but with the pull-based scheduler doing the
     // executing and a *real* SIGKILL (the injector stalls the executor
     // at a deterministic journal state so the kill lands predictably).
-    // The resumed campaign must also skip its normalization prelude via
-    // the on-disk cache the first server left behind.
+    // The resumed campaign must also skip its normalization prelude by
+    // reading back the table the first server journaled.
     let mut spec = serve_campaign();
     spec.name = "serve-kill-stealing".to_owned();
     let id = format!("{:016x}", fingerprint(&spec));
@@ -219,17 +219,23 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
     assert_eq!(response.status, 201, "{}", response.utf8().unwrap_or(""));
 
     // Wait until exactly 2 runs are journaled (the executor then stalls
-    // forever) and the prelude cache is on disk, then deliver the kill.
+    // forever) behind the prelude table, then deliver the kill.
     wait_for_journal(&data, &spec, 2);
+    let scan = read_journal(
+        &data.join(&id).join("campaign.journal"),
+        fingerprint(&spec),
+        spec.run_count() as u64,
+    )
+    .expect("read the stalled server's journal");
     assert!(
-        data.join(&id).join("campaign.prelude").is_file(),
-        "the first server must leave its prelude cache behind"
+        scan.prelude.is_some(),
+        "the first server must journal its prelude table"
     );
     doomed.kill().expect("SIGKILL the stalled server");
     doomed.wait().expect("reap the killed server");
 
     // The survivor resumes with the same stealing scheduler, replays the
-    // 2 journaled runs, serves the prelude from the cache, and streams
+    // 2 journaled runs, reads the prelude from the journal, and streams
     // bytes identical to the uninterrupted sequential reference.
     let (mut survivor, addr) = start_harness(&data, &stealing_args);
     let mut streamed = Vec::new();
@@ -253,11 +259,11 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
         status_doc.contains("\"scheduler\":\"stealing\""),
         "got: {status_doc}"
     );
-    // The warm cache means this invocation simulated no references.
+    // The journaled table means this invocation simulated no references.
     assert!(status_doc.contains("\"computed\":0"), "got: {status_doc}");
     assert!(
         !status_doc.contains("\"from_cache\":0"),
-        "the resumed prelude must come from the cache: {status_doc}"
+        "the resumed prelude must come from the journal: {status_doc}"
     );
 
     for (artifact, expected) in [
@@ -281,7 +287,7 @@ fn sigkilled_stealing_server_resumes_with_a_warm_prelude_cache() {
     }
     // The scheduling artifact is not byte-compared (its counters are
     // wall-clock- and worker-dependent) but must exist and name the
-    // scheduler and the cache-served prelude.
+    // scheduler and the journal-served prelude.
     let response = client::request(
         &addr,
         "GET",
