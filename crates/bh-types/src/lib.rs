@@ -6,7 +6,8 @@
 //! controller, the RowHammer defenses, the full-system harness) speaks in
 //! terms of the types defined here: the thread identifier; decoded DRAM
 //! addresses and the address mappings; DRAM bus commands; memory requests;
-//! and clock/time conversion helpers.
+//! clock/time conversion helpers; and the fixed integer hasher behind the
+//! simulator's per-request maps.
 //!
 //! The crate is deliberately dependency-light so that it can sit at the
 //! bottom of the dependency graph.
@@ -30,6 +31,7 @@
 mod address;
 mod command;
 mod error;
+mod hash;
 mod ids;
 mod request;
 mod time;
@@ -38,6 +40,7 @@ mod trace;
 pub use address::{AddressMapping, AddressMappingGeometry, DramAddress};
 pub use command::MemCommand;
 pub use error::ConfigError;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::ThreadId;
 pub use request::{AccessType, MemRequest, ReqId};
 pub use time::{Cycle, CyclesPerSecond, Nanoseconds, TimeConverter};

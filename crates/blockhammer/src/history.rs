@@ -14,8 +14,8 @@
 //! row) alongside the FIFO and answers membership queries from it in
 //! O(1). The FIFO remains the source of truth for expiry order.
 
-use bh_types::Cycle;
-use std::collections::{HashMap, VecDeque};
+use bh_types::{Cycle, FastMap};
+use std::collections::VecDeque;
 
 /// One history buffer entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +39,7 @@ struct RowPresence {
 pub struct HistoryBuffer {
     entries: VecDeque<HistoryEntry>,
     /// Row-key membership index over the live entries (the CAM model).
-    index: HashMap<u64, RowPresence>,
+    index: FastMap<u64, RowPresence>,
     capacity: usize,
     /// Entries older than this many cycles are expired.
     window: Cycle,
@@ -60,7 +60,7 @@ impl HistoryBuffer {
         assert!(window > 0, "history window must be non-zero");
         Self {
             entries: VecDeque::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: FastMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
             window,
             overflows: 0,

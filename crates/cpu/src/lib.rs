@@ -191,8 +191,19 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
 
     /// Advances the core by one cycle: retires completed instructions from
     /// the window head and issues new ones, sending memory accesses to
-    /// `memory`. Returns whether it retired or issued anything; a tick
-    /// that did neither only retried what it will retry next cycle.
+    /// `memory`.
+    ///
+    /// Returns whether the core can retire or issue in the next cycle
+    /// without an outside event (a completion delivered through
+    /// [`Core::on_memory_complete`], or memory accepting a send it
+    /// refused). The rule, in order: a finished core cannot; a done window
+    /// head can retire; a full window or a reached instruction limit
+    /// cannot issue; pending non-memory instructions can issue; a pending
+    /// access can be sent unless memory just refused it; with nothing
+    /// pending, the next trace record can be fetched unless the trace is
+    /// exhausted. When it returns `false`, the next tick retires and
+    /// issues nothing until such an event, which lets event-driven
+    /// stepping skip the cycles in between.
     pub fn tick(&mut self, now: Cycle, memory: &mut dyn MemorySink) -> bool {
         if self.is_finished() {
             return false;
@@ -211,6 +222,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         }
         // Issue.
         let mut issued = 0;
+        let mut refused = false;
         while issued < self.config.issue_width {
             if self.stats.retired_instructions + self.window.len() as u64
                 >= self.config.instruction_limit
@@ -251,16 +263,44 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
                     self.pending_access = None;
                     issued += 1;
                 }
-                None => break,
+                None => {
+                    refused = true;
+                    break;
+                }
             }
         }
-        retired + issued > 0
+        self.can_act(refused)
+    }
+
+    /// Whether the next tick can retire or issue without an outside event,
+    /// after a tick whose last send was `refused` (see [`Core::tick`]).
+    fn can_act(&self, refused: bool) -> bool {
+        if self.is_finished() {
+            return false;
+        }
+        if self.window.front().is_some_and(|entry| entry.done) {
+            return true;
+        }
+        if self.window.len() >= self.config.window_size
+            || self.stats.retired_instructions + self.window.len() as u64
+                >= self.config.instruction_limit
+        {
+            return false;
+        }
+        if self.pending_non_memory > 0 {
+            return true;
+        }
+        match self.pending_access {
+            Some(_) => !refused,
+            None => !self.trace_exhausted,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A memory model with a fixed latency and bounded concurrency.
     struct TestMemory {
@@ -270,8 +310,12 @@ mod tests {
         next_token: u64,
         completed: Vec<u64>,
         requests_seen: Vec<(u64, bool, bool)>,
-        /// Sends refused because `capacity` requests were in flight.
+        /// Sends refused because `capacity` requests were in flight, or
+        /// because the memory was `busy`.
         refused: u64,
+        /// Refuses every send while set (a stand-in for a full queue that
+        /// drains without completing anything).
+        busy: bool,
     }
 
     impl TestMemory {
@@ -284,6 +328,7 @@ mod tests {
                 completed: Vec::new(),
                 requests_seen: Vec::new(),
                 refused: 0,
+                busy: false,
             }
         }
 
@@ -309,7 +354,7 @@ mod tests {
             bypass: bool,
             now: Cycle,
         ) -> Option<u64> {
-            if self.inflight.len() >= self.capacity {
+            if self.busy || self.inflight.len() >= self.capacity {
                 self.refused += 1;
                 return None;
             }
@@ -407,6 +452,142 @@ mod tests {
         run(&mut core, &mut memory, 100_000);
         assert!(core.is_finished());
         assert_eq!(core.retired_instructions(), 500);
+    }
+
+    #[test]
+    fn a_just_refused_send_cannot_act() {
+        let trace = vec![TraceRecord::load(0, 0x40), TraceRecord::load(8, 0x80)];
+        let mut core = Core::new(ThreadId::new(0), CoreConfig::default(), trace.into_iter());
+        let mut memory = TestMemory::new(10, 0);
+        assert!(!core.tick(0, &mut memory), "the load was refused");
+        assert!(!core.tick(1, &mut memory), "and is refused again");
+        assert_eq!(memory.refused, 2);
+        memory.capacity = 1;
+        assert!(core.tick(2, &mut memory), "non-memory instructions follow");
+        assert!(core.tick(3, &mut memory));
+        assert!(
+            !core.tick(4, &mut memory),
+            "the second load is refused while the first is in flight"
+        );
+        assert_eq!(memory.refused, 3);
+    }
+
+    #[test]
+    fn a_full_window_with_a_done_head_can_act() {
+        let config = CoreConfig {
+            issue_width: 1,
+            window_size: 1,
+            ..CoreConfig::default()
+        };
+        let trace = vec![TraceRecord::store(0, 0x40), TraceRecord::store(0, 0x80)];
+        let mut core = Core::new(ThreadId::new(0), config, trace.into_iter());
+        let mut memory = TestMemory::new(u64::MAX / 2, 16);
+        assert!(
+            core.tick(0, &mut memory),
+            "the done store at the head can retire next cycle"
+        );
+        assert_eq!(core.window.len(), config.window_size);
+        let mut loads = Core::new(
+            ThreadId::new(0),
+            config,
+            vec![TraceRecord::load(0, 0x40)].into_iter(),
+        );
+        assert!(
+            !loads.tick(0, &mut memory),
+            "a waiting load fills the window"
+        );
+    }
+
+    #[test]
+    fn a_finished_core_cannot_act() {
+        let trace = vec![TraceRecord::load(0, 0x40)];
+        let mut core = Core::new(ThreadId::new(0), CoreConfig::default(), trace.into_iter());
+        let mut memory = TestMemory::new(1, 4);
+        assert!(!core.tick(0, &mut memory), "the load waits on memory");
+        memory.tick(1);
+        core.on_memory_complete(memory.completed[0]);
+        assert!(!core.tick(1, &mut memory), "the last load retires");
+        assert!(core.is_finished());
+        assert!(!core.tick(2, &mut memory));
+    }
+
+    /// A small deterministic generator (splitmix64) for random traces.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    proptest! {
+        /// Whenever a tick says the core cannot act, the next tick neither
+        /// retires nor issues, unless a completion was delivered or a
+        /// memory that refused may accept again in between.
+        #[test]
+        fn a_core_that_cannot_act_stays_still(
+            seed in 0u64..u64::MAX,
+            issue_width in 1usize..5,
+            window_size in 1usize..12,
+            capacity in 1usize..6,
+            latency in 1u64..40,
+            limit in 0u64..2,
+        ) {
+            let mut rng = Rng(seed);
+            let trace: Vec<TraceRecord> = (0..300)
+                .map(|_| {
+                    let non_memory = rng.below(6) as u32;
+                    let address = rng.below(64) * 64;
+                    match rng.below(4) {
+                        0 => TraceRecord::store(non_memory, address),
+                        1 => TraceRecord::uncached_load(non_memory, address),
+                        _ => TraceRecord::load(non_memory, address),
+                    }
+                })
+                .collect();
+            let config = CoreConfig {
+                issue_width,
+                window_size,
+                instruction_limit: if limit == 0 { u64::MAX } else { 200 },
+            };
+            let mut core = Core::new(ThreadId::new(0), config, trace.into_iter());
+            let mut memory = TestMemory::new(latency, capacity);
+            let mut could_act = true;
+            for now in 0..20_000 {
+                let was_busy = memory.busy;
+                memory.busy = rng.below(6) == 0;
+                memory.tick(now);
+                let delivered = !memory.completed.is_empty();
+                for token in memory.completed.drain(..) {
+                    core.on_memory_complete(token);
+                }
+                // A memory that stops being busy may accept a refused send.
+                let memory_freed = was_busy && !memory.busy;
+                let progress = |core: &Core<_>| {
+                    (core.retired_instructions(), core.window.len(), core.stats.memory_requests)
+                };
+                let before = progress(&core);
+                let can_act = core.tick(now, &mut memory);
+                if !(could_act || delivered || memory_freed) {
+                    prop_assert_eq!(
+                        before,
+                        progress(&core),
+                        "cycle {} acted after a tick that said it could not",
+                        now
+                    );
+                }
+                could_act = can_act;
+                if core.is_finished() {
+                    prop_assert!(!can_act);
+                    break;
+                }
+            }
+            prop_assert!(core.is_finished());
+        }
     }
 
     #[test]

@@ -21,16 +21,60 @@ pub struct IssueOutcome {
 /// own memory controller.
 ///
 /// The device is passive: the memory controller decides *what* to issue and
-/// asks the device *when* it may legally do so.
+/// asks the device *when* it may legally do so, either per command
+/// ([`DramDevice::can_issue`], from the ranks' and banks' own state) or for
+/// a whole set of banks at once ([`DramDevice::legal_banks`], from two
+/// ready-time tables). The tables hold, per bank group, the rank-level
+/// earliest ACT, PRE, RD and WR, and per bank the bank-level earliest of
+/// the same four (`Cycle::MAX` where the bank's state makes the command
+/// illegal). [`DramDevice::issue`] is the only place device state
+/// changes, and it refreshes the entries the command can move: its rank's
+/// bank groups and the issued bank, or every bank of the rank for a REF.
 #[derive(Debug, Clone)]
 pub struct DramDevice {
     organization: DramOrganization,
     timings: TimingsInCycles,
     ranks: Vec<Rank>,
     stats: DramStats,
-    /// Earliest cycle at which a command [`DramDevice::can_issue`] refused
-    /// on timing would pass, since the last [`DramDevice::take_retry_at`].
+    /// Per bank group of the channel (`rank * bank_groups + bank_group`),
+    /// the rank-level earliest cycle of each [`READY_COMMANDS`] entry.
+    group_ready: Vec<[Cycle; 4]>,
+    /// Per bank of the channel (its global bank index), the bank-level
+    /// earliest cycle of each [`READY_COMMANDS`] entry; `Cycle::MAX` where
+    /// the command is illegal in the bank's state. Column commands address
+    /// the bank's open row.
+    bank_ready: Vec<[Cycle; 4]>,
+    /// Earliest cycle at which a command [`DramDevice::can_issue`] or
+    /// [`DramDevice::legal_banks`] refused on timing would pass, since the
+    /// last [`DramDevice::take_retry_at`].
     retry_at: Cell<Cycle>,
+}
+
+/// The commands the ready-time tables answer for, in table-column order.
+const READY_COMMANDS: [MemCommand; 4] = [
+    MemCommand::Activate,
+    MemCommand::Precharge,
+    MemCommand::Read,
+    MemCommand::Write,
+];
+
+/// The ready-time table column of `cmd` (`None` for REF, which is
+/// rank-wide and asked through [`DramDevice::can_issue`]).
+fn ready_column(cmd: MemCommand) -> Option<usize> {
+    READY_COMMANDS.iter().position(|&c| c == cmd)
+}
+
+/// The banks of a bank set (bit `i` set for the bank with global bank
+/// index `i` within the channel, as [`DramDevice::legal_banks`] takes and
+/// returns them), in ascending order: lowest set bit first.
+pub fn banks_in(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let bank = set.trailing_zeros() as usize;
+            set &= set - 1;
+            bank
+        })
+    })
 }
 
 impl DramDevice {
@@ -48,14 +92,50 @@ impl DramDevice {
             organization.channels, 1,
             "a DRAM device models exactly one channel"
         );
-        Self {
+        let mut device = Self {
             organization,
             timings,
             ranks: (0..organization.ranks)
                 .map(|_| Rank::new(&organization))
                 .collect(),
             stats: DramStats::new(organization.ranks),
+            group_ready: vec![[0; 4]; organization.ranks * organization.bank_groups],
+            bank_ready: vec![[0; 4]; organization.banks_per_channel()],
             retry_at: Cell::new(Cycle::MAX),
+        };
+        for rank in 0..organization.ranks {
+            device.refresh_ready(rank, None);
+        }
+        device
+    }
+
+    /// Recomputes `rank`'s bank-group entries of the ready-time tables and
+    /// the bank entry of `bank_in_rank`, or of every bank of the rank if
+    /// `None`.
+    fn refresh_ready(&mut self, rank: usize, bank_in_rank: Option<usize>) {
+        let org = self.organization;
+        let state = &self.ranks[rank];
+        for bank_group in 0..org.bank_groups {
+            let entry = &mut self.group_ready[rank * org.bank_groups + bank_group];
+            for (at, cmd) in entry.iter_mut().zip(READY_COMMANDS) {
+                *at = state
+                    .earliest_rank_level(cmd, bank_group, &self.timings)
+                    .unwrap_or(Cycle::MAX);
+            }
+        }
+        let banks = match bank_in_rank {
+            Some(bank) => bank..bank + 1,
+            None => 0..org.banks_per_rank(),
+        };
+        for bank in banks {
+            let state = state.bank(bank);
+            let entry = &mut self.bank_ready[rank * org.banks_per_rank() + bank];
+            for (at, cmd) in entry.iter_mut().zip(READY_COMMANDS) {
+                // A column command addresses the open row; without one it
+                // is illegal (`earliest_issue` refuses any row then).
+                let row = state.open_row().unwrap_or(0);
+                *at = state.earliest_issue(cmd, row).unwrap_or(Cycle::MAX);
+            }
         }
     }
 
@@ -117,10 +197,86 @@ impl DramDevice {
         }
     }
 
+    /// The banks of the bank set `banks` (bit `i` is the bank with global
+    /// bank index `i` within the channel) on which `cmd` may be issued at
+    /// `now`, a column command addressing the bank's open row. It answers
+    /// exactly as [`DramDevice::can_issue`] would per bank, in one pass
+    /// over the ready-time tables: a bank passes when the larger of its
+    /// bank-group entry and its bank entry is at most `now`. A bank that
+    /// is legal in its state but too early is remembered for
+    /// [`DramDevice::take_retry_at`], as `can_issue` remembers it.
+    ///
+    /// REF is rank-wide and not a per-bank question: it yields the empty
+    /// set (ask [`DramDevice::can_issue`]).
+    // lint: alloc-free
+    pub fn legal_banks(&self, cmd: MemCommand, banks: u64, now: Cycle) -> u64 {
+        let Some(column) = ready_column(cmd) else {
+            debug_assert!(false, "REF legality is rank-wide: use can_issue");
+            return 0;
+        };
+        let banks_per_group = self.organization.banks_per_group;
+        let mut legal = 0;
+        let mut retry = Cycle::MAX;
+        for bank in banks_in(banks) {
+            let at =
+                self.group_ready[bank / banks_per_group][column].max(self.bank_ready[bank][column]);
+            if at <= now {
+                legal |= 1 << bank;
+            } else {
+                retry = retry.min(at);
+            }
+        }
+        self.debug_check_legal_banks(cmd, banks, now, legal, retry);
+        self.retry_at.set(self.retry_at.get().min(retry));
+        legal
+    }
+
+    /// Debug builds: checks a [`DramDevice::legal_banks`] answer (the legal
+    /// set and the earliest refused cycle) against per-bank
+    /// [`DramDevice::earliest_issue`] (a no-op in release builds).
+    fn debug_check_legal_banks(
+        &self,
+        cmd: MemCommand,
+        banks: u64,
+        now: Cycle,
+        legal: u64,
+        retry: Cycle,
+    ) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let org = self.organization;
+        let mut expected_legal = 0;
+        let mut expected_retry = Cycle::MAX;
+        for bank in banks_in(banks) {
+            let rank = bank / org.banks_per_rank();
+            let in_rank = bank % org.banks_per_rank();
+            let row = self.open_row_at(rank, in_rank).unwrap_or(0);
+            let addr = DramAddress::new(
+                0,
+                rank,
+                in_rank / org.banks_per_group,
+                in_rank % org.banks_per_group,
+                row,
+                0,
+            );
+            match self.earliest_issue(cmd, &addr) {
+                Some(at) if at <= now => expected_legal |= 1 << bank,
+                Some(at) => expected_retry = expected_retry.min(at),
+                None => {}
+            }
+        }
+        debug_assert_eq!(
+            (legal, retry),
+            (expected_legal, expected_retry),
+            "ready-time tables diverged from the banks on {cmd} at cycle {now}"
+        );
+    }
+
     /// The earliest cycle at which any command [`DramDevice::can_issue`]
-    /// refused on timing since the previous call would pass (`Cycle::MAX`
-    /// if none was), and forgets it: without an intervening command, no
-    /// refused check can pass before then.
+    /// or [`DramDevice::legal_banks`] refused on timing since the previous
+    /// call would pass (`Cycle::MAX` if none was), and forgets it: without
+    /// an intervening command, no refused check can pass before then.
     pub fn take_retry_at(&self) -> Cycle {
         self.retry_at.replace(Cycle::MAX)
     }
@@ -134,6 +290,11 @@ impl DramDevice {
     pub fn issue(&mut self, cmd: MemCommand, addr: &DramAddress, now: Cycle) -> IssueOutcome {
         let rank = addr.rank();
         let completes_at = self.ranks[rank].issue(cmd, addr, now, &self.timings);
+        // A REF delays the ACT of every bank of its rank; any other
+        // command changes only its own bank and the rank-level state.
+        let bank = (cmd != MemCommand::Refresh)
+            .then(|| addr.bank_in_rank(self.organization.banks_per_group));
+        self.refresh_ready(rank, bank);
         self.stats.per_rank[rank].record(cmd);
         if cmd == MemCommand::Activate {
             let global_bank = addr.global_bank_index(

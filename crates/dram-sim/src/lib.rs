@@ -46,7 +46,7 @@ mod stats;
 mod timings;
 
 pub use bank::{Bank, BankState};
-pub use device::{DramDevice, IssueOutcome};
+pub use device::{banks_in, DramDevice, IssueOutcome};
 pub use organization::DramOrganization;
 pub use rank::Rank;
 pub use stats::{CommandCounts, DramStats};

@@ -63,13 +63,13 @@ impl Rank {
         self.banks.iter().all(|b| b.open_row().is_none())
     }
 
-    /// Earliest cycle at which `cmd` to `addr` satisfies *rank-level*
-    /// constraints. Returns `None` if the command is illegal in the current
-    /// state (e.g. REF with an open row).
-    fn earliest_rank_level(
+    /// Earliest cycle at which `cmd` to a bank of `bank_group` satisfies
+    /// *rank-level* constraints. Returns `None` if the command is illegal
+    /// in the current state (e.g. REF with an open row).
+    pub(crate) fn earliest_rank_level(
         &self,
         cmd: MemCommand,
-        addr: &DramAddress,
+        bank_group: usize,
         t: &TimingsInCycles,
     ) -> Option<Cycle> {
         let after_refresh = self.refresh_busy_until;
@@ -77,7 +77,7 @@ impl Rank {
             MemCommand::Activate => {
                 let mut earliest = after_refresh;
                 if let Some((when, bg)) = self.last_activate {
-                    let rrd = if bg == addr.bank_group() {
+                    let rrd = if bg == bank_group {
                         // Same bank group: long tRRD.
                         t.t_rrd_l
                     } else {
@@ -95,7 +95,7 @@ impl Rank {
             MemCommand::Read => {
                 let mut earliest = after_refresh.max(self.next_read);
                 if let Some((when, bg)) = self.last_column {
-                    let ccd = if bg == addr.bank_group() {
+                    let ccd = if bg == bank_group {
                         t.t_ccd_l
                     } else {
                         t.t_ccd_s
@@ -107,7 +107,7 @@ impl Rank {
             MemCommand::Write => {
                 let mut earliest = after_refresh.max(self.next_write);
                 if let Some((when, bg)) = self.last_column {
-                    let ccd = if bg == addr.bank_group() {
+                    let ccd = if bg == bank_group {
                         t.t_ccd_l
                     } else {
                         t.t_ccd_s
@@ -136,7 +136,7 @@ impl Rank {
         addr: &DramAddress,
         timings: &TimingsInCycles,
     ) -> Option<Cycle> {
-        let rank_level = self.earliest_rank_level(cmd, addr, timings)?;
+        let rank_level = self.earliest_rank_level(cmd, addr.bank_group(), timings)?;
         match cmd {
             MemCommand::Refresh => {
                 // Must be legal on every bank; take the max over banks.

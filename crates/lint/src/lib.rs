@@ -8,10 +8,10 @@
 //! crate mechanizes the rules that protect that property instead of
 //! defending it only with after-the-fact equivalence tests:
 //!
-//! * **determinism** — no `HashMap`/`HashSet` iteration, no wall-clock
-//!   reads, no machine-dependent parallelism probes in product code
-//!   (`available_parallelism` only in `campaign::executor`'s worker-count
-//!   default);
+//! * **determinism** — no `HashMap`/`HashSet` (or `FastMap`/`FastSet`)
+//!   iteration, no wall-clock reads, no machine-dependent parallelism
+//!   probes in product code (`available_parallelism` only in
+//!   `campaign::executor`'s worker-count default);
 //! * **alloc-free** — regions marked `// lint: alloc-free` (the defense
 //!   and scheduler hot paths) must not allocate;
 //! * **panic-freedom** — no `unwrap`/`expect`/`panic!` escape hatches

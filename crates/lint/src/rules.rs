@@ -69,7 +69,9 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no nondeterministic iteration or clocks in product code",
         detail: "HashMap/HashSet iteration (.iter/.iter_mut/.keys/.values/.values_mut/\
                  .drain/.into_iter/.retain, `for _ in &map`) is banned on identifiers \
-                 the file declares with a hash type; Instant::now and SystemTime are \
+                 the file declares with a hash type (HashMap, HashSet, or bh-types' \
+                 FastMap and FastSet, whose fixed hasher still iterates in hash \
+                 order); Instant::now and SystemTime are \
                  banned everywhere in product code; available_parallelism is allowed \
                  only in the worker-count default (campaign/src/executor.rs).",
     },
@@ -248,12 +250,13 @@ pub fn lint_manifest(path: &str, source: &str) -> Vec<Finding> {
 
 /// Identifiers this file declares with a hash-table type, via
 /// `name: HashMap<...>` / `name: HashSet<...>` (fields, lets, params) or
-/// `name = HashMap::new()` / `HashMap::with_capacity`.
+/// `name = HashMap::new()` / `HashMap::with_capacity`, and likewise for
+/// bh-types' `FastMap` / `FastSet`.
 fn collect_hash_names(file: &ScrubbedFile) -> Vec<String> {
     let mut names = Vec::new();
     for line in &file.lines {
         let code = line.code.as_str();
-        for ty in ["HashMap", "HashSet"] {
+        for ty in ["HashMap", "HashSet", "FastMap", "FastSet"] {
             let mut from = 0;
             while let Some(pos) = code[from..].find(ty) {
                 let at = from + pos;

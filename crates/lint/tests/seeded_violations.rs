@@ -99,6 +99,24 @@ fn determinism_fixture_fires_once_on_hash_iteration() {
 }
 
 #[test]
+fn determinism_fixture_fires_once_on_fast_map_iteration() {
+    // The fixed hasher makes a map's contents process-independent, but
+    // its iteration order is still hash order.
+    let fixture = Fixture::new(
+        "determinism-fast",
+        "memctrl",
+        "use bh_types::FastMap;\n\
+         pub struct Stats {\n\
+         \x20   per_thread: FastMap<usize, u64>,\n\
+         }\n\
+         pub fn first(s: &Stats) -> Option<u64> {\n\
+         \x20   s.per_thread.values().next().copied()\n\
+         }\n",
+    );
+    assert_single(&fixture, DETERMINISM, "crates/memctrl/src/lib.rs", 6);
+}
+
+#[test]
 fn alloc_free_fixture_fires_once_inside_marked_region() {
     let fixture = Fixture::new(
         "alloc-free",

@@ -32,8 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bh_types::ConfigError;
-use std::collections::HashSet;
+use bh_types::{ConfigError, FastSet};
 
 /// Configuration of the last-level cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +144,7 @@ pub struct Llc {
     config: LlcConfig,
     sets: Vec<Vec<Line>>,
     /// Outstanding line fetches (line-aligned addresses).
-    mshr: HashSet<u64>,
+    mshr: FastSet<u64>,
     lru_clock: u64,
     stats: LlcStats,
 }
@@ -161,7 +160,7 @@ impl Llc {
         config.validate().expect("invalid LLC configuration");
         Self {
             sets: vec![Vec::with_capacity(config.associativity); config.sets() as usize],
-            mshr: HashSet::new(),
+            mshr: FastSet::default(),
             lru_clock: 0,
             stats: LlcStats::default(),
             config,

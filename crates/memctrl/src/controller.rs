@@ -3,11 +3,10 @@
 use crate::config::MemCtrlConfig;
 use crate::scheduler::Scheduler;
 use crate::stats::CtrlStats;
-use bh_types::{AccessType, Cycle, DramAddress, MemCommand, MemRequest, ReqId, ThreadId};
+use bh_types::{AccessType, Cycle, DramAddress, FastMap, MemCommand, MemRequest, ReqId, ThreadId};
 use dram_sim::{DramDevice, DramStats, IssueOutcome, TimingsInCycles};
 use mitigations::RowHammerDefense;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -77,7 +76,7 @@ pub struct MemoryController {
     /// removed as soon as their count returns to zero, so the map's size is
     /// bounded by the number of currently queued requests rather than by
     /// every (thread, bank) pair the run ever touched.
-    inflight: HashMap<(usize, usize), u32>,
+    inflight: FastMap<(usize, usize), u32>,
     /// Next auto-refresh deadline per rank.
     next_refresh: Vec<Cycle>,
     /// Whether a refresh is overdue per rank.
@@ -152,7 +151,7 @@ impl MemoryController {
             victim_queue: Vec::new(),
             pending_completions: Vec::new(),
             next_completion: Cycle::MAX,
-            inflight: HashMap::new(),
+            inflight: FastMap::default(),
             next_refresh: vec![timings.t_refi; ranks],
             refresh_pending: vec![false; ranks],
             next_command_at: 0,

@@ -21,11 +21,12 @@
 //!   `controller_scheduling` benchmark's before/after comparison.
 //! * [`SchedulerPolicy::BankedIndex`] buckets requests per global bank
 //!   ([`BankedQueue`]) with an [`OpenRowCache`], so each pass touches only
-//!   banks that have queued work and performs at most one command-legality
-//!   check per bank instead of one per request. An open-row index counts,
-//!   per bank, the queued reads and writes that target the bank's open
-//!   row: it is updated on push, on row-hit removal and on every issued
-//!   ACT or precharge. Debug builds recount it after every update.
+//!   banks that have queued work and asks the DRAM device one legality
+//!   question per pass, for a whole bank set, instead of one per request.
+//!   An open-row index counts, per bank, the queued reads and writes that
+//!   target the bank's open row: it is updated on push, on row-hit
+//!   removal and on every issued ACT or precharge. Debug builds recount
+//!   it after every update.
 //!
 //! The banked passes walk *bank sets*: `u64`s with one bit per bank of
 //! the channel, kept next to the structures they summarise (the banks
@@ -33,12 +34,15 @@
 //! whose open-row hit count is non-zero). The row-hit pass walks the hit
 //! set, the activation pass the queued banks that are not open, and the
 //! conflict-precharge pass the queued open banks whose row no request of
-//! either queue still wants. Each walk goes lowest bit first, which is
-//! the ascending bank order of a `0..banks` loop, so the legality checks,
-//! the defense consults and the refused cycles a failed pass records are
-//! exactly those of such a loop. The row-hit pass also checks a bank's
-//! column-command legality before it walks the bank's bucket: legality
-//! is a bank-level fact, and most calls find no legal hit.
+//! either queue still wants. Each pass hands its set to
+//! [`DramDevice::legal_banks`], which answers from the device's ready-time
+//! tables which of those banks can take the pass's command now (and
+//! records the refused banks' retry cycles as per-bank checks would), and
+//! then walks only the legal banks, lowest bit first: the ascending bank
+//! order of a `0..banks` loop, so the defense consults are exactly those
+//! of such a loop. Legality is a bank-level fact, so the row-hit pass
+//! settles it before it walks any bucket, and most calls find no legal
+//! hit.
 //!
 //! Both implementations make identical decisions, cycle for cycle: command
 //! legality depends only on bank and rank state (never on the column), so
@@ -52,7 +56,7 @@
 
 use crate::queues::{BankedQueue, OpenRowCache};
 use bh_types::{AccessType, Cycle, DramAddress, MemCommand, MemRequest, ReqId, ThreadId};
-use dram_sim::DramDevice;
+use dram_sim::{banks_in, DramDevice};
 use mitigations::RowHammerDefense;
 use serde::{Deserialize, Serialize};
 
@@ -110,17 +114,6 @@ fn kind_index(kind: AccessType) -> usize {
         AccessType::Read => 0,
         AccessType::Write => 1,
     }
-}
-
-/// The banks of a bank set in ascending order (lowest set bit first).
-fn banks_in(mut set: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (set != 0).then(|| {
-            let bank = set.trailing_zeros() as usize;
-            set &= set - 1;
-            bank
-        })
-    })
 }
 
 impl Scheduler {
@@ -300,18 +293,14 @@ impl Scheduler {
             }
             QueueRepr::Banked(q) => {
                 let mut best: Option<(ReqId, usize, usize)> = None;
-                for bank in banks_in(self.hit_banks[kind_index(kind)]) {
-                    let (Some(open), Some(front)) =
-                        (self.open_rows.get(bank), q.bucket(bank).front())
-                    else {
+                // Column-command legality depends on the bank and its open
+                // row, never on the column, so one answer per bank covers
+                // every hit of the bank, and it comes before the walk.
+                let legal = dram.legal_banks(cmd, self.hit_banks[kind_index(kind)], now);
+                for bank in banks_in(legal) {
+                    let Some(open) = self.open_rows.get(bank) else {
                         continue;
                     };
-                    // Column-command legality depends on the bank and its
-                    // open row, never on the column, so one check covers
-                    // every hit of the bank, and it comes before the walk.
-                    if !dram.can_issue(cmd, &front.dram_addr.with_row(open), now) {
-                        continue;
-                    }
                     let Some((pos, request)) = q
                         .bucket(bank)
                         .iter()
@@ -387,15 +376,8 @@ impl Scheduler {
                 // Precharged banks with queued work whose ACT is legal now;
                 // eligibility is a bank-level property (activation legality
                 // never depends on the row), so it is decided once per bank.
-                for bank in banks_in(q.banks() & !open_banks) {
-                    let Some(front) = q.bucket(bank).front() else {
-                        continue;
-                    };
-                    if !dram.can_issue(MemCommand::Activate, &front.dram_addr, now) {
-                        continue;
-                    }
-                    cursors.push((bank, 0));
-                }
+                let legal = dram.legal_banks(MemCommand::Activate, q.banks() & !open_banks, now);
+                cursors.extend(banks_in(legal).map(|bank| (bank, 0)));
                 // Merge the eligible buckets in request-id (arrival) order
                 // so the defense sees candidates exactly as a linear scan
                 // would present them.
@@ -475,17 +457,15 @@ impl Scheduler {
                 // Open banks with queued work, keeping a row open while any
                 // queued read or write still hits it.
                 let still_wanted = self.hit_banks[0] | self.hit_banks[1];
-                for bank in banks_in(q.banks() & self.open_rows.open_banks() & !still_wanted) {
+                let conflicts = q.banks() & self.open_rows.open_banks() & !still_wanted;
+                // PRE legality never depends on the row, so one answer per
+                // bank covers every conflicting request of the bank.
+                for bank in banks_in(dram.legal_banks(MemCommand::Precharge, conflicts, now)) {
                     // No queued request targets the open row, so the
                     // bucket's oldest request conflicts with it.
                     let Some(request) = q.bucket(bank).front() else {
                         continue;
                     };
-                    // PRE legality never depends on the row, so one check
-                    // covers every conflicting request of the bank.
-                    if !dram.can_issue(MemCommand::Precharge, &request.dram_addr, now) {
-                        continue;
-                    }
                     if best.map_or(true, |(id, _)| request.id < id) {
                         best = Some((request.id, request.dram_addr));
                     }

@@ -1,8 +1,7 @@
 //! Memory controller statistics.
 
-use bh_types::{Cycle, ThreadId};
+use bh_types::{Cycle, FastMap, ThreadId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Counters the controller accumulates during a run.
 ///
@@ -39,9 +38,9 @@ pub struct CtrlStats {
     /// Sum of read-request latencies (arrival to data return), in cycles.
     pub total_read_latency: Cycle,
     /// Per-thread completed reads.
-    pub reads_per_thread: HashMap<usize, u64>,
+    pub reads_per_thread: FastMap<usize, u64>,
     /// Per-thread total read latency.
-    pub read_latency_per_thread: HashMap<usize, Cycle>,
+    pub read_latency_per_thread: FastMap<usize, Cycle>,
 }
 
 impl CtrlStats {

@@ -4,7 +4,7 @@
 use crate::defense_factory::DefenseKind;
 use crate::metrics::{RunResult, SteppingStats, ThreadResult};
 use crate::subsystem::{merge_channel_stats, MemorySubsystem, ShardReqId};
-use bh_types::{AccessType, Cycle, ThreadId, TraceRecord};
+use bh_types::{AccessType, Cycle, FastMap, FastSet, ThreadId, TraceRecord};
 use cpu::{Core, CoreConfig, MemorySink};
 use energy::{Ddr4PowerSpec, DramEnergyModel};
 use llc::{AccessResult, Llc, LlcConfig};
@@ -12,7 +12,7 @@ use memctrl::MemCtrlConfig;
 use mitigations::{DefenseGeometry, RowHammerDefense, RowHammerThreshold};
 use workloads::{AttackKind, AttackSpec, SyntheticSpec};
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A boxed trace iterator, the form in which workloads are fed to cores.
 pub type BoxedTrace = Box<dyn Iterator<Item = TraceRecord>>;
@@ -28,11 +28,13 @@ pub enum AdvanceMode {
     /// Tick every cycle (`now + 1`), the reference behaviour.
     #[default]
     Lockstep,
-    /// After a tick in which no core retired or issued and nothing reached
-    /// a core, jump to the earliest cycle at which a controller or the LLC
-    /// hit queue can act: a command slot reopening, a completion, a failed
-    /// pass's retry or refresh cycle, new work for an open slot, the LLC
-    /// hit queue's front, or a defense event.
+    /// After a tick following which no core can retire or issue without an
+    /// outside event (its window head waits on memory, or memory just
+    /// refused its access) and no core queued a line fetch, jump to the
+    /// earliest cycle at which a controller or the LLC hit queue can act:
+    /// a command slot reopening, a completion, a failed pass's retry or
+    /// refresh cycle, new work for an open slot, the LLC hit queue's
+    /// front, or a defense event.
     EventDriven,
 }
 
@@ -183,9 +185,9 @@ struct Uncore {
     llc: Llc,
     mem: MemorySubsystem,
     /// Waiters per outstanding LLC line fetch: line address -> (core, token).
-    line_waiters: HashMap<u64, Vec<(usize, u64)>>,
+    line_waiters: FastMap<u64, Vec<(usize, u64)>>,
     /// Waiters per cache-bypassing read: request id -> (core, token).
-    direct_waiters: HashMap<ShardReqId, (usize, u64)>,
+    direct_waiters: FastMap<ShardReqId, (usize, u64)>,
     /// LLC hits completing after the hit latency: (ready, core, token).
     hit_queue: VecDeque<(Cycle, usize, u64)>,
     /// Per-channel line fetches that could not yet be accepted by the
@@ -196,9 +198,9 @@ struct Uncore {
     writeback_queues: Vec<VecDeque<(ThreadId, u64)>>,
     /// Lines that must be marked dirty when their fill arrives
     /// (write-allocate stores).
-    dirty_on_fill: HashSet<u64>,
+    dirty_on_fill: FastSet<u64>,
     /// Outstanding line-fetch requests: request id -> line address.
-    line_fetch_reqs: HashMap<ShardReqId, u64>,
+    line_fetch_reqs: FastMap<ShardReqId, u64>,
     next_token: u64,
     hit_latency: Cycle,
 }
@@ -327,13 +329,13 @@ impl System {
             uncore: Uncore {
                 llc,
                 mem,
-                line_waiters: HashMap::new(),
-                direct_waiters: HashMap::new(),
+                line_waiters: FastMap::default(),
+                direct_waiters: FastMap::default(),
                 hit_queue: VecDeque::new(),
                 fetch_queues: vec![VecDeque::new(); channels],
                 writeback_queues: vec![VecDeque::new(); channels],
-                dirty_on_fill: HashSet::new(),
-                line_fetch_reqs: HashMap::new(),
+                dirty_on_fill: FastSet::default(),
+                line_fetch_reqs: FastMap::default(),
                 next_token: 0,
                 hit_latency,
             },
@@ -364,8 +366,11 @@ impl System {
 
     /// Steps every component one cycle. Returns whether the tick delivered
     /// at least one memory completion or ready LLC hit to a core (the
-    /// "events processed" of [`SteppingStats`]), and whether a core retired
-    /// or issued anything.
+    /// "events processed" of [`SteppingStats`]), and whether the next
+    /// cycle has work for the cores or the uncore without an outside
+    /// event: a core that can retire or issue ([`Core::tick`]), or a line
+    /// fetch a core queued after this cycle's admission step, which the
+    /// next cycle's admission step tries first.
     fn tick(&mut self, now: Cycle) -> (bool, bool) {
         let mut delivered = false;
         let uncore = &mut self.uncore;
@@ -423,27 +428,33 @@ impl System {
                 .mem
                 .enqueue_batch(channel, queue, AccessType::Write, now, |_, _| {});
         }
-        // 4. Cores issue and retire.
-        let mut cores_progressed = false;
+        // 4. Cores issue and retire, consuming this cycle's deliveries.
+        let queued_fetches =
+            |uncore: &Uncore| -> usize { uncore.fetch_queues.iter().map(VecDeque::len).sum() };
+        let fetches_before = queued_fetches(uncore);
+        let mut can_act = false;
         for (core_index, core) in self.cores.iter_mut().enumerate() {
             let mut sink = CoreSink { uncore, core_index };
-            cores_progressed |= core.tick(now, &mut sink);
+            can_act |= core.tick(now, &mut sink);
         }
-        (delivered, cores_progressed)
+        (
+            delivered,
+            can_act || queued_fetches(uncore) > fetches_before,
+        )
     }
 
     /// The next cycle to tick under [`AdvanceMode::EventDriven`] after a
-    /// tick at `now` in which no core retired or issued and nothing was
-    /// delivered.
+    /// tick at `now` after which no core can retire or issue on its own
+    /// and no core queued a line fetch (see [`System::tick`]).
     ///
-    /// The cores then repeat that tick until the uncore changes under them,
-    /// and each memory shard reports the earliest cycle at which it can do
-    /// anything but repeat its refusals and failed passes
-    /// ([`MemorySubsystem::idle_until`]; `None` if a shard may act in the
-    /// very next cycle). The clock jumps to the earliest shard horizon or
-    /// the LLC hit queue's front, bounded by `min_cycles`/`max_cycles`, and
-    /// the skipped cycles' refusals and vetoes are replayed so every
-    /// statistic matches lockstep.
+    /// The cores then repeat their refused sends, or wait, until the
+    /// uncore changes under them, and each memory shard reports the
+    /// earliest cycle at which it can do anything but repeat its refusals
+    /// and failed passes ([`MemorySubsystem::idle_until`]; `None` if a
+    /// shard may act in the very next cycle). The clock jumps to the
+    /// earliest shard horizon or the LLC hit queue's front, bounded by
+    /// `min_cycles`/`max_cycles`, and the skipped cycles' refusals and
+    /// vetoes are replayed so every statistic matches lockstep.
     fn skip_idle(&mut self, now: Cycle, all_done: bool) -> Cycle {
         let Some(mut next) = self.uncore.mem.idle_until(now) else {
             return now + 1;
@@ -479,7 +490,7 @@ impl System {
         let mut now: Cycle = 0;
         let mut finish_cycle: Vec<Option<Cycle>> = vec![None; self.cores.len()];
         loop {
-            let (delivered, cores_progressed) = self.tick(now);
+            let (delivered, needs_next) = self.tick(now);
             stepping.cycles_simulated += 1;
             stepping.events_processed += u64::from(delivered);
             let mut all_done = true;
@@ -493,7 +504,7 @@ impl System {
             if (all_done && now >= self.config.min_cycles) || now >= self.config.max_cycles {
                 break;
             }
-            let next = if event_driven && !delivered && !cores_progressed {
+            let next = if event_driven && !needs_next {
                 self.skip_idle(now, all_done)
             } else {
                 now + 1
@@ -627,7 +638,8 @@ impl SystemBuilder {
     /// faster whenever cores wait (idle padding out to `min_cycles`, cores
     /// stalled on memory while the controller waits on DRAM timing or its
     /// command slot, or requests the defense keeps vetoing or the queues
-    /// keep refusing).
+    /// keep refusing). A core reports from its own tick whether it can act
+    /// next cycle, so the cycle right after a core stalls is skipped too.
     pub fn advance_mode(mut self, advance: AdvanceMode) -> Self {
         self.config.advance = advance;
         self

@@ -313,6 +313,64 @@ fn a_command_only_tick_is_followed_by_no_detection_tick() {
 }
 
 #[test]
+fn a_tick_that_fills_a_core_window_is_followed_by_a_skip() {
+    // One thread issues loads that all merge into one outstanding line
+    // fetch, four per cycle, until its window is full. No controller can
+    // act in the next cycle: the fetch's ACT is out and its RD waits for
+    // tRCD. The core reports from the tick that fills its window that it
+    // cannot act, so the clock jumps at once instead of ticking the next
+    // cycle only to find the window still full.
+    let window = 128;
+    let issue_width = 4;
+    let filled_at: Cycle = window / issue_width - 1;
+    let loads: Vec<TraceRecord> = (0..2 * window)
+        .map(|i| TraceRecord::load(0, 0x10_0000 + i % 64))
+        .collect();
+    let run = |advance: AdvanceMode| {
+        let builder = || {
+            quick_builder(5, 1)
+                .advance_mode(advance)
+                .min_cycles(0)
+                .add_trace(
+                    "merged-loads",
+                    Box::new(loads.clone().into_iter()),
+                    false,
+                    u64::MAX,
+                )
+        };
+        let system = System::new(
+            builder().build().config().clone(),
+            builder().into_thread_traces(),
+            vec![Box::new(TickRecorder::default())],
+        );
+        let (result, defenses) = system.run_into_parts();
+        let recorder = defenses[0]
+            .as_ref()
+            .as_any()
+            .downcast_ref::<TickRecorder>()
+            .expect("the test defense comes back");
+        (result, recorder.ticks.clone())
+    };
+    let (lockstep, _) = run(AdvanceMode::Lockstep);
+    let (event, ticks) = run(AdvanceMode::EventDriven);
+    assert_eq!(canonical(lockstep), canonical(event.clone()));
+    assert_eq!(
+        event.llc_misses, window,
+        "the loads that fill the window merge into one fetch; the rest hit"
+    );
+    assert_eq!(event.ctrl.accepted_requests, 1);
+    assert_eq!(
+        ticks[..=filled_at as usize],
+        (0..=filled_at).collect::<Vec<_>>()[..],
+        "the core issues in every cycle until its window is full"
+    );
+    assert!(
+        !ticks.contains(&(filled_at + 1)),
+        "the cycle after the window filled at {filled_at} was ticked: {ticks:?}"
+    );
+}
+
+#[test]
 fn campaign_csv_and_json_are_byte_identical_across_modes() {
     // The CI smoke campaign shape, shrunk: both advance modes must
     // produce the exact same summary artifacts, byte for byte, and the
