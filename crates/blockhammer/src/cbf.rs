@@ -36,10 +36,9 @@ use bh_types::Cycle;
 /// and reads as zero.
 ///
 /// Packing into a plain `u64` keeps the array a single 8-byte load per
-/// counter on the estimate path *and* lets `vec![0u64; size]` use the
-/// zero-page allocation fast path — time-scaled configurations provision
-/// hundreds of thousands of counters per filter, and those pages should
-/// only ever be faulted in when a counter is actually touched.
+/// counter on the estimate path *and* lets `vec![0u64; size]` allocate
+/// it already zeroed. Table 7 sizes a filter at 1K–8K counters (8–64
+/// KiB), two filters per bank.
 /// [`CountingBloomFilter::clear`] eagerly flushes the array on the — in
 /// practice unreachable — stamp wraparound to keep stale stamps from ever
 /// aliasing the current generation.

@@ -65,9 +65,6 @@ pub struct DramStats {
     /// Enabled by verification harnesses to check RowHammer safety; `None`
     /// during performance runs to avoid the memory cost.
     pub activation_log: Option<Vec<(Cycle, usize, u64)>>,
-    /// Per-(global bank, row) activation counts, maintained only when the
-    /// activation log is enabled.
-    pub activations_per_row: Option<HashMap<(usize, u64), u64>>,
 }
 
 impl DramStats {
@@ -78,7 +75,6 @@ impl DramStats {
             active_bank_cycles: vec![0; ranks],
             elapsed_cycles: 0,
             activation_log: None,
-            activations_per_row: None,
         }
     }
 
@@ -86,16 +82,12 @@ impl DramStats {
     /// tests and the false-positive study).
     pub fn enable_activation_log(&mut self) {
         self.activation_log.get_or_insert_with(Vec::new);
-        self.activations_per_row.get_or_insert_with(HashMap::new);
     }
 
     /// Records an activation in the detailed log if enabled.
     pub fn log_activation(&mut self, cycle: Cycle, global_bank: usize, row: u64) {
         if let Some(log) = self.activation_log.as_mut() {
             log.push((cycle, global_bank, row));
-        }
-        if let Some(map) = self.activations_per_row.as_mut() {
-            *map.entry((global_bank, row)).or_insert(0) += 1;
         }
     }
 
@@ -117,12 +109,6 @@ impl DramStats {
                 log.into_iter()
                     .map(|(cycle, bank, row)| (cycle, bank + bank_offset, row)),
             );
-        }
-        if let Some(map) = shard.activations_per_row {
-            let merged = self.activations_per_row.get_or_insert_with(HashMap::new);
-            for ((bank, row), count) in map {
-                *merged.entry((bank + bank_offset, row)).or_insert(0) += count;
-            }
         }
     }
 
@@ -235,9 +221,6 @@ mod tests {
         assert_eq!(merged.elapsed_cycles, 100);
         let log = merged.activation_log.as_ref().unwrap();
         assert_eq!(log, &vec![(10, 3, 7), (20, 19, 7)]);
-        let per_row = merged.activations_per_row.as_ref().unwrap();
-        assert_eq!(per_row[&(3, 7)], 1);
-        assert_eq!(per_row[&(19, 7)], 1);
     }
 
     #[test]

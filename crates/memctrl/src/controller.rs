@@ -84,10 +84,10 @@ pub struct MemoryController {
     /// Earliest cycle the next command may use the command bus.
     next_command_at: Cycle,
     /// The cycle before which the last command-slot pass would fail again
-    /// unchanged: set when a pass issues nothing without consulting the
-    /// defense, to its retry or refresh cycle, and cleared (0) by every
-    /// push and every issue (victims are queued only by an issuing pass).
-    /// See [`MemoryController::tick`].
+    /// unchanged: set when a pass issues nothing, to its retry cycle, the
+    /// refresh deadline or the defense's next event, and cleared (0) by
+    /// every push and every issue (victims are queued only by an issuing
+    /// pass). See [`MemoryController::tick`].
     pass_memo: Cycle,
     /// Whether the controller is currently draining writes.
     drain_mode: bool,
@@ -99,20 +99,16 @@ pub struct MemoryController {
 
 /// What one cycle of a controller did — its tick plus the admissions that
 /// follow it — as event-driven stepping needs to know it: the per-poll
-/// refusals and vetoes a repeat of the cycle would redo, when a failed
-/// command-slot pass could turn out differently, and whether new work
-/// arrived after the tick.
+/// refusals a repeat of the cycle would redo, when a failed command-slot
+/// pass could turn out differently, and whether new work arrived after
+/// the tick.
 #[derive(Debug, Default)]
 struct TickTally {
     rejected_queue_full: u64,
     rejected_quota: u64,
-    /// Consults the defense vetoed in this tick's pass if it failed, in
-    /// consult order (an issuing pass drops its own: no pass runs until
-    /// the slot reopens).
-    vetoed: Vec<(ThreadId, DramAddress)>,
     /// Earliest cycle at which this tick's failed pass could turn out
-    /// differently: a refused DRAM timing check passing, or a refresh
-    /// deadline.
+    /// differently: a refused DRAM timing check passing, a refresh
+    /// deadline, or the defense's next event.
     retry_at: Cycle,
     /// A request was admitted since the tick.
     queued: bool,
@@ -354,13 +350,15 @@ impl MemoryController {
     /// issues at most one DRAM command when the command slot is open, and
     /// consults the defense at every hook point.
     ///
-    /// A command-slot pass that issues nothing and consults no defense is
-    /// remembered until its retry or refresh cycle: until then, or until
-    /// the next push or issue (victims are queued only with an issue), the
-    /// controller skips the pass, because it would fail again the same
-    /// way. Such a pass found no legal command at all (a legal ACT
-    /// consults the defense, any other legal command issues), and legality
-    /// changes only with an issue or at a refused check's retry cycle.
+    /// A command-slot pass that issues nothing is remembered until its
+    /// retry cycle, the refresh deadline or the defense's next event:
+    /// until then, or until the next push or issue (victims are queued
+    /// only with an issue), the controller skips the pass, because it
+    /// would fail again the same way. Such a pass found every legal ACT
+    /// vetoed and no other legal command (any other legal command issues);
+    /// legality changes only with an issue or at a refused check's retry
+    /// cycle, and the defense answers the same way until its
+    /// [`RowHammerDefense::next_event`].
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -368,7 +366,6 @@ impl MemoryController {
     ) -> Vec<CompletedRequest> {
         self.tally.rejected_queue_full = 0;
         self.tally.rejected_quota = 0;
-        self.tally.vetoed.clear();
         self.tally.retry_at = Cycle::MAX;
         self.tally.queued = false;
         defense.tick(now);
@@ -384,13 +381,11 @@ impl MemoryController {
         let retry_at = self.dram.take_retry_at();
         if issued {
             self.next_command_at = now + self.config.command_bus_interval;
-            self.tally.vetoed.clear();
             self.pass_memo = 0;
         } else {
-            self.tally.retry_at = retry_at.min(self.refresh_deadline());
-            if self.tally.vetoed.is_empty() {
-                self.pass_memo = self.tally.retry_at;
-            }
+            let event = defense.next_event(now).unwrap_or(Cycle::MAX);
+            self.tally.retry_at = retry_at.min(self.refresh_deadline()).min(event);
+            self.pass_memo = self.tally.retry_at;
         }
         completed
     }
@@ -406,18 +401,17 @@ impl MemoryController {
 
     /// After the tick at `now` and the admissions that followed it, the
     /// earliest later cycle at which ticking again could do anything but
-    /// repeat this cycle's refusals and vetoes, or `None` if that may be
-    /// the very next cycle. It is the earliest of the command slot
-    /// reopening after an issue, a completion falling due, the defense's
-    /// `next_event`, and — if the pass failed — the pass's retry or
-    /// refresh cycle; but a request admitted since the tick gives an open
-    /// slot work at once (`None`).
+    /// repeat this cycle's refusals, or `None` if that may be the very
+    /// next cycle. It is the earliest of the command slot reopening after
+    /// an issue, a completion falling due, the defense's `next_event`, and
+    /// — if the pass failed — the pass memo's end; but a request admitted
+    /// since the tick gives an open slot work at once (`None`).
     ///
     /// Every other input of the tick and of admission (queue contents and
-    /// space, in-flight counts, open rows) changes only through those
-    /// events, so until then each cycle repeats this one's refusals and
-    /// its failed pass's vetoes exactly; [`MemoryController::replay_idle`]
-    /// accounts for them.
+    /// space, in-flight counts, open rows, the defense's answers) changes
+    /// only through those events, so until then each cycle repeats this
+    /// one's refusals exactly; [`MemoryController::replay_idle`] accounts
+    /// for them.
     // lint: alloc-free
     pub fn idle_until(&self, now: Cycle, defense: &dyn RowHammerDefense) -> Option<Cycle> {
         let mut at = self.tally.retry_at.min(self.next_completion);
@@ -430,17 +424,14 @@ impl MemoryController {
     }
 
     /// Accounts for the cycles in `skipped`, each of which would have
-    /// repeated the last cycle's refusals and failed pass (see
-    /// [`MemoryController::idle_until`]): adds its per-poll refusals once
-    /// per skipped cycle and lets the defense replay its vetoed consults.
+    /// repeated the last cycle's refusals and skipped its memoized pass
+    /// (see [`MemoryController::idle_until`]): adds its per-poll refusals
+    /// once per skipped cycle.
     // lint: alloc-free
-    pub fn replay_idle(&mut self, skipped: Range<Cycle>, defense: &mut dyn RowHammerDefense) {
+    pub fn replay_idle(&mut self, skipped: Range<Cycle>) {
         let repeats = skipped.end - skipped.start;
         self.stats.rejected_queue_full += repeats * self.tally.rejected_queue_full;
         self.stats.rejected_quota += repeats * self.tally.rejected_quota;
-        if !self.tally.vetoed.is_empty() {
-            defense.replay_vetoes(skipped, &self.tally.vetoed);
-        }
     }
 
     /// Reports the requests whose completion cycle has been reached.
@@ -484,7 +475,7 @@ impl MemoryController {
         match request.access {
             AccessType::Read => {
                 let latency = completed_at.saturating_sub(request.arrival);
-                self.stats.record_read_completion(request.thread, latency);
+                self.stats.record_read_completion(latency);
             }
             AccessType::Write => self.stats.writes_completed += 1,
         }
@@ -620,13 +611,11 @@ impl MemoryController {
         // request stays queued and completes later as a row hit.
         let pick = {
             let stats = &mut self.stats;
-            let vetoed = &mut self.tally.vetoed;
             self.scheduler
-                .pick_activation(kind, now, &self.dram, defense, |request, first| {
+                .pick_activation(kind, now, &self.dram, defense, |_, first| {
                     if first {
                         stats.activations_delayed_by_defense += 1;
                     }
-                    vetoed.push((request.thread, request.dram_addr));
                 })
         };
         if let Some((thread, addr)) = pick {
@@ -1007,40 +996,57 @@ mod tests {
         assert_eq!(err, EnqueueError::QuotaExceeded);
     }
 
+    /// A defense that vetoes every activation until its lift cycle, reports
+    /// that cycle from `next_event` as the stepping contract requires, and
+    /// counts its consults.
+    #[derive(Debug)]
+    struct VetoUntil {
+        lift: Cycle,
+        consults: u64,
+    }
+
+    impl VetoUntil {
+        fn new(lift: Cycle) -> Self {
+            Self { lift, consults: 0 }
+        }
+    }
+
+    impl RowHammerDefense for VetoUntil {
+        fn name(&self) -> &'static str {
+            "VetoUntil"
+        }
+        fn is_activation_safe(
+            &mut self,
+            now: Cycle,
+            _thread: ThreadId,
+            _addr: &DramAddress,
+        ) -> bool {
+            self.consults += 1;
+            now >= self.lift
+        }
+        fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            (now < self.lift).then_some(self.lift)
+        }
+        fn on_activation(
+            &mut self,
+            _now: Cycle,
+            _thread: ThreadId,
+            _addr: &DramAddress,
+        ) -> Vec<DramAddress> {
+            Vec::new()
+        }
+        fn metadata(&self) -> mitigations::MetadataFootprint {
+            mitigations::MetadataFootprint::default()
+        }
+        fn stats(&self) -> mitigations::DefenseStats {
+            mitigations::DefenseStats::default()
+        }
+    }
+
     #[test]
     fn defense_veto_delays_activation() {
-        /// A defense that vetoes every activation until cycle 5000.
-        #[derive(Debug)]
-        struct VetoUntil(Cycle);
-        impl RowHammerDefense for VetoUntil {
-            fn name(&self) -> &'static str {
-                "VetoUntil"
-            }
-            fn is_activation_safe(
-                &mut self,
-                now: Cycle,
-                _thread: ThreadId,
-                _addr: &DramAddress,
-            ) -> bool {
-                now >= self.0
-            }
-            fn on_activation(
-                &mut self,
-                _now: Cycle,
-                _thread: ThreadId,
-                _addr: &DramAddress,
-            ) -> Vec<DramAddress> {
-                Vec::new()
-            }
-            fn metadata(&self) -> mitigations::MetadataFootprint {
-                mitigations::MetadataFootprint::default()
-            }
-            fn stats(&self) -> mitigations::DefenseStats {
-                mitigations::DefenseStats::default()
-            }
-        }
         let mut ctrl = controller();
-        let mut defense = VetoUntil(5_000);
+        let mut defense = VetoUntil::new(5_000);
         ctrl.enqueue(ThreadId::new(0), 0x7000, AccessType::Read, 0, &defense)
             .unwrap();
         let done = run_until_complete(&mut ctrl, &mut defense, 0, 50_000);
@@ -1051,6 +1057,30 @@ mod tests {
             done[0].completed_at
         );
         assert_eq!(ctrl.stats().activations_delayed_by_defense, 1);
+    }
+
+    #[test]
+    fn a_vetoed_pass_is_not_retried_before_the_defense_can_change_its_answer() {
+        let mut ctrl = controller();
+        let mut defense = VetoUntil::new(5_000);
+        ctrl.enqueue(ThreadId::new(0), 0x7000, AccessType::Read, 0, &defense)
+            .unwrap();
+        let mut done = Vec::new();
+        for cycle in 0..=6_000 {
+            done.extend(ctrl.tick(cycle, &mut defense));
+        }
+        assert!(
+            defense.consults <= 2,
+            "the vetoed pass consulted the defense {} times",
+            defense.consults
+        );
+        assert_eq!(done.len(), 1);
+        let t = *ctrl.timings();
+        let completed_at = done[0].completed_at;
+        assert!(
+            (5_000..5_000 + t.t_rcd + t.read_latency() + 200).contains(&completed_at),
+            "read completed at {completed_at}, not shortly after the veto lifted"
+        );
     }
 
     #[test]
@@ -1137,16 +1167,5 @@ mod tests {
             "the PRE is still refused when the write completes"
         );
         assert_eq!(ctrl.idle_until(now, &defense), Some(pre_at));
-    }
-
-    #[test]
-    fn per_thread_latency_is_tracked() {
-        let mut ctrl = controller();
-        let mut defense = NoMitigation::new();
-        ctrl.enqueue(ThreadId::new(3), 0x9000, AccessType::Read, 0, &defense)
-            .unwrap();
-        let _ = run_until_complete(&mut ctrl, &mut defense, 0, 10_000);
-        assert_eq!(ctrl.stats().reads_per_thread[&3], 1);
-        assert!(ctrl.stats().read_latency_per_thread[&3] > 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Memory controller statistics.
 
-use bh_types::{Cycle, FastMap, ThreadId};
+use bh_types::Cycle;
 use serde::{Deserialize, Serialize};
 
 /// Counters the controller accumulates during a run.
@@ -37,22 +37,13 @@ pub struct CtrlStats {
     pub activations_delayed_by_defense: u64,
     /// Sum of read-request latencies (arrival to data return), in cycles.
     pub total_read_latency: Cycle,
-    /// Per-thread completed reads.
-    pub reads_per_thread: FastMap<usize, u64>,
-    /// Per-thread total read latency.
-    pub read_latency_per_thread: FastMap<usize, Cycle>,
 }
 
 impl CtrlStats {
-    /// Records a completed demand read for `thread` with the given latency.
-    pub fn record_read_completion(&mut self, thread: ThreadId, latency: Cycle) {
+    /// Records a completed demand read with the given latency.
+    pub fn record_read_completion(&mut self, latency: Cycle) {
         self.reads_completed += 1;
         self.total_read_latency += latency;
-        *self.reads_per_thread.entry(thread.index()).or_insert(0) += 1;
-        *self
-            .read_latency_per_thread
-            .entry(thread.index())
-            .or_insert(0) += latency;
     }
 
     /// Average read latency in cycles (0 if no reads completed).
@@ -80,14 +71,6 @@ impl CtrlStats {
         out.auto_refreshes += other.auto_refreshes;
         out.activations_delayed_by_defense += other.activations_delayed_by_defense;
         out.total_read_latency += other.total_read_latency;
-        // lint: allow(determinism) -- per-thread merge sums commute, so iteration order cannot affect totals
-        for (&thread, &count) in &other.reads_per_thread {
-            *out.reads_per_thread.entry(thread).or_insert(0) += count;
-        }
-        // lint: allow(determinism) -- per-thread merge sums commute, so iteration order cannot affect totals
-        for (&thread, &latency) in &other.read_latency_per_thread {
-            *out.read_latency_per_thread.entry(thread).or_insert(0) += latency;
-        }
         out
     }
 
@@ -107,14 +90,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn read_completion_updates_per_thread_counters() {
+    fn read_completion_updates_the_read_totals() {
         let mut s = CtrlStats::default();
-        s.record_read_completion(ThreadId::new(2), 100);
-        s.record_read_completion(ThreadId::new(2), 300);
-        s.record_read_completion(ThreadId::new(5), 50);
+        s.record_read_completion(100);
+        s.record_read_completion(300);
+        s.record_read_completion(50);
         assert_eq!(s.reads_completed, 3);
-        assert_eq!(s.reads_per_thread[&2], 2);
-        assert_eq!(s.read_latency_per_thread[&2], 400);
+        assert_eq!(s.total_read_latency, 450);
         assert!((s.average_read_latency() - 150.0).abs() < 1e-9);
     }
 

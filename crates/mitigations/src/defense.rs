@@ -4,7 +4,6 @@ use bh_types::{ConfigError, Cycle, DramAddress, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
-use std::ops::Range;
 
 /// The RowHammer threshold `N_RH`: the minimum number of activations to a
 /// single row within one refresh window that can induce a bit-flip in a
@@ -114,8 +113,6 @@ pub struct DefenseStats {
     pub observed_activations: u64,
     /// Victim-row refreshes the defense asked the controller to perform.
     pub victim_refreshes: u64,
-    /// Activations the defense reported as unsafe (delayed / blocked).
-    pub blocked_activations: u64,
     /// Rows currently or ever blacklisted (meaningful for throttling
     /// defenses; zero for reactive-refresh ones).
     pub blacklist_insertions: u64,
@@ -133,7 +130,6 @@ impl DefenseStats {
         DefenseStats {
             observed_activations: self.observed_activations + other.observed_activations,
             victim_refreshes: self.victim_refreshes + other.victim_refreshes,
-            blocked_activations: self.blocked_activations + other.blocked_activations,
             blacklist_insertions: self.blacklist_insertions + other.blacklist_insertions,
         }
     }
@@ -209,43 +205,22 @@ pub trait RowHammerDefense: AsAny + Send {
         let _ = now;
     }
 
-    /// The next cycle after `now` at which the defense's externally
-    /// visible behaviour can change *without* any intervening controller
-    /// activity (e.g. a counter-swap epoch boundary). `None` (the default)
-    /// means the defense only changes state in response to the hooks the
-    /// controller already drives.
+    /// The next cycle after `now` at which the defense's answers can change
+    /// without any intervening controller activity (e.g. a counter-swap
+    /// epoch boundary). `None` (the default) means the answers change only
+    /// in response to the hooks the controller already drives.
     ///
-    /// Event-driven stepping reads this after every tick in which no core
-    /// could act and may jump as far as the answer, repeating the vetoes
-    /// of that tick's failed command-slot passes through
-    /// [`RowHammerDefense::replay_vetoes`] in between. A defense whose
-    /// veto can lift, or whose quota can change, with time alone must
-    /// report that cycle here, or the skip will jump past it. A
-    /// [`RowHammerDefense::tick`] is guaranteed at or before the returned
-    /// cycle, so per-boundary work is never batched across a jump.
+    /// This is the whole stepping contract. Between hook calls,
+    /// [`RowHammerDefense::is_activation_safe`] and
+    /// [`RowHammerDefense::inflight_quota`] answer the same way until the
+    /// returned cycle, however often they are asked, so the controller may
+    /// skip every consult in between and event-driven stepping may skip
+    /// every cycle. A veto that lifts with time alone must be reported
+    /// here. A [`RowHammerDefense::tick`] is guaranteed at or before the
+    /// returned cycle, so per-boundary work is never batched across a jump.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let _ = now;
         None
-    }
-
-    /// Replays consults that event-driven stepping skipped. `vetoed` lists
-    /// the `(thread, address)` consults [`RowHammerDefense::is_activation_safe`]
-    /// vetoed in the last tick's failed command-slot passes, in consult
-    /// order; each of those passes would have repeated unchanged on every
-    /// cycle of `skipped` (none of which reaches
-    /// [`RowHammerDefense::next_event`]). A pass that issued a command is
-    /// not listed: its channel runs no pass until the command slot
-    /// reopens, which ends the skip. The default re-asks each consult once
-    /// per skipped cycle, which is exact for any defense; a mechanism whose
-    /// vetoes only bump counters may override it with arithmetic.
-    // lint: alloc-free
-    fn replay_vetoes(&mut self, skipped: Range<Cycle>, vetoed: &[(ThreadId, DramAddress)]) {
-        for now in skipped {
-            for (thread, addr) in vetoed {
-                let safe = self.is_activation_safe(now, *thread, addr);
-                debug_assert!(!safe, "a veto lifted before next_event reported it");
-            }
-        }
     }
 
     /// Maximum number of in-flight requests `thread` may have to

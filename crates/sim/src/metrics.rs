@@ -90,9 +90,8 @@ pub struct ChannelStats {
 
 /// Complete outcome of one simulation run.
 ///
-/// Equality is field-for-field (hash-map-backed statistics compare
-/// order-independently), which is what the advance-mode equivalence tests
-/// pin bit-identity with.
+/// Equality is field-for-field, which is what the advance-mode
+/// equivalence tests pin bit-identity with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Defense name.

@@ -203,9 +203,7 @@ impl MemorySubsystem {
     // lint: alloc-free
     pub fn replay_idle(&mut self, skipped: Range<Cycle>) {
         for shard in &mut self.shards {
-            shard
-                .ctrl
-                .replay_idle(skipped.start..skipped.end, shard.defense.as_mut());
+            shard.ctrl.replay_idle(skipped.start..skipped.end);
         }
     }
 
@@ -269,7 +267,6 @@ pub fn merge_channel_stats(
             active_bank_cycles: stats.dram.active_bank_cycles.clone(),
             elapsed_cycles: stats.dram.elapsed_cycles,
             activation_log: stats.dram.activation_log.take(),
-            activations_per_row: stats.dram.activations_per_row.take(),
         };
         dram.absorb_shard(shard_dram, stats.channel * banks_per_channel);
         ctrl = ctrl.merged(&stats.ctrl);

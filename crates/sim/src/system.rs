@@ -22,7 +22,7 @@ pub type BoxedTrace = Box<dyn Iterator<Item = TraceRecord>>;
 /// Both modes produce bit-identical results (pinned by
 /// `tests/tests/event_equivalence.rs`): event-driven stepping only skips
 /// cycles in which no component could act, and replays the per-poll
-/// refusals and vetoes those cycles would have counted.
+/// admission refusals those cycles would have counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdvanceMode {
     /// Tick every cycle (`now + 1`), the reference behaviour.
@@ -450,11 +450,11 @@ impl System {
     /// The cores then repeat their refused sends, or wait, until the
     /// uncore changes under them, and each memory shard reports the
     /// earliest cycle at which it can do anything but repeat its refusals
-    /// and failed passes ([`MemorySubsystem::idle_until`]; `None` if a
-    /// shard may act in the very next cycle). The clock jumps to the
-    /// earliest shard horizon or the LLC hit queue's front, bounded by
-    /// `min_cycles`/`max_cycles`, and the skipped cycles' refusals and
-    /// vetoes are replayed so every statistic matches lockstep.
+    /// and skip its memoized failed pass ([`MemorySubsystem::idle_until`];
+    /// `None` if a shard may act in the very next cycle). The clock jumps
+    /// to the earliest shard horizon or the LLC hit queue's front, bounded
+    /// by `min_cycles`/`max_cycles`, and the skipped cycles' refusals are
+    /// replayed so every statistic matches lockstep.
     fn skip_idle(&mut self, now: Cycle, all_done: bool) -> Cycle {
         let Some(mut next) = self.uncore.mem.idle_until(now) else {
             return now + 1;

@@ -16,8 +16,7 @@ use workloads::{AttackKind, SyntheticSpec};
 /// The comparable form of a run: the full `RunResult` with the
 /// advance-mode-dependent stepping counters zeroed (they are the *only*
 /// field allowed to differ between modes). `RunResult: PartialEq`
-/// compares every statistic field for field, with hash-map-backed stats
-/// compared order-independently.
+/// compares every statistic field for field.
 fn canonical(mut result: RunResult) -> RunResult {
     result.stepping = SteppingStats::default();
     result
@@ -139,7 +138,6 @@ fn saturated_attack_run_ticks_at_most_half_its_cycles() {
 #[derive(Debug)]
 struct VetoUntil {
     lift: Cycle,
-    vetoes: u64,
     ticked_lift: bool,
     first_activation: Option<Cycle>,
 }
@@ -155,7 +153,6 @@ impl RowHammerDefense for VetoUntil {
         (now < self.lift).then_some(self.lift)
     }
     fn is_activation_safe(&mut self, now: Cycle, _thread: ThreadId, _addr: &DramAddress) -> bool {
-        self.vetoes += u64::from(now < self.lift);
         now >= self.lift
     }
     fn on_activation(
@@ -171,19 +168,16 @@ impl RowHammerDefense for VetoUntil {
         MetadataFootprint::default()
     }
     fn stats(&self) -> DefenseStats {
-        DefenseStats {
-            blocked_activations: self.vetoes,
-            ..DefenseStats::default()
-        }
+        DefenseStats::default()
     }
 }
 
 #[test]
 fn a_veto_lifting_with_time_alone_is_ticked_at_its_lift() {
-    // Until the lift every tick repeats the same vetoes, so event-driven
-    // stepping skips; the defense's `next_event` must stop the skip at
-    // the lift itself, and the default `replay_vetoes` must count the
-    // skipped vetoes exactly as lockstep consults them.
+    // Until the lift the controller's vetoed pass is memoized and every
+    // tick repeats the same refusals, so event-driven stepping skips; the
+    // defense's `next_event` must stop both the memo and the skip at the
+    // lift itself.
     let lift = 15_000;
     let run = |advance: AdvanceMode| {
         let builder = || {
@@ -194,7 +188,6 @@ fn a_veto_lifting_with_time_alone_is_ticked_at_its_lift() {
         let config = builder().build().config().clone();
         let defense = VetoUntil {
             lift,
-            vetoes: 0,
             ticked_lift: false,
             first_activation: None,
         };
@@ -216,7 +209,7 @@ fn a_veto_lifting_with_time_alone_is_ticked_at_its_lift() {
     assert!(ticked_lift, "event-driven stepping jumped past the lift");
     assert_eq!(event_first, Some(lift), "the first ACT waits for the lift");
     assert_eq!(lockstep_first, event_first);
-    assert!(event.defense_stats.blocked_activations > 0);
+    assert!(event.ctrl.activations_delayed_by_defense > 0);
     assert!(
         event.stepping.cycles_skipped > lift / 2,
         "the vetoed stretch must be skipped, skipped {}",
@@ -367,6 +360,36 @@ fn a_tick_that_fills_a_core_window_is_followed_by_a_skip() {
     assert!(
         !ticks.contains(&(filled_at + 1)),
         "the cycle after the window filled at {filled_at} was ticked: {ticks:?}"
+    );
+}
+
+#[test]
+fn a_fetch_queued_after_admission_is_admitted_next_cycle() {
+    // A single cacheable load to a cold line: the core's tick misses in
+    // the LLC and queues the line fetch after this cycle's admission step,
+    // and then cannot act. No controller has work yet, so only the queued
+    // fetch says the next cycle must be ticked; skipping past it would
+    // leave the fetch waiting for the refresh deadline.
+    let run = |advance: AdvanceMode| {
+        quick_builder(5, 1)
+            .advance_mode(advance)
+            .min_cycles(0)
+            .add_trace(
+                "cold-load",
+                Box::new(std::iter::once(TraceRecord::load(0, 0x10_0000))),
+                false,
+                1,
+            )
+            .run()
+    };
+    let lockstep = run(AdvanceMode::Lockstep);
+    let event = run(AdvanceMode::EventDriven);
+    assert_eq!(canonical(lockstep), canonical(event.clone()));
+    assert_eq!(event.ctrl.reads_completed, 1, "the load is fetched");
+    assert!(
+        event.threads[0].cycles < 500,
+        "the load finished at cycle {}",
+        event.threads[0].cycles
     );
 }
 

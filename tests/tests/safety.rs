@@ -43,7 +43,7 @@ fn blockhammer_prevents_unsafe_activation_rates() {
         result.n_rh
     );
     // The defense actually intervened (this is not a vacuous pass).
-    assert!(result.defense_stats.blocked_activations > 0);
+    assert!(result.ctrl.activations_delayed_by_defense > 0);
 }
 
 /// Graphene (the strongest reactive-refresh baseline) refreshes victims of
