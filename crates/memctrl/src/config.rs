@@ -36,7 +36,7 @@ pub struct MemCtrlConfig {
     pub command_bus_interval: Cycle,
     /// How the FR-FCFS scheduling passes scan the demand queues. The two
     /// policies make identical decisions; [`SchedulerPolicy::LinearScan`]
-    /// exists as the equivalence and benchmark baseline.
+    /// exists only as the oracle of the scheduler equivalence test.
     pub scheduler: SchedulerPolicy,
 }
 

@@ -110,6 +110,9 @@ struct TickTally {
     /// differently: a refused DRAM timing check passing, a refresh
     /// deadline, or the defense's next event.
     retry_at: Cycle,
+    /// This tick's pass ran and issued nothing, so `retry_at` already
+    /// holds the defense's next event as of this cycle.
+    pass_failed: bool,
     /// A request was admitted since the tick.
     queued: bool,
 }
@@ -367,6 +370,7 @@ impl MemoryController {
         self.tally.rejected_queue_full = 0;
         self.tally.rejected_quota = 0;
         self.tally.retry_at = Cycle::MAX;
+        self.tally.pass_failed = false;
         self.tally.queued = false;
         defense.tick(now);
         let completed = self.collect_completions(now);
@@ -385,6 +389,7 @@ impl MemoryController {
         } else {
             let event = defense.next_event(now).unwrap_or(Cycle::MAX);
             self.tally.retry_at = retry_at.min(self.refresh_deadline()).min(event);
+            self.tally.pass_failed = true;
             self.pass_memo = self.tally.retry_at;
         }
         completed
@@ -412,6 +417,10 @@ impl MemoryController {
     /// only through those events, so until then each cycle repeats this
     /// one's refusals exactly; [`MemoryController::replay_idle`] accounts
     /// for them.
+    ///
+    /// A pass that ran and failed this cycle already folded the defense's
+    /// `next_event(now)` into its memo, and admissions read the defense
+    /// only through `&self`, so then the defense is not asked again.
     // lint: alloc-free
     pub fn idle_until(&self, now: Cycle, defense: &dyn RowHammerDefense) -> Option<Cycle> {
         let mut at = self.tally.retry_at.min(self.next_completion);
@@ -419,6 +428,9 @@ impl MemoryController {
             at = at.min(self.next_command_at);
         } else if self.tally.queued {
             return None;
+        }
+        if self.tally.pass_failed {
+            return Some(at);
         }
         Some(defense.next_event(now).map_or(at, |event| at.min(event)))
     }
@@ -681,6 +693,7 @@ impl MemoryController {
 mod tests {
     use super::*;
     use mitigations::{DefenseGeometry, NoMitigation, Para, RowHammerThreshold};
+    use std::cell::Cell;
 
     fn controller() -> MemoryController {
         MemoryController::new(MemCtrlConfig::default())
@@ -998,16 +1011,21 @@ mod tests {
 
     /// A defense that vetoes every activation until its lift cycle, reports
     /// that cycle from `next_event` as the stepping contract requires, and
-    /// counts its consults.
+    /// counts its consults and its `next_event` reads.
     #[derive(Debug)]
     struct VetoUntil {
         lift: Cycle,
         consults: u64,
+        next_event_calls: Cell<u64>,
     }
 
     impl VetoUntil {
         fn new(lift: Cycle) -> Self {
-            Self { lift, consults: 0 }
+            Self {
+                lift,
+                consults: 0,
+                next_event_calls: Cell::new(0),
+            }
         }
     }
 
@@ -1025,6 +1043,7 @@ mod tests {
             now >= self.lift
         }
         fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            self.next_event_calls.set(self.next_event_calls.get() + 1);
             (now < self.lift).then_some(self.lift)
         }
         fn on_activation(
@@ -1080,6 +1099,22 @@ mod tests {
         assert!(
             (5_000..5_000 + t.t_rcd + t.read_latency() + 200).contains(&completed_at),
             "read completed at {completed_at}, not shortly after the veto lifted"
+        );
+    }
+
+    #[test]
+    fn idle_until_after_a_failed_pass_reuses_its_read_of_the_next_event() {
+        let mut ctrl = controller();
+        let mut defense = VetoUntil::new(5_000);
+        ctrl.enqueue(ThreadId::new(0), 0x7000, AccessType::Read, 0, &defense)
+            .unwrap();
+        assert!(ctrl.tick(0, &mut defense).is_empty());
+        assert_eq!(defense.consults, 1, "the pass ran and was vetoed");
+        assert_eq!(ctrl.idle_until(0, &defense), Some(5_000));
+        assert_eq!(
+            defense.next_event_calls.get(),
+            1,
+            "the defense was asked for its next event more than once in one cycle"
         );
     }
 

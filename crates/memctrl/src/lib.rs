@@ -22,8 +22,9 @@
 //!
 //! The FR-FCFS scheduling passes run over per-bank indexed queues by
 //! default ([`SchedulerPolicy::BankedIndex`]); the flat
-//! [`SchedulerPolicy::LinearScan`] reference implementation is retained
-//! and makes bit-identical decisions (see the `scheduler` module docs).
+//! [`SchedulerPolicy::LinearScan`] reference implementation makes
+//! bit-identical decisions and is kept only as the oracle of the
+//! scheduler equivalence test (see the `scheduler` module docs).
 //!
 //! ## Example
 //!

@@ -17,8 +17,8 @@
 //!
 //! * [`SchedulerPolicy::LinearScan`] stores each queue as one flat vector
 //!   and re-scans it per pass — the straightforward reference
-//!   implementation, kept as the equivalence baseline and for the
-//!   `controller_scheduling` benchmark's before/after comparison.
+//!   implementation, kept only as the oracle of the equivalence test
+//!   below; no product path selects it.
 //! * [`SchedulerPolicy::BankedIndex`] buckets requests per global bank
 //!   ([`BankedQueue`]) with an [`OpenRowCache`], so each pass touches only
 //!   banks that have queued work and asks the DRAM device one legality

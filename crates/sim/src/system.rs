@@ -20,13 +20,14 @@ pub type BoxedTrace = Box<dyn Iterator<Item = TraceRecord>>;
 /// How the simulated clock advances between ticks.
 ///
 /// Both modes produce bit-identical results (pinned by
-/// `tests/tests/event_equivalence.rs`): event-driven stepping only skips
-/// cycles in which no component could act, and replays the per-poll
-/// admission refusals those cycles would have counted.
+/// `tests/tests/event_equivalence.rs`): event-driven stepping, the
+/// default, only skips cycles in which no component could act, and
+/// replays the per-poll admission refusals those cycles would have
+/// counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdvanceMode {
-    /// Tick every cycle (`now + 1`), the reference behaviour.
-    #[default]
+    /// Tick every cycle (`now + 1`): the reference that the equivalence
+    /// tests compare event-driven stepping against.
     Lockstep,
     /// After a tick following which no core can retire or issue without an
     /// outside event (its window head waits on memory, or memory just
@@ -35,6 +36,7 @@ pub enum AdvanceMode {
     /// a command slot reopening, a completion, a failed pass's retry or
     /// refresh cycle, new work for an open slot, the LLC hit queue's
     /// front, or a defense event.
+    #[default]
     EventDriven,
 }
 
@@ -124,9 +126,9 @@ pub struct SystemConfig {
     /// Whether to record every DRAM activation (needed by safety
     /// verification; costs memory).
     pub enable_activation_log: bool,
-    /// How the simulated clock advances between ticks (lockstep, or
-    /// event-driven skipping of cycles in which nothing can act).
-    /// Bit-identical either way.
+    /// How the simulated clock advances between ticks: event-driven
+    /// skipping of cycles in which nothing can act (the default), or
+    /// lockstep. Bit-identical either way.
     pub advance: AdvanceMode,
     /// Seed for workload generators and probabilistic defenses.
     pub seed: u64,
@@ -632,14 +634,16 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects how the simulated clock advances: per-cycle lockstep or
-    /// event-driven, which skips the cycles in which no core, controller or
-    /// LLC hit can act. Both modes are bit-identical; event-driven is
-    /// faster whenever cores wait (idle padding out to `min_cycles`, cores
-    /// stalled on memory while the controller waits on DRAM timing or its
-    /// command slot, or requests the defense keeps vetoing or the queues
-    /// keep refusing). A core reports from its own tick whether it can act
-    /// next cycle, so the cycle right after a core stalls is skipped too.
+    /// Selects how the simulated clock advances: event-driven (the
+    /// default), which skips the cycles in which no core, controller or
+    /// LLC hit can act, or per-cycle lockstep, the reference the
+    /// equivalence tests compare it against. Both modes are bit-identical;
+    /// event-driven is faster whenever cores wait (idle padding out to
+    /// `min_cycles`, cores stalled on memory while the controller waits on
+    /// DRAM timing or its command slot, or requests the defense keeps
+    /// vetoing or the queues keep refusing). A core reports from its own
+    /// tick whether it can act next cycle, so the cycle right after a core
+    /// stalls is skipped too.
     pub fn advance_mode(mut self, advance: AdvanceMode) -> Self {
         self.config.advance = advance;
         self
@@ -1068,6 +1072,21 @@ mod tests {
             event.total_cycles + 1
         );
         assert!(event.stepping.largest_jump > 1);
+    }
+
+    #[test]
+    fn a_default_builder_skips_the_idle_min_cycles_tail() {
+        // No `advance_mode` call: the default steps event-driven, so the
+        // padding out to `min_cycles` after the thread finishes is skipped.
+        let result = SystemBuilder::new()
+            .min_cycles(50_000)
+            .add_workload(SyntheticSpec::low_intensity("l0", 0), 1_000)
+            .run();
+        assert!(result.total_cycles >= 50_000);
+        assert!(
+            result.stepping.cycles_skipped > 0,
+            "a run from SystemBuilder::new() ticked every cycle"
+        );
     }
 
     #[test]

@@ -114,10 +114,10 @@ fn idle_heavy_run_simulates_a_fraction_of_its_cycles() {
 
 #[test]
 fn saturated_attack_run_ticks_at_most_half_its_cycles() {
-    // The `event_stepping` bench's saturated shape: a double-sided
-    // attacker keeps BlockHammer vetoing and the queues refusing, which
-    // used to force a tick on almost every cycle. Repeated no-op ticks
-    // are skipped now, so at most half the cycles may be ticked.
+    // A saturated shape: a double-sided attacker keeps BlockHammer
+    // vetoing and the queues refusing, which used to force a tick on
+    // almost every cycle. Repeated no-op ticks are skipped now, so at
+    // most half the cycles may be ticked.
     let result = quick_builder(7, 1)
         .defense(DefenseKind::BlockHammer)
         .advance_mode(AdvanceMode::EventDriven)
