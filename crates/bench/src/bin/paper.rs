@@ -166,6 +166,27 @@ fn sec321_study(scale: &ExperimentScale) -> Result<RhliStudy, CampaignError> {
     })
 }
 
+/// The numbers that size an experiment's runs, named in plain words for
+/// the figure and table headers. How the clock advances is left out: it
+/// never changes an output.
+fn describe(scale: &ExperimentScale) -> String {
+    let run = &scale.run;
+    format!(
+        "time scale {}, instructions per benign thread {}, LLC bytes {}, \
+         min cycles {}, max cycles {}, mixes {}, threads per mix {}, \
+         workloads per category {}, seed {}",
+        run.time_scale,
+        run.benign_instructions,
+        run.llc_bytes,
+        run.min_cycles,
+        run.max_cycles,
+        scale.mix_count,
+        scale.threads_per_mix,
+        scale.workloads_per_category,
+        scale.seed
+    )
+}
+
 /// Section 3.2.1: the RowHammer likelihood index of benign and attacker
 /// threads under BlockHammer's observe-only and full-functional modes.
 fn sec321(scale: &ExperimentScale) -> Result<(), CampaignError> {
@@ -182,7 +203,10 @@ fn sec321(scale: &ExperimentScale) -> Result<(), CampaignError> {
 /// slowdown and DRAM energy of multiprogrammed mixes, with and without a
 /// RowHammer attacker, for every mechanism.
 fn fig5(scale: &ExperimentScale) -> Result<(), CampaignError> {
-    println!("Figure 5: multiprogrammed workloads, N_RH = {PAPER_N_RH} ({scale:?})\n");
+    println!(
+        "Figure 5: multiprogrammed workloads, N_RH = {PAPER_N_RH} ({})\n",
+        describe(scale)
+    );
     let rows = summarize(&fig5_campaign(scale))?.multiprogram_rows();
     print!("{}", report::render_multiprogram(&rows));
     println!(
@@ -196,7 +220,7 @@ fn fig5(scale: &ExperimentScale) -> Result<(), CampaignError> {
 /// Figure 6: the multiprogrammed study swept across RowHammer thresholds
 /// for PARA, TWiCe, Graphene and BlockHammer.
 fn fig6(scale: &ExperimentScale) -> Result<(), CampaignError> {
-    println!("Figure 6: N_RH scaling study ({scale:?})\n");
+    println!("Figure 6: N_RH scaling study ({})\n", describe(scale));
     let rows = summarize(&fig6_campaign(scale))?.multiprogram_rows();
     print!("{}", report::render_multiprogram(&rows));
     println!(
@@ -215,7 +239,10 @@ fn fig6(scale: &ExperimentScale) -> Result<(), CampaignError> {
 /// applications under each mechanism, normalized to the unprotected
 /// baseline, grouped into the L / M / H categories.
 fn fig4(scale: &ExperimentScale) -> Result<(), CampaignError> {
-    println!("Figure 4: single-core normalized execution time / DRAM energy ({scale:?})\n");
+    println!(
+        "Figure 4: single-core normalized execution time / DRAM energy ({})\n",
+        describe(scale)
+    );
     let rows = experiments::figure4(scale, PAPER_N_RH);
     print!("{}", report::render_figure4(&rows));
     println!(
@@ -228,7 +255,10 @@ fn fig4(scale: &ExperimentScale) -> Result<(), CampaignError> {
 /// Table 8: the benign workload catalog with measured MPKI and
 /// row-buffer-conflict rates next to the paper's values.
 fn tab8(scale: &ExperimentScale) -> Result<(), CampaignError> {
-    println!("Table 8: benign applications (synthetic stand-ins), {scale:?}\n");
+    println!(
+        "Table 8: benign applications (synthetic stand-ins), {}\n",
+        describe(scale)
+    );
     print!("{}", report::render_table8(&experiments::table8(scale)));
     Ok(())
 }

@@ -2,30 +2,20 @@
 
 use crate::timings::TimingsInCycles;
 use bh_types::{Cycle, MemCommand};
-use serde::{Deserialize, Serialize};
-
-/// The state of a DRAM bank's row buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BankState {
-    /// No row is open; the bank is precharged.
-    Precharged,
-    /// A row is open in the row buffer.
-    Active {
-        /// The open row.
-        row: u64,
-    },
-}
 
 /// A single DRAM bank.
 ///
 /// The bank tracks which row (if any) is open and the earliest cycle at
 /// which each class of command may next be issued, according to the DDR4
 /// timing constraints that involve only this bank (`tRC`, `tRCD`, `tRP`,
-/// `tRAS`, `tRTP`, `tWR`). Rank-level constraints (`tRRD`, `tFAW`, `tCCD`,
-/// `tWTR`, refresh) are enforced by [`crate::Rank`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bank {
-    state: BankState,
+/// `tRAS`, `tRTP`, `tWR`, and `tRFC` after a refresh). The constraints its
+/// rank's banks share (`tRRD`, `tFAW`, `tCCD`, the turnarounds, refresh)
+/// belong to the rank. A fresh bank is precharged with no pending
+/// constraint.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Bank {
+    /// The row in the row buffer; `None` while the bank is precharged.
+    open_row: Option<u64>,
     /// Earliest cycle an ACT may be issued.
     next_activate: Cycle,
     /// Earliest cycle a PRE may be issued.
@@ -38,49 +28,23 @@ pub struct Bank {
     active_cycles: Cycle,
 }
 
-impl Default for Bank {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Bank {
-    /// Creates a bank in the precharged state with no pending constraints.
-    pub fn new() -> Self {
-        Self {
-            state: BankState::Precharged,
-            next_activate: 0,
-            next_precharge: 0,
-            next_column: 0,
-            last_activate: 0,
-            active_cycles: 0,
-        }
-    }
-
-    /// Current row-buffer state.
-    pub fn state(&self) -> BankState {
-        self.state
-    }
-
     /// The currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        match self.state {
-            BankState::Active { row } => Some(row),
-            BankState::Precharged => None,
-        }
+    pub(crate) fn open_row(&self) -> Option<u64> {
+        self.open_row
     }
 
     /// Total cycles this bank has spent with a row open, up to the last
     /// precharge. Call [`Bank::close_accounting`] at the end of simulation
     /// to include a still-open row.
-    pub fn active_cycles(&self) -> Cycle {
+    pub(crate) fn active_cycles(&self) -> Cycle {
         self.active_cycles
     }
 
     /// Finalizes active-time accounting at `now` (treats a still-open row
     /// as closing now). Idempotent only if the bank is precharged.
-    pub fn close_accounting(&mut self, now: Cycle) {
-        if matches!(self.state, BankState::Active { .. }) {
+    pub(crate) fn close_accounting(&mut self, now: Cycle) {
+        if self.open_row.is_some() {
             self.active_cycles += now.saturating_sub(self.last_activate);
             self.last_activate = now;
         }
@@ -91,55 +55,55 @@ impl Bank {
     /// the command is illegal in the current state regardless of time
     /// (e.g. a READ while precharged, or an ACT while a different row is
     /// open).
-    pub fn earliest_issue(&self, cmd: MemCommand, row: u64) -> Option<Cycle> {
-        match (cmd, self.state) {
-            (MemCommand::Activate, BankState::Precharged) => Some(self.next_activate),
-            (MemCommand::Activate, BankState::Active { .. }) => None,
+    pub(crate) fn earliest_issue(&self, cmd: MemCommand, row: u64) -> Option<Cycle> {
+        match (cmd, self.open_row) {
+            (MemCommand::Activate, None) => Some(self.next_activate),
+            (MemCommand::Activate, Some(_)) => None,
             (MemCommand::Precharge, _) => Some(self.next_precharge),
-            (MemCommand::Read | MemCommand::Write, BankState::Active { row: open })
-                if open == row =>
-            {
+            (MemCommand::Read | MemCommand::Write, Some(open)) if open == row => {
                 Some(self.next_column)
             }
             (MemCommand::Read | MemCommand::Write, _) => None,
-            // Refresh legality (all banks precharged) is checked by the rank.
-            (MemCommand::Refresh, BankState::Precharged) => Some(self.next_activate),
-            (MemCommand::Refresh, BankState::Active { .. }) => None,
+            // A REF needs this bank precharged and past its ACT constraints;
+            // the rank adds its own.
+            (MemCommand::Refresh, None) => Some(self.next_activate),
+            (MemCommand::Refresh, Some(_)) => None,
         }
     }
 
     /// Whether `cmd` targeting `row` may be issued at `now` per this bank's
     /// constraints.
-    pub fn can_issue(&self, cmd: MemCommand, row: u64, now: Cycle) -> bool {
+    pub(crate) fn can_issue(&self, cmd: MemCommand, row: u64, now: Cycle) -> bool {
         self.earliest_issue(cmd, row).is_some_and(|t| t <= now)
     }
 
     /// Applies `cmd` at cycle `now`, updating state and future constraints.
+    /// A REF is applied to every bank of its rank: it holds off their
+    /// ACTs for `tRFC`.
     ///
     /// # Panics
     ///
     /// Panics if the command is not legal at `now` (callers must check
     /// [`Bank::can_issue`] first); issuing an illegal command would silently
     /// corrupt timing bookkeeping.
-    pub fn issue(&mut self, cmd: MemCommand, row: u64, now: Cycle, t: &TimingsInCycles) {
+    pub(crate) fn issue(&mut self, cmd: MemCommand, row: u64, now: Cycle, t: &TimingsInCycles) {
         assert!(
             self.can_issue(cmd, row, now),
-            "illegal {cmd} to row {row} at cycle {now} in state {:?}",
-            self.state
+            "illegal {cmd} to row {row} at cycle {now} with open row {:?}",
+            self.open_row
         );
         match cmd {
             MemCommand::Activate => {
-                self.state = BankState::Active { row };
+                self.open_row = Some(row);
                 self.last_activate = now;
                 self.next_activate = now + t.t_rc;
                 self.next_precharge = now + t.t_ras;
                 self.next_column = now + t.t_rcd;
             }
             MemCommand::Precharge => {
-                if let BankState::Active { .. } = self.state {
+                if self.open_row.take().is_some() {
                     self.active_cycles += now - self.last_activate;
                 }
-                self.state = BankState::Precharged;
                 self.next_activate = self.next_activate.max(now + t.t_rp);
             }
             MemCommand::Read => {
@@ -149,17 +113,9 @@ impl Bank {
                 self.next_precharge = self.next_precharge.max(now + t.t_cwl + t.t_bl + t.t_wr);
             }
             MemCommand::Refresh => {
-                // Refresh occupies the whole rank; the rank pushes the
-                // bank's next-activate out by tRFC.
                 self.next_activate = self.next_activate.max(now + t.t_rfc);
             }
         }
-    }
-
-    /// Pushes the earliest allowed ACT out to at least `cycle` (used by the
-    /// rank for refresh and by tests).
-    pub(crate) fn delay_activate_until(&mut self, cycle: Cycle) {
-        self.next_activate = self.next_activate.max(cycle);
     }
 }
 
@@ -174,7 +130,7 @@ mod tests {
 
     #[test]
     fn fresh_bank_allows_only_activate_and_precharge() {
-        let b = Bank::new();
+        let b = Bank::default();
         assert!(b.can_issue(MemCommand::Activate, 5, 0));
         assert!(b.can_issue(MemCommand::Precharge, 5, 0));
         assert!(!b.can_issue(MemCommand::Read, 5, 0));
@@ -184,7 +140,7 @@ mod tests {
     #[test]
     fn activate_opens_row_and_blocks_new_activate_for_trc() {
         let t = timings();
-        let mut b = Bank::new();
+        let mut b = Bank::default();
         b.issue(MemCommand::Activate, 7, 0, &t);
         assert_eq!(b.open_row(), Some(7));
         assert!(!b.can_issue(MemCommand::Activate, 8, 1), "row already open");
@@ -202,7 +158,7 @@ mod tests {
     #[test]
     fn read_requires_trcd_after_activate() {
         let t = timings();
-        let mut b = Bank::new();
+        let mut b = Bank::default();
         b.issue(MemCommand::Activate, 7, 0, &t);
         assert!(!b.can_issue(MemCommand::Read, 7, t.t_rcd - 1));
         assert!(b.can_issue(MemCommand::Read, 7, t.t_rcd));
@@ -212,7 +168,7 @@ mod tests {
     #[test]
     fn precharge_must_wait_for_tras() {
         let t = timings();
-        let mut b = Bank::new();
+        let mut b = Bank::default();
         b.issue(MemCommand::Activate, 1, 0, &t);
         assert!(!b.can_issue(MemCommand::Precharge, 1, t.t_ras - 1));
         assert!(b.can_issue(MemCommand::Precharge, 1, t.t_ras));
@@ -221,7 +177,7 @@ mod tests {
     #[test]
     fn write_extends_precharge_constraint() {
         let t = timings();
-        let mut b = Bank::new();
+        let mut b = Bank::default();
         b.issue(MemCommand::Activate, 1, 0, &t);
         let wr_at = t.t_rcd;
         b.issue(MemCommand::Write, 1, wr_at, &t);
@@ -236,7 +192,7 @@ mod tests {
         // achievable rate equals tREFW / tRC (the physical upper bound the
         // paper's threat model assumes).
         let t = timings();
-        let mut b = Bank::new();
+        let mut b = Bank::default();
         let mut now = 0;
         let mut acts = 0u64;
         let horizon = t.t_rc * 1000;
@@ -261,7 +217,7 @@ mod tests {
     #[test]
     fn active_cycles_accumulate_between_act_and_pre() {
         let t = timings();
-        let mut b = Bank::new();
+        let mut b = Bank::default();
         b.issue(MemCommand::Activate, 1, 0, &t);
         b.issue(MemCommand::Precharge, 1, t.t_ras, &t);
         assert_eq!(b.active_cycles(), t.t_ras);
@@ -275,7 +231,7 @@ mod tests {
     #[should_panic(expected = "illegal")]
     fn issuing_illegal_command_panics() {
         let t = timings();
-        let mut b = Bank::new();
+        let mut b = Bank::default();
         b.issue(MemCommand::Read, 3, 0, &t);
     }
 }

@@ -13,6 +13,10 @@
 //! * periodic all-bank refresh (`tREFI`, `tRFC`, `tREFW`), and
 //! * command / state-residency statistics that feed the energy model.
 //!
+//! [`DramDevice`] is the one owner of that state: it keeps every bank of
+//! the channel once, by global bank index, and per rank only the timing
+//! the rank's banks share. It answers each bank's open row and the set of
+//! open banks, so the memory controller keeps no copy of the row buffers.
 //! The device does not move data; it only enforces *when* commands may be
 //! issued and reports when their results would be available, which is all
 //! the memory controller and the defenses observe.
@@ -45,9 +49,7 @@ mod rank;
 mod stats;
 mod timings;
 
-pub use bank::{Bank, BankState};
 pub use device::{banks_in, DramDevice, IssueOutcome};
 pub use organization::DramOrganization;
-pub use rank::Rank;
 pub use stats::{CommandCounts, DramStats};
 pub use timings::{DramTimings, TimingsInCycles};

@@ -1,8 +1,11 @@
-//! Soundness of the device's ready-time tables: after every command of a
-//! random legal command sequence, [`DramDevice::legal_banks`] must answer
-//! exactly as per-bank [`DramDevice::can_issue`] checks do (column
-//! commands addressing the bank's open row), and leave the same earliest
-//! refused cycle for [`DramDevice::take_retry_at`].
+//! Soundness of the device's ready-time table and open-bank set: after
+//! every command of a random legal command sequence,
+//! [`DramDevice::legal_banks`] must answer exactly as per-bank
+//! [`DramDevice::can_issue`] checks do (column commands addressing the
+//! bank's open row), and leave the same earliest refused cycle for
+//! [`DramDevice::take_retry_at`]; and [`DramDevice::open_banks`],
+//! [`DramDevice::open_row_of`] and [`DramDevice::bank_address`] must agree
+//! with [`DramDevice::open_row`] and the index layout on every bank.
 
 use bh_types::{Cycle, DramAddress, MemCommand, TimeConverter};
 use dram_sim::{DramDevice, DramOrganization, DramTimings};
@@ -90,6 +93,22 @@ fn check(dram: &DramDevice, set: u64, now: Cycle) {
     }
 }
 
+/// Checks the open-bank set and every bank's index-based open row (and
+/// address) against the address-based [`DramDevice::open_row`].
+fn check_open_rows(dram: &DramDevice) {
+    let org = dram.organization();
+    let mut open = 0u64;
+    for bank in 0..org.banks_per_channel() {
+        assert_eq!(dram.bank_address(bank, 0), bank_addr(org, bank, 0));
+        let row = dram.open_row(&bank_addr(org, bank, 0));
+        assert_eq!(dram.open_row_of(bank), row, "open row of bank {bank}");
+        if row.is_some() {
+            open |= 1 << bank;
+        }
+    }
+    assert_eq!(dram.open_banks(), open, "open-bank set");
+}
+
 proptest! {
     #[test]
     fn legal_banks_match_per_bank_checks(
@@ -105,6 +124,7 @@ proptest! {
         let mut rng = Rng(seed);
         let mut now: Cycle = 0;
         check(&dram, all, now);
+        check_open_rows(&dram);
         for _ in 0..steps {
             let bank = rng.below(banks as u64) as usize;
             let cmd = match rng.below(9) {
@@ -134,6 +154,7 @@ proptest! {
             };
             now = now.max(at) + rng.below(4);
             dram.issue(cmd, &addr, now);
+            check_open_rows(&dram);
             for probe in [now, now + 1 + rng.below(64), now + rng.below(timings.t_rfc + 1)] {
                 check(&dram, all, probe);
                 check(&dram, rng.next() & all, probe);

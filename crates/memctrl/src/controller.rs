@@ -4,7 +4,7 @@ use crate::config::MemCtrlConfig;
 use crate::scheduler::Scheduler;
 use crate::stats::CtrlStats;
 use bh_types::{AccessType, Cycle, DramAddress, FastMap, MemCommand, MemRequest, ReqId, ThreadId};
-use dram_sim::{DramDevice, DramStats, IssueOutcome, TimingsInCycles};
+use dram_sim::{banks_in, DramDevice, DramStats, IssueOutcome, TimingsInCycles};
 use mitigations::RowHammerDefense;
 use std::collections::hash_map::Entry;
 use std::error::Error;
@@ -342,7 +342,7 @@ impl MemoryController {
             self.stats.accepted_requests += 1;
             self.tally.queued = true;
             self.pass_memo = 0;
-            self.scheduler.push(access, bank, request);
+            self.scheduler.push(access, bank, request, &self.dram);
             on_accept(id, tag);
             outcome.accepted += 1;
         }
@@ -529,6 +529,9 @@ impl MemoryController {
     /// command slot was consumed.
     fn handle_refresh(&mut self, now: Cycle) -> bool {
         let org = self.config.organization;
+        let banks_per_rank = org.banks_per_rank();
+        // The bank set of rank 0's banks (a shift by 64 would overflow).
+        let rank0_banks = u64::MAX >> (64 - banks_per_rank);
         let mut pending_blocked = false;
         for rank in 0..org.ranks {
             if now >= self.next_refresh[rank] {
@@ -546,16 +549,14 @@ impl MemoryController {
                 self.next_refresh[rank] += self.timings.t_refi;
                 return true;
             }
-            // Close any open bank so the refresh can proceed.
-            for bg in 0..org.bank_groups {
-                for ba in 0..org.banks_per_group {
-                    let addr = DramAddress::new(0, rank, bg, ba, 0, 0);
-                    if self.dram.open_row(&addr).is_some()
-                        && self.dram.can_issue(MemCommand::Precharge, &addr, now)
-                    {
-                        self.issue_tracked(MemCommand::Precharge, &addr, now);
-                        return true;
-                    }
+            // Close any open bank so the refresh can proceed, in ascending
+            // bank order.
+            let open = self.dram.open_banks() & (rank0_banks << (rank * banks_per_rank));
+            for bank in banks_in(open) {
+                let addr = self.dram.bank_address(bank, 0);
+                if self.dram.can_issue(MemCommand::Precharge, &addr, now) {
+                    self.issue_tracked(MemCommand::Precharge, &addr, now);
+                    return true;
                 }
             }
             // This rank's refresh is pending but nothing can be issued for
@@ -651,22 +652,12 @@ impl MemoryController {
         false
     }
 
-    /// Issues a command to the DRAM device and mirrors its row-buffer
-    /// effect in the scheduler's per-bank open-row cache.
+    /// Issues a command to the DRAM device and notes its row-buffer
+    /// effect in the scheduler's open-row index.
     fn issue_tracked(&mut self, cmd: MemCommand, addr: &DramAddress, now: Cycle) -> IssueOutcome {
         let outcome = self.dram.issue(cmd, addr, now);
-        let bank = self.global_bank(addr);
-        self.scheduler.note_issue(cmd, bank, addr.row());
-        #[cfg(debug_assertions)]
-        {
-            let banks_per_group = self.config.organization.banks_per_group;
-            debug_assert_eq!(
-                self.scheduler.cached_open_row(bank),
-                self.dram
-                    .open_row_at(addr.rank(), addr.bank_in_rank(banks_per_group)),
-                "open-row cache diverged from the device on {cmd} to {addr}"
-            );
-        }
+        self.scheduler
+            .note_issue(cmd, self.global_bank(addr), &self.dram);
         outcome
     }
 
@@ -869,44 +860,48 @@ mod tests {
 
     #[test]
     fn blocked_rank_does_not_stall_other_ranks_refreshes() {
-        let mut config = MemCtrlConfig::default();
-        config.organization.ranks = 2;
-        let mut ctrl = MemoryController::new(config);
-        let mut defense = NoMitigation::new();
-        let t_refi = ctrl.timings().t_refi;
-        let geometry = ctrl.config().organization.geometry();
-        let mapping = ctrl.config().mapping;
-        // Idle until shortly before the refresh deadline, then open a row
-        // in rank 0 so that, at the deadline, rank 0 can neither refresh
-        // (row open) nor precharge (tRAS still running).
-        for cycle in 0..t_refi - 40 {
-            ctrl.tick(cycle, &mut defense);
+        // Either rank may be the blocked one: refresh closes the open banks
+        // of the rank it serves.
+        for blocked in 0..2 {
+            let mut config = MemCtrlConfig::default();
+            config.organization.ranks = 2;
+            let mut ctrl = MemoryController::new(config);
+            let mut defense = NoMitigation::new();
+            let t_refi = ctrl.timings().t_refi;
+            let geometry = ctrl.config().organization.geometry();
+            let mapping = ctrl.config().mapping;
+            // Idle until shortly before the refresh deadline, then open a
+            // row in the blocked rank so that, at the deadline, it can
+            // neither refresh (row open) nor precharge (tRAS still running).
+            for cycle in 0..t_refi - 40 {
+                ctrl.tick(cycle, &mut defense);
+            }
+            let row = mapping.encode(&geometry, &DramAddress::new(0, blocked, 0, 0, 100, 0));
+            ctrl.enqueue(
+                ThreadId::new(0),
+                row,
+                AccessType::Read,
+                t_refi - 40,
+                &defense,
+            )
+            .unwrap();
+            for cycle in t_refi - 40..=t_refi + 5 {
+                ctrl.tick(cycle, &mut defense);
+            }
+            assert_eq!(
+                ctrl.stats().auto_refreshes,
+                1,
+                "the other rank must refresh on schedule while rank {blocked} is blocked"
+            );
+            for cycle in t_refi + 6..t_refi + 1_000 {
+                ctrl.tick(cycle, &mut defense);
+            }
+            assert_eq!(
+                ctrl.stats().auto_refreshes,
+                2,
+                "rank {blocked} must refresh once its bank can be closed"
+            );
         }
-        let rank0 = mapping.encode(&geometry, &DramAddress::new(0, 0, 0, 0, 100, 0));
-        ctrl.enqueue(
-            ThreadId::new(0),
-            rank0,
-            AccessType::Read,
-            t_refi - 40,
-            &defense,
-        )
-        .unwrap();
-        for cycle in t_refi - 40..=t_refi + 5 {
-            ctrl.tick(cycle, &mut defense);
-        }
-        assert_eq!(
-            ctrl.stats().auto_refreshes,
-            1,
-            "rank 1 must refresh on schedule while rank 0 is blocked"
-        );
-        for cycle in t_refi + 6..t_refi + 1_000 {
-            ctrl.tick(cycle, &mut defense);
-        }
-        assert_eq!(
-            ctrl.stats().auto_refreshes,
-            2,
-            "rank 0 must refresh once its bank can be closed"
-        );
     }
 
     #[test]

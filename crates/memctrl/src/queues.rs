@@ -1,4 +1,4 @@
-//! Per-bank indexed request queues and the controller's open-row cache.
+//! Per-bank indexed request queues.
 //!
 //! The FR-FCFS scheduling passes only ever care about three per-bank
 //! questions — "is the open row one a queued request wants?", "is the bank
@@ -6,24 +6,24 @@
 //! storing requests in one flat vector forces every pass to re-derive the
 //! bank of every request on every cycle. [`BankedQueue`] instead buckets
 //! requests by their global bank index at admission time, preserving FIFO
-//! order within each bucket, and [`OpenRowCache`] mirrors the DRAM
-//! device's per-bank row-buffer state so the scheduler consults only banks
-//! that actually have work.
+//! order within each bucket, so the scheduler consults only banks that
+//! actually have work. Open rows are the DRAM device's to answer
+//! ([`dram_sim::DramDevice::open_row_of`]).
 //!
 //! Arrival order across buckets is recovered from request ids: the
 //! controller assigns ids monotonically at admission, so "oldest request"
 //! is always "smallest id", and a k-way merge over bucket heads visits
 //! requests in exactly the order a linear scan of a flat queue would.
 //!
-//! Both structures also keep a *bank set* — a `u64` with one bit per bank
-//! of the channel — of the banks with a queued request
-//! ([`BankedQueue::banks`]) and of the open banks
-//! ([`OpenRowCache::open_banks`]). The scheduling passes combine these
-//! sets and walk the result lowest bit first, which is ascending bank
-//! order, so they visit no bank without work. A `u64` bounds a channel to
-//! 64 banks; [`crate::MemCtrlConfig::validate`] enforces it.
+//! The queue also keeps a *bank set* — a `u64` with one bit per bank of
+//! the channel — of the banks with a queued request
+//! ([`BankedQueue::banks`]). The scheduling passes combine it with the
+//! device's open banks ([`dram_sim::DramDevice::open_banks`]) and walk
+//! the result lowest bit first, which is ascending bank order, so they
+//! visit no bank without work. A `u64` bounds a channel to 64 banks;
+//! [`crate::MemCtrlConfig::validate`] enforces it.
 
-use bh_types::{MemCommand, MemRequest};
+use bh_types::MemRequest;
 use std::collections::VecDeque;
 
 /// Demand requests bucketed by global bank index, FIFO within each bucket.
@@ -101,62 +101,6 @@ impl BankedQueue {
     }
 }
 
-/// The controller-side mirror of each bank's row-buffer state, indexed by
-/// global bank.
-///
-/// The cache is exact, not approximate: every DRAM command the controller
-/// issues flows through [`OpenRowCache::note_issue`], and only an ACT or a
-/// PRE changes a row buffer. The command legality checks the controller
-/// performs before issuing guarantee the transitions match the device (an
-/// ACT is only legal on a precharged bank, a REF only with every bank of
-/// the rank closed). The controller cross-checks the mirror against
-/// [`dram_sim::DramDevice::open_row_at`] in debug builds.
-#[derive(Debug, Clone)]
-pub(crate) struct OpenRowCache {
-    rows: Vec<Option<u64>>,
-    /// The bank set of the banks with an open row.
-    open: u64,
-}
-
-impl OpenRowCache {
-    /// Creates a cache with every bank precharged (the device's reset
-    /// state).
-    pub(crate) fn new(banks: usize) -> Self {
-        Self {
-            rows: vec![None; banks],
-            open: 0,
-        }
-    }
-
-    /// The cached open row of `bank`, if any.
-    pub(crate) fn get(&self, bank: usize) -> Option<u64> {
-        self.rows[bank]
-    }
-
-    /// The set of banks with an open row (bit `b` for bank `b`).
-    pub(crate) fn open_banks(&self) -> u64 {
-        self.open
-    }
-
-    /// Records the effect of an issued command on `bank`'s row buffer.
-    pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, row: u64) {
-        match cmd {
-            MemCommand::Activate => {
-                self.rows[bank] = Some(row);
-                self.open |= 1 << bank;
-            }
-            MemCommand::Precharge => {
-                self.rows[bank] = None;
-                self.open &= !(1 << bank);
-            }
-            // Column commands leave the row buffer as-is; a REF is only
-            // legal with every bank of the rank already precharged, so it
-            // cannot change any cached entry either.
-            MemCommand::Read | MemCommand::Write | MemCommand::Refresh => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,20 +133,5 @@ mod tests {
         assert_eq!(q.bucket(2).len(), 0);
         q.remove(3, 0);
         assert_eq!(q.banks(), 0b0010, "an emptied bucket leaves the set");
-    }
-
-    #[test]
-    fn open_row_cache_tracks_activate_and_precharge() {
-        let mut cache = OpenRowCache::new(2);
-        assert_eq!(cache.get(0), None);
-        cache.note_issue(MemCommand::Activate, 0, 42);
-        assert_eq!(cache.get(0), Some(42));
-        assert_eq!(cache.open_banks(), 0b01);
-        cache.note_issue(MemCommand::Read, 0, 42);
-        assert_eq!(cache.get(0), Some(42), "column commands keep the row");
-        cache.note_issue(MemCommand::Precharge, 0, 42);
-        assert_eq!(cache.get(0), None);
-        assert_eq!(cache.open_banks(), 0);
-        assert_eq!(cache.get(1), None, "other banks are untouched");
     }
 }

@@ -20,24 +20,28 @@
 //!   implementation, kept only as the oracle of the equivalence test
 //!   below; no product path selects it.
 //! * [`SchedulerPolicy::BankedIndex`] buckets requests per global bank
-//!   ([`BankedQueue`]) with an [`OpenRowCache`], so each pass touches only
-//!   banks that have queued work and asks the DRAM device one legality
-//!   question per pass, for a whole bank set, instead of one per request.
-//!   An open-row index counts, per bank, the queued reads and writes that
-//!   target the bank's open row: it is updated on push, on row-hit
-//!   removal and on every issued ACT or precharge. Debug builds recount
-//!   it after every update.
+//!   ([`BankedQueue`]), so each pass touches only banks that have queued
+//!   work and asks the DRAM device one legality question per pass, for a
+//!   whole bank set, instead of one per request. An open-row index
+//!   counts, per bank, the queued reads and writes that target the bank's
+//!   open row: it is updated on push, on row-hit removal and on every
+//!   issued ACT or precharge. Debug builds recount it after every update.
+//!
+//! Open rows are the device's to answer: every pass holds the
+//! [`DramDevice`] and reads a bank's open row
+//! ([`DramDevice::open_row_of`]) and the set of open banks
+//! ([`DramDevice::open_banks`]) from it, so the scheduler keeps no copy
+//! of the row buffers.
 //!
 //! The banked passes walk *bank sets*: `u64`s with one bit per bank of
-//! the channel, kept next to the structures they summarise (the banks
-//! with a queued request, the open banks, and per queue kind the banks
-//! whose open-row hit count is non-zero). The row-hit pass walks the hit
-//! set, the activation pass the queued banks that are not open, and the
-//! conflict-precharge pass the queued open banks whose row no request of
-//! either queue still wants. Each pass hands its set to
-//! [`DramDevice::legal_banks`], which answers from the device's ready-time
-//! tables which of those banks can take the pass's command now (and
-//! records the refused banks' retry cycles as per-bank checks would), and
+//! the channel (the banks with a queued request, the device's open banks,
+//! and per queue kind the banks whose open-row hit count is non-zero).
+//! The row-hit pass walks the hit set, the activation pass the queued
+//! banks that are not open, and the conflict-precharge pass the queued
+//! open banks whose row no request of either queue still wants. Each pass
+//! hands its set to [`DramDevice::legal_banks`], which answers which of
+//! those banks can take the pass's command now (and records the refused
+//! banks' retry cycles as per-bank checks would), and
 //! then walks only the legal banks, lowest bit first: the ascending bank
 //! order of a `0..banks` loop, so the defense consults are exactly those
 //! of such a loop. Legality is a bank-level fact, so the row-hit pass
@@ -54,7 +58,7 @@
 //! identical call sequence. `tests/tests/scheduler_equivalence.rs` pins
 //! this equivalence on randomized workloads.
 
-use crate::queues::{BankedQueue, OpenRowCache};
+use crate::queues::BankedQueue;
 use bh_types::{AccessType, Cycle, DramAddress, MemCommand, MemRequest, ReqId, ThreadId};
 use dram_sim::{banks_in, DramDevice};
 use mitigations::RowHammerDefense;
@@ -68,8 +72,8 @@ use serde::{Deserialize, Serialize};
 pub enum SchedulerPolicy {
     /// One flat vector per queue, re-scanned O(queue length) per pass.
     LinearScan,
-    /// Per-bank FIFO buckets with an open-row cache; passes touch only
-    /// banks that have work.
+    /// Per-bank FIFO buckets with an open-row hit index; passes touch
+    /// only banks that have work.
     #[default]
     BankedIndex,
 }
@@ -96,7 +100,6 @@ impl QueueRepr {
 pub(crate) struct Scheduler {
     read: QueueRepr,
     write: QueueRepr,
-    open_rows: OpenRowCache,
     /// Banked policy only: per global bank, the queued reads and writes
     /// (indexed by [`kind_index`]) that target the bank's open row.
     open_row_hits: Vec<[u32; 2]>,
@@ -130,7 +133,6 @@ impl Scheduler {
         Self {
             read: make(read_capacity),
             write: make(write_capacity),
-            open_rows: OpenRowCache::new(total_banks),
             open_row_hits: vec![[0; 2]; total_banks],
             hit_banks: [0; 2],
             act_cursors: Vec::new(),
@@ -164,8 +166,14 @@ impl Scheduler {
     /// Admits a request into its queue; `bank` is the request's global bank
     /// index.
     // lint: alloc-free
-    pub(crate) fn push(&mut self, kind: AccessType, bank: usize, request: MemRequest) {
-        let hits_open_row = self.open_rows.get(bank) == Some(request.dram_addr.row());
+    pub(crate) fn push(
+        &mut self,
+        kind: AccessType,
+        bank: usize,
+        request: MemRequest,
+        dram: &DramDevice,
+    ) {
+        let hits_open_row = dram.open_row_of(bank) == Some(request.dram_addr.row());
         match self.queue_mut(kind) {
             QueueRepr::Linear(q) => q.push(request),
             QueueRepr::Banked(q) => {
@@ -174,29 +182,29 @@ impl Scheduler {
                     self.open_row_hits[bank][kind_index(kind)] += 1;
                     self.hit_banks[kind_index(kind)] |= 1 << bank;
                 }
-                self.debug_check_open_row_hits(bank);
+                self.debug_check_open_row_hits(bank, dram);
             }
         }
     }
 
     /// Records the row-buffer effect of a command the controller issued on
-    /// `bank` (keeps the open-row cache, the open-row index and the bank
-    /// sets exact). Only an ACT or a PRE changes them, and only on `bank`
-    /// (a REF needs its rank's banks closed already), so debug builds
-    /// recount that bank alone.
+    /// `bank`, which `dram` already reflects (keeps the open-row index and
+    /// the hit sets exact). Only an ACT or a PRE changes them, and only on
+    /// `bank` (a REF needs its rank's banks closed already), so debug
+    /// builds recount that bank alone.
     // lint: alloc-free
-    pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, row: u64) {
-        self.open_rows.note_issue(cmd, bank, row);
+    pub(crate) fn note_issue(&mut self, cmd: MemCommand, bank: usize, dram: &DramDevice) {
         let (QueueRepr::Banked(reads), QueueRepr::Banked(writes)) = (&self.read, &self.write)
         else {
             return;
         };
         match cmd {
             MemCommand::Activate => {
+                let open = dram.open_row_of(bank);
                 let count = |q: &BankedQueue| {
                     q.bucket(bank)
                         .iter()
-                        .filter(|r| r.dram_addr.row() == row)
+                        .filter(|r| Some(r.dram_addr.row()) == open)
                         .count() as u32
                 };
                 self.open_row_hits[bank] = [count(reads), count(writes)];
@@ -214,19 +222,18 @@ impl Scheduler {
             }
             MemCommand::Read | MemCommand::Write | MemCommand::Refresh => {}
         }
-        self.debug_check_open_row_hits(bank);
+        self.debug_check_open_row_hits(bank, dram);
     }
 
     /// Debug builds: recounts `bank`'s open-row index and its bits in the
-    /// three bank sets (queued, open, hit) from the queues and the
-    /// open-row cache (a no-op under the linear policy and in release
-    /// builds).
-    fn debug_check_open_row_hits(&self, bank: usize) {
+    /// queued and hit bank sets from the queues and the device's open row
+    /// (a no-op under the linear policy and in release builds).
+    fn debug_check_open_row_hits(&self, bank: usize, dram: &DramDevice) {
         if !cfg!(debug_assertions) {
             return;
         }
         if let (QueueRepr::Banked(reads), QueueRepr::Banked(writes)) = (&self.read, &self.write) {
-            let open = self.open_rows.get(bank);
+            let open = dram.open_row_of(bank);
             let count = |q: &BankedQueue| {
                 q.bucket(bank)
                     .iter()
@@ -252,18 +259,7 @@ impl Scheduler {
                 ],
                 "queued set diverged from the buckets on bank {bank}"
             );
-            debug_assert_eq!(
-                bit(self.open_rows.open_banks()),
-                open.is_some(),
-                "open set diverged from the open-row cache on bank {bank}"
-            );
         }
-    }
-
-    /// The cached open row of a global bank (debug cross-checks).
-    #[cfg(debug_assertions)]
-    pub(crate) fn cached_open_row(&self, bank: usize) -> Option<u64> {
-        self.open_rows.get(bank)
     }
 
     /// Pass 1: removes and returns the oldest row-buffer hit whose column
@@ -298,7 +294,7 @@ impl Scheduler {
                 // every hit of the bank, and it comes before the walk.
                 let legal = dram.legal_banks(cmd, self.hit_banks[kind_index(kind)], now);
                 for bank in banks_in(legal) {
-                    let Some(open) = self.open_rows.get(bank) else {
+                    let Some(open) = dram.open_row_of(bank) else {
                         continue;
                     };
                     let Some((pos, request)) = q
@@ -324,7 +320,7 @@ impl Scheduler {
                 if *hits == 0 {
                     self.hit_banks[kind_index(kind)] &= !(1 << bank);
                 }
-                self.debug_check_open_row_hits(bank);
+                self.debug_check_open_row_hits(bank, dram);
                 Some(hit)
             }
         }
@@ -350,7 +346,7 @@ impl Scheduler {
         // one entry per bank — after the first few calls).
         let mut cursors = std::mem::take(&mut self.act_cursors);
         cursors.clear();
-        let open_banks = self.open_rows.open_banks();
+        let open_banks = dram.open_banks();
         let result = match self.queue_mut(kind) {
             QueueRepr::Linear(q) => 'linear: {
                 for request in q.iter_mut() {
@@ -457,7 +453,7 @@ impl Scheduler {
                 // Open banks with queued work, keeping a row open while any
                 // queued read or write still hits it.
                 let still_wanted = self.hit_banks[0] | self.hit_banks[1];
-                let conflicts = q.banks() & self.open_rows.open_banks() & !still_wanted;
+                let conflicts = q.banks() & dram.open_banks() & !still_wanted;
                 // PRE legality never depends on the row, so one answer per
                 // bank covers every conflicting request of the bank.
                 for bank in banks_in(dram.legal_banks(MemCommand::Precharge, conflicts, now)) {
@@ -516,11 +512,11 @@ mod tests {
         )
     }
 
-    /// Opens `row` in the device bank and mirrors it in the scheduler.
+    /// Opens `row` in the device bank and notes the ACT in the scheduler.
     fn open(s: &mut Scheduler, dram: &mut DramDevice, bg: usize, bank: usize, row: u64, at: u64) {
         let addr = DramAddress::new(0, 0, bg, bank, row, 0);
         dram.issue(MemCommand::Activate, &addr, at);
-        s.note_issue(MemCommand::Activate, bank_index(bg, bank), row);
+        s.note_issue(MemCommand::Activate, bank_index(bg, bank), dram);
     }
 
     #[test]
@@ -531,8 +527,18 @@ mod tests {
         open(&mut s, &mut dram, 0, 0, 10, 0);
         let t = *dram.timings();
         open(&mut s, &mut dram, 1, 0, 20, t.t_rrd_s);
-        s.push(AccessType::Read, bank_index(1, 0), request(5, 1, 0, 20));
-        s.push(AccessType::Read, bank_index(0, 0), request(6, 0, 0, 10));
+        s.push(
+            AccessType::Read,
+            bank_index(1, 0),
+            request(5, 1, 0, 20),
+            &dram,
+        );
+        s.push(
+            AccessType::Read,
+            bank_index(0, 0),
+            request(6, 0, 0, 10),
+            &dram,
+        );
         let now = t.t_rrd_s + t.t_rcd; // both column commands legal
         let hit = s.take_row_hit(AccessType::Read, now, &dram).unwrap();
         assert_eq!(hit.id, 5, "the oldest hit wins even in a later bank");
@@ -544,9 +550,24 @@ mod tests {
         let dram = device();
         let mut s = scheduler(SchedulerPolicy::BankedIndex);
         // Three requests to two precharged banks, ids out of bucket order.
-        s.push(AccessType::Read, bank_index(2, 1), request(1, 2, 1, 7));
-        s.push(AccessType::Read, bank_index(0, 0), request(2, 0, 0, 3));
-        s.push(AccessType::Read, bank_index(2, 1), request(3, 2, 1, 9));
+        s.push(
+            AccessType::Read,
+            bank_index(2, 1),
+            request(1, 2, 1, 7),
+            &dram,
+        );
+        s.push(
+            AccessType::Read,
+            bank_index(0, 0),
+            request(2, 0, 0, 3),
+            &dram,
+        );
+        s.push(
+            AccessType::Read,
+            bank_index(2, 1),
+            request(3, 2, 1, 9),
+            &dram,
+        );
         /// Vetoes the first two candidates it is shown.
         #[derive(Debug)]
         struct VetoFirstTwo(u32);
@@ -607,7 +628,12 @@ mod tests {
         open(&mut s, &mut dram, 1, 0, 30, t.t_rrd_s);
         // Bank (0,0): conflicting request, but row 10 is still wanted by a
         // queued write -> must not be precharged.
-        s.push(AccessType::Read, bank_index(0, 0), request(1, 0, 0, 11));
+        s.push(
+            AccessType::Read,
+            bank_index(0, 0),
+            request(1, 0, 0, 11),
+            &dram,
+        );
         s.push(
             AccessType::Write,
             bank_index(0, 0),
@@ -618,9 +644,15 @@ mod tests {
                 AccessType::Write,
                 2,
             ),
+            &dram,
         );
         // Bank (1,0): conflicting request, open row 30 wanted by nobody.
-        s.push(AccessType::Read, bank_index(1, 0), request(3, 1, 0, 31));
+        s.push(
+            AccessType::Read,
+            bank_index(1, 0),
+            request(3, 1, 0, 31),
+            &dram,
+        );
         let now = t.t_rrd_s + t.t_ras; // PRE legal in both banks
         let pre = s
             .pick_conflict_precharge(AccessType::Read, now, &dram)
@@ -629,9 +661,9 @@ mod tests {
         assert_eq!(pre.row(), 31);
     }
 
-    /// The banked scheduler's bank sets: queued reads, queued writes, open
-    /// banks, read hits and write hits.
-    fn bank_sets(s: &Scheduler) -> [u64; 5] {
+    /// The banked scheduler's bank sets and the device's open banks: queued
+    /// reads, queued writes, open banks, read hits and write hits.
+    fn bank_sets(s: &Scheduler, dram: &DramDevice) -> [u64; 5] {
         let queued = |q: &QueueRepr| match q {
             QueueRepr::Banked(q) => q.banks(),
             QueueRepr::Linear(_) => unreachable!("the banked policy"),
@@ -639,7 +671,7 @@ mod tests {
         [
             queued(&s.read),
             queued(&s.write),
-            s.open_rows.open_banks(),
+            dram.open_banks(),
             s.hit_banks[0],
             s.hit_banks[1],
         ]
@@ -654,29 +686,29 @@ mod tests {
         let (b, o) = (1 << bank, 1 << other);
         let mut write = request(2, 0, 0, 10);
         write.access = AccessType::Write;
-        s.push(AccessType::Read, bank, request(1, 0, 0, 10));
-        s.push(AccessType::Write, bank, write);
-        s.push(AccessType::Read, bank, request(3, 0, 0, 11));
-        s.push(AccessType::Read, other, request(4, 1, 2, 50));
+        s.push(AccessType::Read, bank, request(1, 0, 0, 10), &dram);
+        s.push(AccessType::Write, bank, write, &dram);
+        s.push(AccessType::Read, bank, request(3, 0, 0, 11), &dram);
+        s.push(AccessType::Read, other, request(4, 1, 2, 50), &dram);
         assert_eq!(
             s.open_row_hits[bank],
             [0, 0],
             "a precharged bank has no hits"
         );
-        assert_eq!(bank_sets(&s), [b | o, b, 0, 0, 0]);
+        assert_eq!(bank_sets(&s, &dram), [b | o, b, 0, 0, 0]);
         open(&mut s, &mut dram, 0, 0, 10, 0);
         assert_eq!(
             s.open_row_hits[bank],
             [1, 1],
             "an ACT counts the queued hits"
         );
-        assert_eq!(bank_sets(&s), [b | o, b, b, b, b]);
+        assert_eq!(bank_sets(&s, &dram), [b | o, b, b, b, b]);
         let t = *dram.timings();
         let hit = s.take_row_hit(AccessType::Read, t.t_rcd, &dram).unwrap();
         assert_eq!(hit.id, 1);
         assert_eq!(s.open_row_hits[bank], [0, 1]);
         assert_eq!(
-            bank_sets(&s),
+            bank_sets(&s, &dram),
             [b | o, b, b, 0, b],
             "the last read hit leaves the read hit set"
         );
@@ -688,24 +720,24 @@ mod tests {
         let row10 = DramAddress::new(0, 0, 0, 0, 10, 0);
         let pre_at = dram.earliest_issue(MemCommand::Precharge, &row10).unwrap();
         dram.issue(MemCommand::Precharge, &row10, pre_at);
-        s.note_issue(MemCommand::Precharge, bank, 10);
+        s.note_issue(MemCommand::Precharge, bank, &dram);
         assert_eq!(
             s.open_row_hits[bank],
             [0, 0],
             "a PRE clears the bank's hits"
         );
-        assert_eq!(bank_sets(&s), [b | o, b, 0, 0, 0]);
+        assert_eq!(bank_sets(&s, &dram), [b | o, b, 0, 0, 0]);
         let served = s.take_row_hit(AccessType::Write, pre_at, &dram);
         assert_eq!(served, None, "a precharged bank serves no hit");
         let act_at = dram.earliest_issue(MemCommand::Activate, &row10).unwrap();
         open(&mut s, &mut dram, 0, 0, 11, act_at);
-        assert_eq!(bank_sets(&s), [b | o, b, b, b, 0]);
+        assert_eq!(bank_sets(&s, &dram), [b | o, b, b, b, 0]);
         let hit = s
             .take_row_hit(AccessType::Read, act_at + t.t_rcd, &dram)
             .unwrap();
         assert_eq!(hit.id, 3);
         assert_eq!(
-            bank_sets(&s),
+            bank_sets(&s, &dram),
             [o, b, b, 0, 0],
             "an emptied bucket leaves the queued set"
         );
@@ -719,7 +751,7 @@ mod tests {
             let mut linear = scheduler(SchedulerPolicy::LinearScan);
             let mut banked = scheduler(SchedulerPolicy::BankedIndex);
             open(&mut linear, &mut dram, 0, 0, 10, 0);
-            banked.note_issue(MemCommand::Activate, bank_index(0, 0), 10);
+            banked.note_issue(MemCommand::Activate, bank_index(0, 0), &dram);
             for (id, (bg, bank, row)) in [(0, 0, 10), (1, 1, 5), (0, 0, 11), (3, 2, 10)]
                 .into_iter()
                 .enumerate()
@@ -727,7 +759,7 @@ mod tests {
                 for s in [&mut linear, &mut banked] {
                     let mut r = request(id as u64, bg, bank, row);
                     r.access = kind;
-                    s.push(kind, bank_index(bg, bank), r);
+                    s.push(kind, bank_index(bg, bank), r, &dram);
                 }
             }
             let now = dram.timings().t_rcd;
