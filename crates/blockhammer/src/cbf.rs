@@ -8,61 +8,30 @@
 //! fashion (the "unified Bloom filter" idea) give a rolling-window estimate
 //! that never forgets an aggressor (Section 3.1.1, Figure 3).
 //!
-//! This is the simulator's hottest data structure — every DRAM activation
-//! consults and updates it — so the implementation is tuned accordingly:
+//! Every DRAM activation consults and updates a filter, so insert and
+//! estimate are allocation-free: a row's counter indices are computed once
+//! into a stack [`IndexSet`] and shared by the blacklist test and both
+//! filters of a [`DualCountingBloomFilter`].
 //!
-//! * insert/estimate are allocation-free: a row's counter indices are
-//!   computed once into a stack [`IndexSet`] and shared by the blacklist
-//!   test and both filters of a [`DualCountingBloomFilter`];
-//! * epoch clears are O(1): counters carry a generation stamp instead of
-//!   being eagerly zeroed, so [`CountingBloomFilter::clear`] just bumps the
-//!   filter generation (a counter whose stamp is stale reads as zero);
-//! * catching up after a long idle gap is O(1): when more than one epoch
-//!   boundary passed since the last operation,
-//!   [`DualCountingBloomFilter::advance_to`] computes the final state
-//!   arithmetically instead of looping once per missed epoch.
-//!
-//! All of this is behaviour-preserving: the generation-stamped filter
-//! answers every query exactly as the eager-clear implementation would
-//! (`tests/tests/cbf_equivalence.rs` pins this against a reference
-//! reimplementation across epoch rollovers and reseeds).
+//! The counters are plain `u32`s, and an epoch boundary zeroes the active
+//! filter's array: Table 7 sizes a filter at 1K–8K counters (4–32 KiB).
+//! [`DualCountingBloomFilter::advance_to`] clears and swaps once for each
+//! boundary it crosses; BlockHammer reports every boundary as an event, so
+//! the controller crosses them one at a time. `tests/tests/cbf_equivalence.rs`
+//! pins every answer against a reference reimplementation across epoch
+//! rollovers and reseeds.
 
 use crate::hash::{H3HashFamily, IndexSet};
 use bh_types::Cycle;
 
-/// Packed filter counter layout: the saturating value in the low 32 bits,
-/// the generation stamp in the high 32 bits. A counter stamped with an
-/// older generation than the filter's current one has been lazily cleared
-/// and reads as zero.
-///
-/// Packing into a plain `u64` keeps the array a single 8-byte load per
-/// counter on the estimate path *and* lets `vec![0u64; size]` allocate
-/// it already zeroed. Table 7 sizes a filter at 1K–8K counters (8–64
-/// KiB), two filters per bank.
-/// [`CountingBloomFilter::clear`] eagerly flushes the array on the — in
-/// practice unreachable — stamp wraparound to keep stale stamps from ever
-/// aliasing the current generation.
-#[inline]
-fn unpack(counter: u64) -> (u32, u32) {
-    (counter as u32, (counter >> 32) as u32)
-}
-
-#[inline]
-fn pack(value: u32, stamp: u32) -> u64 {
-    (u64::from(stamp) << 32) | u64::from(value)
-}
-
-/// A counting Bloom filter with saturating counters and O(1) clears.
+/// A counting Bloom filter with saturating counters.
 #[derive(Debug, Clone)]
 pub struct CountingBloomFilter {
-    /// Packed `(stamp << 32) | value` counters; see [`pack`].
-    counters: Vec<u64>,
+    counters: Vec<u32>,
     hashes: H3HashFamily,
     /// Saturation value of each counter (the paper uses 12-13-bit counters
     /// sized to count up to the blacklisting threshold).
     saturation: u32,
-    /// Current generation; bumped by [`CountingBloomFilter::clear`].
-    generation: u32,
 }
 
 impl CountingBloomFilter {
@@ -80,7 +49,6 @@ impl CountingBloomFilter {
             counters: vec![0; size],
             hashes: H3HashFamily::new(hash_count, size, seed),
             saturation,
-            generation: 0,
         }
     }
 
@@ -107,18 +75,11 @@ impl CountingBloomFilter {
     /// [`CountingBloomFilter::index_set`] under the current seeds).
     // lint: alloc-free
     pub fn insert_at(&mut self, set: &IndexSet) {
-        let generation = self.generation;
-        let saturation = self.saturation;
         for &idx in set.as_slice() {
-            let (mut value, stamp) = unpack(self.counters[idx]);
-            if stamp != generation {
-                // Lazily apply the pending clear before counting.
-                value = 0;
+            let counter = &mut self.counters[idx];
+            if *counter < self.saturation {
+                *counter += 1;
             }
-            if value < saturation {
-                value += 1;
-            }
-            self.counters[idx] = pack(value, generation);
         }
     }
 
@@ -126,22 +87,7 @@ impl CountingBloomFilter {
     /// since the last clear (the minimum of its counters).
     // lint: alloc-free
     pub fn estimate(&self, row: u64) -> u32 {
-        // Pure queries skip the IndexSet materialization and stream the
-        // hash outputs straight into the min fold.
-        let generation = self.generation;
-        self.hashes
-            .indices(row)
-            .map(|idx| {
-                let (value, stamp) = unpack(self.counters[idx]);
-                if stamp == generation {
-                    value
-                } else {
-                    0
-                }
-            })
-            .min()
-            // lint: allow(panic-freedom) -- validated filter geometry guarantees at least one hash function
-            .expect("a filter has at least one hash function")
+        self.estimate_at(&self.index_set(row))
     }
 
     /// Estimates using a precomputed index set (must come from this
@@ -150,31 +96,17 @@ impl CountingBloomFilter {
     // lint: alloc-free
     pub fn estimate_at(&self, set: &IndexSet) -> u32 {
         debug_assert!(!set.is_empty(), "an index set holds at least one index");
-        let mut min = u32::MAX;
-        for &idx in set.as_slice() {
-            let (value, stamp) = unpack(self.counters[idx]);
-            min = min.min(if stamp == self.generation { value } else { 0 });
-        }
-        min
+        set.as_slice()
+            .iter()
+            .fold(u32::MAX, |min, &idx| min.min(self.counters[idx]))
     }
 
-    /// Clears every counter and re-seeds the hash functions so the filter's
+    /// Zeroes every counter and re-seeds the hash functions so the filter's
     /// aliasing pattern changes (preventing a benign row from being
     /// repeatedly victimized by aliasing with an aggressor).
-    ///
-    /// O(1) in the number of counters: the clear is recorded as a
-    /// generation bump and applied lazily on the next touch of each
-    /// counter. (Exception: once every `u32::MAX` clears the stamp space
-    /// wraps and the array is flushed eagerly so stale stamps can never
-    /// alias the current generation.)
     // lint: alloc-free
     pub fn clear(&mut self, reseed_value: u64) {
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Stamp wraparound: every counter is reset to (value 0,
-            // stamp 0), which reads as a current-generation zero.
-            self.counters.fill(0);
-        }
+        self.counters.fill(0);
         self.hashes.reseed(reseed_value);
     }
 }
@@ -266,24 +198,16 @@ impl DualCountingBloomFilter {
         }
     }
 
-    /// Advances epoch bookkeeping to `now`, clearing and swapping filters
-    /// for every epoch boundary that has passed. Returns `true` if at least
-    /// one swap happened (callers use this to swap their own
-    /// epoch-interleaved state, e.g. AttackThrottler counters).
-    ///
-    /// O(1) regardless of how many boundaries passed: a single missed epoch
-    /// takes the ordinary clear-and-swap step; two or more missed epochs
-    /// mean both filters end up cleared, so the final state (clear count,
-    /// active filter, each filter's last reseed) is computed directly.
+    /// Advances epoch bookkeeping to `now`: for each epoch boundary that
+    /// has passed, clears the active filter and swaps the roles. Returns
+    /// `true` if at least one swap happened (callers use this to swap
+    /// their own epoch-interleaved state, e.g. AttackThrottler counters).
     // lint: alloc-free
     pub fn advance_to(&mut self, now: Cycle) -> bool {
-        if now < self.next_swap {
-            return false;
-        }
-        let missed = (now - self.next_swap) / self.epoch_cycles + 1;
-        self.next_swap += missed * self.epoch_cycles;
-        self.clears += missed;
-        if missed == 1 {
+        let mut swapped = false;
+        while now >= self.next_swap {
+            self.next_swap += self.epoch_cycles;
+            self.clears += 1;
             let reseed = RESEED_BASE ^ self.clears;
             match self.active {
                 ActiveFilter::A => {
@@ -295,32 +219,9 @@ impl DualCountingBloomFilter {
                     self.active = ActiveFilter::A;
                 }
             }
-        } else {
-            // Two or more boundaries passed with no intervening insertions:
-            // both filters were cleared at least once. The filter cleared
-            // *last* is the one that is passive now (its reseed used the
-            // final clear count); the now-active filter's last clear was
-            // the one before it. An odd number of swaps flips the roles.
-            if missed % 2 == 1 {
-                self.active = match self.active {
-                    ActiveFilter::A => ActiveFilter::B,
-                    ActiveFilter::B => ActiveFilter::A,
-                };
-            }
-            let last_reseed = RESEED_BASE ^ self.clears;
-            let previous_reseed = RESEED_BASE ^ (self.clears - 1);
-            match self.active {
-                ActiveFilter::A => {
-                    self.filter_b.clear(last_reseed);
-                    self.filter_a.clear(previous_reseed);
-                }
-                ActiveFilter::B => {
-                    self.filter_a.clear(last_reseed);
-                    self.filter_b.clear(previous_reseed);
-                }
-            }
+            swapped = true;
         }
-        true
+        swapped
     }
 
     /// Inserts an activation of `row` at cycle `now` into both filters.
@@ -409,9 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn lazily_cleared_counters_count_again_after_a_clear() {
+    fn cleared_counters_count_again_after_a_clear() {
         // A counter touched before the clear must restart from zero when
-        // touched again afterwards (the lazy clear applies on first touch).
+        // touched again afterwards.
         let mut cbf = CountingBloomFilter::new(64, 1, 1000, 3);
         for _ in 0..10 {
             cbf.insert(5);
@@ -511,8 +412,8 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_catchup_matches_stepping_epoch_by_epoch() {
-        // Jumping over many epoch boundaries at once must land in exactly
+    fn a_multi_epoch_jump_matches_stepping_epoch_by_epoch() {
+        // Jumping over many epoch boundaries in one call must land in exactly
         // the state that stepping over every boundary produces: same clear
         // count, same active filter, same hash seeds (therefore identical
         // estimates after fresh insertions).

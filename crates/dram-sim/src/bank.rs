@@ -71,27 +71,14 @@ impl Bank {
         }
     }
 
-    /// Whether `cmd` targeting `row` may be issued at `now` per this bank's
-    /// constraints.
-    pub(crate) fn can_issue(&self, cmd: MemCommand, row: u64, now: Cycle) -> bool {
-        self.earliest_issue(cmd, row).is_some_and(|t| t <= now)
-    }
-
     /// Applies `cmd` at cycle `now`, updating state and future constraints.
     /// A REF is applied to every bank of its rank: it holds off their
     /// ACTs for `tRFC`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the command is not legal at `now` (callers must check
-    /// [`Bank::can_issue`] first); issuing an illegal command would silently
-    /// corrupt timing bookkeeping.
+    /// The command must be legal at `now`: `DramDevice::issue` checks this
+    /// bank's [`Bank::earliest_issue`] (every bank of the rank for a REF)
+    /// before it applies the command here.
     pub(crate) fn issue(&mut self, cmd: MemCommand, row: u64, now: Cycle, t: &TimingsInCycles) {
-        assert!(
-            self.can_issue(cmd, row, now),
-            "illegal {cmd} to row {row} at cycle {now} with open row {:?}",
-            self.open_row
-        );
         match cmd {
             MemCommand::Activate => {
                 self.open_row = Some(row);
@@ -128,13 +115,19 @@ mod tests {
         crate::DramTimings::ddr4_2400().into_cycles(&TimeConverter::default())
     }
 
+    /// Whether `cmd` targeting `row` may be issued at `now` per the bank's
+    /// own constraints.
+    fn can_issue(b: &Bank, cmd: MemCommand, row: u64, now: Cycle) -> bool {
+        b.earliest_issue(cmd, row).is_some_and(|t| t <= now)
+    }
+
     #[test]
     fn fresh_bank_allows_only_activate_and_precharge() {
         let b = Bank::default();
-        assert!(b.can_issue(MemCommand::Activate, 5, 0));
-        assert!(b.can_issue(MemCommand::Precharge, 5, 0));
-        assert!(!b.can_issue(MemCommand::Read, 5, 0));
-        assert!(!b.can_issue(MemCommand::Write, 5, 0));
+        assert!(can_issue(&b, MemCommand::Activate, 5, 0));
+        assert!(can_issue(&b, MemCommand::Precharge, 5, 0));
+        assert!(!can_issue(&b, MemCommand::Read, 5, 0));
+        assert!(!can_issue(&b, MemCommand::Write, 5, 0));
     }
 
     #[test]
@@ -143,16 +136,19 @@ mod tests {
         let mut b = Bank::default();
         b.issue(MemCommand::Activate, 7, 0, &t);
         assert_eq!(b.open_row(), Some(7));
-        assert!(!b.can_issue(MemCommand::Activate, 8, 1), "row already open");
+        assert!(
+            !can_issue(&b, MemCommand::Activate, 8, 1),
+            "row already open"
+        );
         // Even after precharging, an ACT-to-ACT gap of at least tRC (and of
         // tRAS + tRP, which can exceed tRC by a cycle due to rounding) is
         // enforced.
-        assert!(b.can_issue(MemCommand::Precharge, 7, t.t_ras));
+        assert!(can_issue(&b, MemCommand::Precharge, 7, t.t_ras));
         b.issue(MemCommand::Precharge, 7, t.t_ras, &t);
-        assert!(!b.can_issue(MemCommand::Activate, 8, t.t_rc - 1));
+        assert!(!can_issue(&b, MemCommand::Activate, 8, t.t_rc - 1));
         let next_act = b.earliest_issue(MemCommand::Activate, 8).unwrap();
         assert!(next_act >= t.t_rc && next_act <= (t.t_ras + t.t_rp).max(t.t_rc));
-        assert!(b.can_issue(MemCommand::Activate, 8, next_act));
+        assert!(can_issue(&b, MemCommand::Activate, 8, next_act));
     }
 
     #[test]
@@ -160,9 +156,9 @@ mod tests {
         let t = timings();
         let mut b = Bank::default();
         b.issue(MemCommand::Activate, 7, 0, &t);
-        assert!(!b.can_issue(MemCommand::Read, 7, t.t_rcd - 1));
-        assert!(b.can_issue(MemCommand::Read, 7, t.t_rcd));
-        assert!(!b.can_issue(MemCommand::Read, 8, t.t_rcd), "wrong row");
+        assert!(!can_issue(&b, MemCommand::Read, 7, t.t_rcd - 1));
+        assert!(can_issue(&b, MemCommand::Read, 7, t.t_rcd));
+        assert!(!can_issue(&b, MemCommand::Read, 8, t.t_rcd), "wrong row");
     }
 
     #[test]
@@ -170,8 +166,8 @@ mod tests {
         let t = timings();
         let mut b = Bank::default();
         b.issue(MemCommand::Activate, 1, 0, &t);
-        assert!(!b.can_issue(MemCommand::Precharge, 1, t.t_ras - 1));
-        assert!(b.can_issue(MemCommand::Precharge, 1, t.t_ras));
+        assert!(!can_issue(&b, MemCommand::Precharge, 1, t.t_ras - 1));
+        assert!(can_issue(&b, MemCommand::Precharge, 1, t.t_ras));
     }
 
     #[test]
@@ -182,8 +178,8 @@ mod tests {
         let wr_at = t.t_rcd;
         b.issue(MemCommand::Write, 1, wr_at, &t);
         let pre_earliest = wr_at + t.t_cwl + t.t_bl + t.t_wr;
-        assert!(!b.can_issue(MemCommand::Precharge, 1, pre_earliest - 1));
-        assert!(b.can_issue(MemCommand::Precharge, 1, pre_earliest));
+        assert!(!can_issue(&b, MemCommand::Precharge, 1, pre_earliest - 1));
+        assert!(can_issue(&b, MemCommand::Precharge, 1, pre_earliest));
     }
 
     #[test]
@@ -225,13 +221,5 @@ mod tests {
         b.issue(MemCommand::Activate, 2, act2, &t);
         b.close_accounting(act2 + 100);
         assert_eq!(b.active_cycles(), t.t_ras + 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "illegal")]
-    fn issuing_illegal_command_panics() {
-        let t = timings();
-        let mut b = Bank::default();
-        b.issue(MemCommand::Read, 3, 0, &t);
     }
 }

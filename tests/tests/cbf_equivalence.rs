@@ -1,17 +1,16 @@
-//! Equivalence of the generation-stamped dual counting Bloom filter and
-//! the eager-clear reference implementation.
+//! Equivalence of the production dual counting Bloom filter and a
+//! reference implementation.
 //!
-//! PR 3 made the production `DualCountingBloomFilter` lazy: epoch clears
-//! bump a per-filter generation instead of zeroing the counter array, a
-//! row's H3 index set is computed once per operation and shared, and
-//! catching up over many missed epochs is done arithmetically instead of
-//! once per boundary. None of that may change a single answer. This suite
-//! drives the production filter and a straightforward eager-clear
-//! reimplementation (the PR 2 semantics, rebuilt here from the public
-//! `H3HashFamily`) through identical operation sequences — including epoch
-//! rollovers, multi-epoch idle gaps and the reseeds they trigger — and
-//! asserts that every `estimate` / `is_blacklisted` answer and the clear
-//! count agree exactly.
+//! The production `DualCountingBloomFilter` computes a row's H3 index set
+//! once per operation and shares it between the blacklist test and both
+//! filters, and answers `estimate` through that index set. None of that may
+//! change a single answer. This suite drives the production filter and a
+//! straightforward reference reimplementation (the original eager-clear
+//! semantics, rebuilt here from the public `H3HashFamily`, with a fresh
+//! index vector per operation) through identical operation sequences —
+//! including epoch rollovers, multi-epoch idle gaps and the reseeds they
+//! trigger — and asserts that every `estimate` / `is_blacklisted` answer
+//! and the clear count agree exactly.
 
 use bh_types::Cycle;
 use blockhammer::{DualCountingBloomFilter, H3HashFamily};
@@ -21,15 +20,15 @@ use proptest::prelude::*;
 /// part of Bloom-filter behaviour) happens often.
 const ROW_UNIVERSE: u64 = 64;
 
-/// An eager-clear counting Bloom filter: the PR 2 implementation, kept
-/// verbatim as the reference semantics.
-struct EagerCbf {
+/// An eager-clear counting Bloom filter: the original implementation,
+/// kept verbatim as the reference semantics.
+struct ReferenceCbf {
     counters: Vec<u32>,
     hashes: H3HashFamily,
     saturation: u32,
 }
 
-impl EagerCbf {
+impl ReferenceCbf {
     fn new(size: usize, hash_count: usize, saturation: u32, seed: u64) -> Self {
         Self {
             counters: vec![0; size],
@@ -63,11 +62,11 @@ impl EagerCbf {
     }
 }
 
-/// The eager-clear dual filter: clears and swaps by stepping over every
-/// epoch boundary individually, exactly as PR 2 did.
-struct EagerDualCbf {
-    filter_a: EagerCbf,
-    filter_b: EagerCbf,
+/// The reference dual filter: clears and swaps by stepping over every
+/// epoch boundary individually.
+struct ReferenceDualCbf {
+    filter_a: ReferenceCbf,
+    filter_b: ReferenceCbf,
     active_is_a: bool,
     epoch_cycles: Cycle,
     next_swap: Cycle,
@@ -75,7 +74,7 @@ struct EagerDualCbf {
     clears: u64,
 }
 
-impl EagerDualCbf {
+impl ReferenceDualCbf {
     fn new(
         size: usize,
         hash_count: usize,
@@ -85,8 +84,8 @@ impl EagerDualCbf {
     ) -> Self {
         let saturation = blacklist_threshold.saturating_add(1);
         Self {
-            filter_a: EagerCbf::new(size, hash_count, saturation, seed),
-            filter_b: EagerCbf::new(size, hash_count, saturation, seed ^ 0x5555),
+            filter_a: ReferenceCbf::new(size, hash_count, saturation, seed),
+            filter_b: ReferenceCbf::new(size, hash_count, saturation, seed ^ 0x5555),
             active_is_a: true,
             epoch_cycles: epoch_cycles.max(1),
             next_swap: epoch_cycles.max(1),
@@ -132,13 +131,13 @@ impl EagerDualCbf {
 enum Op {
     /// Insert a row after a (possibly multi-epoch) time step.
     Insert { delta: Cycle, row: u64 },
-    /// Advance time only (exercises the pure catch-up path).
+    /// Advance time only (exercises clears without insertions).
     Advance { delta: Cycle },
 }
 
 /// Decodes raw words into an operation sequence. Time deltas mix dense
 /// activity (a few hundred cycles) with idle gaps spanning many epochs so
-/// that both the single-swap and the arithmetic catch-up path run.
+/// that both single swaps and jumps over many boundaries run.
 fn decode_ops(words: &[u64], epoch: Cycle) -> Vec<Op> {
     words
         .iter()
@@ -164,36 +163,39 @@ fn decode_ops(words: &[u64], epoch: Cycle) -> Vec<Op> {
 /// Runs one operation sequence through both implementations and asserts
 /// full agreement after every step.
 fn assert_equivalent(words: &[u64], size: usize, threshold: u32, epoch: Cycle, seed: u64) {
-    let mut lazy = DualCountingBloomFilter::new(size, 4, threshold, epoch, seed);
-    let mut eager = EagerDualCbf::new(size, 4, threshold, epoch, seed);
+    let mut production = DualCountingBloomFilter::new(size, 4, threshold, epoch, seed);
+    let mut reference = ReferenceDualCbf::new(size, 4, threshold, epoch, seed);
     let mut now: Cycle = 0;
     for op in decode_ops(words, epoch) {
         match op {
             Op::Insert { delta, row } => {
                 now += delta;
-                lazy.insert(now, row);
-                eager.insert(now, row);
+                production.insert(now, row);
+                reference.insert(now, row);
             }
             Op::Advance { delta } => {
                 now += delta;
-                lazy.advance_to(now);
-                eager.advance_to(now);
+                production.advance_to(now);
+                reference.advance_to(now);
             }
         }
         assert_eq!(
-            lazy.clears(),
-            eager.clears,
+            production.clears(),
+            reference.clears,
             "clear counts diverged at cycle {now}"
         );
         for row in 0..ROW_UNIVERSE {
             assert_eq!(
-                lazy.estimate(row),
-                eager.estimate(row),
+                production.estimate(row),
+                reference.estimate(row),
                 "estimates diverged for row {row} at cycle {now} \
                  (clears = {})",
-                eager.clears
+                reference.clears
             );
-            assert_eq!(lazy.is_blacklisted(row), eager.is_blacklisted(row));
+            assert_eq!(
+                production.is_blacklisted(row),
+                reference.is_blacklisted(row)
+            );
         }
     }
 }
@@ -202,7 +204,7 @@ fn assert_equivalent(words: &[u64], size: usize, threshold: u32, epoch: Cycle, s
 /// with aggressors that are blacklisted, forgotten after idle gaps, and
 /// re-blacklisted under reseeded hash functions.
 #[test]
-fn lazy_and_eager_filters_agree_on_a_dense_mixed_sequence() {
+fn production_and_reference_filters_agree_on_a_dense_mixed_sequence() {
     let words: Vec<u64> = (1..600u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23))
         .collect();
@@ -212,7 +214,7 @@ fn lazy_and_eager_filters_agree_on_a_dense_mixed_sequence() {
 /// A tiny threshold makes blacklisting (and the saturation plateau) easy
 /// to reach, so the agreement covers saturated counters too.
 #[test]
-fn lazy_and_eager_filters_agree_under_heavy_saturation() {
+fn production_and_reference_filters_agree_under_heavy_saturation() {
     let words: Vec<u64> = (1..400u64)
         .map(|i| i.wrapping_mul(0xD134_2543_DE82_EF95).rotate_left(11))
         .collect();
@@ -222,9 +224,9 @@ fn lazy_and_eager_filters_agree_under_heavy_saturation() {
 proptest! {
     /// Random operation sequences (inserts, small steps, multi-epoch idle
     /// gaps) produce identical estimates, blacklist answers and clear
-    /// counts in the generation-stamped and the eager-clear filter.
+    /// counts in the production and the reference filter.
     #[test]
-    fn lazy_filter_answers_exactly_like_the_eager_filter(
+    fn production_filter_answers_exactly_like_the_reference_filter(
         words in proptest::collection::vec(0u64..u64::MAX, 1..120),
         seed in 0u64..1_000,
     ) {

@@ -5,6 +5,7 @@
 //! must emit byte-identical CSV/JSON in both modes.
 
 use bh_types::{Cycle, DramAddress, ThreadId, TraceRecord};
+use blockhammer::BlockHammer;
 use campaign::{execute, CampaignSpec};
 use integration_tests::all_defenses;
 use memctrl::MemCtrlConfig;
@@ -391,6 +392,45 @@ fn a_fetch_queued_after_admission_is_admitted_next_cycle() {
         "the load finished at cycle {}",
         event.threads[0].cycles
     );
+}
+
+#[test]
+fn every_epoch_boundary_gets_its_own_tick() {
+    // BlockHammer clears one filter per bank and swaps its AttackThrottler
+    // counters once for each call that crosses an epoch boundary, so a
+    // tick that crossed two boundaries would count one swap and merge two
+    // throttler swaps. At this time scale an epoch (12,500 cycles) is
+    // shorter than the refresh interval, and the run idles through most
+    // of its epochs: only BlockHammer's `next_event` stops the clock at
+    // each boundary.
+    for advance in [AdvanceMode::Lockstep, AdvanceMode::EventDriven] {
+        let (result, defenses) = quick_builder(13, 1)
+            .defense(DefenseKind::BlockHammer)
+            .advance_mode(advance)
+            .min_cycles(125_000)
+            .add_workload(SyntheticSpec::low_intensity("l0", 0), 1_000)
+            .build()
+            .run_into_parts();
+        for defense in &defenses {
+            let blockhammer = defense
+                .as_ref()
+                .as_any()
+                .downcast_ref::<BlockHammer>()
+                .expect("every channel runs BlockHammer");
+            let epoch = blockhammer.config().epoch_cycles();
+            assert!(
+                result.total_cycles >= 8 * epoch,
+                "{} cycles of {epoch}-cycle epochs",
+                result.total_cycles
+            );
+            assert_eq!(
+                blockhammer.blockhammer_stats().epoch_swaps,
+                result.total_cycles / epoch,
+                "{advance:?}: {} cycles of {epoch}-cycle epochs",
+                result.total_cycles
+            );
+        }
+    }
 }
 
 #[test]
