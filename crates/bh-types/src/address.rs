@@ -1,14 +1,10 @@
-//! Decoded DRAM addresses and physical-address-to-DRAM mapping schemes.
+//! Decoded DRAM addresses and the physical-address-to-DRAM mapping.
 //!
 //! The memory controller translates a flat physical byte address into a
-//! `(channel, rank, bank group, bank, row, column)` tuple. Two mapping
-//! schemes are provided:
-//!
-//! * [`AddressMapping::RoBaRaCoCh`] — the classic row:bank:rank:column:channel
-//!   interleaving.
-//! * [`AddressMapping::Mop`] — the "minimalist open page" (MOP) scheme used
-//!   by the paper's simulated system (Table 5), which interleaves a small
-//!   block of consecutive cache lines in the same row across banks.
+//! `(channel, rank, bank group, bank, row, column)` tuple with
+//! [`AddressMapping::Mop`], the "minimalist open page" (MOP) scheme of
+//! the paper's simulated system (Table 5), which interleaves a small
+//! block of consecutive cache lines in the same row across banks.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -214,8 +210,6 @@ fn total_lines(geometry: &AddressMappingGeometry) -> u64 {
 /// Physical-address-to-DRAM-coordinate mapping scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AddressMapping {
-    /// Row : Rank : BankGroup : Bank : Column : Channel (row bits on top).
-    RoBaRaCoCh,
     /// Minimalist Open Page (MOP): interleaves `mop_lines` consecutive cache
     /// lines within a row, then rotates across banks, maximising bank-level
     /// parallelism while preserving short bursts of row locality.
@@ -235,8 +229,7 @@ impl Default for AddressMapping {
 impl AddressMapping {
     /// The channel a physical byte address routes to.
     ///
-    /// Both mapping schemes interleave channels on the lowest line-index
-    /// bits, so the channel can be extracted without a full decode. This is
+    /// The mapping interleaves channels on the lowest line-index bits, so the channel can be extracted without a full decode. This is
     /// what a channel-sharded memory subsystem uses to pick the shard; it
     /// always agrees with [`AddressMapping::decode`]'s `channel()`.
     pub fn channel_of(&self, geometry: &AddressMappingGeometry, phys_addr: u64) -> usize {
@@ -276,40 +269,22 @@ impl AddressMapping {
         let (line, _) = div_rem(phys_addr, geometry.line_bytes);
         let (_, line) = div_rem(line, total_lines(geometry));
         let (x, channel) = div_rem(line, geometry.channels as u64);
-        match *self {
-            AddressMapping::RoBaRaCoCh => {
-                let (x, column) = div_rem(x, geometry.columns);
-                let (x, bank) = div_rem(x, geometry.banks_per_group as u64);
-                let (x, bank_group) = div_rem(x, geometry.bank_groups as u64);
-                let (x, rank) = div_rem(x, geometry.ranks as u64);
-                let (_, row) = div_rem(x, geometry.rows);
-                DramAddress::new(
-                    channel as usize,
-                    rank as usize,
-                    bank_group as usize,
-                    bank as usize,
-                    row,
-                    column,
-                )
-            }
-            AddressMapping::Mop { mop_lines } => {
-                let mop = mop_lines.max(1);
-                let (x, col_lo) = div_rem(x, mop);
-                let (x, bank) = div_rem(x, geometry.banks_per_group as u64);
-                let (x, bank_group) = div_rem(x, geometry.bank_groups as u64);
-                let (x, rank) = div_rem(x, geometry.ranks as u64);
-                let (x, col_hi) = div_rem(x, div_rem(geometry.columns, mop).0.max(1));
-                let (_, row) = div_rem(x, geometry.rows);
-                DramAddress::new(
-                    channel as usize,
-                    rank as usize,
-                    bank_group as usize,
-                    bank as usize,
-                    row,
-                    col_hi * mop + col_lo,
-                )
-            }
-        }
+        let AddressMapping::Mop { mop_lines } = *self;
+        let mop = mop_lines.max(1);
+        let (x, col_lo) = div_rem(x, mop);
+        let (x, bank) = div_rem(x, geometry.banks_per_group as u64);
+        let (x, bank_group) = div_rem(x, geometry.bank_groups as u64);
+        let (x, rank) = div_rem(x, geometry.ranks as u64);
+        let (x, col_hi) = div_rem(x, div_rem(geometry.columns, mop).0.max(1));
+        let (_, row) = div_rem(x, geometry.rows);
+        DramAddress::new(
+            channel as usize,
+            rank as usize,
+            bank_group as usize,
+            bank as usize,
+            row,
+            col_hi * mop + col_lo,
+        )
     }
 
     /// Encodes DRAM coordinates back into a physical byte address.
@@ -317,28 +292,17 @@ impl AddressMapping {
     /// `encode` is the inverse of [`AddressMapping::decode`] for addresses
     /// within the geometry's capacity, which property-based tests verify.
     pub fn encode(&self, geometry: &AddressMappingGeometry, addr: &DramAddress) -> u64 {
-        let line = match *self {
-            AddressMapping::RoBaRaCoCh => {
-                let mut x = addr.row();
-                x = x * geometry.ranks as u64 + addr.rank() as u64;
-                x = x * geometry.bank_groups as u64 + addr.bank_group() as u64;
-                x = x * geometry.banks_per_group as u64 + addr.bank() as u64;
-                x = x * geometry.columns + addr.column();
-                x * geometry.channels as u64 + addr.channel() as u64
-            }
-            AddressMapping::Mop { mop_lines } => {
-                let mop = mop_lines.max(1);
-                let col_hi = addr.column() / mop;
-                let col_lo = addr.column() % mop;
-                let mut x = addr.row();
-                x = x * (geometry.columns / mop).max(1) + col_hi;
-                x = x * geometry.ranks as u64 + addr.rank() as u64;
-                x = x * geometry.bank_groups as u64 + addr.bank_group() as u64;
-                x = x * geometry.banks_per_group as u64 + addr.bank() as u64;
-                x = x * mop + col_lo;
-                x * geometry.channels as u64 + addr.channel() as u64
-            }
-        };
+        let AddressMapping::Mop { mop_lines } = *self;
+        let mop = mop_lines.max(1);
+        let col_hi = addr.column() / mop;
+        let col_lo = addr.column() % mop;
+        let mut x = addr.row();
+        x = x * (geometry.columns / mop).max(1) + col_hi;
+        x = x * geometry.ranks as u64 + addr.rank() as u64;
+        x = x * geometry.bank_groups as u64 + addr.bank_group() as u64;
+        x = x * geometry.banks_per_group as u64 + addr.bank() as u64;
+        x = x * mop + col_lo;
+        let line = x * geometry.channels as u64 + addr.channel() as u64;
         line * geometry.line_bytes
     }
 }
@@ -385,17 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn robaracoch_spreads_lines_across_columns_first() {
-        let m = AddressMapping::RoBaRaCoCh;
-        let g = geom();
-        let a0 = m.decode(&g, 0);
-        let a1 = m.decode(&g, 64);
-        assert_eq!(a0.row(), a1.row());
-        assert_eq!(a0.bank(), a1.bank());
-        assert_eq!(a1.column(), a0.column() + 1);
-    }
-
-    #[test]
     fn neighbor_row_respects_bank_bounds() {
         let a = DramAddress::new(0, 0, 0, 0, 0, 0);
         assert!(a.neighbor_row(-1, 65_536).is_none());
@@ -428,14 +381,10 @@ mod tests {
     fn channel_of_agrees_with_decode_for_multi_channel_geometries() {
         for channels in [1usize, 2, 4] {
             let g = AddressMappingGeometry { channels, ..geom() };
-            for m in [
-                AddressMapping::Mop { mop_lines: 4 },
-                AddressMapping::RoBaRaCoCh,
-            ] {
-                for line in 0..4096u64 {
-                    let phys = line * 64;
-                    assert_eq!(m.channel_of(&g, phys), m.decode(&g, phys).channel());
-                }
+            let m = AddressMapping::Mop { mop_lines: 4 };
+            for line in 0..4096u64 {
+                let phys = line * 64;
+                assert_eq!(m.channel_of(&g, phys), m.decode(&g, phys).channel());
             }
         }
     }
@@ -447,23 +396,19 @@ mod tests {
             let local_geom = g.per_channel();
             assert_eq!(local_geom.channels, 1);
             assert_eq!(local_geom.banks_per_channel(), g.banks_per_channel());
-            for m in [
-                AddressMapping::Mop { mop_lines: 4 },
-                AddressMapping::RoBaRaCoCh,
-            ] {
-                for line in 0..4096u64 {
-                    let phys = line * 64 + 8;
-                    let full = m.decode(&g, phys);
-                    let (channel, local_phys) = m.to_channel_local(&g, phys);
-                    assert_eq!(channel, full.channel());
-                    let local = m.decode(&local_geom, local_phys);
-                    assert_eq!(local.channel(), 0);
-                    assert_eq!(local.rank(), full.rank());
-                    assert_eq!(local.bank_group(), full.bank_group());
-                    assert_eq!(local.bank(), full.bank());
-                    assert_eq!(local.row(), full.row());
-                    assert_eq!(local.column(), full.column());
-                }
+            let m = AddressMapping::Mop { mop_lines: 4 };
+            for line in 0..4096u64 {
+                let phys = line * 64 + 8;
+                let full = m.decode(&g, phys);
+                let (channel, local_phys) = m.to_channel_local(&g, phys);
+                assert_eq!(channel, full.channel());
+                let local = m.decode(&local_geom, local_phys);
+                assert_eq!(local.channel(), 0);
+                assert_eq!(local.rank(), full.rank());
+                assert_eq!(local.bank_group(), full.bank_group());
+                assert_eq!(local.bank(), full.bank());
+                assert_eq!(local.row(), full.row());
+                assert_eq!(local.column(), full.column());
             }
         }
     }
@@ -488,26 +433,15 @@ mod tests {
         }
 
         #[test]
-        fn decode_encode_round_trips_robaracoch(line in 0u64..(8u64 << 30) / 64) {
-            let g = geom();
-            let m = AddressMapping::RoBaRaCoCh;
-            let phys = line * 64;
-            let decoded = m.decode(&g, phys);
-            prop_assert_eq!(m.encode(&g, &decoded), phys);
-        }
-
-        #[test]
         fn decoded_coordinates_are_in_range(addr in 0u64..(8u64 << 30)) {
             let g = geom();
-            for m in [AddressMapping::Mop { mop_lines: 4 }, AddressMapping::RoBaRaCoCh] {
-                let d = m.decode(&g, addr);
-                prop_assert!(d.channel() < g.channels);
-                prop_assert!(d.rank() < g.ranks);
-                prop_assert!(d.bank_group() < g.bank_groups);
-                prop_assert!(d.bank() < g.banks_per_group);
-                prop_assert!(d.row() < g.rows);
-                prop_assert!(d.column() < g.columns);
-            }
+            let d = AddressMapping::Mop { mop_lines: 4 }.decode(&g, addr);
+            prop_assert!(d.channel() < g.channels);
+            prop_assert!(d.rank() < g.ranks);
+            prop_assert!(d.bank_group() < g.bank_groups);
+            prop_assert!(d.bank() < g.banks_per_group);
+            prop_assert!(d.row() < g.rows);
+            prop_assert!(d.column() < g.columns);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! Every other crate in the workspace (the DRAM device model, the memory
 //! controller, the RowHammer defenses, the full-system harness) speaks in
 //! terms of the types defined here: the thread identifier; decoded DRAM
-//! addresses and the address mappings; DRAM bus commands; memory requests;
+//! addresses and the MOP address mapping; DRAM bus commands; memory requests;
 //! clock/time conversion helpers; and the fixed integer hasher behind the
 //! simulator's per-request maps.
 //!

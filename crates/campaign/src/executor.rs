@@ -281,11 +281,13 @@ impl CampaignReport {
     }
 }
 
-/// A sensible default worker count for [`execute`] on this machine: all
-/// available hardware threads minus one (keeping the calling/collecting
-/// thread responsive), i.e. 0 — sequential — on a single-core machine.
+/// A sensible default worker count for [`execute`] on this machine: one
+/// worker per available hardware thread. The calling thread only collects
+/// results and runs no simulation, so it needs no thread of its own. One
+/// hardware thread (or an unknown count) gives 1 worker, which runs the
+/// campaign sequentially.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(0, |n| n.get().saturating_sub(1))
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// The stand-alone IPC reference table: one entry per distinct (benign

@@ -1,10 +1,10 @@
 //! `bh-lint`: a dependency-free static-analysis pass enforcing the
 //! workspace's determinism and hot-path invariants.
 //!
-//! Every performance PR in this repository stakes its correctness on
-//! bit-identical results across scheduler policies, advance modes and
-//! worker counts — the property BlockHammer's blacklisting-threshold
-//! math (and therefore the paper's security argument) rests on. This
+//! Every performance change in this repository stakes its correctness
+//! on bit-identical results across advance modes and worker counts —
+//! the property BlockHammer's blacklisting-threshold math (and therefore
+//! the paper's security argument) rests on. This
 //! crate mechanizes the rules that protect that property instead of
 //! defending it only with after-the-fact equivalence tests:
 //!

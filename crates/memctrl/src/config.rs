@@ -1,6 +1,5 @@
 //! Memory controller configuration.
 
-use crate::scheduler::SchedulerPolicy;
 use bh_types::{AddressMapping, ConfigError, Cycle, TimeConverter};
 use dram_sim::{DramOrganization, DramTimings};
 use serde::{Deserialize, Serialize};
@@ -34,10 +33,6 @@ pub struct MemCtrlConfig {
     /// simulation cycles (the DDR4 command bus runs slower than the CPU
     /// clock).
     pub command_bus_interval: Cycle,
-    /// How the FR-FCFS scheduling passes scan the demand queues. The two
-    /// policies make identical decisions; [`SchedulerPolicy::LinearScan`]
-    /// exists only as the oracle of the scheduler equivalence test.
-    pub scheduler: SchedulerPolicy,
 }
 
 impl Default for MemCtrlConfig {
@@ -54,7 +49,6 @@ impl Default for MemCtrlConfig {
             write_drain_high: 48,
             write_drain_low: 16,
             command_bus_interval: 3,
-            scheduler: SchedulerPolicy::default(),
         }
     }
 }

@@ -137,16 +137,10 @@ impl MemoryController {
         let timings = config.timings.into_cycles(&config.clock);
         let dram = DramDevice::new(config.organization, timings);
         let ranks = config.organization.ranks;
-        let scheduler = Scheduler::new(
-            config.scheduler,
-            config.organization.total_banks(),
-            config.read_queue_capacity,
-            config.write_queue_capacity,
-        );
         Self {
             timings,
             dram,
-            scheduler,
+            scheduler: Scheduler::new(config.organization.total_banks()),
             victim_queue: Vec::new(),
             pending_completions: Vec::new(),
             next_completion: Cycle::MAX,

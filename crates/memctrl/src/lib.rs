@@ -20,11 +20,10 @@
 //! * on request admission (`inflight_quota`) — AttackThrottler-style
 //!   defenses bound a thread's in-flight requests per bank.
 //!
-//! The FR-FCFS scheduling passes run over per-bank indexed queues by
-//! default ([`SchedulerPolicy::BankedIndex`]); the flat
-//! [`SchedulerPolicy::LinearScan`] reference implementation makes
-//! bit-identical decisions and is kept only as the oracle of the
-//! scheduler equivalence test (see the `scheduler` module docs).
+//! One FR-FCFS scheduler serves both demand queues. Its passes run over
+//! per-bank indexed queues and answer exactly as a flat scan of each
+//! queue in arrival order would; the `scheduler` module's tests keep
+//! that flat scan as their oracle (see the module docs).
 //!
 //! ## Example
 //!
@@ -56,5 +55,4 @@ mod stats;
 pub use config::MemCtrlConfig;
 pub use controller::{BatchAdmission, CompletedRequest, EnqueueError, MemoryController};
 pub use mitigations::RowHammerDefense;
-pub use scheduler::SchedulerPolicy;
 pub use stats::CtrlStats;

@@ -88,7 +88,7 @@ impl Default for ServerConfig {
             queue_capacity: 8,
             // Keep two hardware threads for the server's own loops
             // (acceptor + executor); the rest simulate.
-            workers: campaign::default_workers().saturating_sub(1),
+            workers: campaign::default_workers().saturating_sub(2),
             max_runs: 100_000,
         }
     }

@@ -32,7 +32,7 @@ proptest! {
     /// and a mask for a power of two and a division otherwise. On a
     /// geometry whose dimensions are not powers of two, `decode` still
     /// inverts the unchanged `encode`, wraps past the capacity, and agrees
-    /// with the channel-local split, under both mappings.
+    /// with the channel-local split.
     #[test]
     fn decoding_a_non_power_of_two_geometry_round_trips(
         line in 0u64..3 * 16 * 3_000 * 96,
@@ -40,41 +40,38 @@ proptest! {
     ) {
         let geometry = odd_geometry();
         let local_geometry = geometry.per_channel();
-        for mapping in [AddressMapping::Mop { mop_lines: 3 }, AddressMapping::RoBaRaCoCh] {
-            let phys = line * 64;
-            let decoded = mapping.decode(&geometry, phys + offset);
-            prop_assert_eq!(mapping.encode(&geometry, &decoded), phys);
-            prop_assert_eq!(mapping.decode(&geometry, phys + geometry.capacity_bytes()), decoded);
-            let (channel, local_phys) = mapping.to_channel_local(&geometry, phys + offset);
-            prop_assert_eq!(channel, decoded.channel());
-            prop_assert_eq!(local_phys % 64, offset);
-            let local = mapping.decode(&local_geometry, local_phys);
-            let expected = DramAddress::new(
-                0,
-                decoded.rank(),
-                decoded.bank_group(),
-                decoded.bank(),
-                decoded.row(),
-                decoded.column(),
-            );
-            prop_assert_eq!(local, expected);
-        }
+        let mapping = AddressMapping::Mop { mop_lines: 3 };
+        let phys = line * 64;
+        let decoded = mapping.decode(&geometry, phys + offset);
+        prop_assert_eq!(mapping.encode(&geometry, &decoded), phys);
+        prop_assert_eq!(mapping.decode(&geometry, phys + geometry.capacity_bytes()), decoded);
+        let (channel, local_phys) = mapping.to_channel_local(&geometry, phys + offset);
+        prop_assert_eq!(channel, decoded.channel());
+        prop_assert_eq!(local_phys % 64, offset);
+        let local = mapping.decode(&local_geometry, local_phys);
+        let expected = DramAddress::new(
+            0,
+            decoded.rank(),
+            decoded.bank_group(),
+            decoded.bank(),
+            decoded.row(),
+            decoded.column(),
+        );
+        prop_assert_eq!(local, expected);
     }
 
     /// `decode` followed by `encode` is the identity on line-aligned
-    /// physical addresses for every mapping scheme and for 1-, 2- and
-    /// 4-channel organizations — the invariant the channel-sharded memory
+    /// physical addresses for 1-, 2- and 4-channel organizations — the invariant the channel-sharded memory
     /// subsystem relies on to route requests.
     #[test]
     fn channel_decode_encode_round_trips(line in 0u64..(8u64 << 30) / 64, channel_exp in 0u32..3) {
         let channels = 1usize << channel_exp;
         let geometry = geometry_with_channels(channels);
-        for mapping in [AddressMapping::Mop { mop_lines: 4 }, AddressMapping::RoBaRaCoCh] {
-            let phys = (line * 64) % geometry.capacity_bytes();
-            let decoded = mapping.decode(&geometry, phys);
-            prop_assert!(decoded.channel() < channels);
-            prop_assert_eq!(mapping.encode(&geometry, &decoded), phys);
-        }
+        let mapping = AddressMapping::Mop { mop_lines: 4 };
+        let phys = (line * 64) % geometry.capacity_bytes();
+        let decoded = mapping.decode(&geometry, phys);
+        prop_assert!(decoded.channel() < channels);
+        prop_assert_eq!(mapping.encode(&geometry, &decoded), phys);
     }
 
     /// Splitting an address into `(channel, channel-local address)` and
@@ -87,20 +84,19 @@ proptest! {
         let channels = 1usize << channel_exp;
         let geometry = geometry_with_channels(channels);
         let local_geometry = geometry.per_channel();
-        for mapping in [AddressMapping::Mop { mop_lines: 4 }, AddressMapping::RoBaRaCoCh] {
-            let phys = (line * 64) % geometry.capacity_bytes();
-            let full = mapping.decode(&geometry, phys);
-            let (channel, local_phys) = mapping.to_channel_local(&geometry, phys);
-            prop_assert_eq!(channel, full.channel());
-            prop_assert_eq!(channel, mapping.channel_of(&geometry, phys));
-            let local = mapping.decode(&local_geometry, local_phys);
-            prop_assert_eq!(local.channel(), 0);
-            prop_assert_eq!(local.rank(), full.rank());
-            prop_assert_eq!(local.bank_group(), full.bank_group());
-            prop_assert_eq!(local.bank(), full.bank());
-            prop_assert_eq!(local.row(), full.row());
-            prop_assert_eq!(local.column(), full.column());
-        }
+        let mapping = AddressMapping::Mop { mop_lines: 4 };
+        let phys = (line * 64) % geometry.capacity_bytes();
+        let full = mapping.decode(&geometry, phys);
+        let (channel, local_phys) = mapping.to_channel_local(&geometry, phys);
+        prop_assert_eq!(channel, full.channel());
+        prop_assert_eq!(channel, mapping.channel_of(&geometry, phys));
+        let local = mapping.decode(&local_geometry, local_phys);
+        prop_assert_eq!(local.channel(), 0);
+        prop_assert_eq!(local.rank(), full.rank());
+        prop_assert_eq!(local.bank_group(), full.bank_group());
+        prop_assert_eq!(local.bank(), full.bank());
+        prop_assert_eq!(local.row(), full.row());
+        prop_assert_eq!(local.column(), full.column());
     }
     /// A counting Bloom filter never under-estimates: for any insertion
     /// sequence, every row's estimate is at least its true insertion count

@@ -4,9 +4,10 @@
 //!
 //! `event_equivalence` compares the two advance modes with each other, so
 //! it cannot see a change that both modes share (the controller's pass
-//! memo, the scheduler's open-row index), and `scheduler_equivalence`'s
-//! linear-scan oracle covers only the scheduling passes. These pins catch
-//! any drift of the modelled system itself. A change that means to alter
+//! memo, the scheduler's open-row index), and the flat-scan oracle in the
+//! unit tests of `memctrl`'s `scheduler` module covers only the
+//! scheduling passes. These pins catch any drift of the modelled system
+//! itself. A change that means to alter
 //! the model updates the table and says why.
 
 use integration_tests::all_defenses;
