@@ -13,16 +13,14 @@
 //! into a stack [`IndexSet`] and shared by the blacklist test and both
 //! filters of a [`DualCountingBloomFilter`].
 //!
-//! The counters are plain `u32`s, and an epoch boundary zeroes the active
-//! filter's array: Table 7 sizes a filter at 1K–8K counters (4–32 KiB).
-//! [`DualCountingBloomFilter::advance_to`] clears and swaps once for each
-//! boundary it crosses; BlockHammer reports every boundary as an event, so
-//! the controller crosses them one at a time. `tests/tests/cbf_equivalence.rs`
-//! pins every answer against a reference reimplementation across epoch
-//! rollovers and reseeds.
+//! The filters keep no time. [`RowBlocker`](crate::RowBlocker) owns the
+//! one epoch clock and calls [`DualCountingBloomFilter::swap`] on every
+//! bank's filter at each epoch boundary; a swap zeroes the active
+//! filter's plain `u32` counters, which Table 7 sizes at 1K–8K (4–32 KiB).
+//! `tests/tests/cbf_equivalence.rs` pins every answer against a reference
+//! reimplementation across epoch rollovers and reseeds.
 
 use crate::hash::{H3HashFamily, IndexSet};
-use bh_types::Cycle;
 
 /// A counting Bloom filter with saturating counters.
 #[derive(Debug, Clone)]
@@ -118,30 +116,21 @@ enum ActiveFilter {
     B,
 }
 
-/// Base value the per-clear hash reseeds are derived from.
-const RESEED_BASE: u64 = 0xB10C_4A3E;
-
 /// Two counting Bloom filters used in a time-interleaved manner (D-CBF).
 ///
 /// Every insertion goes into both filters; only the *active* filter answers
 /// blacklist queries. At the end of every epoch (half the CBF lifetime
-/// `tCBF`), the active filter is cleared and the roles swap, so the filter
-/// answering queries always holds between one and two epochs of history —
-/// a rolling window that can never miss an aggressor.
+/// `tCBF`), [`DualCountingBloomFilter::swap`] clears the active filter and
+/// swaps the roles, so the filter answering queries always holds between
+/// one and two epochs of history — a rolling window that can never miss an
+/// aggressor.
 #[derive(Debug, Clone)]
 pub struct DualCountingBloomFilter {
     filter_a: CountingBloomFilter,
     filter_b: CountingBloomFilter,
     active: ActiveFilter,
-    /// Epoch length in cycles (tCBF / 2).
-    epoch_cycles: Cycle,
-    /// Cycle at which the next clear/swap happens.
-    next_swap: Cycle,
     /// Blacklisting threshold `N_BL`.
     blacklist_threshold: u32,
-    /// Number of clear operations performed (also used to derive reseed
-    /// values).
-    clears: u64,
 }
 
 impl DualCountingBloomFilter {
@@ -150,45 +139,15 @@ impl DualCountingBloomFilter {
     /// * `size` — counters per filter (power of two).
     /// * `hash_count` — H3 hash functions per filter.
     /// * `blacklist_threshold` — `N_BL`.
-    /// * `epoch_cycles` — epoch length (`tCBF / 2`).
-    pub fn new(
-        size: usize,
-        hash_count: usize,
-        blacklist_threshold: u32,
-        epoch_cycles: Cycle,
-        seed: u64,
-    ) -> Self {
+    pub fn new(size: usize, hash_count: usize, blacklist_threshold: u32, seed: u64) -> Self {
         // Counters only ever need to count up to N_BL; saturate just above.
         let saturation = blacklist_threshold.saturating_add(1);
         Self {
             filter_a: CountingBloomFilter::new(size, hash_count, saturation, seed),
             filter_b: CountingBloomFilter::new(size, hash_count, saturation, seed ^ 0x5555),
             active: ActiveFilter::A,
-            epoch_cycles: epoch_cycles.max(1),
-            next_swap: epoch_cycles.max(1),
             blacklist_threshold,
-            clears: 0,
         }
-    }
-
-    /// The blacklisting threshold `N_BL`.
-    pub fn blacklist_threshold(&self) -> u32 {
-        self.blacklist_threshold
-    }
-
-    /// The epoch length in cycles.
-    pub fn epoch_cycles(&self) -> Cycle {
-        self.epoch_cycles
-    }
-
-    /// Cycle at which the next clear/swap will happen.
-    pub fn next_swap_at(&self) -> Cycle {
-        self.next_swap
-    }
-
-    /// Number of clear (epoch-rollover) operations performed so far.
-    pub fn clears(&self) -> u64 {
-        self.clears
     }
 
     fn active_filter(&self) -> &CountingBloomFilter {
@@ -198,48 +157,31 @@ impl DualCountingBloomFilter {
         }
     }
 
-    /// Advances epoch bookkeeping to `now`: for each epoch boundary that
-    /// has passed, clears the active filter and swaps the roles. Returns
-    /// `true` if at least one swap happened (callers use this to swap
-    /// their own epoch-interleaved state, e.g. AttackThrottler counters).
+    /// Ends an epoch: clears the active filter, re-seeding its hash
+    /// functions with `reseed`, and makes the other filter active.
     // lint: alloc-free
-    pub fn advance_to(&mut self, now: Cycle) -> bool {
-        let mut swapped = false;
-        while now >= self.next_swap {
-            self.next_swap += self.epoch_cycles;
-            self.clears += 1;
-            let reseed = RESEED_BASE ^ self.clears;
-            match self.active {
-                ActiveFilter::A => {
-                    self.filter_a.clear(reseed);
-                    self.active = ActiveFilter::B;
-                }
-                ActiveFilter::B => {
-                    self.filter_b.clear(reseed);
-                    self.active = ActiveFilter::A;
-                }
+    pub fn swap(&mut self, reseed: u64) {
+        match self.active {
+            ActiveFilter::A => {
+                self.filter_a.clear(reseed);
+                self.active = ActiveFilter::B;
             }
-            swapped = true;
+            ActiveFilter::B => {
+                self.filter_b.clear(reseed);
+                self.active = ActiveFilter::A;
+            }
         }
-        swapped
     }
 
-    /// Inserts an activation of `row` at cycle `now` into both filters.
-    // lint: alloc-free
-    pub fn insert(&mut self, now: Cycle, row: u64) {
-        let _ = self.observe(now, row);
-    }
-
-    /// Inserts an activation of `row` at cycle `now` into both filters and
-    /// reports whether the row was already blacklisted at insertion time.
+    /// Inserts an activation of `row` into both filters and reports
+    /// whether the row was already blacklisted at insertion time.
     ///
     /// This is the one-stop hot-path entry point: each filter's H3 index
     /// set is computed exactly once and shared between the blacklist test
     /// and the insertion (the two filters hash independently, so there is
     /// one set per filter).
     // lint: alloc-free
-    pub fn observe(&mut self, now: Cycle, row: u64) -> bool {
-        self.advance_to(now);
+    pub fn observe(&mut self, row: u64) -> bool {
         let set_a = self.filter_a.index_set(row);
         let set_b = self.filter_b.index_set(row);
         let estimate = match self.active {
@@ -334,12 +276,12 @@ mod tests {
 
     #[test]
     fn dcbf_blacklists_after_threshold_insertions() {
-        let mut d = DualCountingBloomFilter::new(1024, 4, 100, 1_000_000, 42);
+        let mut d = DualCountingBloomFilter::new(1024, 4, 100, 42);
         for i in 0..99 {
-            d.insert(i, 5);
+            d.observe(5);
             assert!(!d.is_blacklisted(5), "blacklisted too early at {i}");
         }
-        d.insert(99, 5);
+        d.observe(5);
         assert!(d.is_blacklisted(5));
     }
 
@@ -348,20 +290,20 @@ mod tests {
         // Figure 3: a row blacklisted in epoch N stays blacklisted at the
         // start of epoch N+1 because the newly-active filter still holds the
         // insertions of the previous epoch.
-        let epoch = 10_000;
-        let mut d = DualCountingBloomFilter::new(1024, 4, 100, epoch, 42);
-        for i in 0..150u64 {
-            d.insert(i, 7);
+        let mut d = DualCountingBloomFilter::new(1024, 4, 100, 42);
+        for _ in 0..150 {
+            d.observe(7);
         }
         assert!(d.is_blacklisted(7));
-        // Cross one epoch boundary without further insertions.
-        d.advance_to(epoch + 1);
+        // End one epoch without further insertions.
+        d.swap(1);
         assert!(
             d.is_blacklisted(7),
             "the passive filter must keep the row blacklisted right after a swap"
         );
         // After a full CBF lifetime with no insertions the row is forgotten.
-        d.advance_to(3 * epoch + 1);
+        d.swap(2);
+        d.swap(3);
         assert!(!d.is_blacklisted(7));
     }
 
@@ -370,15 +312,15 @@ mod tests {
         // An aggressor that spreads N_BL activations across an epoch
         // boundary must still be blacklisted, because insertions go to both
         // filters and the active one saw all of them.
-        let epoch = 1_000;
         let n_bl = 200;
-        let mut d = DualCountingBloomFilter::new(1024, 4, n_bl, epoch, 3);
+        let mut d = DualCountingBloomFilter::new(1024, 4, n_bl, 3);
         // 150 activations at the end of epoch 0, 50 at the start of epoch 1.
-        for i in 0..150u64 {
-            d.insert(epoch - 300 + i, 9);
+        for _ in 0..150 {
+            d.observe(9);
         }
-        for i in 0..50u64 {
-            d.insert(epoch + i, 9);
+        d.swap(1);
+        for _ in 0..50 {
+            d.observe(9);
         }
         assert!(
             d.is_blacklisted(9),
@@ -391,10 +333,10 @@ mod tests {
         // With a 1K-counter filter, 4 hashes and a benign access pattern
         // (every row activated a handful of times), no row should come close
         // to an 8K blacklisting threshold.
-        let mut d = DualCountingBloomFilter::new(1024, 4, 8192, u64::MAX / 2, 77);
-        for round in 0..10u64 {
+        let mut d = DualCountingBloomFilter::new(1024, 4, 8192, 77);
+        for _ in 0..10 {
             for row in 0..4_000u64 {
-                d.insert(round * 4_000 + row, row);
+                d.observe(row);
             }
         }
         let blacklisted = (0..4_000u64).filter(|&r| d.is_blacklisted(r)).count();
@@ -402,59 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn advance_reports_swaps() {
-        let mut d = DualCountingBloomFilter::new(64, 2, 10, 100, 1);
-        assert!(!d.advance_to(99));
-        assert!(d.advance_to(100));
-        assert!(!d.advance_to(150));
-        assert!(d.advance_to(350));
-        assert_eq!(d.clears(), 3);
-    }
-
-    #[test]
-    fn a_multi_epoch_jump_matches_stepping_epoch_by_epoch() {
-        // Jumping over many epoch boundaries in one call must land in exactly
-        // the state that stepping over every boundary produces: same clear
-        // count, same active filter, same hash seeds (therefore identical
-        // estimates after fresh insertions).
-        let epoch = 1_000u64;
-        for missed in [2u64, 3, 5, 8, 1_000, 1_001] {
-            let mut jumped = DualCountingBloomFilter::new(256, 4, 50, epoch, 9);
-            let mut stepped = jumped.clone();
-            for i in 0..60u64 {
-                jumped.insert(i, 11);
-                stepped.insert(i, 11);
-            }
-            let target = missed * epoch + 1;
-            jumped.advance_to(target);
-            // Step the reference through every boundary individually.
-            let mut at = epoch;
-            while at <= target {
-                stepped.advance_to(at);
-                at += epoch;
-            }
-            stepped.advance_to(target);
-            assert_eq!(jumped.clears(), stepped.clears(), "missed = {missed}");
-            assert_eq!(jumped.next_swap_at(), stepped.next_swap_at());
-            for row in 0..64u64 {
-                jumped.insert(target + row, row);
-                stepped.insert(target + row, row);
-                assert_eq!(
-                    jumped.estimate(row),
-                    stepped.estimate(row),
-                    "estimates diverged after a {missed}-epoch jump"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn observe_reports_blacklisted_activations() {
-        let mut d = DualCountingBloomFilter::new(1024, 4, 10, 1_000_000, 5);
-        for i in 0..9 {
-            assert!(!d.observe(i, 3));
+        let mut d = DualCountingBloomFilter::new(1024, 4, 10, 5);
+        for _ in 0..9 {
+            assert!(!d.observe(3));
         }
-        assert!(!d.observe(9, 3), "tenth insertion reaches the threshold");
-        assert!(d.observe(10, 3), "the row is blacklisted from then on");
+        assert!(!d.observe(3), "tenth insertion reaches the threshold");
+        assert!(d.observe(3), "the row is blacklisted from then on");
     }
 }

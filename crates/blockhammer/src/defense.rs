@@ -101,11 +101,6 @@ impl BlockHammer {
         &self.config
     }
 
-    /// The operating mode.
-    pub fn mode(&self) -> OperatingMode {
-        self.mode
-    }
-
     /// BlockHammer-specific statistics (false positives, delay penalty
     /// distribution, epoch swaps).
     pub fn blockhammer_stats(&self) -> &BlockHammerStats {
@@ -126,14 +121,15 @@ impl BlockHammer {
             + self.shadow_previous.get(&(bank, row)).copied().unwrap_or(0)
     }
 
-    fn handle_epoch_swap(&mut self, swapped: bool) {
-        if swapped {
-            self.bh_stats.epoch_swaps += 1;
-            self.throttler.swap_and_clear();
-            if self.track_false_positives {
-                self.shadow_previous = std::mem::take(&mut self.shadow_current);
-                self.last_blacklisted_act.clear();
-            }
+    /// Ends one epoch for the state that swaps in lockstep with
+    /// RowBlocker's filters: AttackThrottler's counters (Section 3.2.1)
+    /// and the Section 8.4 shadow counts.
+    fn end_epoch(&mut self) {
+        self.bh_stats.epoch_swaps += 1;
+        self.throttler.swap_and_clear();
+        if self.track_false_positives {
+            self.shadow_previous = std::mem::take(&mut self.shadow_current);
+            self.last_blacklisted_act.clear();
         }
     }
 }
@@ -146,31 +142,34 @@ impl RowHammerDefense for BlockHammer {
         }
     }
 
+    /// The only place BlockHammer's time advances: ends every epoch whose
+    /// boundary is at or before `now`, each one in RowBlocker's filters and
+    /// in the state that swaps with them. The controller ticks the defense
+    /// before any other hook of the cycle, so the hooks never see a stale
+    /// epoch.
     fn tick(&mut self, now: Cycle) {
-        let swapped = self.rowblocker.advance_epochs(now);
-        self.handle_epoch_swap(swapped);
+        for _ in 0..self.rowblocker.advance_epochs(now) {
+            self.end_epoch();
+        }
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // The epoch boundary needs a tick of its own (`handle_epoch_swap`
-        // swaps the throttler counters once per swap signal, so jumping
-        // across two boundaries would merge two swaps), and it is the only
-        // time a blacklisting or a quota changes without an activation.
-        // A veto also lifts when the row leaves the history buffer, so the
-        // rows vetoed at `now` report that expiry: neither the controller's
-        // pass memo nor a skip passes the first cycle one of them becomes
-        // safe.
+        // An epoch boundary is the only time a blacklisting or a quota
+        // changes without an activation, so it needs a tick of its own:
+        // a jump past it would answer from the ended epoch's blacklists
+        // and quotas until the next tick. A veto also lifts when the row
+        // leaves the history buffer, so the rows vetoed at `now` report
+        // that expiry: neither the controller's pass memo nor a skip
+        // passes the first cycle one of them becomes safe.
         let (vetoed_at, lift_at) = self.veto_lift;
         let mut at = self.rowblocker.next_epoch_at();
         if vetoed_at == now {
             at = at.min(lift_at);
         }
-        (at != Cycle::MAX).then(|| at.max(now + 1))
+        Some(at.max(now + 1))
     }
 
     fn is_activation_safe(&mut self, now: Cycle, _thread: ThreadId, addr: &DramAddress) -> bool {
-        let swapped = self.rowblocker.advance_epochs(now);
-        self.handle_epoch_swap(swapped);
         let veto = self.rowblocker.veto(now, addr);
         if let Some(lifts_at) = veto {
             let (at, earliest) = self.veto_lift;
@@ -189,8 +188,6 @@ impl RowHammerDefense for BlockHammer {
         thread: ThreadId,
         addr: &DramAddress,
     ) -> Vec<DramAddress> {
-        let swapped = self.rowblocker.advance_epochs(now);
-        self.handle_epoch_swap(swapped);
         self.stats.record_activation();
         let bank = self.bank_of(addr);
         let row = addr.row();
@@ -280,6 +277,7 @@ mod tests {
         let thread = ThreadId::new(1);
         let mut now = 0;
         for row in 0..500u64 {
+            bh.tick(now);
             let a = addr((row % 4) as usize, ((row / 4) % 4) as usize, row);
             assert!(bh.is_activation_safe(now, thread, &a));
             bh.on_activation(now, thread, &a);
@@ -299,6 +297,7 @@ mod tests {
         let mut vetoes = 0;
         // Hammer as fast as the defense allows for one refresh window.
         while now < 100_000 {
+            bh.tick(now);
             if bh.is_activation_safe(now, attacker, &target) {
                 bh.on_activation(now, attacker, &target);
                 now += 148;
@@ -321,6 +320,7 @@ mod tests {
         let bank = geometry.global_bank(&target);
         let mut now = 0;
         for _ in 0..2_000u64 {
+            bh.tick(now);
             // Observe-only must always answer "safe"...
             assert!(bh.is_activation_safe(now, attacker, &target));
             bh.on_activation(now, attacker, &target);
@@ -345,6 +345,7 @@ mod tests {
         let bank = geometry.global_bank(&target);
         let mut now = 0;
         while now < 200_000 {
+            bh.tick(now);
             // Emulate the memory controller: a quota of zero means the
             // thread's requests are not even accepted, so no activation can
             // happen on its behalf.
@@ -375,6 +376,7 @@ mod tests {
         let target = addr(0, 0, 11);
         let mut now = 0;
         while now < 150_000 {
+            bh.tick(now);
             if bh.is_activation_safe(now, attacker, &target) {
                 bh.on_activation(now, attacker, &target);
                 now += 148;
@@ -427,6 +429,7 @@ mod tests {
         let mut now = 0;
         let mut vetoes = 0;
         while now < 150_000 {
+            bh.tick(now);
             if bh.is_activation_safe(now, attacker, &target) {
                 bh.on_activation(now, attacker, &target);
                 now += 148;
@@ -492,5 +495,34 @@ mod tests {
         bh.tick(epoch + 1);
         bh.tick(2 * epoch + 1);
         assert_eq!(bh.blockhammer_stats().epoch_swaps, 2);
+    }
+
+    #[test]
+    fn one_tick_across_three_boundaries_ends_three_epochs() {
+        // One tick after three epoch boundaries must end three epochs, in
+        // AttackThrottler as well as in the filters: after the third, the
+        // attacker's epoch-0 activations are forgotten and its quota
+        // lifted.
+        let (mut bh, geometry) = small_setup(OperatingMode::FullFunctional);
+        let epoch = bh.config().epoch_cycles();
+        let attacker = ThreadId::new(0);
+        let target = addr(0, 0, 42);
+        let bank = geometry.global_bank(&target);
+        let mut now = 0;
+        while now < epoch {
+            bh.tick(now);
+            if bh.is_activation_safe(now, attacker, &target) {
+                bh.on_activation(now, attacker, &target);
+                now += 148;
+            } else {
+                now += 64;
+            }
+        }
+        assert!(bh.rhli(attacker, bank) > 0.0, "epoch 0 saw no attack");
+        assert_eq!(bh.blockhammer_stats().epoch_swaps, 0);
+        bh.tick(3 * epoch);
+        assert_eq!(bh.blockhammer_stats().epoch_swaps, 3);
+        assert_eq!(bh.rhli(attacker, bank), 0.0);
+        assert_eq!(bh.inflight_quota(attacker, bank), None);
     }
 }

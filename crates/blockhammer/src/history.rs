@@ -67,16 +67,6 @@ impl HistoryBuffer {
         }
     }
 
-    /// The rolling window covered by the buffer, in cycles.
-    pub fn window(&self) -> Cycle {
-        self.window
-    }
-
-    /// Provisioned capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of currently valid (non-expired) entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -12,6 +12,11 @@
 //! It tests the blacklist first and searches the history buffer only for
 //! a blacklisted row, in one lookup that yields both the answer and the
 //! lift cycle.
+//!
+//! RowBlocker owns BlockHammer's one epoch clock. Every bank's filter
+//! swaps at the same boundaries (Figure 3), so [`RowBlocker::advance_epochs`]
+//! ends each elapsed epoch on all of them at once and reports how many
+//! ended; the queries and [`RowBlocker::on_activation`] never move time.
 
 use crate::cbf::DualCountingBloomFilter;
 use crate::config::BlockHammerConfig;
@@ -19,19 +24,23 @@ use crate::history::HistoryBuffer;
 use bh_types::{Cycle, DramAddress};
 use mitigations::DefenseGeometry;
 
+/// Base value the per-epoch filter reseeds are derived from.
+const RESEED_BASE: u64 = 0xB10C_4A3E;
+
 /// The RowBlocker mechanism (RowBlocker-BL + RowBlocker-HB).
 #[derive(Debug, Clone)]
 pub struct RowBlocker {
-    config: BlockHammerConfig,
     geometry: DefenseGeometry,
     /// One dual counting Bloom filter per bank.
     filters: Vec<DualCountingBloomFilter>,
     /// One history buffer per rank.
     history: Vec<HistoryBuffer>,
-    /// Cycle of the next epoch boundary. All banks' filters are created
-    /// with the same epoch length and advance together, so one comparison
-    /// against this cache answers "is any epoch work due?" in O(1) instead
-    /// of walking every bank's filter on every query.
+    /// Epoch length in cycles (`tCBF / 2`).
+    epoch_cycles: Cycle,
+    /// Epochs ended so far; ending one reseeds the filters with
+    /// `RESEED_BASE ^ epochs`.
+    epochs: u64,
+    /// Cycle of the next epoch boundary.
     next_epoch_at: Cycle,
 }
 
@@ -47,13 +56,12 @@ impl RowBlocker {
             .validate()
             // lint: allow(panic-freedom) -- documented constructor contract; BlockHammerConfig::validate is the fallible path
             .expect("invalid BlockHammer configuration");
-        let filters: Vec<DualCountingBloomFilter> = (0..geometry.total_banks)
+        let filters = (0..geometry.total_banks)
             .map(|bank| {
                 DualCountingBloomFilter::new(
                     config.cbf_size,
                     config.cbf_hashes,
                     config.n_bl as u32,
-                    config.epoch_cycles(),
                     seed ^ (bank as u64).wrapping_mul(0x9E37_79B9),
                 )
             })
@@ -63,26 +71,18 @@ impl RowBlocker {
         let history = (0..total_ranks.max(1))
             .map(|_| HistoryBuffer::new(config.history_entries, config.t_delay_cycles))
             .collect();
-        let next_epoch_at = filters
-            .first()
-            .map(DualCountingBloomFilter::next_swap_at)
-            .unwrap_or(Cycle::MAX);
+        let epoch_cycles = config.epoch_cycles();
         Self {
-            config,
             geometry,
             filters,
             history,
-            next_epoch_at,
+            epoch_cycles,
+            epochs: 0,
+            next_epoch_at: epoch_cycles,
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &BlockHammerConfig {
-        &self.config
-    }
-
-    /// The cycle of the next epoch boundary (filter swap), or
-    /// `Cycle::MAX` when the configuration has no filters.
+    /// The cycle of the next epoch boundary (filter swap).
     pub fn next_epoch_at(&self) -> Cycle {
         self.next_epoch_at
     }
@@ -100,27 +100,23 @@ impl RowBlocker {
         addr.row_in_rank_key(self.geometry.banks_per_group, self.geometry.rows_per_bank)
     }
 
-    /// Advances epoch bookkeeping on every bank's filter. Returns `true` if
-    /// any filter swapped (an epoch boundary passed); AttackThrottler uses
-    /// this signal to swap its own counters.
-    ///
-    /// All filters share one epoch schedule, so the common case (no
-    /// boundary passed since the last call) is a single comparison.
+    /// Ends every epoch whose boundary is at or before `now`, one at a
+    /// time: each swaps every bank's filter with that epoch's reseed.
+    /// Returns how many epochs ended, so BlockHammer can end each of them
+    /// in AttackThrottler too.
     // lint: alloc-free
-    pub fn advance_epochs(&mut self, now: Cycle) -> bool {
-        if now < self.next_epoch_at {
-            return false;
+    pub fn advance_epochs(&mut self, now: Cycle) -> u64 {
+        let mut ended = 0;
+        while now >= self.next_epoch_at {
+            self.epochs += 1;
+            self.next_epoch_at += self.epoch_cycles;
+            let reseed = RESEED_BASE ^ self.epochs;
+            for filter in &mut self.filters {
+                filter.swap(reseed);
+            }
+            ended += 1;
         }
-        let mut swapped = false;
-        for filter in &mut self.filters {
-            swapped |= filter.advance_to(now);
-        }
-        self.next_epoch_at = self
-            .filters
-            .first()
-            .map(DualCountingBloomFilter::next_swap_at)
-            .unwrap_or(Cycle::MAX);
-        swapped
+        ended
     }
 
     /// Whether `addr`'s row is currently blacklisted in its bank.
@@ -142,7 +138,6 @@ impl RowBlocker {
     /// record, so a skipped lookup changes no later answer.
     // lint: alloc-free
     pub fn veto(&mut self, now: Cycle, addr: &DramAddress) -> Option<Cycle> {
-        self.advance_epochs(now);
         if !self.is_blacklisted(addr) {
             return None;
         }
@@ -155,21 +150,14 @@ impl RowBlocker {
     /// AttackThrottler counts towards RHLI.
     // lint: alloc-free
     pub fn on_activation(&mut self, now: Cycle, addr: &DramAddress) -> bool {
-        self.advance_epochs(now);
         let bank = self.bank_index(addr);
         // `observe` computes each filter's H3 index set once and shares it
         // between the blacklist test and the insertion.
-        let blacklisted = self.filters[bank].observe(now, addr.row());
+        let blacklisted = self.filters[bank].observe(addr.row());
         let row_key = self.row_key(addr);
         let rank = self.rank_index(addr);
         self.history[rank].record(now, row_key);
         blacklisted
-    }
-
-    /// The filter's current activation-count estimate for `addr`'s row.
-    // lint: alloc-free
-    pub fn estimate(&self, addr: &DramAddress) -> u32 {
-        self.filters[self.bank_index(addr)].estimate(addr.row())
     }
 }
 
@@ -200,13 +188,13 @@ mod tests {
         let mut rb = RowBlocker::new(config, geometry, 1);
         // Touch many rows a few times each, spread over time.
         let mut now = 0;
-        for round in 0..10u64 {
+        for _ in 0..10 {
             for row in 0..200u64 {
+                rb.advance_epochs(now);
                 let a = addr((row % 4) as usize, (row % 16 / 4) as usize, row);
                 assert_eq!(rb.veto(now, &a), None);
                 rb.on_activation(now, &a);
                 now += 200;
-                let _ = round;
             }
         }
     }
@@ -248,6 +236,7 @@ mod tests {
         let mut now = 0;
         let mut activations = 0u64;
         while now < config.t_refw_cycles {
+            rb.advance_epochs(now);
             if rb.veto(now, &aggressor).is_none() {
                 rb.on_activation(now, &aggressor);
                 activations += 1;
@@ -278,11 +267,13 @@ mod tests {
         let benign = addr(0, 0, 43);
         let mut now = 0;
         for _ in 0..(n_bl * 2) {
+            rb.advance_epochs(now);
             if rb.veto(now, &aggressor).is_none() {
                 rb.on_activation(now, &aggressor);
             }
             now += 148;
         }
+        rb.advance_epochs(now);
         // The benign neighbour row in the same bank is not blacklisted
         // (false positives across *rows* require hash aliasing, which the
         // re-seeded 4-hash filter makes unlikely for a single row).
@@ -324,5 +315,58 @@ mod tests {
             !rb.is_blacklisted(&same_row_bank5),
             "the same row index in another bank must not be blacklisted"
         );
+    }
+
+    #[test]
+    fn advance_reports_swaps() {
+        let (config, geometry) = small_config();
+        let epoch = config.epoch_cycles();
+        let mut rb = RowBlocker::new(config, geometry, 7);
+        assert_eq!(rb.advance_epochs(epoch - 1), 0);
+        assert_eq!(rb.advance_epochs(epoch), 1);
+        assert_eq!(rb.advance_epochs(epoch + epoch / 2), 0);
+        assert_eq!(rb.advance_epochs(3 * epoch + epoch / 2), 2);
+        assert_eq!(rb.epochs, 3);
+        assert_eq!(rb.next_epoch_at(), 4 * epoch);
+    }
+
+    #[test]
+    fn a_multi_epoch_jump_matches_stepping_epoch_by_epoch() {
+        // Jumping over many epoch boundaries in one call must land in exactly
+        // the state that stepping over every boundary produces: same epoch
+        // count and next boundary, same active filters and hash seeds
+        // (therefore identical estimates after fresh insertions).
+        let (config, geometry) = small_config();
+        let epoch = config.epoch_cycles();
+        let aggressor = addr(0, 0, 11);
+        for missed in [2u64, 3, 5, 8, 1_000, 1_001] {
+            let mut jumped = RowBlocker::new(config, geometry, 9);
+            for i in 0..60u64 {
+                jumped.on_activation(i * 148, &aggressor);
+            }
+            let mut stepped = jumped.clone();
+            let target = missed * epoch + 1;
+            assert_eq!(jumped.advance_epochs(target), missed);
+            // Step the reference through every boundary individually.
+            let mut at = epoch;
+            while at <= target {
+                assert_eq!(stepped.advance_epochs(at), 1);
+                at += epoch;
+            }
+            assert_eq!(stepped.advance_epochs(target), 0);
+            assert_eq!(jumped.epochs, stepped.epochs, "missed = {missed}");
+            assert_eq!(jumped.next_epoch_at(), stepped.next_epoch_at());
+            for row in 0..64u64 {
+                let a = addr(0, 0, row);
+                jumped.on_activation(target + row, &a);
+                stepped.on_activation(target + row, &a);
+                let bank = jumped.bank_index(&a);
+                assert_eq!(
+                    jumped.filters[bank].estimate(row),
+                    stepped.filters[bank].estimate(row),
+                    "estimates diverged after a {missed}-epoch jump"
+                );
+            }
+        }
     }
 }

@@ -56,16 +56,6 @@ impl AttackThrottler {
         }
     }
 
-    /// Number of threads tracked.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of banks tracked.
-    pub fn banks(&self) -> usize {
-        self.banks
-    }
-
     /// Records that `thread` activated a blacklisted row in `bank`.
     /// Both the active and the passive counter are incremented (saturating).
     // lint: alloc-free

@@ -35,21 +35,23 @@
 //! ```
 //!
 //! The header pins *which* campaign the journal belongs to: the
-//! fingerprint hashes every field of the [`CampaignSpec`], so resuming
-//! with a different spec (different seed, axes, scale…) is refused with
-//! [`JournalError::SpecMismatch`] instead of silently splicing results
-//! from two different sweeps. The per-record checksum makes torn or
-//! bit-flipped trailing records detectable: [`parse_journal`] stops at
-//! the first record that fails its checksum (or frame), reports the
-//! clean prefix, and [`resume_or_create`] truncates the file back to
-//! that prefix before appending — a corrupt record is *dropped*, never
-//! trusted (property-pinned in `tests/tests/checkpoint_robustness.rs`).
+//! [`fingerprint`] hashes the [`CampaignSpec`]'s canonical JSON, which
+//! holds every field, so resuming with a different spec (different seed,
+//! axes, scale…) is refused with [`JournalError::SpecMismatch`] instead
+//! of silently splicing results from two different sweeps. The
+//! per-record checksum makes torn or bit-flipped trailing records
+//! detectable: [`parse_journal`] stops at the first record that fails
+//! its checksum (or frame), reports the clean prefix, and
+//! [`resume_or_create`] truncates the file back to that prefix before
+//! appending — a corrupt record is *dropped*, never trusted
+//! (property-pinned in `tests/tests/checkpoint_robustness.rs`).
 //! A dropped prelude record costs only its recomputation.
 
 use crate::runner::{FailedRun, RunOutcome, ThreadOutcome};
-use crate::spec::{CampaignSpec, Scenario};
+use crate::spec::CampaignSpec;
 use crate::trace::{read_varint, write_varint};
-use sim::{AdvanceMode, MultiProgramMetrics, SteppingStats};
+use crate::wire;
+use sim::{MultiProgramMetrics, SteppingStats};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -58,8 +60,11 @@ use std::path::Path;
 /// Magic bytes opening every checkpoint journal ("BlockHammer Campaign
 /// Journal", sibling of the trace format's `BHTB`).
 pub const JOURNAL_MAGIC: [u8; 4] = *b"BHCJ";
-/// Current journal format version.
-pub const JOURNAL_VERSION: u8 = 1;
+/// Current journal format version. Version 2 pins the [`fingerprint`] of
+/// the spec's canonical JSON, so a version-1 journal, pinned to the older
+/// field-by-field hash, is refused as an old version rather than as a
+/// different campaign.
+pub const JOURNAL_VERSION: u8 = 2;
 /// Fixed header size: magic, version, spec fingerprint, total runs.
 const HEADER_LEN: usize = 4 + 1 + 8 + 8;
 /// Sanity bound on a single record payload. Real payloads are a few
@@ -172,55 +177,14 @@ fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     hash
 }
 
-/// Hashes one length-delimited field (length first, so `["ab","c"]` and
-/// `["a","bc"]` fingerprint differently).
-fn mix_bytes(hash: u64, bytes: &[u8]) -> u64 {
-    fnv1a(bytes, fnv1a(&(bytes.len() as u64).to_le_bytes(), hash))
-}
-
-fn mix_u64(hash: u64, value: u64) -> u64 {
-    fnv1a(&value.to_le_bytes(), hash)
-}
-
-/// Content fingerprint of a campaign spec: every field that influences
-/// the expanded run list or the per-run results participates, so two
-/// specs fingerprint equal exactly when their campaigns are
-/// interchangeable for resume purposes.
+/// Content fingerprint of a campaign spec: FNV-1a over its canonical
+/// JSON encoding ([`wire::spec_to_json`]), which writes every field that
+/// influences the expanded run list or the per-run results. Two specs
+/// therefore fingerprint equal exactly when their campaigns are
+/// interchangeable for resume purposes, and a server campaign's ID is the
+/// hash of its own `spec.json` bytes.
 pub fn fingerprint(spec: &CampaignSpec) -> u64 {
-    let mut hash = FNV_OFFSET;
-    hash = mix_bytes(hash, spec.name.as_bytes());
-    hash = mix_u64(hash, spec.mix_count as u64);
-    hash = mix_u64(hash, spec.threads_per_mix as u64);
-    hash = mix_u64(hash, spec.scenarios.len() as u64);
-    for scenario in &spec.scenarios {
-        hash = mix_bytes(hash, Scenario::label(scenario).as_bytes());
-    }
-    hash = mix_u64(hash, spec.defenses.len() as u64);
-    for defense in &spec.defenses {
-        hash = mix_bytes(hash, defense.label().as_bytes());
-    }
-    hash = mix_u64(hash, spec.n_rh_points.len() as u64);
-    for &n_rh in &spec.n_rh_points {
-        hash = mix_u64(hash, n_rh);
-    }
-    hash = mix_u64(hash, spec.channel_counts.len() as u64);
-    for &channels in &spec.channel_counts {
-        hash = mix_u64(hash, channels as u64);
-    }
-    hash = mix_u64(hash, spec.scale.time_scale);
-    hash = mix_u64(hash, spec.scale.benign_instructions);
-    hash = mix_u64(hash, spec.scale.llc_bytes);
-    hash = mix_u64(hash, spec.scale.min_cycles);
-    hash = mix_u64(hash, spec.scale.max_cycles);
-    hash = mix_u64(
-        hash,
-        match spec.scale.advance {
-            AdvanceMode::Lockstep => 0,
-            AdvanceMode::EventDriven => 1,
-        },
-    );
-    hash = mix_u64(hash, spec.seed);
-    mix_u64(hash, u64::from(spec.normalize))
+    fnv1a(wire::spec_to_json(spec).as_bytes(), FNV_OFFSET)
 }
 
 // ---------------------------------------------------------------------------

@@ -955,6 +955,37 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_looped_attacker_trace_is_a_trace_error() {
+        // An empty file cannot be replayed in a loop: the run must fail
+        // with the trace error naming the file, not with a panic that the
+        // isolation boundary reports as `RunFailed`.
+        let campaign = tiny_campaign();
+        let mut runs = campaign.expand();
+        let dir = std::env::temp_dir().join(format!("bh-empty-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let empty = dir.join("attacker.trace");
+        std::fs::write(&empty, b"").expect("empty trace file");
+        let attacker = runs
+            .iter_mut()
+            .flat_map(|r| r.threads.iter_mut())
+            .find(|t| t.is_attacker)
+            .expect("the smoke campaign runs an attacker");
+        attacker.trace = Some(crate::trace::TraceSource {
+            path: empty.clone(),
+            repeat: true,
+        });
+        let result = execute(&campaign, runs, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+        match result {
+            Err(CampaignError::Trace {
+                error: crate::trace::TraceError::EmptyLoop { path },
+                ..
+            }) => assert_eq!(path, empty),
+            other => panic!("expected the empty-loop trace error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn quarantine_completes_the_campaign_and_flags_the_point() {
         let campaign = tiny_campaign();
         let mut runs = campaign.expand();

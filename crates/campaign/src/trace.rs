@@ -93,6 +93,11 @@ pub enum TraceError {
         /// What was wrong with it.
         message: String,
     },
+    /// A trace to be replayed in a loop holds no records.
+    EmptyLoop {
+        /// The trace file.
+        path: PathBuf,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -104,6 +109,9 @@ impl fmt::Display for TraceError {
             }
             TraceError::Corrupt { record, message } => {
                 write!(f, "corrupt binary trace at record {record}: {message}")
+            }
+            TraceError::EmptyLoop { path } => {
+                write!(f, "cannot loop the empty trace {}", path.display())
             }
         }
     }
@@ -556,10 +564,16 @@ impl TraceSource {
     ///
     /// # Errors
     ///
-    /// Propagates load errors (I/O or malformed records).
+    /// Propagates load errors (I/O or malformed records), and returns
+    /// [`TraceError::EmptyLoop`] for an empty file with `repeat` set.
     pub fn build(&self) -> Result<sim::BoxedTrace, TraceError> {
         let records = load_trace_file(&self.path)?;
         Ok(if self.repeat {
+            if records.is_empty() {
+                return Err(TraceError::EmptyLoop {
+                    path: self.path.clone(),
+                });
+            }
             Box::new(LoopedTrace::new(records))
         } else {
             Box::new(records.into_iter())

@@ -199,8 +199,12 @@ pub trait RowHammerDefense: AsAny + Send {
         addr: &DramAddress,
     ) -> Vec<DramAddress>;
 
-    /// Called once per controller scheduling round with the current cycle.
-    /// Defenses use it for epoch rollover; the default does nothing.
+    /// Called once in every simulated cycle the controller ticks, before
+    /// any other hook of that cycle: before the controller's passes
+    /// consult the defense and before the system admits requests against
+    /// its quotas. Defenses use it for epoch rollover; the default does
+    /// nothing. BlockHammer advances its epoch clock only here and relies
+    /// on this order.
     fn tick(&mut self, now: Cycle) {
         let _ = now;
     }

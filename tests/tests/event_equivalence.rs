@@ -9,7 +9,9 @@ use blockhammer::BlockHammer;
 use campaign::{execute, CampaignSpec};
 use integration_tests::all_defenses;
 use memctrl::MemCtrlConfig;
-use mitigations::{DefenseStats, MetadataFootprint, RowHammerDefense};
+use mitigations::{
+    DefenseStats, MetadataFootprint, NoMitigation, RowHammerDefense, RowHammerThreshold,
+};
 use proptest::prelude::*;
 use sim::{AdvanceMode, DefenseKind, RunResult, SteppingStats, System, SystemBuilder};
 use workloads::{AttackKind, SyntheticSpec};
@@ -219,35 +221,58 @@ fn a_veto_lifting_with_time_alone_is_ticked_at_its_lift() {
     assert_eq!(canonical(lockstep), canonical(event));
 }
 
-/// Records every cycle the controller ticked it and every activation it
-/// saw.
-#[derive(Debug, Default)]
+/// Forwards every hook to the defense it wraps and records every cycle
+/// the controller ticked it and every activation it saw.
 struct TickRecorder {
+    inner: Box<dyn RowHammerDefense>,
     ticks: Vec<Cycle>,
     activations: Vec<Cycle>,
 }
 
+impl TickRecorder {
+    fn new(inner: Box<dyn RowHammerDefense>) -> Self {
+        Self {
+            inner,
+            ticks: Vec::new(),
+            activations: Vec::new(),
+        }
+    }
+}
+
 impl RowHammerDefense for TickRecorder {
     fn name(&self) -> &'static str {
-        "TickRecorder"
+        self.inner.name()
     }
-    fn tick(&mut self, now: Cycle) {
-        self.ticks.push(now);
+    fn is_activation_safe(&mut self, now: Cycle, thread: ThreadId, addr: &DramAddress) -> bool {
+        self.inner.is_activation_safe(now, thread, addr)
     }
     fn on_activation(
         &mut self,
         now: Cycle,
-        _thread: ThreadId,
-        _addr: &DramAddress,
+        thread: ThreadId,
+        addr: &DramAddress,
     ) -> Vec<DramAddress> {
         self.activations.push(now);
-        Vec::new()
+        self.inner.on_activation(now, thread, addr)
+    }
+    fn tick(&mut self, now: Cycle) {
+        self.ticks.push(now);
+        self.inner.tick(now);
+    }
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.inner.next_event(now)
+    }
+    fn inflight_quota(&self, thread: ThreadId, global_bank: usize) -> Option<u32> {
+        self.inner.inflight_quota(thread, global_bank)
+    }
+    fn rhli(&self, thread: ThreadId, global_bank: usize) -> f64 {
+        self.inner.rhli(thread, global_bank)
     }
     fn metadata(&self) -> MetadataFootprint {
-        MetadataFootprint::default()
+        self.inner.metadata()
     }
     fn stats(&self) -> DefenseStats {
-        DefenseStats::default()
+        self.inner.stats()
     }
 }
 
@@ -277,7 +302,7 @@ fn a_command_only_tick_is_followed_by_no_detection_tick() {
         let system = System::new(
             builder().build().config().clone(),
             builder().into_thread_traces(),
-            vec![Box::new(TickRecorder::default())],
+            vec![Box::new(TickRecorder::new(Box::new(NoMitigation::new())))],
         );
         let (result, defenses) = system.run_into_parts();
         let recorder = defenses[0]
@@ -335,7 +360,7 @@ fn a_tick_that_fills_a_core_window_is_followed_by_a_skip() {
         let system = System::new(
             builder().build().config().clone(),
             builder().into_thread_traces(),
-            vec![Box::new(TickRecorder::default())],
+            vec![Box::new(TickRecorder::new(Box::new(NoMitigation::new())))],
         );
         let (result, defenses) = system.run_into_parts();
         let recorder = defenses[0]
@@ -396,40 +421,72 @@ fn a_fetch_queued_after_admission_is_admitted_next_cycle() {
 
 #[test]
 fn every_epoch_boundary_gets_its_own_tick() {
-    // BlockHammer clears one filter per bank and swaps its AttackThrottler
-    // counters once for each call that crosses an epoch boundary, so a
-    // tick that crossed two boundaries would count one swap and merge two
-    // throttler swaps. At this time scale an epoch (12,500 cycles) is
-    // shorter than the refresh interval, and the run idles through most
-    // of its epochs: only BlockHammer's `next_event` stops the clock at
-    // each boundary.
+    // BlockHammer's blacklists and quotas change at an epoch boundary
+    // without an activation, so every boundary must be a ticked cycle: a
+    // jump past one would answer from the ended epoch's filters and
+    // counters until the next tick. At this time scale an epoch (12,500
+    // cycles) is shorter than the refresh interval, and the run idles
+    // through most of its epochs: only BlockHammer's `next_event` stops
+    // the clock at each boundary.
     for advance in [AdvanceMode::Lockstep, AdvanceMode::EventDriven] {
-        let (result, defenses) = quick_builder(13, 1)
-            .defense(DefenseKind::BlockHammer)
-            .advance_mode(advance)
-            .min_cycles(125_000)
-            .add_workload(SyntheticSpec::low_intensity("l0", 0), 1_000)
-            .build()
-            .run_into_parts();
-        for defense in &defenses {
-            let blockhammer = defense
-                .as_ref()
-                .as_any()
-                .downcast_ref::<BlockHammer>()
-                .expect("every channel runs BlockHammer");
-            let epoch = blockhammer.config().epoch_cycles();
-            assert!(
-                result.total_cycles >= 8 * epoch,
-                "{} cycles of {epoch}-cycle epochs",
-                result.total_cycles
-            );
-            assert_eq!(
-                blockhammer.blockhammer_stats().epoch_swaps,
-                result.total_cycles / epoch,
-                "{advance:?}: {} cycles of {epoch}-cycle epochs",
-                result.total_cycles
-            );
-        }
+        let builder = || {
+            quick_builder(13, 1)
+                .defense(DefenseKind::BlockHammer)
+                .advance_mode(advance)
+                .min_cycles(125_000)
+                .add_workload(SyntheticSpec::low_intensity("l0", 0), 1_000)
+        };
+        let config = builder().build().config().clone();
+        let defenses = DefenseKind::BlockHammer
+            .build_per_channel(
+                1,
+                RowHammerThreshold::new(config.n_rh),
+                config.defense_geometry(1),
+                config.t_refi_cycles(),
+                config.seed,
+            )
+            .into_iter()
+            .map(|inner| Box::new(TickRecorder::new(inner)) as Box<dyn RowHammerDefense>)
+            .collect();
+        let system = System::new(config, builder().into_thread_traces(), defenses);
+        let (result, defenses) = system.run_into_parts();
+        assert_eq!(
+            canonical(result.clone()),
+            canonical(builder().run()),
+            "{advance:?}: the recorder changed the run"
+        );
+        let recorder = defenses[0]
+            .as_ref()
+            .as_any()
+            .downcast_ref::<TickRecorder>()
+            .expect("the test defense comes back");
+        let blockhammer = recorder
+            .inner
+            .as_ref()
+            .as_any()
+            .downcast_ref::<BlockHammer>()
+            .expect("the recorder wraps BlockHammer");
+        let epoch = blockhammer.config().epoch_cycles();
+        let boundaries = result.total_cycles / epoch;
+        assert!(
+            boundaries >= 8,
+            "{} cycles of {epoch}-cycle epochs",
+            result.total_cycles
+        );
+        let unticked: Vec<Cycle> = (1..=boundaries)
+            .map(|k| k * epoch)
+            .filter(|boundary| recorder.ticks.binary_search(boundary).is_err())
+            .collect();
+        assert!(
+            unticked.is_empty(),
+            "{advance:?}: the epoch boundaries at {unticked:?} were not ticked"
+        );
+        assert_eq!(
+            blockhammer.blockhammer_stats().epoch_swaps,
+            boundaries,
+            "{advance:?}: {} cycles of {epoch}-cycle epochs",
+            result.total_cycles
+        );
     }
 }
 

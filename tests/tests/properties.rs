@@ -103,10 +103,10 @@ proptest! {
     /// (the "no false negatives" property the security argument relies on).
     #[test]
     fn dcbf_never_underestimates(rows in proptest::collection::vec(0u64..200, 1..2_000)) {
-        let mut filter = DualCountingBloomFilter::new(1024, 4, u32::MAX - 1, u64::MAX / 2, 99);
+        let mut filter = DualCountingBloomFilter::new(1024, 4, u32::MAX - 1, 99);
         let mut true_counts: HashMap<u64, u32> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            filter.insert(i as u64, *row);
+        for row in &rows {
+            filter.observe(*row);
             *true_counts.entry(*row).or_insert(0) += 1;
         }
         for (row, count) in true_counts {
@@ -128,15 +128,12 @@ proptest! {
         noise in proptest::collection::vec(0u64..65_536, 0..500),
         n_bl in 4u32..64,
     ) {
-        let mut filter = DualCountingBloomFilter::new(1024, 4, n_bl, u64::MAX / 2, 7);
-        let mut cycle = 0u64;
+        let mut filter = DualCountingBloomFilter::new(1024, 4, n_bl, 7);
         for row in &noise {
-            filter.insert(cycle, *row);
-            cycle += 1;
+            filter.observe(*row);
         }
         for _ in 0..n_bl {
-            filter.insert(cycle, aggressor);
-            cycle += 1;
+            filter.observe(aggressor);
         }
         prop_assert!(filter.is_blacklisted(aggressor));
     }
