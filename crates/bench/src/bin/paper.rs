@@ -288,7 +288,10 @@ fn tab1(_: &ExperimentScale) -> Result<(), CampaignError> {
     println!("DRAM features");
     println!("  N_RH            : {}", config.n_rh);
     println!("  N_RH*           : {}", config.n_rh_star);
-    println!("  banks           : {}", geometry.total_banks);
+    println!(
+        "  banks           : {}",
+        geometry.organization.banks_per_channel()
+    );
     println!("  tREFW           : 64 ms");
     println!("  tRC             : 46.25 ns");
     println!("  tFAW            : 35 ns");
@@ -315,7 +318,8 @@ fn tab1(_: &ExperimentScale) -> Result<(), CampaignError> {
     println!("AttackThrottler");
     println!(
         "  2 counters per <thread, bank> pair ({} threads x {} banks)",
-        geometry.threads, geometry.total_banks
+        geometry.threads,
+        geometry.organization.banks_per_channel()
     );
     Ok(())
 }

@@ -72,7 +72,11 @@ impl BlockHammer {
     /// (see [`BlockHammerConfig::validate`]).
     pub fn new(config: BlockHammerConfig, geometry: DefenseGeometry, mode: OperatingMode) -> Self {
         let rowblocker = RowBlocker::new(config, geometry, 0xB10C_4A3E);
-        let throttler = AttackThrottler::new(&config, geometry.threads, geometry.total_banks);
+        let throttler = AttackThrottler::new(
+            &config,
+            geometry.threads,
+            geometry.organization.banks_per_channel(),
+        );
         Self {
             config,
             geometry,
@@ -110,10 +114,6 @@ impl BlockHammer {
     /// The AttackThrottler component.
     pub fn throttler(&self) -> &AttackThrottler {
         &self.throttler
-    }
-
-    fn bank_of(&self, addr: &DramAddress) -> usize {
-        self.geometry.global_bank(addr)
     }
 
     fn exact_count(&self, bank: usize, row: u64) -> u64 {
@@ -189,7 +189,7 @@ impl RowHammerDefense for BlockHammer {
         addr: &DramAddress,
     ) -> Vec<DramAddress> {
         self.stats.record_activation();
-        let bank = self.bank_of(addr);
+        let bank = self.geometry.organization.bank_of(addr);
         let row = addr.row();
         let was_blacklisted = self.rowblocker.on_activation(now, addr);
         if self.track_false_positives {
@@ -234,8 +234,7 @@ impl RowHammerDefense for BlockHammer {
         // each counter wide enough to count to N_BL), a history buffer whose
         // entries hold a row id, a timestamp and a valid bit (CAM-searchable
         // row field plus SRAM payload), and the AttackThrottler counters.
-        let banks_per_rank =
-            (self.geometry.bank_groups_per_rank * self.geometry.banks_per_group) as u64;
+        let banks_per_rank = self.geometry.organization.banks_per_rank() as u64;
         let counter_bits = 64 - u64::leading_zeros(self.config.n_bl.max(1)) as u64 + 1;
         let cbf_bits = banks_per_rank * 2 * self.config.cbf_size as u64 * counter_bits;
         let hb_entry_bits = 32; // row id + timestamp + valid (paper: 32 bits)
@@ -292,7 +291,7 @@ mod tests {
         let (mut bh, geometry) = small_setup(OperatingMode::FullFunctional);
         let attacker = ThreadId::new(0);
         let target = addr(0, 0, 42);
-        let bank = geometry.global_bank(&target);
+        let bank = geometry.organization.bank_of(&target);
         let mut now = 0;
         let mut vetoes = 0;
         // Hammer as fast as the defense allows for one refresh window.
@@ -317,7 +316,7 @@ mod tests {
         let (mut bh, geometry) = small_setup(OperatingMode::ObserveOnly);
         let attacker = ThreadId::new(0);
         let target = addr(1, 0, 7);
-        let bank = geometry.global_bank(&target);
+        let bank = geometry.organization.bank_of(&target);
         let mut now = 0;
         for _ in 0..2_000u64 {
             bh.tick(now);
@@ -342,7 +341,7 @@ mod tests {
         let (mut bh, geometry) = small_setup(OperatingMode::FullFunctional);
         let attacker = ThreadId::new(0);
         let target = addr(1, 1, 9);
-        let bank = geometry.global_bank(&target);
+        let bank = geometry.organization.bank_of(&target);
         let mut now = 0;
         while now < 200_000 {
             bh.tick(now);
@@ -507,7 +506,7 @@ mod tests {
         let epoch = bh.config().epoch_cycles();
         let attacker = ThreadId::new(0);
         let target = addr(0, 0, 42);
-        let bank = geometry.global_bank(&target);
+        let bank = geometry.organization.bank_of(&target);
         let mut now = 0;
         while now < epoch {
             bh.tick(now);

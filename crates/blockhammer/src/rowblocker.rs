@@ -21,7 +21,7 @@
 use crate::cbf::DualCountingBloomFilter;
 use crate::config::BlockHammerConfig;
 use crate::history::HistoryBuffer;
-use bh_types::{Cycle, DramAddress};
+use bh_types::{Cycle, DramAddress, DramOrganization};
 use mitigations::DefenseGeometry;
 
 /// Base value the per-epoch filter reseeds are derived from.
@@ -30,7 +30,8 @@ const RESEED_BASE: u64 = 0xB10C_4A3E;
 /// The RowBlocker mechanism (RowBlocker-BL + RowBlocker-HB).
 #[derive(Debug, Clone)]
 pub struct RowBlocker {
-    geometry: DefenseGeometry,
+    /// The channel's organization, which numbers its banks.
+    organization: DramOrganization,
     /// One dual counting Bloom filter per bank.
     filters: Vec<DualCountingBloomFilter>,
     /// One history buffer per rank.
@@ -56,7 +57,8 @@ impl RowBlocker {
             .validate()
             // lint: allow(panic-freedom) -- documented constructor contract; BlockHammerConfig::validate is the fallible path
             .expect("invalid BlockHammer configuration");
-        let filters = (0..geometry.total_banks)
+        let organization = geometry.organization;
+        let filters = (0..organization.banks_per_channel())
             .map(|bank| {
                 DualCountingBloomFilter::new(
                     config.cbf_size,
@@ -66,14 +68,12 @@ impl RowBlocker {
                 )
             })
             .collect();
-        let total_ranks =
-            geometry.total_banks / (geometry.bank_groups_per_rank * geometry.banks_per_group);
-        let history = (0..total_ranks.max(1))
+        let history = (0..organization.ranks)
             .map(|_| HistoryBuffer::new(config.history_entries, config.t_delay_cycles))
             .collect();
         let epoch_cycles = config.epoch_cycles();
         Self {
-            geometry,
+            organization,
             filters,
             history,
             epoch_cycles,
@@ -87,17 +87,10 @@ impl RowBlocker {
         self.next_epoch_at
     }
 
-    fn bank_index(&self, addr: &DramAddress) -> usize {
-        self.geometry.global_bank(addr)
-    }
-
-    fn rank_index(&self, addr: &DramAddress) -> usize {
-        self.bank_index(addr) / (self.geometry.bank_groups_per_rank * self.geometry.banks_per_group)
-    }
-
-    /// The rank-unique key used to search the history buffer.
+    /// The key used to search the history buffer: unique within the
+    /// channel, so within the rank too.
     fn row_key(&self, addr: &DramAddress) -> u64 {
-        addr.row_in_rank_key(self.geometry.banks_per_group, self.geometry.rows_per_bank)
+        self.organization.bank_of(addr) as u64 * self.organization.rows_per_bank + addr.row()
     }
 
     /// Ends every epoch whose boundary is at or before `now`, one at a
@@ -122,7 +115,7 @@ impl RowBlocker {
     /// Whether `addr`'s row is currently blacklisted in its bank.
     // lint: alloc-free
     pub fn is_blacklisted(&self, addr: &DramAddress) -> bool {
-        self.filters[self.bank_index(addr)].is_blacklisted(addr.row())
+        self.filters[self.organization.bank_of(addr)].is_blacklisted(addr.row())
     }
 
     /// The "Is this ACT RowHammer-safe?" query (step 1 in Figure 2).
@@ -141,8 +134,8 @@ impl RowBlocker {
         if !self.is_blacklisted(addr) {
             return None;
         }
-        let (rank, row_key) = (self.rank_index(addr), self.row_key(addr));
-        self.history[rank].expires_at(now, row_key)
+        let row_key = self.row_key(addr);
+        self.history[addr.rank()].expires_at(now, row_key)
     }
 
     /// Records an issued activation (steps 8 and 9 in Figure 2). Returns
@@ -150,13 +143,12 @@ impl RowBlocker {
     /// AttackThrottler counts towards RHLI.
     // lint: alloc-free
     pub fn on_activation(&mut self, now: Cycle, addr: &DramAddress) -> bool {
-        let bank = self.bank_index(addr);
+        let bank = self.organization.bank_of(addr);
         // `observe` computes each filter's H3 index set once and shares it
         // between the blacklist test and the insertion.
         let blacklisted = self.filters[bank].observe(addr.row());
         let row_key = self.row_key(addr);
-        let rank = self.rank_index(addr);
-        self.history[rank].record(now, row_key);
+        self.history[addr.rank()].record(now, row_key);
         blacklisted
     }
 }
@@ -360,7 +352,7 @@ mod tests {
                 let a = addr(0, 0, row);
                 jumped.on_activation(target + row, &a);
                 stepped.on_activation(target + row, &a);
-                let bank = jumped.bank_index(&a);
+                let bank = geometry.organization.bank_of(&a);
                 assert_eq!(
                     jumped.filters[bank].estimate(row),
                     stepped.filters[bank].estimate(row),

@@ -442,19 +442,15 @@ pub fn record_run_traces(
 }
 
 /// The cyclic period of the attacker in thread slot `slot` of `spec`,
-/// derived from the same geometry the generator path uses; `None` if the
+/// derived from the same organization the generator path uses; `None` if the
 /// slot's generator is not an attack.
 fn attack_period(spec: &RunSpec, slot: usize) -> Option<usize> {
     let ThreadGenerator::Attack(kind) = &spec.threads[slot].generator else {
         return None;
     };
-    let mut config = MemCtrlConfig::default();
-    config.organization.channels = spec.channels;
-    let generator = kind.build(AttackSpec::default_for(
-        config.mapping,
-        config.organization.geometry(),
-    ));
-    Some(generator.period())
+    let mut organization = MemCtrlConfig::default().organization;
+    organization.channels = spec.channels;
+    Some(kind.build(AttackSpec::default_for(organization)).period())
 }
 
 #[cfg(test)]

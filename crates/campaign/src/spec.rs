@@ -311,11 +311,11 @@ impl CampaignSpec {
     ) -> RunSpec {
         let mix = match scenario {
             Scenario::BenignOnly => WorkloadMix::benign(mix_index, self.threads_per_mix, self.seed),
-            Scenario::Attack(kind) => {
-                WorkloadMix::with_attacker_kind(mix_index, self.threads_per_mix, self.seed, kind)
+            Scenario::Attack(_) => {
+                WorkloadMix::with_attacker(mix_index, self.threads_per_mix, self.seed)
             }
         };
-        let mut threads = Vec::with_capacity(mix.thread_count());
+        let mut threads = Vec::with_capacity(self.threads_per_mix);
         if let Scenario::Attack(kind) = scenario {
             threads.push(ThreadSpec {
                 name: format!("attacker.{}", kind.label()),
@@ -334,8 +334,8 @@ impl CampaignSpec {
                 trace: None,
             });
         }
-        // Decorrelate the defense's random stream per mix (the mix's own
-        // `seed` field is the campaign seed, identical for every mix).
+        // Decorrelate the defense's random stream per mix (the mix itself
+        // is built from the campaign seed, identical for every mix).
         let seed = self.seed ^ (mix_index as u64).wrapping_mul(SEED_PHI);
         RunSpec {
             index,

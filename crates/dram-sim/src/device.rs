@@ -2,13 +2,11 @@
 //! statistics.
 
 use crate::bank::Bank;
-use crate::organization::DramOrganization;
 use crate::rank::Rank;
 use crate::stats::DramStats;
 use crate::timings::TimingsInCycles;
-use bh_types::{Cycle, DramAddress, MemCommand};
+use bh_types::{Cycle, DramAddress, DramOrganization, MemCommand};
 use std::cell::Cell;
-use std::ops::Range;
 
 /// Result of issuing a command to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,10 +22,10 @@ pub struct IssueOutcome {
 /// memory controller.
 ///
 /// The device is the one owner of the channel's bank state. It keeps every
-/// bank once, by global bank index (`rank * banks_per_rank + bank_group *
-/// banks_per_group + bank`), with its open row and its own timing, and per
-/// rank only the timing the rank's banks share. It answers each bank's
-/// open row ([`DramDevice::open_row_of`]) and the set of open banks
+/// bank once, by the bank index [`DramOrganization::bank_of`] gives, with
+/// its open row and its own timing, and per rank only the timing the rank's
+/// banks share. It answers each bank's open row
+/// ([`DramDevice::open_row_of`]) and the set of open banks
 /// ([`DramDevice::open_banks`]).
 ///
 /// The device is passive: the memory controller decides *what* to issue and
@@ -45,7 +43,7 @@ pub struct DramDevice {
     timings: TimingsInCycles,
     /// Per rank, the timing its banks share.
     ranks: Vec<Rank>,
-    /// Every bank of the channel, by global bank index.
+    /// Every bank of the channel, by bank index.
     banks: Vec<Bank>,
     /// The bank set of the banks with an open row.
     open_banks: u64,
@@ -73,8 +71,8 @@ fn ready_column(cmd: MemCommand) -> Option<usize> {
     READY_COMMANDS.iter().position(|&c| c == cmd)
 }
 
-/// The banks of a bank set (bit `i` set for the bank with global bank
-/// index `i` within the channel, as [`DramDevice::legal_banks`] takes and
+/// The banks of a bank set (bit `i` set for the bank with index `i`
+/// within the channel, as [`DramDevice::legal_banks`] takes and
 /// returns them), in ascending order: lowest set bit first.
 pub fn banks_in(mut set: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -134,38 +132,6 @@ impl DramDevice {
         }
     }
 
-    /// The global bank index of the bank `addr` addresses.
-    fn bank_index(&self, addr: &DramAddress) -> usize {
-        addr.rank() * self.organization.banks_per_rank()
-            + addr.bank_in_rank(self.organization.banks_per_group)
-    }
-
-    /// The address of `row` in the bank with global bank index `bank` (the
-    /// inverse of the index layout, column 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn bank_address(&self, bank: usize, row: u64) -> DramAddress {
-        let org = &self.organization;
-        assert!(bank < org.banks_per_channel(), "bank {bank} out of range");
-        let in_rank = bank % org.banks_per_rank();
-        DramAddress::new(
-            0,
-            bank / org.banks_per_rank(),
-            in_rank / org.banks_per_group,
-            in_rank % org.banks_per_group,
-            row,
-            0,
-        )
-    }
-
-    /// The global bank indices of `rank`'s banks.
-    fn rank_banks(&self, rank: usize) -> Range<usize> {
-        let banks_per_rank = self.organization.banks_per_rank();
-        rank * banks_per_rank..(rank + 1) * banks_per_rank
-    }
-
     /// The device's organization.
     pub fn organization(&self) -> &DramOrganization {
         &self.organization
@@ -184,12 +150,12 @@ impl DramDevice {
 
     /// The currently open row in the bank addressed by `addr`, if any.
     pub fn open_row(&self, addr: &DramAddress) -> Option<u64> {
-        self.banks[self.bank_index(addr)].open_row()
+        self.banks[self.organization.bank_of(addr)].open_row()
     }
 
-    /// The currently open row of the bank with global bank index `bank`,
-    /// if any: the index-based counterpart of [`DramDevice::open_row`], for
-    /// a scheduler that tracks banks by index.
+    /// The currently open row of the bank with index `bank`, if any: the
+    /// index-based counterpart of [`DramDevice::open_row`], for a scheduler
+    /// that tracks banks by index.
     ///
     /// # Panics
     ///
@@ -199,7 +165,7 @@ impl DramDevice {
     }
 
     /// The bank set of the banks with an open row (bit `i` for the bank
-    /// with global bank index `i`).
+    /// with index `i`).
     pub fn open_banks(&self) -> u64 {
         self.open_banks
     }
@@ -212,13 +178,14 @@ impl DramDevice {
             self.ranks[addr.rank()].earliest_rank_level(cmd, addr.bank_group(), &self.timings);
         if cmd == MemCommand::Refresh {
             // Every bank of the rank must be precharged and ready.
-            return self.banks[self.rank_banks(addr.rank())]
+            return self.banks[self.organization.rank_banks(addr.rank())]
                 .iter()
                 .try_fold(rank_level, |at, bank| {
                     Some(at.max(bank.earliest_issue(cmd, 0)?))
                 });
         }
-        let bank_level = self.banks[self.bank_index(addr)].earliest_issue(cmd, addr.row())?;
+        let bank_level =
+            self.banks[self.organization.bank_of(addr)].earliest_issue(cmd, addr.row())?;
         Some(rank_level.max(bank_level))
     }
 
@@ -235,9 +202,9 @@ impl DramDevice {
         }
     }
 
-    /// The banks of the bank set `banks` (bit `i` is the bank with global
-    /// bank index `i` within the channel) on which `cmd` may be issued at
-    /// `now`, a column command addressing the bank's open row. It answers
+    /// The banks of the bank set `banks` (bit `i` is the bank with index
+    /// `i` within the channel) on which `cmd` may be issued at `now`, a
+    /// column command addressing the bank's open row. It answers
     /// exactly as [`DramDevice::can_issue`] would per bank, in one pass: a
     /// bank passes when the larger of its bank-group entry in the
     /// ready-time table and its own earliest cycle is at most `now`. A bank
@@ -291,7 +258,9 @@ impl DramDevice {
         let mut expected_legal = 0;
         let mut expected_retry = Cycle::MAX;
         for bank in banks_in(banks) {
-            let addr = self.bank_address(bank, self.open_row_of(bank).unwrap_or(0));
+            let addr = self
+                .organization
+                .bank_address(bank, self.open_row_of(bank).unwrap_or(0));
             match self.earliest_issue(cmd, &addr) {
                 Some(at) if at <= now => expected_legal |= 1 << bank,
                 Some(at) => expected_retry = expected_retry.min(at),
@@ -327,13 +296,12 @@ impl DramDevice {
             "illegal {cmd} to {addr} at cycle {now}"
         );
         let rank = addr.rank();
-        let bank = self.bank_index(addr);
+        let bank = self.organization.bank_of(addr);
         let completes_at = self.ranks[rank].issue(cmd, addr.bank_group(), now, &self.timings);
         match cmd {
             // A REF holds off the ACT of every bank of its rank.
             MemCommand::Refresh => {
-                let banks = self.rank_banks(rank);
-                for state in &mut self.banks[banks] {
+                for state in &mut self.banks[self.organization.rank_banks(rank)] {
                     state.issue(cmd, 0, now, &self.timings);
                 }
             }
@@ -360,7 +328,7 @@ impl DramDevice {
             bank.close_accounting(now);
         }
         for rank in 0..self.organization.ranks {
-            self.stats.active_bank_cycles[rank] = self.banks[self.rank_banks(rank)]
+            self.stats.active_bank_cycles[rank] = self.banks[self.organization.rank_banks(rank)]
                 .iter()
                 .map(Bank::active_cycles)
                 .sum();

@@ -5,7 +5,8 @@
 //! The model captures everything a RowHammer mitigation study needs from a
 //! DRAM device:
 //!
-//! * the bank / bank-group / rank organization of one channel,
+//! * the banks, bank groups and ranks of one channel, laid out and
+//!   numbered by `bh_types::DramOrganization`,
 //! * the row-buffer state machine of every bank,
 //! * the DDR4 timing constraints that bound how fast rows can be activated
 //!   (`tRC`, `tRCD`, `tRP`, `tRAS`, `tRRD_S/L`, `tFAW`, `tCCD_S/L`, `tWTR`,
@@ -14,7 +15,7 @@
 //! * command / state-residency statistics that feed the energy model.
 //!
 //! [`DramDevice`] is the one owner of that state: it keeps every bank of
-//! the channel once, by global bank index, and per rank only the timing
+//! the channel once, by bank index, and per rank only the timing
 //! the rank's banks share. It answers each bank's open row and the set of
 //! open banks, so the memory controller keeps no copy of the row buffers.
 //! The device does not move data; it only enforces *when* commands may be
@@ -24,8 +25,8 @@
 //! ## Example
 //!
 //! ```
-//! use bh_types::{DramAddress, MemCommand, TimeConverter};
-//! use dram_sim::{DramDevice, DramOrganization, DramTimings};
+//! use bh_types::{DramAddress, DramOrganization, MemCommand, TimeConverter};
+//! use dram_sim::{DramDevice, DramTimings};
 //!
 //! let timings = DramTimings::ddr4_2400().into_cycles(&TimeConverter::default());
 //! let org = DramOrganization::default();
@@ -44,12 +45,10 @@
 
 mod bank;
 mod device;
-mod organization;
 mod rank;
 mod stats;
 mod timings;
 
 pub use device::{banks_in, DramDevice, IssueOutcome};
-pub use organization::DramOrganization;
 pub use stats::{CommandCounts, DramStats};
 pub use timings::{DramTimings, TimingsInCycles};

@@ -78,8 +78,8 @@ impl DramStats {
         }
     }
 
-    /// Enables detailed activation logging (used by safety-verification
-    /// tests and the false-positive study).
+    /// Enables detailed activation logging (used by the safety-verification
+    /// tests, which bound every row's activations per window).
     pub fn enable_activation_log(&mut self) {
         self.activation_log.get_or_insert_with(Vec::new);
     }

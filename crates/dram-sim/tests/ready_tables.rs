@@ -3,12 +3,12 @@
 //! [`DramDevice::legal_banks`] must answer exactly as per-bank
 //! [`DramDevice::can_issue`] checks do (column commands addressing the
 //! bank's open row), and leave the same earliest refused cycle for
-//! [`DramDevice::take_retry_at`]; and [`DramDevice::open_banks`],
-//! [`DramDevice::open_row_of`] and [`DramDevice::bank_address`] must agree
-//! with [`DramDevice::open_row`] and the index layout on every bank.
+//! [`DramDevice::take_retry_at`]; and [`DramDevice::open_banks`] and
+//! [`DramDevice::open_row_of`] must agree with [`DramDevice::open_row`] on
+//! every bank.
 
-use bh_types::{Cycle, DramAddress, MemCommand, TimeConverter};
-use dram_sim::{DramDevice, DramOrganization, DramTimings};
+use bh_types::{Cycle, DramAddress, DramOrganization, MemCommand, TimeConverter};
+use dram_sim::{DramDevice, DramTimings};
 use proptest::prelude::*;
 
 /// The default geometry, two ranks, and a non-power-of-two one.
@@ -45,24 +45,11 @@ impl Rng {
     }
 }
 
-/// The address of the bank with global index `bank`, at `row`.
-fn bank_addr(org: &DramOrganization, bank: usize, row: u64) -> DramAddress {
-    let in_rank = bank % org.banks_per_rank();
-    DramAddress::new(
-        0,
-        bank / org.banks_per_rank(),
-        in_rank / org.banks_per_group,
-        in_rank % org.banks_per_group,
-        row,
-        0,
-    )
-}
-
 /// The address a command to `bank` uses: a column command the open row.
 fn command_addr(dram: &DramDevice, bank: usize, row: u64) -> DramAddress {
     let org = dram.organization();
-    let open = dram.open_row(&bank_addr(org, bank, 0));
-    bank_addr(org, bank, open.unwrap_or(row))
+    let open = dram.open_row(&org.bank_address(bank, 0));
+    org.bank_address(bank, open.unwrap_or(row))
 }
 
 /// Checks `legal_banks` for every per-bank command on `set` at `now`
@@ -93,14 +80,13 @@ fn check(dram: &DramDevice, set: u64, now: Cycle) {
     }
 }
 
-/// Checks the open-bank set and every bank's index-based open row (and
-/// address) against the address-based [`DramDevice::open_row`].
+/// Checks the open-bank set and every bank's index-based open row against
+/// the address-based [`DramDevice::open_row`].
 fn check_open_rows(dram: &DramDevice) {
     let org = dram.organization();
     let mut open = 0u64;
     for bank in 0..org.banks_per_channel() {
-        assert_eq!(dram.bank_address(bank, 0), bank_addr(org, bank, 0));
-        let row = dram.open_row(&bank_addr(org, bank, 0));
+        let row = dram.open_row(&org.bank_address(bank, 0));
         assert_eq!(dram.open_row_of(bank), row, "open row of bank {bank}");
         if row.is_some() {
             open |= 1 << bank;
@@ -139,12 +125,12 @@ proptest! {
             if cmd == MemCommand::Refresh && dram.earliest_issue(cmd, &addr).is_none() {
                 // REF needs its rank closed: precharge an open bank of it.
                 let rank = addr.rank();
-                let open = (0..org.banks_per_rank())
-                    .map(|b| rank * org.banks_per_rank() + b)
-                    .find(|&b| dram.open_row(&bank_addr(&org, b, 0)).is_some());
+                let open = org
+                    .rank_banks(rank)
+                    .find(|&b| dram.open_row_of(b).is_some());
                 if let Some(open) = open {
                     cmd = MemCommand::Precharge;
-                    addr = bank_addr(&org, open, 0);
+                    addr = org.bank_address(open, 0);
                 }
             }
             // Issue the command at its earliest legal cycle, a few cycles

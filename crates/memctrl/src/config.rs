@@ -1,7 +1,7 @@
 //! Memory controller configuration.
 
-use bh_types::{AddressMapping, ConfigError, Cycle, TimeConverter};
-use dram_sim::{DramOrganization, DramTimings};
+use bh_types::{ConfigError, Cycle, DramOrganization, TimeConverter};
+use dram_sim::DramTimings;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::MemoryController`].
@@ -11,14 +11,13 @@ use serde::{Deserialize, Serialize};
 /// controller gets a copy with [`DramOrganization::per_channel`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MemCtrlConfig {
-    /// DRAM organization.
+    /// DRAM organization, which also decodes physical addresses (MOP
+    /// address mapping).
     pub organization: DramOrganization,
     /// DRAM timing parameters (nanosecond domain).
     pub timings: DramTimings,
     /// Simulation clock.
     pub clock: TimeConverter,
-    /// Physical-to-DRAM address mapping scheme.
-    pub mapping: AddressMapping,
     /// Read queue capacity (requests).
     pub read_queue_capacity: usize,
     /// Write queue capacity (requests).
@@ -43,7 +42,6 @@ impl Default for MemCtrlConfig {
             organization: DramOrganization::default(),
             timings: DramTimings::ddr4_2400(),
             clock: TimeConverter::default(),
-            mapping: AddressMapping::default(),
             read_queue_capacity: 64,
             write_queue_capacity: 64,
             write_drain_high: 48,

@@ -196,11 +196,6 @@ impl MemoryController {
         self.scheduler.len(AccessType::Write)
     }
 
-    fn global_bank(&self, addr: &DramAddress) -> usize {
-        let org = &self.config.organization;
-        addr.global_bank_index(org.ranks, org.bank_groups, org.banks_per_group)
-    }
-
     /// The admission predicate: defense quota first, then queue space.
     /// `quota` is the defense's in-flight limit for the `<thread, bank>`
     /// pair (the batch amortizes that trait call); `free_slots` is the
@@ -290,8 +285,7 @@ impl MemoryController {
         defense: &dyn RowHammerDefense,
         mut on_accept: impl FnMut(ReqId, T),
     ) -> BatchAdmission {
-        let geometry = self.config.organization.geometry();
-        let mapping = self.config.mapping;
+        let organization = self.config.organization;
         let mut free_slots = self.free_slots(access);
         // One-entry quota cache: consecutive requests of one thread to one
         // bank (the common shape of a per-channel fetch queue) pay the
@@ -302,8 +296,8 @@ impl MemoryController {
             rejection: None,
         };
         for (thread, phys_addr, tag) in items {
-            let addr = mapping.decode(&geometry, phys_addr);
-            let bank = self.global_bank(&addr);
+            let addr = organization.decode(phys_addr);
+            let bank = organization.bank_of(&addr);
             let key = (thread.index(), bank);
             let quota = match cached_quota {
                 Some((cached_key, quota)) if cached_key == key => quota,
@@ -470,7 +464,7 @@ impl MemoryController {
     }
 
     fn finish_request(&mut self, request: &MemRequest, completed_at: Cycle) {
-        let bank = self.global_bank(&request.dram_addr);
+        let bank = self.config.organization.bank_of(&request.dram_addr);
         if let Entry::Occupied(mut entry) = self.inflight.entry((request.thread.index(), bank)) {
             let count = entry.get_mut();
             *count = count.saturating_sub(1);
@@ -523,9 +517,6 @@ impl MemoryController {
     /// command slot was consumed.
     fn handle_refresh(&mut self, now: Cycle) -> bool {
         let org = self.config.organization;
-        let banks_per_rank = org.banks_per_rank();
-        // The bank set of rank 0's banks (a shift by 64 would overflow).
-        let rank0_banks = u64::MAX >> (64 - banks_per_rank);
         let mut pending_blocked = false;
         for rank in 0..org.ranks {
             if now >= self.next_refresh[rank] {
@@ -545,9 +536,9 @@ impl MemoryController {
             }
             // Close any open bank so the refresh can proceed, in ascending
             // bank order.
-            let open = self.dram.open_banks() & (rank0_banks << (rank * banks_per_rank));
-            for bank in banks_in(open) {
-                let addr = self.dram.bank_address(bank, 0);
+            let banks = org.rank_banks(rank);
+            for bank in banks_in(self.dram.open_banks()).filter(|bank| banks.contains(bank)) {
+                let addr = org.bank_address(bank, 0);
                 if self.dram.can_issue(MemCommand::Precharge, &addr, now) {
                     self.issue_tracked(MemCommand::Precharge, &addr, now);
                     return true;
@@ -651,7 +642,7 @@ impl MemoryController {
     fn issue_tracked(&mut self, cmd: MemCommand, addr: &DramAddress, now: Cycle) -> IssueOutcome {
         let outcome = self.dram.issue(cmd, addr, now);
         self.scheduler
-            .note_issue(cmd, self.global_bank(addr), &self.dram);
+            .note_issue(cmd, self.config.organization.bank_of(addr), &self.dram);
         outcome
     }
 
@@ -749,11 +740,10 @@ mod tests {
     fn row_conflicts_are_resolved_with_precharge() {
         let mut ctrl = controller();
         let mut defense = NoMitigation::new();
-        let geometry = ctrl.config().organization.geometry();
-        let mapping = ctrl.config().mapping;
+        let org = ctrl.config().organization;
         // Two addresses in the same bank but different rows.
-        let a = mapping.encode(&geometry, &DramAddress::new(0, 0, 1, 1, 100, 0));
-        let b = mapping.encode(&geometry, &DramAddress::new(0, 0, 1, 1, 200, 0));
+        let a = org.encode(&DramAddress::new(0, 0, 1, 1, 100, 0));
+        let b = org.encode(&DramAddress::new(0, 0, 1, 1, 200, 0));
         ctrl.enqueue(ThreadId::new(0), a, AccessType::Read, 0, &defense)
             .unwrap();
         ctrl.enqueue(ThreadId::new(0), b, AccessType::Read, 0, &defense)
@@ -862,15 +852,14 @@ mod tests {
             let mut ctrl = MemoryController::new(config);
             let mut defense = NoMitigation::new();
             let t_refi = ctrl.timings().t_refi;
-            let geometry = ctrl.config().organization.geometry();
-            let mapping = ctrl.config().mapping;
+            let org = ctrl.config().organization;
             // Idle until shortly before the refresh deadline, then open a
             // row in the blocked rank so that, at the deadline, it can
             // neither refresh (row open) nor precharge (tRAS still running).
             for cycle in 0..t_refi - 40 {
                 ctrl.tick(cycle, &mut defense);
             }
-            let row = mapping.encode(&geometry, &DramAddress::new(0, blocked, 0, 0, 100, 0));
+            let row = org.encode(&DramAddress::new(0, blocked, 0, 0, 100, 0));
             ctrl.enqueue(
                 ThreadId::new(0),
                 row,
@@ -925,15 +914,14 @@ mod tests {
             DefenseGeometry::default(),
             1,
         );
-        let geometry = ctrl.config().organization.geometry();
-        let mapping = ctrl.config().mapping;
+        let org = ctrl.config().organization;
         let mut cycle = 0;
         let mut reads = Vec::new();
         let mut done = Vec::new();
         // Hammer two rows of one bank alternately.
         for i in 0..400u64 {
             let row = if i % 2 == 0 { 1000 } else { 1002 };
-            let phys = mapping.encode(&geometry, &DramAddress::new(0, 0, 0, 0, row, 0));
+            let phys = org.encode(&DramAddress::new(0, 0, 0, 0, row, 0));
             loop {
                 if let Ok(id) =
                     ctrl.enqueue(ThreadId::new(0), phys, AccessType::Read, cycle, &defense)
@@ -1152,13 +1140,12 @@ mod tests {
     fn idle_until_after_a_failed_pass_is_its_retry_cycle() {
         let mut ctrl = controller();
         let mut defense = NoMitigation::new();
-        let geometry = ctrl.config().organization.geometry();
-        let mapping = ctrl.config().mapping;
+        let org = ctrl.config().organization;
         let written = DramAddress::new(0, 0, 1, 1, 100, 0);
         let conflicting = DramAddress::new(0, 0, 1, 1, 200, 0);
         ctrl.enqueue(
             ThreadId::new(0),
-            mapping.encode(&geometry, &written),
+            org.encode(&written),
             AccessType::Write,
             0,
             &defense,
@@ -1173,7 +1160,7 @@ mod tests {
         // write recovery (tWR) holds back until after the write completes.
         ctrl.enqueue(
             ThreadId::new(0),
-            mapping.encode(&geometry, &conflicting),
+            org.encode(&conflicting),
             AccessType::Read,
             now,
             &defense,

@@ -348,8 +348,8 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::MemCtrlConfig;
-    use bh_types::TimeConverter;
-    use dram_sim::{DramOrganization, DramTimings};
+    use bh_types::{DramOrganization, TimeConverter};
+    use dram_sim::DramTimings;
     use mitigations::{
         DefenseGeometry, DefenseStats, MetadataFootprint, NoMitigation, Para, RowHammerThreshold,
     };
@@ -375,10 +375,9 @@ mod tests {
         )
     }
 
-    /// The global bank index of `addr` in the default organization.
+    /// The bank index of `addr` in the default organization.
     fn global_bank(addr: &DramAddress) -> usize {
-        let org = DramOrganization::default();
-        addr.global_bank_index(org.ranks, org.bank_groups, org.banks_per_group)
+        DramOrganization::default().bank_of(addr)
     }
 
     fn bank_index(bank_group: usize, bank: usize) -> usize {

@@ -73,11 +73,11 @@ impl Cbt {
         let counters_per_bank =
             (max_acts.div_ceil(thresholds[0].max(1)) as usize).max(MIN_COUNTERS_PER_BANK);
         Self {
-            banks: (0..geometry.total_banks)
+            banks: (0..geometry.organization.banks_per_channel())
                 .map(|_| BankTree {
                     regions: vec![Region {
                         start: 0,
-                        len: geometry.rows_per_bank,
+                        len: geometry.organization.rows_per_bank,
                         level: 0,
                         count: 0,
                     }],
@@ -113,7 +113,7 @@ impl RowHammerDefense for Cbt {
         addr: &DramAddress,
     ) -> Vec<DramAddress> {
         self.stats.record_activation();
-        let bank = self.geometry.global_bank(addr);
+        let bank = self.geometry.organization.bank_of(addr);
         let tree = &mut self.banks[bank];
         let row = addr.row();
         let idx = tree
@@ -166,7 +166,7 @@ impl RowHammerDefense for Cbt {
         // Per bank: 125 counters with a region tag (row bits + level) in CAM
         // and the count value in SRAM, matching the paper's 16.00 KiB SRAM +
         // 8.50 KiB CAM split per rank (for N_RH = 32K) in order of magnitude.
-        let banks = self.geometry.banks_per_rank() as u64;
+        let banks = self.geometry.organization.banks_per_rank() as u64;
         let count_bits = 64 - u64::leading_zeros(self.thresholds[LEVELS - 1].max(1)) as u64 + 1;
         let tag_bits = 17 + 3;
         MetadataFootprint {

@@ -1,28 +1,23 @@
 //! Geometry and blast-radius information shared by all defenses.
 
-use bh_types::{Cycle, DramAddress};
+use bh_types::{Cycle, DramOrganization};
 use serde::{Deserialize, Serialize};
 
 /// The subset of system geometry a defense needs to size its per-bank /
-/// per-thread state and to convert addresses into flat indices.
+/// per-thread state: the channel's DRAM organization (which numbers its
+/// banks), the threads and the timing a defense derives its parameters
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DefenseGeometry {
     /// The memory channel this defense instance protects. Defenses are
     /// instantiated once per channel (the paper's BlockHammer lives in each
     /// per-channel memory controller); all addresses a defense observes are
-    /// channel-local, so `total_banks` and every index below span a single
-    /// channel.
+    /// channel-local.
     pub channel: usize,
-    /// Ranks per channel.
-    pub ranks_per_channel: usize,
-    /// Bank groups per rank.
-    pub bank_groups_per_rank: usize,
-    /// Banks per bank group.
-    pub banks_per_group: usize,
-    /// Total banks across the system.
-    pub total_banks: usize,
-    /// Rows per bank.
-    pub rows_per_bank: u64,
+    /// The organization of one channel (`channels` = 1): a defense keeps
+    /// per-bank state for its `banks_per_channel()` banks, indexed by
+    /// [`DramOrganization::bank_of`].
+    pub organization: DramOrganization,
     /// Hardware threads sharing the memory system.
     pub threads: usize,
     /// The refresh window in simulation cycles (tREFW).
@@ -34,16 +29,12 @@ pub struct DefenseGeometry {
 }
 
 impl Default for DefenseGeometry {
-    /// The paper's system: 16 banks, 64K rows per bank, 8 threads,
-    /// DDR4-2400 timings at a 3.2 GHz controller clock.
+    /// The paper's system (Table 5): 16 banks, 64K rows per bank, 8
+    /// threads, DDR4-2400 timings at a 3.2 GHz controller clock.
     fn default() -> Self {
         Self {
             channel: 0,
-            ranks_per_channel: 1,
-            bank_groups_per_rank: 4,
-            banks_per_group: 4,
-            total_banks: 16,
-            rows_per_bank: 65_536,
+            organization: DramOrganization::default(),
             threads: 8,
             refresh_window_cycles: 204_800_000, // 64 ms at 3.2 GHz
             t_rc_cycles: 148,                   // 46.25 ns at 3.2 GHz
@@ -53,20 +44,6 @@ impl Default for DefenseGeometry {
 }
 
 impl DefenseGeometry {
-    /// Flat system-wide bank index of `addr`.
-    pub fn global_bank(&self, addr: &DramAddress) -> usize {
-        addr.global_bank_index(
-            self.ranks_per_channel,
-            self.bank_groups_per_rank,
-            self.banks_per_group,
-        )
-    }
-
-    /// Banks per rank.
-    pub fn banks_per_rank(&self) -> usize {
-        self.bank_groups_per_rank * self.banks_per_group
-    }
-
     /// Maximum number of activations a single bank can receive within one
     /// refresh window (bounded by `tRC`).
     pub fn max_acts_per_bank_per_refresh_window(&self) -> u64 {
@@ -152,23 +129,11 @@ mod tests {
     #[test]
     fn default_geometry_matches_paper_system() {
         let g = DefenseGeometry::default();
-        assert_eq!(g.total_banks, 16);
-        assert_eq!(g.banks_per_rank(), 16);
+        assert_eq!(g.organization.banks_per_channel(), 16);
+        assert_eq!(g.organization.banks_per_rank(), 16);
         // 64 ms / 46.25 ns ~ 1.38M activations.
         let max_acts = g.max_acts_per_bank_per_refresh_window();
         assert!(max_acts > 1_300_000 && max_acts < 1_450_000);
-    }
-
-    #[test]
-    fn global_bank_covers_all_banks() {
-        let g = DefenseGeometry::default();
-        let mut seen = std::collections::HashSet::new();
-        for bg in 0..4 {
-            for ba in 0..4 {
-                seen.insert(g.global_bank(&DramAddress::new(0, 0, bg, ba, 0, 0)));
-            }
-        }
-        assert_eq!(seen.len(), 16);
     }
 
     #[test]

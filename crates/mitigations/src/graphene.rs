@@ -59,7 +59,7 @@ impl Graphene {
         // threshold.
         let table_entries = (max_acts.div_ceil(threshold.max(1)) as usize).max(8);
         Self {
-            banks: vec![BankTable::default(); geometry.total_banks],
+            banks: vec![BankTable::default(); geometry.organization.banks_per_channel()],
             threshold,
             table_entries,
             reset_interval,
@@ -104,7 +104,7 @@ impl RowHammerDefense for Graphene {
             self.next_reset = now + self.reset_interval;
             self.reset_tables();
         }
-        let bank_idx = self.geometry.global_bank(addr);
+        let bank_idx = self.geometry.organization.bank_of(addr);
         let table_entries = self.table_entries;
         let threshold = self.threshold;
         let bank = &mut self.banks[bank_idx];
@@ -148,7 +148,7 @@ impl RowHammerDefense for Graphene {
             return Vec::new();
         }
         bank.refreshed_at.insert(row, crossed);
-        let rows = self.geometry.rows_per_bank;
+        let rows = self.geometry.organization.rows_per_bank;
         let mut victims = Vec::with_capacity(2);
         for offset in [-1i64, 1] {
             if let Some(v) = addr.neighbor_row(offset, rows) {
@@ -162,7 +162,7 @@ impl RowHammerDefense for Graphene {
     fn metadata(&self) -> MetadataFootprint {
         // Graphene is fully CAM-based: every entry stores a row tag and a
         // counter that must be compared/updated associatively.
-        let banks = self.geometry.banks_per_rank() as u64;
+        let banks = self.geometry.organization.banks_per_rank() as u64;
         let count_bits = 64 - u64::leading_zeros(self.threshold.max(1) * 8) as u64;
         let entry_bits = 17 + count_bits;
         MetadataFootprint::cam(banks * self.table_entries as u64 * entry_bits)

@@ -50,7 +50,9 @@ impl MrLoc {
         let n = n_rh.get() as f64;
         let base = (1.0 - target_failure.powf(1.0 / n)).min(1.0);
         Self {
-            queues: (0..geometry.total_banks).map(|_| VecDeque::new()).collect(),
+            queues: (0..geometry.organization.banks_per_channel())
+                .map(|_| VecDeque::new())
+                .collect(),
             base_probability: base,
             max_probability: (base * 32.0).min(1.0),
             geometry,
@@ -101,8 +103,8 @@ impl RowHammerDefense for MrLoc {
         addr: &DramAddress,
     ) -> Vec<DramAddress> {
         self.stats.record_activation();
-        let bank = self.geometry.global_bank(addr);
-        let rows = self.geometry.rows_per_bank;
+        let bank = self.geometry.organization.bank_of(addr);
+        let rows = self.geometry.organization.rows_per_bank;
         let mut refreshed = Vec::new();
         for offset in [-1i64, 1] {
             let Some(victim) = addr.neighbor_row(offset, rows) else {
@@ -121,7 +123,7 @@ impl RowHammerDefense for MrLoc {
     fn metadata(&self) -> MetadataFootprint {
         // A queue of row addresses per bank, tag-matched (CAM).
         let entry_bits = 17;
-        let banks = self.geometry.banks_per_rank() as u64;
+        let banks = self.geometry.organization.banks_per_rank() as u64;
         MetadataFootprint::cam(banks * QUEUE_ENTRIES as u64 * entry_bits)
     }
 

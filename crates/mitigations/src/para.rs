@@ -73,7 +73,9 @@ impl RowHammerDefense for Para {
         if self.rng.gen_bool(self.probability) {
             // Refresh one of the two adjacent rows, chosen uniformly.
             let offset = if self.rng.gen_bool(0.5) { 1 } else { -1 };
-            if let Some(victim) = addr.neighbor_row(offset, self.geometry.rows_per_bank) {
+            if let Some(victim) =
+                addr.neighbor_row(offset, self.geometry.organization.rows_per_bank)
+            {
                 self.stats.victim_refreshes += 1;
                 return vec![victim];
             }

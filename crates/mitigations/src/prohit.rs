@@ -63,13 +63,15 @@ impl ProHit {
     /// a tREFI-scale interval in cycles is appropriate).
     pub fn new(geometry: DefenseGeometry, service_interval: Cycle, seed: u64) -> Self {
         Self {
-            tables: (0..geometry.total_banks).map(|_| Tables::new()).collect(),
+            tables: (0..geometry.organization.banks_per_channel())
+                .map(|_| Tables::new())
+                .collect(),
             geometry,
             service_interval: service_interval.max(1),
             next_service: service_interval.max(1),
             rng: StdRng::seed_from_u64(seed),
             stats: DefenseStats::default(),
-            pending_service: vec![None; geometry.total_banks],
+            pending_service: vec![None; geometry.organization.banks_per_channel()],
         }
     }
 
@@ -117,8 +119,8 @@ impl RowHammerDefense for ProHit {
         addr: &DramAddress,
     ) -> Vec<DramAddress> {
         self.stats.record_activation();
-        let bank = self.geometry.global_bank(addr);
-        let rows = self.geometry.rows_per_bank;
+        let bank = self.geometry.organization.bank_of(addr);
+        let rows = self.geometry.organization.rows_per_bank;
         for offset in [-1i64, 1] {
             if let Some(v) = addr.neighbor_row(offset, rows) {
                 self.observe_victim(bank, v.row());
@@ -147,7 +149,7 @@ impl RowHammerDefense for ProHit {
         // 8 entries per bank, each a row address (~17 bits) held in a small
         // CAM, matching the ~0.22 KiB per rank the paper reports.
         let entry_bits = 17;
-        let banks = self.geometry.banks_per_rank() as u64;
+        let banks = self.geometry.organization.banks_per_rank() as u64;
         MetadataFootprint::cam(banks * (HOT_ENTRIES + COLD_ENTRIES) as u64 * entry_bits)
     }
 

@@ -56,7 +56,9 @@ impl TwiCe {
             .max(acts_per_interval as usize)
             .max(64);
         Self {
-            tables: (0..geometry.total_banks).map(|_| HashMap::new()).collect(),
+            tables: (0..geometry.organization.banks_per_channel())
+                .map(|_| HashMap::new())
+                .collect(),
             refresh_threshold,
             prune_rate,
             prune_interval: prune_interval.max(1),
@@ -107,13 +109,13 @@ impl RowHammerDefense for TwiCe {
             self.next_prune += self.prune_interval;
             self.prune();
         }
-        let bank = self.geometry.global_bank(addr);
+        let bank = self.geometry.organization.bank_of(addr);
         let entry = self.tables[bank].entry(addr.row()).or_insert((0, 0));
         entry.0 += 1;
         if entry.0 >= self.refresh_threshold {
             entry.0 = 0;
             entry.1 = 0;
-            let rows = self.geometry.rows_per_bank;
+            let rows = self.geometry.organization.rows_per_bank;
             let mut victims = Vec::with_capacity(2);
             for offset in [-1i64, 1] {
                 if let Some(v) = addr.neighbor_row(offset, rows) {
@@ -131,7 +133,7 @@ impl RowHammerDefense for TwiCe {
         // Each entry: row tag (CAM, ~17 bits) + activation counter + age
         // counter (SRAM). The per-rank numbers in Table 4 (37.12 KiB SRAM,
         // 14.02 KiB CAM at N_RH = 32K) correspond to this organization.
-        let banks = self.geometry.banks_per_rank() as u64;
+        let banks = self.geometry.organization.banks_per_rank() as u64;
         let entries = self.provisioned_entries as u64 * banks;
         let count_bits = 64 - u64::leading_zeros(self.refresh_threshold.max(1)) as u64 + 1;
         let age_bits = 16;
@@ -195,7 +197,7 @@ mod tests {
             ThreadId::new(0),
             &DramAddress::new(0, 0, 0, 1, 9, 0),
         );
-        let bank = d.geometry.global_bank(&slow);
+        let bank = d.geometry.organization.bank_of(&slow);
         assert!(
             !d.tables[bank].contains_key(&5),
             "a slow row must be pruned from the table"

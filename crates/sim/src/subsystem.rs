@@ -6,9 +6,10 @@
 //! so every channel owns an independent defense. This module models
 //! exactly that: one [`MemoryController`] + DRAM device + boxed
 //! [`RowHammerDefense`] per channel (a channel shard), with physical
-//! addresses routed to shards by the address mapping's channel bits. It
-//! is the only place that knows about channels: each shard's controller
-//! and device model exactly one channel, and see channel-local addresses.
+//! addresses routed to shards by the address mapping's channel bits
+//! ([`DramOrganization::to_channel_local`]). It is the only place that
+//! routes by channel: each shard's controller and device model exactly one
+//! channel, and see channel-local addresses.
 //!
 //! Shards step in lockstep on the calling thread, one cycle at a time and
 //! with completions always collected in channel order, so runs are
@@ -17,7 +18,7 @@
 //! whole runs fan out over the campaign executor's work-stealing pool.
 
 use crate::metrics::ChannelStats;
-use bh_types::{AccessType, AddressMapping, AddressMappingGeometry, Cycle, ReqId, ThreadId};
+use bh_types::{AccessType, Cycle, DramOrganization, ReqId, ThreadId};
 use dram_sim::DramStats;
 use memctrl::{CompletedRequest, CtrlStats, EnqueueError, MemCtrlConfig, MemoryController};
 use mitigations::{DefenseStats, RowHammerDefense};
@@ -41,12 +42,9 @@ struct ChannelShard {
 /// A set of independent per-channel memory controllers behind a single
 /// enqueue/tick facade. See the module documentation.
 pub struct MemorySubsystem {
-    mapping: AddressMapping,
-    /// Full-system geometry, used only to split addresses into
+    /// The full system's organization, which splits addresses into
     /// `(channel, channel-local address)`.
-    geometry: AddressMappingGeometry,
-    /// Banks within one channel (the index space of per-shard defenses).
-    banks_per_channel: usize,
+    organization: DramOrganization,
     /// The shards, in channel order.
     shards: Vec<ChannelShard>,
 }
@@ -92,9 +90,7 @@ impl MemorySubsystem {
             })
             .collect();
         Self {
-            mapping: config.mapping,
-            geometry: config.organization.geometry(),
-            banks_per_channel: config.organization.banks_per_channel(),
+            organization: config.organization,
             shards,
         }
     }
@@ -106,7 +102,7 @@ impl MemorySubsystem {
 
     /// The channel shard a physical address routes to.
     pub fn channel_of(&self, phys_addr: u64) -> usize {
-        self.mapping.channel_of(&self.geometry, phys_addr)
+        self.organization.channel_of(phys_addr)
     }
 
     /// Mutable access to the defense instance protecting `channel` (e.g.
@@ -128,7 +124,7 @@ impl MemorySubsystem {
         access: AccessType,
         now: Cycle,
     ) -> Result<ShardReqId, EnqueueError> {
-        let (channel, local) = self.mapping.to_channel_local(&self.geometry, phys_addr);
+        let (channel, local) = self.organization.to_channel_local(phys_addr);
         let shard = &mut self.shards[channel];
         shard
             .ctrl
@@ -156,12 +152,11 @@ impl MemorySubsystem {
         if queue.is_empty() {
             return 0;
         }
-        let mapping = self.mapping;
-        let geometry = self.geometry;
+        let organization = self.organization;
         let shard = &mut self.shards[channel];
         let outcome = shard.ctrl.enqueue_batch(
             queue.iter().map(|&(thread, phys)| {
-                let (routed, local) = mapping.to_channel_local(&geometry, phys);
+                let (routed, local) = organization.to_channel_local(phys);
                 debug_assert_eq!(routed, channel, "queued address routed off-channel");
                 (thread, local, phys)
             }),
@@ -210,10 +205,11 @@ impl MemorySubsystem {
     /// The largest RowHammer likelihood index any shard's defense reports
     /// for `thread`, across all banks.
     pub fn max_rhli(&self, thread: ThreadId) -> f64 {
+        let banks_per_channel = self.organization.banks_per_channel();
         self.shards
             .iter()
             .flat_map(|shard| {
-                (0..self.banks_per_channel).map(move |bank| shard.defense.rhli(thread, bank))
+                (0..banks_per_channel).map(move |bank| shard.defense.rhli(thread, bank))
             })
             .fold(0.0, f64::max)
     }

@@ -156,18 +156,14 @@ impl SystemConfig {
     /// `threads` hardware threads (for channel 0; defenses for other
     /// channels differ only by [`DefenseGeometry::channel`]).
     ///
-    /// Defenses are instantiated once per channel, so `total_banks` spans a
-    /// single channel — with one channel this is the whole system.
+    /// Defenses are instantiated once per channel, so the geometry holds
+    /// one channel's organization — with one channel this is the whole
+    /// system.
     pub fn defense_geometry(&self, threads: usize) -> DefenseGeometry {
-        let org = &self.memctrl.organization;
         let timings = self.memctrl.timings.into_cycles(&self.memctrl.clock);
         DefenseGeometry {
             channel: 0,
-            ranks_per_channel: org.ranks,
-            bank_groups_per_rank: org.bank_groups,
-            banks_per_group: org.banks_per_group,
-            total_banks: org.banks_per_channel(),
-            rows_per_bank: org.rows_per_bank,
+            organization: self.memctrl.organization.per_channel(),
             threads: threads.max(1),
             refresh_window_cycles: timings.t_refw,
             t_rc_cycles: timings.t_rc,
@@ -767,11 +763,10 @@ impl SystemBuilder {
             self.config.t_refi_cycles(),
             self.config.seed,
         );
-        let organization_geometry = self.config.memctrl.organization.geometry();
-        let mapping = self.config.memctrl.mapping;
+        let organization = self.config.memctrl.organization;
         let mut traces: Vec<(String, BoxedTrace, bool, u64)> = Vec::new();
         if let Some(kind) = self.attacker {
-            let attack = kind.build(AttackSpec::default_for(mapping, organization_geometry));
+            let attack = kind.build(AttackSpec::default_for(organization));
             traces.push((
                 format!("attacker.{}", kind.label()),
                 Box::new(attack),
@@ -781,7 +776,7 @@ impl SystemBuilder {
         }
         // Give each benign thread a disjoint address-space slice so threads
         // do not share cache lines or rows.
-        let slice = organization_geometry.capacity_bytes() / (thread_count as u64 + 1);
+        let slice = organization.capacity_bytes() / (thread_count as u64 + 1);
         for (index, (spec, limit)) in self.workloads.iter().enumerate() {
             let base = slice * (index as u64 + usize::from(self.attacker.is_some()) as u64);
             let relocated = spec.clone().at_base(base);

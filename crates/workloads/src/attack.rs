@@ -2,12 +2,13 @@
 //!
 //! The paper's attack model (Section 7) is a synthetic double-sided attack:
 //! in every bank, two aggressor rows sandwiching a victim row are activated
-//! alternately as fast as possible (`RA, RB, RA, RB, ...`). The generators
-//! here produce exactly that access stream (plus a many-sided variant used
-//! by the extension experiments), emitting cache-bypassing reads with no
-//! intervening compute so the attacking core saturates the memory system.
+//! alternately as fast as possible (`RA, RB, RA, RB, ...`). An
+//! [`AttackGenerator`] produces exactly that access stream, or the
+//! single-sided and many-sided variants used by the extension experiments,
+//! emitting cache-bypassing reads with no intervening compute so the
+//! attacking core saturates the memory system.
 
-use bh_types::{AddressMapping, AddressMappingGeometry, DramAddress, TraceRecord};
+use bh_types::{DramOrganization, TraceRecord};
 
 /// Which access pattern an attacker thread runs.
 ///
@@ -64,208 +65,112 @@ impl AttackKind {
         }
     }
 
+    /// The number of aggressor rows per attacked bank.
+    fn sides(&self) -> u32 {
+        match self {
+            AttackKind::DoubleSided => 2,
+            AttackKind::SingleSided => 1,
+            AttackKind::ManySided { sides } => *sides,
+        }
+    }
+
     /// Builds the trace generator for this kind of attack.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as the underlying generator
-    /// constructors (victim row too close to a bank edge, zero banks).
+    /// Panics if the kind has no aggressor row, the aggressor rows would
+    /// fall outside the bank, or `spec.banks_to_attack` is zero.
     pub fn build(&self, spec: AttackSpec) -> AttackGenerator {
-        match self {
-            AttackKind::DoubleSided => AttackGenerator::Double(DoubleSidedAttack::new(spec)),
-            AttackKind::SingleSided => AttackGenerator::Many(ManySidedAttack::new(spec, 1)),
-            AttackKind::ManySided { sides } => {
-                AttackGenerator::Many(ManySidedAttack::new(spec, *sides))
-            }
-        }
+        AttackGenerator::new(spec, self.sides())
     }
 }
 
-/// A built attack trace generator of any [`AttackKind`].
-#[derive(Debug, Clone)]
-pub enum AttackGenerator {
-    /// A [`DoubleSidedAttack`].
-    Double(DoubleSidedAttack),
-    /// A [`ManySidedAttack`] (also used for single-sided: one aggressor).
-    Many(ManySidedAttack),
-}
-
-impl AttackGenerator {
-    /// The generator's period: it repeats its address stream every
-    /// `period()` records, so recording that many records and looping the
-    /// file reproduces the infinite stream exactly.
-    pub fn period(&self) -> usize {
-        match self {
-            AttackGenerator::Double(a) => a.address_count(),
-            AttackGenerator::Many(a) => a.address_count(),
-        }
-    }
-}
-
-impl Iterator for AttackGenerator {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        match self {
-            AttackGenerator::Double(a) => a.next(),
-            AttackGenerator::Many(a) => a.next(),
-        }
-    }
-}
-
-/// Parameters shared by the attack generators.
+/// Parameters shared by every kind of attack.
 #[derive(Debug, Clone, Copy)]
 pub struct AttackSpec {
-    /// Address mapping used by the target system (needed to construct
-    /// physical addresses that land on chosen rows).
-    pub mapping: AddressMapping,
-    /// Geometry of the target system.
-    pub geometry: AddressMappingGeometry,
+    /// Organization of the target system, which encodes the chosen rows'
+    /// physical addresses.
+    pub organization: DramOrganization,
     /// The victim row around which aggressor rows are chosen.
     pub victim_row: u64,
     /// Number of banks the attack cycles over (the paper hammers every
-    /// bank; restricting to one bank concentrates the attack).
+    /// bank; restricting to one bank concentrates the attack). The
+    /// addresses all lie in channel 0: bank `b` is channel 0's bank
+    /// `b % banks_per_channel`.
     pub banks_to_attack: usize,
 }
 
 impl AttackSpec {
-    /// An attack on every bank of the default system, hammering around row
+    /// An attack on every bank of `organization`, hammering around row
     /// 0x8000 (an arbitrary row in the middle of each bank).
-    pub fn default_for(mapping: AddressMapping, geometry: AddressMappingGeometry) -> Self {
+    pub fn default_for(organization: DramOrganization) -> Self {
         Self {
-            mapping,
-            geometry,
+            organization,
             victim_row: 0x8000,
-            banks_to_attack: geometry.total_banks(),
+            banks_to_attack: organization.total_banks(),
         }
     }
 }
 
-/// A double-sided RowHammer attack: alternately activates the two rows
-/// adjacent to the victim row in each attacked bank.
+/// A RowHammer attack trace generator of any [`AttackKind`]: it cycles
+/// over a fixed list of physical addresses, the aggressor rows of every
+/// attacked bank.
 #[derive(Debug, Clone)]
-pub struct DoubleSidedAttack {
+pub struct AttackGenerator {
     addresses: Vec<u64>,
     cursor: usize,
 }
 
-impl DoubleSidedAttack {
-    /// Builds the attack trace generator.
+impl AttackGenerator {
+    /// Builds an attack with `sides` aggressor rows per bank, alternating
+    /// below and above the victim (-1, +1, -2, +2, ...). The list takes
+    /// each aggressor row in turn across banks `0..banks_to_attack`:
+    /// cycling over banks between consecutive activations of the same row
+    /// maximizes activation throughput despite tRC, exactly like a real
+    /// attacker would.
     ///
     /// # Panics
     ///
-    /// Panics if the victim row has no room for both aggressors within the
-    /// bank (i.e. it is the first or last row) or `banks_to_attack` is zero.
-    pub fn new(spec: AttackSpec) -> Self {
-        assert!(
-            spec.victim_row > 0 && spec.victim_row + 1 < spec.geometry.rows,
-            "victim row must have space for aggressors on both sides"
-        );
+    /// Panics if `sides` is zero, the aggressor rows would fall outside the
+    /// bank, or `spec.banks_to_attack` is zero.
+    fn new(spec: AttackSpec, sides: u32) -> Self {
+        assert!(sides > 0, "an attack needs at least one aggressor");
         assert!(spec.banks_to_attack > 0, "must attack at least one bank");
-        let mut addresses = Vec::new();
-        let banks = spec.banks_to_attack.min(spec.geometry.total_banks());
-        // Interleave: for each bank emit the low aggressor, then for each
-        // bank the high aggressor, and repeat. Cycling over banks between
-        // consecutive activations of the same row maximizes activation
-        // throughput despite tRC, exactly like a real attacker would.
-        for aggressor_row in [spec.victim_row - 1, spec.victim_row + 1] {
-            for flat_bank in 0..banks {
-                let bank = flat_bank % spec.geometry.banks_per_group;
-                let bank_group =
-                    (flat_bank / spec.geometry.banks_per_group) % spec.geometry.bank_groups;
-                let rank = (flat_bank
-                    / (spec.geometry.banks_per_group * spec.geometry.bank_groups))
-                    % spec.geometry.ranks;
-                let addr = DramAddress::new(0, rank, bank_group, bank, aggressor_row, 0);
-                addresses.push(spec.mapping.encode(&spec.geometry, &addr));
-            }
-        }
-        Self {
-            addresses,
-            cursor: 0,
-        }
-    }
-
-    /// The distinct physical addresses the attack cycles over.
-    pub fn address_count(&self) -> usize {
-        self.addresses.len()
-    }
-}
-
-impl Iterator for DoubleSidedAttack {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        let address = self.addresses[self.cursor % self.addresses.len()];
-        self.cursor += 1;
-        Some(TraceRecord::uncached_load(0, address))
-    }
-}
-
-/// A many-sided RowHammer attack: cycles over `sides` aggressor rows
-/// surrounding the victim row in each attacked bank (the access pattern
-/// TRRespass-style attacks use to defeat in-DRAM TRR).
-#[derive(Debug, Clone)]
-pub struct ManySidedAttack {
-    addresses: Vec<u64>,
-    cursor: usize,
-}
-
-impl ManySidedAttack {
-    /// Builds a many-sided attack with `sides` aggressor rows per bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sides` is zero or the aggressor rows would fall outside
-    /// the bank.
-    pub fn new(spec: AttackSpec, sides: u32) -> Self {
+        let org = spec.organization;
+        let reach = u64::from(sides).div_ceil(2);
         assert!(
-            sides > 0,
-            "a many-sided attack needs at least one aggressor"
-        );
-        let reach = (sides as u64).div_ceil(2);
-        assert!(
-            spec.victim_row >= reach && spec.victim_row + reach < spec.geometry.rows,
+            spec.victim_row >= reach && spec.victim_row + reach < org.rows_per_bank,
             "victim row must have space for {sides} aggressors"
         );
-        let mut aggressor_rows = Vec::with_capacity(sides as usize);
-        for k in 0..sides as u64 {
-            // Alternate below/above the victim: -1, +1, -2, +2, ...
-            let distance = k / 2 + 1;
-            let row = if k % 2 == 0 {
-                spec.victim_row - distance
-            } else {
-                spec.victim_row + distance
-            };
-            aggressor_rows.push(row);
-        }
-        let banks = spec.banks_to_attack.min(spec.geometry.total_banks());
-        let mut addresses = Vec::new();
-        for row in aggressor_rows {
-            for flat_bank in 0..banks {
-                let bank = flat_bank % spec.geometry.banks_per_group;
-                let bank_group =
-                    (flat_bank / spec.geometry.banks_per_group) % spec.geometry.bank_groups;
-                let rank = (flat_bank
-                    / (spec.geometry.banks_per_group * spec.geometry.bank_groups))
-                    % spec.geometry.ranks;
-                let addr = DramAddress::new(0, rank, bank_group, bank, row, 0);
-                addresses.push(spec.mapping.encode(&spec.geometry, &addr));
-            }
-        }
+        let banks = spec.banks_to_attack.min(org.total_banks());
+        let addresses = (0..u64::from(sides))
+            .flat_map(|k| {
+                let distance = k / 2 + 1;
+                let row = if k % 2 == 0 {
+                    spec.victim_row - distance
+                } else {
+                    spec.victim_row + distance
+                };
+                (0..banks).map(move |bank| {
+                    org.encode(&org.bank_address(bank % org.banks_per_channel(), row))
+                })
+            })
+            .collect();
         Self {
             addresses,
             cursor: 0,
         }
     }
 
-    /// The distinct physical addresses the attack cycles over.
-    pub fn address_count(&self) -> usize {
+    /// The generator's period: it repeats its address stream every
+    /// `period()` records, so recording that many records and looping the
+    /// file reproduces the infinite stream exactly.
+    pub fn period(&self) -> usize {
         self.addresses.len()
     }
 }
 
-impl Iterator for ManySidedAttack {
+impl Iterator for AttackGenerator {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
@@ -278,21 +183,21 @@ impl Iterator for ManySidedAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn spec() -> AttackSpec {
-        AttackSpec::default_for(AddressMapping::default(), AddressMappingGeometry::default())
+        AttackSpec::default_for(DramOrganization::default())
     }
 
     #[test]
     fn double_sided_alternates_between_two_rows_per_bank() {
         let s = spec();
-        let attack = DoubleSidedAttack::new(s);
-        assert_eq!(attack.address_count(), 2 * s.geometry.total_banks());
-        let records: Vec<_> = attack.take(4 * s.geometry.total_banks()).collect();
-        let mapping = s.mapping;
-        let geometry = s.geometry;
+        let org = s.organization;
+        let attack = AttackKind::DoubleSided.build(s);
+        assert_eq!(attack.period(), 2 * org.total_banks());
+        let records: Vec<_> = attack.take(4 * org.total_banks()).collect();
         for record in &records {
-            let d = mapping.decode(&geometry, record.address);
+            let d = org.decode(record.address);
             assert!(
                 d.row() == s.victim_row - 1 || d.row() == s.victim_row + 1,
                 "attack touched row {:#x}, not an aggressor",
@@ -302,10 +207,10 @@ mod tests {
             assert_eq!(record.non_memory_instructions, 0);
         }
         // Both aggressors of bank 0 appear within one full cycle.
-        let bank0_rows: std::collections::HashSet<u64> = records
+        let bank0_rows: HashSet<u64> = records
             .iter()
-            .map(|r| mapping.decode(&geometry, r.address))
-            .filter(|d| d.bank_group() == 0 && d.bank() == 0)
+            .map(|r| org.decode(r.address))
+            .filter(|d| org.bank_of(d) == 0)
             .map(|d| d.row())
             .collect();
         assert_eq!(bank0_rows.len(), 2);
@@ -313,33 +218,30 @@ mod tests {
 
     #[test]
     fn attack_covers_every_bank() {
-        let s = spec();
-        let attack = DoubleSidedAttack::new(s);
-        let mapping = s.mapping;
-        let geometry = s.geometry;
-        let banks: std::collections::HashSet<usize> = attack
-            .take(2 * s.geometry.total_banks())
-            .map(|r| {
-                let d = mapping.decode(&geometry, r.address);
-                d.global_bank_index(
-                    geometry.ranks,
-                    geometry.bank_groups,
-                    geometry.banks_per_group,
-                )
-            })
-            .collect();
-        assert_eq!(banks.len(), s.geometry.total_banks());
+        let two_ranks = DramOrganization {
+            ranks: 2,
+            bank_groups: 3,
+            ..DramOrganization::default()
+        };
+        for org in [DramOrganization::default(), two_ranks] {
+            let attack = AttackKind::DoubleSided.build(AttackSpec::default_for(org));
+            let period = attack.period();
+            let mut visits = vec![0; org.banks_per_channel()];
+            for record in attack.take(period) {
+                visits[org.bank_of(&org.decode(record.address))] += 1;
+            }
+            assert_eq!(visits, vec![2; org.banks_per_channel()], "{org:?}");
+        }
     }
 
     #[test]
     fn many_sided_uses_the_requested_number_of_aggressors() {
         let s = spec();
-        let attack = ManySidedAttack::new(s, 6);
-        let mapping = s.mapping;
-        let geometry = s.geometry;
-        let rows: std::collections::HashSet<u64> = attack
-            .take(6 * s.geometry.total_banks())
-            .map(|r| mapping.decode(&geometry, r.address).row())
+        let org = s.organization;
+        let rows: HashSet<u64> = AttackKind::ManySided { sides: 6 }
+            .build(s)
+            .take(6 * org.total_banks())
+            .map(|r| org.decode(r.address).row())
             .collect();
         assert_eq!(rows.len(), 6);
         for row in rows {
@@ -369,24 +271,33 @@ mod tests {
     }
 
     #[test]
-    fn double_sided_kind_matches_the_direct_generator() {
-        let s = spec();
-        let via_kind: Vec<_> = AttackKind::DoubleSided.build(s).take(64).collect();
-        let direct: Vec<_> = DoubleSidedAttack::new(s).take(64).collect();
-        assert_eq!(via_kind, direct);
+    fn every_kind_refuses_zero_banks() {
+        let s = AttackSpec {
+            banks_to_attack: 0,
+            ..spec()
+        };
+        for kind in [
+            AttackKind::DoubleSided,
+            AttackKind::SingleSided,
+            AttackKind::ManySided { sides: 4 },
+        ] {
+            let refusal = std::panic::catch_unwind(|| kind.build(s))
+                .expect_err("a zero-bank attack was built");
+            let message = refusal.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(message, "must attack at least one bank", "{}", kind.label());
+        }
     }
 
     #[test]
     fn single_sided_uses_one_aggressor_row() {
         let s = spec();
-        let mapping = s.mapping;
-        let geometry = s.geometry;
-        let rows: std::collections::HashSet<u64> = AttackKind::SingleSided
+        let org = s.organization;
+        let rows: HashSet<u64> = AttackKind::SingleSided
             .build(s)
-            .take(4 * s.geometry.total_banks())
-            .map(|r| mapping.decode(&geometry, r.address).row())
+            .take(4 * org.total_banks())
+            .map(|r| org.decode(r.address).row())
             .collect();
-        assert_eq!(rows, std::collections::HashSet::from([s.victim_row - 1]));
+        assert_eq!(rows, HashSet::from([s.victim_row - 1]));
     }
 
     #[test]
@@ -416,6 +327,6 @@ mod tests {
     fn victim_at_bank_edge_is_rejected() {
         let mut s = spec();
         s.victim_row = 0;
-        let _ = DoubleSidedAttack::new(s);
+        let _ = AttackKind::DoubleSided.build(s);
     }
 }

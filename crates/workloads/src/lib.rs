@@ -35,7 +35,7 @@ mod catalog;
 mod mix;
 mod synthetic;
 
-pub use attack::{AttackGenerator, AttackKind, AttackSpec, DoubleSidedAttack, ManySidedAttack};
+pub use attack::{AttackGenerator, AttackKind, AttackSpec};
 pub use catalog::{benign_catalog, WorkloadCategory, WorkloadSpec};
-pub use mix::{MixKind, WorkloadMix};
+pub use mix::WorkloadMix;
 pub use synthetic::{AccessPattern, SyntheticSpec, SyntheticWorkload};

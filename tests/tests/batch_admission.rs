@@ -55,9 +55,7 @@ struct Access {
 /// Decodes random words into a dense multi-bank access stream (same
 /// approach as the scheduler equivalence suite).
 fn decode_accesses(words: &[u64]) -> Vec<Access> {
-    let config = MemCtrlConfig::default();
-    let geometry = config.organization.geometry();
-    let mapping = config.mapping;
+    let organization = MemCtrlConfig::default().organization;
     let mut arrival: Cycle = 0;
     words
         .iter()
@@ -72,7 +70,7 @@ fn decode_accesses(words: &[u64]) -> Vec<Access> {
             let addr = DramAddress::new(0, 0, bank_group, bank, row, column);
             Access {
                 thread,
-                phys: mapping.encode(&geometry, &addr),
+                phys: organization.encode(&addr),
                 access: if is_write {
                     AccessType::Write
                 } else {

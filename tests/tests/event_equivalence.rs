@@ -284,12 +284,11 @@ fn a_command_only_tick_is_followed_by_no_detection_tick() {
     // controller reports the slot reopening as its horizon: the clock
     // jumps there instead of ticking the next cycle only to find that
     // nothing can happen.
-    let memctrl = MemCtrlConfig::default();
-    let geometry = memctrl.organization.geometry();
+    let organization = MemCtrlConfig::default().organization;
     let loads: Vec<TraceRecord> = (1..=4u64)
         .map(|row| {
             let addr = DramAddress::new(0, 0, 2, 1, row * 64, 0);
-            TraceRecord::load(0, memctrl.mapping.encode(&geometry, &addr))
+            TraceRecord::load(0, organization.encode(&addr))
         })
         .collect();
     let run = |advance: AdvanceMode| {

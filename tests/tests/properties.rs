@@ -1,54 +1,54 @@
 //! Property-based tests on cross-crate invariants.
 
-use bh_types::{AddressMapping, AddressMappingGeometry, DramAddress};
+use bh_types::{DramAddress, DramOrganization};
 use blockhammer::config::{compute_t_delay, BlockHammerConfig};
 use blockhammer::{security, DualCountingBloomFilter};
 use mitigations::{DefenseGeometry, RowHammerThreshold};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// The paper's Table 5 geometry widened to `channels` channels.
-fn geometry_with_channels(channels: usize) -> AddressMappingGeometry {
-    AddressMappingGeometry {
+/// The paper's Table 5 organization widened to `channels` channels.
+fn organization_with_channels(channels: usize) -> DramOrganization {
+    DramOrganization {
         channels,
-        ..AddressMappingGeometry::default()
+        ..DramOrganization::default()
     }
 }
 
-/// A geometry none of whose dimensions but the bank counts and the line
-/// size is a power of two: 3 channels, 3,000 rows and 96 columns. With a
-/// MOP width of 3 it sends every decode through the division branch.
-fn odd_geometry() -> AddressMappingGeometry {
-    AddressMappingGeometry {
+/// An organization none of whose dimensions but the bank counts and the
+/// line size is a power of two: 3 channels, 3,000 rows and 96 columns.
+/// Its rows hold 24 MOP blocks of 4 lines, so every decode goes through
+/// the division branch.
+fn odd_organization() -> DramOrganization {
+    DramOrganization {
         channels: 3,
-        rows: 3_000,
-        columns: 96,
-        ..AddressMappingGeometry::default()
+        rows_per_bank: 3_000,
+        columns_per_row: 96,
+        ..DramOrganization::default()
     }
 }
 
 proptest! {
-    /// Address decoding divides by each geometry dimension, with a shift
-    /// and a mask for a power of two and a division otherwise. On a
-    /// geometry whose dimensions are not powers of two, `decode` still
-    /// inverts the unchanged `encode`, wraps past the capacity, and agrees
-    /// with the channel-local split.
+    /// Address decoding divides by each dimension, with a shift and a mask
+    /// for a power of two and a division otherwise. On an organization
+    /// whose dimensions are not powers of two, `decode` still inverts the
+    /// unchanged `encode`, wraps past the capacity, and agrees with the
+    /// channel-local split.
     #[test]
     fn decoding_a_non_power_of_two_geometry_round_trips(
         line in 0u64..3 * 16 * 3_000 * 96,
         offset in 0u64..64,
     ) {
-        let geometry = odd_geometry();
-        let local_geometry = geometry.per_channel();
-        let mapping = AddressMapping::Mop { mop_lines: 3 };
+        let org = odd_organization();
+        let local_org = org.per_channel();
         let phys = line * 64;
-        let decoded = mapping.decode(&geometry, phys + offset);
-        prop_assert_eq!(mapping.encode(&geometry, &decoded), phys);
-        prop_assert_eq!(mapping.decode(&geometry, phys + geometry.capacity_bytes()), decoded);
-        let (channel, local_phys) = mapping.to_channel_local(&geometry, phys + offset);
+        let decoded = org.decode(phys + offset);
+        prop_assert_eq!(org.encode(&decoded), phys);
+        prop_assert_eq!(org.decode(phys + org.capacity_bytes()), decoded);
+        let (channel, local_phys) = org.to_channel_local(phys + offset);
         prop_assert_eq!(channel, decoded.channel());
         prop_assert_eq!(local_phys % 64, offset);
-        let local = mapping.decode(&local_geometry, local_phys);
+        let local = local_org.decode(local_phys);
         let expected = DramAddress::new(
             0,
             decoded.rank(),
@@ -66,31 +66,29 @@ proptest! {
     #[test]
     fn channel_decode_encode_round_trips(line in 0u64..(8u64 << 30) / 64, channel_exp in 0u32..3) {
         let channels = 1usize << channel_exp;
-        let geometry = geometry_with_channels(channels);
-        let mapping = AddressMapping::Mop { mop_lines: 4 };
-        let phys = (line * 64) % geometry.capacity_bytes();
-        let decoded = mapping.decode(&geometry, phys);
+        let org = organization_with_channels(channels);
+        let phys = (line * 64) % org.capacity_bytes();
+        let decoded = org.decode(phys);
         prop_assert!(decoded.channel() < channels);
-        prop_assert_eq!(mapping.encode(&geometry, &decoded), phys);
+        prop_assert_eq!(org.encode(&decoded), phys);
     }
 
     /// Splitting an address into `(channel, channel-local address)` and
-    /// decoding the local part against the single-channel geometry yields
+    /// decoding the local part with the single-channel organization yields
     /// the same DRAM coordinates as a full-system decode, for 1/2/4
     /// channels — so each shard's controller sees exactly the addresses it
     /// would see in an unsharded multi-channel controller.
     #[test]
     fn channel_local_split_preserves_coordinates(line in 0u64..(8u64 << 30) / 64, channel_exp in 0u32..3) {
         let channels = 1usize << channel_exp;
-        let geometry = geometry_with_channels(channels);
-        let local_geometry = geometry.per_channel();
-        let mapping = AddressMapping::Mop { mop_lines: 4 };
-        let phys = (line * 64) % geometry.capacity_bytes();
-        let full = mapping.decode(&geometry, phys);
-        let (channel, local_phys) = mapping.to_channel_local(&geometry, phys);
+        let org = organization_with_channels(channels);
+        let local_org = org.per_channel();
+        let phys = (line * 64) % org.capacity_bytes();
+        let full = org.decode(phys);
+        let (channel, local_phys) = org.to_channel_local(phys);
         prop_assert_eq!(channel, full.channel());
-        prop_assert_eq!(channel, mapping.channel_of(&geometry, phys));
-        let local = mapping.decode(&local_geometry, local_phys);
+        prop_assert_eq!(channel, org.channel_of(phys));
+        let local = local_org.decode(local_phys);
         prop_assert_eq!(local.channel(), 0);
         prop_assert_eq!(local.rank(), full.rank());
         prop_assert_eq!(local.bank_group(), full.bank_group());
