@@ -1,7 +1,7 @@
 //! The campaign executor: fans whole runs out across the work-stealing
 //! pool and streams results back in deterministic order.
 //!
-//! Execution has two phases:
+//! Execution has three steps:
 //!
 //! 1. **Normalization prelude** (when `CampaignSpec::normalize`): every
 //!    distinct (benign workload, channel count) pair is run stand-alone
@@ -14,7 +14,21 @@
 //!    table as its first record, so a resumed campaign reads its
 //!    references back instead of re-simulating them — observable as
 //!    [`PreludeStats::from_cache`].
-//! 2. **The run matrix**: every [`RunSpec`], either on the calling
+//! 2. **Run sharing**: every generator-driven run gets a *simulation
+//!    identity*, the fields of its [`RunSpec`] that its simulation reads
+//!    (everything but the labels `index`, `name`, `mix_name` and
+//!    `scenario`), with the full-scale threshold replaced by the one the
+//!    defense is built with, or none for a defense that takes none. The
+//!    first run of each identity (its *primary*) is simulated. A later
+//!    run with the same identity (a *copy*) is delivered in run order as
+//!    its primary's outcome under its own labels, through the same fault
+//!    hook, journal, observer and aggregator as a simulated run; it is
+//!    simulated itself when its primary delivered no outcome, and a run
+//!    with a trace file is always simulated. So a threshold sweep
+//!    simulates Baseline once per mix, and thresholds that scale to the
+//!    same effective N_RH once per defense. [`ExecutionStats::shared_runs`]
+//!    counts the copies.
+//! 3. **The run matrix**: every simulated [`RunSpec`], either on the calling
 //!    thread (`workers <= 1`) or fanned out over `workers` threads. The
 //!    executor keeps the one copy of the run list and hands a
 //!    [`StealingPool`] only its length: idle workers claim the next run
@@ -54,10 +68,11 @@
 use crate::aggregate::{escape_json, CampaignAggregator, CampaignSummary};
 use crate::checkpoint::{self, JournalEntry, JournalError, JournalWriter, PreludeTable};
 use crate::runner::{run_spec, CampaignError, FailedRun, RunOutcome};
-use crate::spec::{CampaignSpec, RunSpec, ThreadGenerator};
+use crate::spec::{CampaignSpec, RunScale, RunSpec, ThreadGenerator, ThreadSpec};
 use sim::pool::{panic_message, Outcome, StealingPool};
 use sim::DefenseKind;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -121,8 +136,8 @@ pub struct PreludeStats {
 /// out-of-order it came back. Serialized as `scheduling.csv`
 /// ([`CampaignReport::scheduling_csv`]) and into the server's status
 /// document ([`crate::wire::scheduling_json`]). Deliberately *not* part
-/// of the byte-identity contract — its contents are wall-clock- and
-/// worker-dependent by construction, like `stepping.csv`'s are
+/// of the byte-identity contract — most of its contents are wall-clock-
+/// and worker-dependent by construction, like `stepping.csv`'s are
 /// advance-mode-dependent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionStats {
@@ -138,6 +153,12 @@ pub struct ExecutionStats {
     pub reorder_high_water: usize,
     /// Normalization-prelude accounting.
     pub prelude: PreludeStats,
+    /// Runs this invocation delivered as an earlier run's outcome instead
+    /// of simulating them: copies whose primary (the first run with the
+    /// same simulation identity) had delivered an outcome. Deterministic:
+    /// it depends only on the run list, the failures and, on resume, what
+    /// the journal holds.
+    pub shared_runs: usize,
 }
 
 /// Everything a finished campaign hands back.
@@ -165,12 +186,12 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Freshly executed runs (completed or quarantined) per wall-clock
-    /// second, or `None` when this invocation executed nothing — an
-    /// empty campaign, or a resume that found every run already
-    /// journaled. (Replayed results are excluded: reading a journal
-    /// record is not executing a run, and counting it would report a
-    /// fantasy rate.)
+    /// Runs this invocation delivered (completed or quarantined, copies
+    /// of an earlier run's simulation included) per wall-clock second, or
+    /// `None` when this invocation delivered nothing — an empty campaign,
+    /// or a resume that found every run already journaled. (Replayed
+    /// results are excluded: reading a journal record is not executing a
+    /// run, and counting it would report a fantasy rate.)
     pub fn runs_per_sec(&self) -> Option<f64> {
         let executed = (self.outcomes.len() + self.failures.len()).saturating_sub(self.replayed);
         if executed == 0 {
@@ -267,6 +288,7 @@ impl CampaignReport {
         csv.push_str(&format!("prelude_references,{}\n", s.prelude.references));
         csv.push_str(&format!("prelude_computed,{}\n", s.prelude.computed));
         csv.push_str(&format!("prelude_from_cache,{}\n", s.prelude.from_cache));
+        csv.push_str(&format!("shared_runs,{}\n", s.shared_runs));
         let wall = self.wall.as_secs_f64().max(1e-9);
         for (i, worker) in s.workers.iter().enumerate() {
             csv.push_str(&format!("worker_{i}_jobs,{}\n", worker.jobs));
@@ -429,6 +451,99 @@ fn attach_alone_ipc(runs: &mut [RunSpec], table: &AloneIpcTable) -> Result<(), C
 }
 
 // ---------------------------------------------------------------------------
+// Run sharing
+// ---------------------------------------------------------------------------
+
+/// What a generator-driven run's simulation reads: every field of its
+/// [`RunSpec`] that reaches `run_spec`'s `SystemBuilder` or its metrics,
+/// with the full-scale threshold replaced by the one the defense is built
+/// with. Two runs with equal identities have equal outcomes apart from
+/// their labels.
+#[derive(PartialEq)]
+struct SimulationIdentity<'a> {
+    defense: DefenseKind,
+    /// The effective threshold [`DefenseKind::build`] reads, or `None`
+    /// for a defense that takes none.
+    n_rh: Option<u64>,
+    channels: usize,
+    seed: u64,
+    scale: RunScale,
+    threads: &'a [ThreadSpec],
+    alone_ipc: &'a [f64],
+}
+
+impl<'a> SimulationIdentity<'a> {
+    /// The identity of `run`, or `None` when one of its threads replays
+    /// a trace file: such a run is always simulated.
+    fn of(run: &'a RunSpec) -> Option<Self> {
+        // Destructured in full, so that a new field has to be placed on
+        // one side: a label, or something the simulation reads.
+        let RunSpec {
+            index: _,
+            name: _,
+            mix_name: _,
+            scenario: _,
+            defense,
+            paper_n_rh,
+            channels,
+            seed,
+            scale,
+            threads,
+            alone_ipc,
+        } = run;
+        if threads.iter().any(|thread| thread.trace.is_some()) {
+            return None;
+        }
+        Some(Self {
+            defense: *defense,
+            n_rh: defense
+                .reads_threshold()
+                .then(|| sim::scaled_n_rh(*paper_n_rh, scale.time_scale)),
+            channels: *channels,
+            seed: *seed,
+            scale: *scale,
+            threads,
+            alone_ipc,
+        })
+    }
+
+    /// A hash of the scalar fields and the thread names under `keys`:
+    /// equal identities hash alike.
+    fn digest(&self, keys: &RandomState) -> u64 {
+        let mut hasher = keys.build_hasher();
+        (self.defense, self.n_rh, self.channels, self.seed).hash(&mut hasher);
+        for thread in self.threads {
+            thread.name.hash(&mut hasher);
+        }
+        hasher.finish()
+    }
+}
+
+/// For every run, the position of its primary — the first earlier run
+/// with the same simulation identity — or `None` when the run is the
+/// first of its identity or has none. One pass over borrowed fields: a
+/// run is compared only with the first run of its digest, and one whose
+/// digest matches a different identity (only the scalar fields and the
+/// thread names are hashed) is simulated itself. Run lists can arrive
+/// from outside the program (the campaign server), so the digests are
+/// keyed by the standard library's randomly seeded hasher.
+fn primaries(runs: &[RunSpec]) -> Vec<Option<usize>> {
+    let identities: Vec<Option<SimulationIdentity<'_>>> =
+        runs.iter().map(SimulationIdentity::of).collect();
+    let keys = RandomState::new();
+    let mut firsts: HashMap<u64, usize> = HashMap::with_capacity(runs.len());
+    identities
+        .iter()
+        .enumerate()
+        .map(|(at, identity)| {
+            let identity = identity.as_ref()?;
+            let first = *firsts.entry(identity.digest(&keys)).or_insert(at);
+            (first != at && identities[first].as_ref() == Some(identity)).then_some(first)
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
 // Run isolation
 // ---------------------------------------------------------------------------
 
@@ -450,11 +565,21 @@ impl RunError {
     }
 }
 
-/// Executes one run behind the isolation boundary: a panic anywhere in
-/// the simulator comes back as a [`RunError::Panic`] instead of
-/// unwinding the executor (or a pool worker).
-fn run_isolated(spec: &RunSpec) -> Result<RunOutcome, RunError> {
-    match catch_unwind(AssertUnwindSafe(|| run_spec(spec))) {
+/// One attempt at a run behind the isolation boundary: a panic anywhere
+/// in the simulator comes back as a [`RunError::Panic`] instead of
+/// unwinding the executor (or a pool worker). Given `primary`, the
+/// outcome of an earlier run with the same simulation identity, the run
+/// is not simulated: it takes that outcome under its own labels, after
+/// the same fault hook a simulation passes first.
+fn attempt(spec: &RunSpec, primary: Option<&RunOutcome>) -> Result<RunOutcome, RunError> {
+    let run = || match primary {
+        Some(outcome) => {
+            crate::faults::before_run(spec.index);
+            Ok(outcome.relabeled(spec))
+        }
+        None => run_spec(spec),
+    };
+    match catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(outcome)) => Ok(outcome),
         Ok(Err(error)) => Err(RunError::Campaign(error)),
         Err(payload) => Err(RunError::Panic(panic_message(payload.as_ref()))),
@@ -471,10 +596,12 @@ enum Delivery {
 }
 
 /// Applies the failure policy to a run's first-attempt result,
-/// performing any retries synchronously on the calling thread (the
-/// collector), so delivery order never depends on retry timing.
+/// performing any retries — each an [`attempt`] with the same `primary`
+/// — synchronously on the calling thread (the collector), so delivery
+/// order never depends on retry timing.
 fn resolve(
     spec: &RunSpec,
+    primary: Option<&RunOutcome>,
     first: Result<RunOutcome, RunError>,
     policy: FailurePolicy,
 ) -> Result<Delivery, CampaignError> {
@@ -501,7 +628,7 @@ fn resolve(
             let mut last_error = first_error;
             while attempts < max_attempts {
                 attempts += 1;
-                match run_isolated(spec) {
+                match attempt(spec, primary) {
                     Ok(outcome) => return Ok(Delivery::Outcome(outcome)),
                     Err(error) => last_error = error,
                 }
@@ -529,6 +656,11 @@ struct Sink<'a> {
     aggregator: CampaignAggregator,
     outcomes: Vec<RunOutcome>,
     failures: Vec<FailedRun>,
+    /// For every absorbed run, in run order, its position in `outcomes`
+    /// (`None` when it was quarantined).
+    delivered: Vec<Option<usize>>,
+    /// Copies delivered as their primary's outcome.
+    shared_runs: usize,
     writer: Option<JournalWriter>,
     observer: DeliveryObserver<'a>,
 }
@@ -539,13 +671,41 @@ impl Sink<'_> {
         match entry {
             JournalEntry::Outcome(outcome) => {
                 self.aggregator.absorb(&outcome);
+                self.delivered.push(Some(self.outcomes.len()));
                 self.outcomes.push(outcome);
             }
             JournalEntry::Failure(failure) => {
                 self.aggregator.absorb_failure(&failure);
+                self.delivered.push(None);
                 self.failures.push(failure);
             }
         }
+    }
+
+    /// The outcome the run at position `run` delivered, replayed or
+    /// fresh; `None` if it was quarantined or is not delivered yet.
+    fn outcome_at(&self, run: usize) -> Option<&RunOutcome> {
+        let at = (*self.delivered.get(run)?)?;
+        self.outcomes.get(at)
+    }
+
+    /// Runs `spec` and delivers it. A copy (`primary` is the position of
+    /// the first run with its simulation identity) takes that run's
+    /// delivered outcome; any other run, and a copy whose primary
+    /// delivered none, is simulated here.
+    fn run_and_deliver(
+        &mut self,
+        spec: &RunSpec,
+        primary: Option<usize>,
+        policy: FailurePolicy,
+    ) -> Result<(), CampaignError> {
+        let shared = primary.and_then(|at| self.outcome_at(at));
+        let copied = shared.is_some();
+        let delivery = resolve(spec, shared, attempt(spec, shared), policy)?;
+        if copied && matches!(delivery, Delivery::Outcome(_)) {
+            self.shared_runs += 1;
+        }
+        self.deliver(delivery)
     }
 
     fn deliver(&mut self, delivery: Delivery) -> Result<(), CampaignError> {
@@ -714,10 +874,14 @@ pub fn execute_observed(
         }
         attach_alone_ipc(&mut runs, &table)?;
     }
+    // After the prelude: the alone IPCs are part of a run's identity.
+    let primaries = primaries(&runs);
     let mut sink = Sink {
         aggregator: CampaignAggregator::new(campaign.name.clone()),
         outcomes: Vec::with_capacity(total),
         failures: Vec::new(),
+        delivered: Vec::with_capacity(total),
+        shared_runs: 0,
         writer,
         observer,
     };
@@ -726,14 +890,22 @@ pub fn execute_observed(
     }
     let tail: Vec<RunSpec> = runs.split_off(replayed);
     drop(runs);
+    let tail_primaries = &primaries[replayed..];
     if workers <= 1 {
-        for run in &tail {
-            let delivery = resolve(run, run_isolated(run), options.policy)?;
-            sink.deliver(delivery)?;
+        for (run, primary) in tail.iter().zip(tail_primaries) {
+            sink.run_and_deliver(run, *primary, options.policy)?;
         }
     } else {
-        execute_stealing(tail, workers, options.policy, &mut sink, &mut stats)?;
+        execute_stealing(
+            tail,
+            tail_primaries,
+            workers,
+            options.policy,
+            &mut sink,
+            &mut stats,
+        )?;
     }
+    stats.shared_runs = sink.shared_runs;
     Ok(CampaignReport {
         outcomes: sink.outcomes,
         failures: sink.failures,
@@ -745,65 +917,83 @@ pub fn execute_observed(
     })
 }
 
-/// The work-stealing run loop: workers claim run indices from the
-/// pool's shared cursor and read the runs from the executor's one copy,
+/// The work-stealing run loop: workers claim the runs to simulate from
+/// the pool's shared cursor and read them from the executor's one copy,
 /// completions come back in *finish* order, and a reorder buffer
 /// releases them to the sink strictly in run order — so the journal, the
 /// aggregator and the delivery observer see exactly the sequential
-/// sequence while no worker ever idles behind a long run. The failure
-/// policy is applied at *release* time (not completion time), which
-/// keeps even `Abort`'s journaled prefix and `Retry`'s attempt ordering
-/// byte-identical to sequential execution.
+/// sequence while no worker ever idles behind a long run. Copies
+/// (`primaries[at]` is set) are no pool jobs: each is delivered when its
+/// turn comes, after its primary. The failure policy is applied at
+/// *release* time (not completion time), which keeps even `Abort`'s
+/// journaled prefix and `Retry`'s attempt ordering byte-identical to
+/// sequential execution.
 fn execute_stealing(
     tail: Vec<RunSpec>,
+    primaries: &[Option<usize>],
     workers: usize,
     policy: FailurePolicy,
     sink: &mut Sink<'_>,
     stats: &mut ExecutionStats,
 ) -> Result<(), CampaignError> {
     let total = tail.len();
+    // Job `j` simulates the `j`-th run that copies no earlier one.
+    let simulated: Vec<usize> = (0..total).filter(|&at| primaries[at].is_none()).collect();
+    let jobs = simulated.len();
     let tail = Arc::new(tail);
     let runs = Arc::clone(&tail);
     // The isolation boundary lives inside the worker: a panicking run
     // reports back as data, and a structured error crosses the pool
     // intact. (The pool's own catch_unwind behind this is the backstop
     // for panics that escape it — e.g. a poisoned payload drop.)
-    let mut pool = StealingPool::new(workers, total, move |at| run_isolated(&runs[at]));
+    let mut pool = StealingPool::new(workers, jobs, move |job| {
+        attempt(&runs[simulated[job]], None)
+    });
     let mut buffer: BTreeMap<usize, Result<RunOutcome, RunError>> = BTreeMap::new();
     let mut next = 0usize;
+    let mut next_job = 0usize;
     let mut high_water = 0usize;
-    let mut completed = 0usize;
-    while completed < total {
-        let Some((at, outcome)) = pool.next_completion() else {
+    loop {
+        // Release the contiguous prefix in strict run order: a simulated
+        // run once its completion is in, a copy at once (its primary came
+        // earlier). The buffer bookkeeping itself never allocates —
+        // delivery costs (retries, copies, journaling, aggregation) live
+        // behind `resolve` and the sink.
+        // lint: alloc-free
+        {
+            while next < total {
+                let run = &tail[next];
+                match primaries[next] {
+                    Some(primary) => sink.run_and_deliver(run, Some(primary), policy)?,
+                    None => {
+                        let Some(first) = buffer.remove(&next_job) else {
+                            break;
+                        };
+                        sink.deliver(resolve(run, None, first, policy)?)?;
+                        next_job += 1;
+                    }
+                }
+                next += 1;
+            }
+        }
+        if next == total {
+            break;
+        }
+        let Some((job, outcome)) = pool.next_completion() else {
             return Err(CampaignError::Spec {
                 run: "work-stealing pool".to_owned(),
                 message: format!(
                     "worker pool shut down with {} of {total} runs outstanding",
-                    total - completed
+                    total - next
                 ),
             });
         };
-        completed += 1;
         let first = match outcome {
             Outcome::Done(result) => result,
             Outcome::Panicked(message) => Err(RunError::Panic(message)),
         };
-        // Admit the completion out of order; release the contiguous
-        // prefix in strict run order. The buffer bookkeeping itself
-        // never allocates — delivery costs (retries, journaling,
-        // aggregation) live behind `resolve` and `Sink::deliver`.
-        // lint: alloc-free
-        {
-            buffer.insert(at, first);
-            if buffer.len() > high_water {
-                high_water = buffer.len();
-            }
-            while let Some(first) = buffer.remove(&next) {
-                let delivery = resolve(&tail[next], first, policy)?;
-                sink.deliver(delivery)?;
-                next += 1;
-            }
-        }
+        buffer.insert(job, first);
+        high_water = high_water.max(buffer.len());
     }
     stats.workers = pool.tallies();
     stats.reorder_high_water = high_water;
@@ -840,6 +1030,145 @@ mod tests {
         // Every sweep point must have normalized metrics (Baseline is in
         // the defense axis).
         assert!(report.summary.points.iter().all(|p| p.normalized.is_some()));
+    }
+
+    /// `campaign`'s runs as the executor simulates them: with the alone
+    /// IPCs of a sequential prelude attached.
+    fn prepared(campaign: &CampaignSpec) -> Vec<RunSpec> {
+        let mut runs = campaign.expand();
+        let table = alone_ipc_table(campaign, &runs, 0, None, &mut PreludeStats::default());
+        attach_alone_ipc(&mut runs, &table).expect("every reference is measured");
+        runs
+    }
+
+    /// Figure 6's defenses and thresholds at quick scale, where all four
+    /// thresholds scale to the floor of 16.
+    fn figure_6_at_quick(mixes: usize) -> CampaignSpec {
+        let mut defenses = vec![DefenseKind::Baseline];
+        defenses.extend(DefenseKind::figure_6_set());
+        CampaignSpec {
+            name: "fig6-quick".to_owned(),
+            defenses,
+            n_rh_points: vec![32_768, 8_192, 2_048, 1_024],
+            ..CampaignSpec::quick(mixes)
+        }
+    }
+
+    /// How many runs of `runs` are copies of an earlier one.
+    fn copies(runs: &[RunSpec]) -> usize {
+        primaries(runs).iter().flatten().count()
+    }
+
+    #[test]
+    fn every_copy_equals_a_simulation_of_its_own_spec() {
+        // Sharing has no off switch, so the oracle is `run_spec` on the
+        // copy's own spec, alone IPCs included.
+        for campaign in [CampaignSpec::quick(2), figure_6_at_quick(1)] {
+            let runs = prepared(&campaign);
+            let primaries = primaries(&runs);
+            let report = execute(&campaign, campaign.expand(), 0).expect("campaign runs");
+            let copied: Vec<usize> = (0..runs.len())
+                .filter(|&at| primaries[at].is_some())
+                .collect();
+            assert!(!copied.is_empty(), "{} shares no run", campaign.name);
+            assert_eq!(report.scheduling.shared_runs, copied.len());
+            for at in copied {
+                let alone = run_spec(&runs[at]).expect("the copy simulates");
+                assert_eq!(report.outcomes[at], alone, "{}", runs[at].name);
+            }
+        }
+    }
+
+    #[test]
+    fn baseline_and_prohit_simulate_alike_at_every_threshold() {
+        // Neither takes a threshold: at quick scale 524,288 and 131,072
+        // scale to 64 and 16, and the runs still agree apart from labels.
+        let mut campaign = tiny_campaign();
+        campaign.defenses = vec![DefenseKind::Baseline, DefenseKind::ProHit];
+        campaign.n_rh_points = vec![524_288, 131_072];
+        let runs = campaign.expand();
+        let per_point = runs.len() / 2;
+        for (first, second) in runs[..per_point].iter().zip(&runs[per_point..]) {
+            let first_outcome = run_spec(first).expect("the first point runs");
+            let second_outcome = run_spec(second).expect("the second point runs");
+            assert_eq!(
+                second_outcome,
+                first_outcome.relabeled(second),
+                "{}",
+                second.name
+            );
+        }
+        let expected: Vec<Option<usize>> = (0..runs.len())
+            .map(|at| at.checked_sub(per_point))
+            .collect();
+        assert_eq!(primaries(&runs), expected);
+    }
+
+    #[test]
+    fn a_threshold_reading_defense_is_shared_only_at_an_equal_effective_threshold() {
+        let mut campaign = tiny_campaign();
+        campaign.defenses = DefenseKind::figure_4_and_5_set();
+        campaign
+            .defenses
+            .retain(|kind| *kind != DefenseKind::ProHit);
+        campaign.defenses.push(DefenseKind::BlockHammerObserve);
+        assert!(campaign.defenses.iter().all(DefenseKind::reads_threshold));
+        // At quick scale the points scale to 64, 16 and 16.
+        campaign.n_rh_points = vec![524_288, 131_072, 32_768];
+        let runs = campaign.expand();
+        let per_point = runs.len() / 3;
+        let expected: Vec<Option<usize>> = (0..runs.len())
+            .map(|at| (at >= 2 * per_point).then(|| at - per_point))
+            .collect();
+        assert_eq!(primaries(&runs), expected);
+    }
+
+    #[test]
+    fn a_run_with_a_trace_file_is_always_simulated() {
+        let mut runs = CampaignSpec::quick(2).expand();
+        assert!(copies(&runs) > 0);
+        for run in &mut runs {
+            run.threads[0].trace = Some(crate::trace::TraceSource {
+                path: PathBuf::from("recorded.trace"),
+                repeat: run.threads[0].is_attacker,
+            });
+        }
+        assert_eq!(copies(&runs), 0);
+    }
+
+    #[test]
+    fn sweeps_share_the_runs_whose_simulation_repeats() {
+        // The second threshold's Baseline runs: 12 mixes x 2 scenarios.
+        assert_eq!(copies(&CampaignSpec::quick(12).expand()), 24);
+        assert_eq!(copies(&CampaignSpec::smoke().expand()), 0);
+        // The attack-only, one-threshold shape of the benchmark's
+        // `attack-long` workload repeats no run.
+        let attack_long = CampaignSpec {
+            name: "attack-long".to_owned(),
+            mix_count: 10,
+            scenarios: vec![crate::spec::Scenario::Attack(
+                workloads::AttackKind::DoubleSided,
+            )],
+            defenses: vec![
+                DefenseKind::Baseline,
+                DefenseKind::BlockHammer,
+                DefenseKind::Graphene,
+            ],
+            n_rh_points: vec![32_768],
+            scale: RunScale {
+                benign_instructions: 10_000,
+                ..RunScale::quick()
+            },
+            ..CampaignSpec::quick(10)
+        };
+        assert_eq!(copies(&attack_long.expand()), 0);
+        // Figure 6 at quick: of each mix and scenario's 20 runs (five
+        // defenses at four thresholds), only the first threshold's five
+        // are simulated.
+        let figure_6 = figure_6_at_quick(3);
+        let runs = figure_6.expand();
+        assert_eq!(runs.len(), 20 * 3 * 2);
+        assert_eq!(copies(&runs), 15 * 3 * 2);
     }
 
     #[test]

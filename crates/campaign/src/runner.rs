@@ -170,6 +170,22 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
+    /// This outcome delivered as `spec`'s: the same simulation under
+    /// `spec`'s labels (index, name, scenario and full-scale threshold).
+    /// The executor delivers a run whose simulation repeats an earlier
+    /// run's this way; the defense and channel count are the earlier
+    /// run's too, since they are part of what made the two simulations
+    /// the same.
+    pub(crate) fn relabeled(&self, spec: &RunSpec) -> RunOutcome {
+        RunOutcome {
+            index: spec.index,
+            name: spec.name.clone(),
+            scenario: spec.scenario.clone(),
+            n_rh: spec.paper_n_rh,
+            ..self.clone()
+        }
+    }
+
     /// Mean IPC of the benign threads.
     pub fn mean_benign_ipc(&self) -> f64 {
         let benign: Vec<f64> = self

@@ -221,7 +221,10 @@ impl CampaignSpec {
             // (32K..1K) all collapse to the floor, so the quick sweep
             // uses points that stay distinct after scaling (effective 64
             // and 16, preserving the Figure 6 harder-threshold
-            // direction).
+            // direction). Baseline takes no threshold, so the executor
+            // simulates its runs at the first point only and delivers the
+            // second point's as copies: 2 × `mixes` of the 12 × `mixes`
+            // runs.
             n_rh_points: vec![524_288, 131_072],
             channel_counts: vec![1],
             scale: RunScale::quick(),

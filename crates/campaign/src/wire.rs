@@ -859,12 +859,13 @@ pub fn scheduling_json(stats: &crate::ExecutionStats) -> String {
     }
     format!(
         "{{\"scheduler\":\"{}\",\"reorder_high_water\":{},\"prelude\":{{\"references\":{},\
-         \"computed\":{},\"from_cache\":{}}},\"workers\":[{workers}]}}",
+         \"computed\":{},\"from_cache\":{}}},\"shared_runs\":{},\"workers\":[{workers}]}}",
         stats.scheduler,
         stats.reorder_high_water,
         stats.prelude.references,
         stats.prelude.computed,
         stats.prelude.from_cache,
+        stats.shared_runs,
     )
 }
 
@@ -1135,6 +1136,7 @@ mod tests {
         let mut stats = crate::ExecutionStats {
             scheduler: "stealing",
             reorder_high_water: 3,
+            shared_runs: 24,
             ..Default::default()
         };
         stats.prelude.references = 4;
@@ -1161,6 +1163,7 @@ mod tests {
         assert_eq!(prelude.get("references").and_then(Json::as_u64), Some(4));
         assert_eq!(prelude.get("computed").and_then(Json::as_u64), Some(0));
         assert_eq!(prelude.get("from_cache").and_then(Json::as_u64), Some(4));
+        assert_eq!(parsed.get("shared_runs").and_then(Json::as_u64), Some(24));
         let workers = parsed
             .get("workers")
             .and_then(Json::as_array)

@@ -93,6 +93,13 @@ impl DefenseKind {
         }
     }
 
+    /// Whether [`DefenseKind::build`] reads its `n_rh` argument. Baseline
+    /// and PRoHIT take no threshold, so two of their runs that differ only
+    /// in the threshold are the same simulation.
+    pub fn reads_threshold(&self) -> bool {
+        !matches!(self, DefenseKind::Baseline | DefenseKind::ProHit)
+    }
+
     /// Builds the defense for the given RowHammer threshold and geometry.
     ///
     /// `t_refi_cycles` paces the mechanisms that piggyback on refresh

@@ -50,4 +50,6 @@ mod system;
 pub use defense_factory::DefenseKind;
 pub use metrics::{ChannelStats, MultiProgramMetrics, RunResult, SteppingStats, ThreadResult};
 pub use subsystem::MemorySubsystem;
-pub use system::{AdvanceMode, BoxedTrace, RunScale, System, SystemBuilder, SystemConfig};
+pub use system::{
+    scaled_n_rh, AdvanceMode, BoxedTrace, RunScale, System, SystemBuilder, SystemConfig,
+};

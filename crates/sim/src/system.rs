@@ -559,6 +559,15 @@ impl System {
     }
 }
 
+/// The effective RowHammer threshold of the full-scale (paper) threshold
+/// `paper_n_rh` at time scale `time_scale`: divided by the scale like the
+/// refresh window, and floored at 16 (README, "Substitutions and scaled
+/// time"). It is what [`SystemBuilder::effective_n_rh`] reports and the
+/// defense is built with.
+pub fn scaled_n_rh(paper_n_rh: u64, time_scale: u64) -> u64 {
+    (paper_n_rh / time_scale).max(16)
+}
+
 /// Convenience builder assembling a [`System`] from workload specs, an
 /// optional attacker, optional pre-recorded traces, a defense kind and
 /// scaling options.
@@ -720,7 +729,7 @@ impl SystemBuilder {
 
     /// The effective (scaled) RowHammer threshold the defense will use.
     pub fn effective_n_rh(&self) -> u64 {
-        (self.paper_n_rh / self.config.time_scale).max(16)
+        scaled_n_rh(self.paper_n_rh, self.config.time_scale)
     }
 
     /// The per-channel defense geometry the built system will use (for

@@ -8,7 +8,7 @@
 //! emitting cache-bypassing reads with no intervening compute so the
 //! attacking core saturates the memory system.
 
-use bh_types::{DramOrganization, TraceRecord};
+use bh_types::{DramAddress, DramOrganization, TraceRecord};
 
 /// Which access pattern an attacker thread runs.
 ///
@@ -94,9 +94,9 @@ pub struct AttackSpec {
     /// The victim row around which aggressor rows are chosen.
     pub victim_row: u64,
     /// Number of banks the attack cycles over (the paper hammers every
-    /// bank; restricting to one bank concentrates the attack). The
-    /// addresses all lie in channel 0: bank `b` is channel 0's bank
-    /// `b % banks_per_channel`.
+    /// bank; restricting to one bank concentrates the attack). Banks are
+    /// numbered across the system, channel by channel: bank `b` is bank
+    /// `b % banks_per_channel` of channel `b / banks_per_channel`.
     pub banks_to_attack: usize,
 }
 
@@ -124,7 +124,8 @@ pub struct AttackGenerator {
 impl AttackGenerator {
     /// Builds an attack with `sides` aggressor rows per bank, alternating
     /// below and above the victim (-1, +1, -2, +2, ...). The list takes
-    /// each aggressor row in turn across banks `0..banks_to_attack`:
+    /// each aggressor row in turn across banks `0..banks_to_attack` (see
+    /// [`AttackSpec::banks_to_attack`] for how they spread over channels):
     /// cycling over banks between consecutive activations of the same row
     /// maximizes activation throughput despite tRC, exactly like a real
     /// attacker would.
@@ -143,6 +144,7 @@ impl AttackGenerator {
             "victim row must have space for {sides} aggressors"
         );
         let banks = spec.banks_to_attack.min(org.total_banks());
+        let per_channel = org.banks_per_channel();
         let addresses = (0..u64::from(sides))
             .flat_map(|k| {
                 let distance = k / 2 + 1;
@@ -152,7 +154,15 @@ impl AttackGenerator {
                     spec.victim_row + distance
                 };
                 (0..banks).map(move |bank| {
-                    org.encode(&org.bank_address(bank % org.banks_per_channel(), row))
+                    let local = org.bank_address(bank % per_channel, row);
+                    org.encode(&DramAddress::new(
+                        bank / per_channel,
+                        local.rank(),
+                        local.bank_group(),
+                        local.bank(),
+                        row,
+                        local.column(),
+                    ))
                 })
             })
             .collect();
@@ -232,6 +242,24 @@ mod tests {
             }
             assert_eq!(visits, vec![2; org.banks_per_channel()], "{org:?}");
         }
+    }
+
+    #[test]
+    fn a_multi_channel_attack_hammers_every_bank_of_every_channel() {
+        let two_channels = DramOrganization {
+            channels: 2,
+            ..DramOrganization::default()
+        };
+        let attack = AttackKind::DoubleSided.build(AttackSpec::default_for(two_channels));
+        let period = attack.period();
+        assert_eq!(period, 2 * two_channels.total_banks());
+        let mut visits = vec![vec![0; two_channels.banks_per_channel()]; two_channels.channels];
+        for record in attack.take(period) {
+            let address = two_channels.decode(record.address);
+            visits[address.channel()][two_channels.bank_of(&address)] += 1;
+        }
+        let every_bank_twice = vec![2; two_channels.banks_per_channel()];
+        assert_eq!(visits, vec![every_bank_twice; two_channels.channels]);
     }
 
     #[test]

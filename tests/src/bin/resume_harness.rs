@@ -1,20 +1,22 @@
 //! A minimal journaled-campaign process for the kill/resume integration
 //! test (`tests/tests/kill_resume.rs`).
 //!
-//! Runs the shared [`resume_campaign`] with a checkpoint journal at
+//! Runs the shared [`resume_campaign`] (with `shared`,
+//! [`resume_sharing_campaign`]) with a checkpoint journal at
 //! `DIR/campaign.journal` and writes `campaign.csv` / `campaign.json` /
 //! `stepping.csv` atomically on completion. The test spawns this binary,
 //! kills it mid-campaign (via the armed fault injector, or with a real
 //! signal while the injector stalls it), re-spawns it to resume, and
-//! byte-compares the artifacts against an uninterrupted run.
+//! byte-compares the artifacts against an uninterrupted run. On success
+//! it prints `completed N runs (R replayed, S shared)`.
 //!
 //! ```text
-//! resume_harness out DIR [workers N] [abort-after N] [stall-after N]
+//! resume_harness out DIR [workers N] [abort-after N] [stall-after N] [shared]
 //! ```
 
 use campaign::faults::{arm, FaultPlan};
 use campaign::{execute_resumable, write_atomic, ExecutionOptions};
-use integration_tests::resume_campaign;
+use integration_tests::{resume_campaign, resume_sharing_campaign};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -28,6 +30,7 @@ fn main() -> ExitCode {
     let mut out_dir: Option<PathBuf> = None;
     let mut workers = 0usize;
     let mut plan = FaultPlan::default();
+    let mut spec = resume_campaign();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -45,6 +48,7 @@ fn main() -> ExitCode {
                     _ => plan.stall_after_journal_records = Some(n),
                 }
             }
+            "shared" => spec = resume_sharing_campaign(),
             other => return fail(format!("unknown argument `{other}`")),
         }
     }
@@ -54,7 +58,6 @@ fn main() -> ExitCode {
     if plan.abort_after_journal_records.is_some() || plan.stall_after_journal_records.is_some() {
         arm(plan);
     }
-    let spec = resume_campaign();
     let options = ExecutionOptions {
         journal: Some(out_dir.join("campaign.journal")),
         ..Default::default()
@@ -73,9 +76,10 @@ fn main() -> ExitCode {
         return fail(e);
     }
     println!(
-        "completed {} runs ({} replayed)",
+        "completed {} runs ({} replayed, {} shared)",
         report.outcomes.len(),
-        report.replayed
+        report.replayed,
+        report.scheduling.shared_runs
     );
     ExitCode::SUCCESS
 }

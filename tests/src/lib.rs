@@ -65,6 +65,18 @@ pub fn resume_campaign() -> campaign::CampaignSpec {
     spec
 }
 
+/// [`resume_campaign`] at two thresholds that scale to different
+/// effective thresholds (64 and 16 at quick scale): runs 4 and 5,
+/// Baseline at the second point, are copies of runs 0 and 1, so a kill
+/// can land between a primary and its copy. Its own name keeps its
+/// journal apart from [`resume_campaign`]'s.
+pub fn resume_sharing_campaign() -> campaign::CampaignSpec {
+    let mut spec = resume_campaign();
+    spec.name = "kill-resume-shared".to_owned();
+    spec.n_rh_points = vec![524_288, 131_072];
+    spec
+}
+
 /// The 4-run smoke campaign the campaign-server tests submit over HTTP.
 /// Distinct name (and therefore fingerprint/campaign id) from
 /// [`resume_campaign`], so the two kill/resume suites never share a

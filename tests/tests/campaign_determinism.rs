@@ -42,14 +42,18 @@ fn tiny_campaign() -> CampaignSpec {
 }
 
 /// A much smaller campaign for the property test, which executes two
-/// whole campaigns per sampled case.
-fn micro_campaign(scenarios: usize, defenses: usize) -> CampaignSpec {
+/// whole campaigns per sampled case. With two thresholds (effective 64
+/// and 16 at quick scale) the second point's Baseline runs are copies of
+/// the first's.
+fn micro_campaign(scenarios: usize, defenses: usize, thresholds: usize) -> CampaignSpec {
     let mut campaign = CampaignSpec::smoke();
     campaign.name = "determinism-micro".to_owned();
     campaign.mix_count = 1;
     campaign.threads_per_mix = 2;
     campaign.scenarios.truncate(scenarios.max(1));
     campaign.defenses.truncate(defenses.max(1));
+    campaign.n_rh_points = vec![524_288, 131_072];
+    campaign.n_rh_points.truncate(thresholds.max(1));
     campaign.scale.benign_instructions = 300;
     campaign.scale.min_cycles = 10_000;
     campaign
@@ -176,6 +180,7 @@ fn stealing_stats_account_for_every_run() {
     assert_eq!(stats.scheduler, "stealing");
     assert_eq!(stats.workers.len(), 2);
     let jobs: u64 = stats.workers.iter().map(|w| w.jobs).sum();
+    assert_eq!(stats.shared_runs, 0, "the smoke shape repeats no run");
     assert_eq!(jobs as usize, campaign.run_count(), "every run is tallied");
     // The reorder buffer admits each completion before releasing it, so
     // even perfectly in-order completion peaks at 1.
@@ -343,35 +348,38 @@ proptest! {
     /// random campaign shapes, failure policies, worker counts and
     /// injected panics — including `Abort`'s error and journaled prefix,
     /// which depend on the reorder buffer applying the policy at
-    /// release time.
+    /// release time, and panics at a copy or its primary.
     #[test]
     fn schedulers_agree_under_random_specs_policies_and_panics(
         scenarios in 1u64..3,
         defenses in 1u64..3,
+        thresholds in 1u64..3,
         policy_pick in 0u64..3,
-        panic_pick in 0u64..8,
+        panic_pick in 0u64..3,
+        panic_at in 0u64..8,
         workers_pick in 0u64..2,
     ) {
         let _serial = fault_serial();
-        let campaign = micro_campaign(scenarios as usize, defenses as usize);
+        let campaign =
+            micro_campaign(scenarios as usize, defenses as usize, thresholds as usize);
         let total = campaign.run_count();
         let policy = match policy_pick {
             0 => FailurePolicy::Quarantine,
             1 => FailurePolicy::Retry { max_attempts: 2 },
             _ => FailurePolicy::Abort,
         };
-        // Even picks inject nothing; odd picks panic a run, transiently
-        // (one attempt — a retry succeeds) or permanently by parity.
-        let plan = if panic_pick % 2 == 1 {
-            FaultPlan {
+        // Pick 0 injects nothing; 1 panics run `panic_at` transiently
+        // (one attempt — a retry succeeds) and 2 permanently. Indices
+        // reach every run of the largest shape, copies included.
+        let plan = match panic_pick {
+            0 => FaultPlan::default(),
+            pick => FaultPlan {
                 panic_on_run: Some((
-                    (panic_pick as usize / 2) % total,
-                    if panic_pick >= 4 { u32::MAX } else { 1 },
+                    panic_at as usize % total,
+                    if pick == 1 { 1 } else { u32::MAX },
                 )),
                 ..FaultPlan::default()
-            }
-        } else {
-            FaultPlan::default()
+            },
         };
         let workers = [2usize, 4][workers_pick as usize];
 

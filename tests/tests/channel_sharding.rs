@@ -118,6 +118,35 @@ fn sharded_blockhammer_still_identifies_and_throttles_the_attacker() {
     }
 }
 
+/// The attacker hammers every channel: alone on a 2-channel system, it
+/// activates rows on both, and both channels' BlockHammer instances delay
+/// its activations.
+#[test]
+fn a_two_channel_attack_activates_rows_on_both_channels() {
+    let result = SystemBuilder::new()
+        .time_scale(TEST_TIME_SCALE)
+        .channels(2)
+        .defense(DefenseKind::BlockHammer)
+        .rowhammer_threshold(32_768)
+        .min_cycles(2 * TEST_REFRESH_WINDOW)
+        .max_cycles(1_500_000)
+        .add_attacker()
+        .run();
+    assert_eq!(result.per_channel.len(), 2);
+    for shard in &result.per_channel {
+        assert!(
+            shard.dram.totals().activates > 0,
+            "the attacker activated no row on channel {}",
+            shard.channel
+        );
+        assert!(
+            shard.ctrl.activations_delayed_by_defense > 0,
+            "channel {}'s BlockHammer delayed no activation",
+            shard.channel
+        );
+    }
+}
+
 /// RowHammer safety holds per channel: with the activation log enabled on
 /// a 2-channel BlockHammer system, no row of either channel exceeds the
 /// scaled threshold within a refresh window.

@@ -35,6 +35,17 @@ fn tiny_campaign() -> CampaignSpec {
     campaign
 }
 
+/// [`tiny_campaign`] at two thresholds that scale to different effective
+/// thresholds (64 and 16 at quick scale): Baseline takes none, so runs 4
+/// and 5 (Baseline at the second point) are copies of runs 0 and 1, while
+/// BlockHammer is simulated at both points.
+fn sharing_campaign() -> CampaignSpec {
+    let mut campaign = tiny_campaign();
+    campaign.name = "fault-tolerance-shared".to_owned();
+    campaign.n_rh_points = vec![524_288, 131_072];
+    campaign
+}
+
 fn scratch(label: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(label);
     let _ = std::fs::remove_dir_all(&dir);
@@ -313,5 +324,65 @@ fn a_journal_refuses_a_different_campaign() {
             error: JournalError::SpecMismatch { message },
         }) => assert!(message.contains("fingerprint"), "got: {message}"),
         other => panic!("expected a spec mismatch, got {other:?}"),
+    }
+}
+
+/// Executes [`sharing_campaign`] under quarantine with a permanent panic
+/// injected at run `index`.
+fn quarantine_with_panic_at(index: usize, workers: usize) -> CampaignReport {
+    let campaign = sharing_campaign();
+    arm(FaultPlan {
+        panic_on_run: Some((index, u32::MAX)),
+        ..Default::default()
+    });
+    let report = execute_resumable(
+        &campaign,
+        campaign.expand(),
+        workers,
+        &options(FailurePolicy::Quarantine),
+    );
+    disarm();
+    report.expect("quarantine completes the campaign")
+}
+
+#[test]
+fn an_injected_panic_at_a_copy_quarantines_the_copy() {
+    let _guard = faults_lock();
+    let reference = clean_reference(&sharing_campaign());
+    assert_eq!(reference.scheduling.shared_runs, 2);
+    for workers in [0usize, 2] {
+        // Run 4 copies run 0's outcome, but it passes the same fault hook
+        // a simulated run does.
+        let report = quarantine_with_panic_at(4, workers);
+        assert_eq!(report.failures.len(), 1, "{workers} workers");
+        assert_eq!(report.failures[0].index, 4);
+        assert!(report.failures[0].cause.contains("injected fault"));
+        assert_eq!(report.scheduling.shared_runs, 1, "{workers} workers");
+        let expected: Vec<_> = reference
+            .outcomes
+            .iter()
+            .filter(|outcome| outcome.index != 4)
+            .cloned()
+            .collect();
+        assert_eq!(report.outcomes, expected, "{workers} workers");
+    }
+}
+
+#[test]
+fn a_quarantined_primary_makes_its_copy_simulate_itself() {
+    let _guard = faults_lock();
+    let reference = clean_reference(&sharing_campaign());
+    for workers in [0usize, 2] {
+        // Run 0 delivers no outcome, so its copy, run 4, is simulated and
+        // still matches the clean campaign's run 4.
+        let report = quarantine_with_panic_at(0, workers);
+        assert_eq!(report.failures.len(), 1, "{workers} workers");
+        assert_eq!(report.failures[0].index, 0);
+        assert_eq!(report.scheduling.shared_runs, 1, "{workers} workers");
+        assert_eq!(
+            report.outcomes,
+            reference.outcomes[1..],
+            "{workers} workers"
+        );
     }
 }

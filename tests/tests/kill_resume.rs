@@ -4,13 +4,15 @@
 //! produces byte-identical artifacts to an uninterrupted run, for both
 //! sequential and pooled execution.
 //!
-//! The campaign under test is [`integration_tests::resume_campaign`],
-//! executed by the `resume_harness` binary in a child process (a kill
-//! must hit a whole process, not a thread, to mean anything).
+//! The campaign under test is [`integration_tests::resume_campaign`]
+//! (and [`integration_tests::resume_sharing_campaign`], whose runs repeat
+//! a simulation), executed by the `resume_harness` binary in a child
+//! process (a kill must hit a whole process, not a thread, to mean
+//! anything).
 
 use campaign::checkpoint::read_journal;
 use campaign::fingerprint;
-use integration_tests::resume_campaign;
+use integration_tests::{resume_campaign, resume_sharing_campaign};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -30,8 +32,9 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
     std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("read {}/{name}: {e}", dir.display()))
 }
 
-/// Runs the harness to completion in `dir` and asserts success.
-fn run_to_completion(dir: &Path, workers: usize) {
+/// Runs the harness to completion in `dir` with `extra` arguments,
+/// asserts success and returns what it printed.
+fn run_to_completion_with(dir: &Path, workers: usize, extra: &[&str]) -> String {
     let output = harness()
         .args([
             "out",
@@ -39,6 +42,7 @@ fn run_to_completion(dir: &Path, workers: usize) {
             "workers",
             &workers.to_string(),
         ])
+        .args(extra)
         .output()
         .expect("spawn resume_harness");
     assert!(
@@ -46,6 +50,12 @@ fn run_to_completion(dir: &Path, workers: usize) {
         "harness failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+/// Runs the harness to completion in `dir` and asserts success.
+fn run_to_completion(dir: &Path, workers: usize) {
+    run_to_completion_with(dir, workers, &[]);
 }
 
 /// Asserts `dir`'s artifacts are byte-identical to the reference run's.
@@ -148,6 +158,52 @@ fn real_process_kill_then_resume_is_byte_identical() {
         child.wait().expect("reap the killed harness");
         // Resume in a fresh process and byte-compare.
         run_to_completion(&dir, workers);
+        assert_matches_reference(&dir, &reference);
+    }
+}
+
+#[test]
+fn abort_between_a_primary_and_its_copy_resumes_the_copy_from_the_journal() {
+    let spec = resume_sharing_campaign();
+    let total = spec.expand().len();
+    let reference = scratch("kill-resume-ref-shared");
+    assert_eq!(
+        run_to_completion_with(&reference, 0, &["shared"]).trim(),
+        format!("completed {total} runs (0 replayed, 2 shared)")
+    );
+    for workers in [0usize, 2] {
+        let dir = scratch(&format!("kill-resume-shared-{workers}"));
+        // Runs 0 and 1 are journaled, their copies 4 and 5 are not.
+        let output = harness()
+            .args([
+                "out",
+                &dir.display().to_string(),
+                "workers",
+                &workers.to_string(),
+                "shared",
+            ])
+            .args(["abort-after", "2"])
+            .output()
+            .expect("spawn resume_harness");
+        assert!(
+            !output.status.success(),
+            "{workers} workers: the armed harness must die, got: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+        let scan = read_journal(
+            &dir.join("campaign.journal"),
+            fingerprint(&spec),
+            total as u64,
+        )
+        .expect("the journal survives the abort");
+        assert_eq!(scan.entries.len(), 2);
+        // The resumed process replays the two primaries and delivers both
+        // copies from their journaled outcomes.
+        assert_eq!(
+            run_to_completion_with(&dir, workers, &["shared"]).trim(),
+            format!("completed {total} runs (2 replayed, 2 shared)"),
+            "{workers} workers"
+        );
         assert_matches_reference(&dir, &reference);
     }
 }

@@ -46,23 +46,23 @@ fn digest(mut result: RunResult) -> u64 {
 /// order, one channel before two.
 const PINS: [(&str, usize, u64, u64); 18] = [
     ("Baseline", 1, 20000, 10531487281798201375),
-    ("Baseline", 2, 20000, 8609008612394404694),
+    ("Baseline", 2, 20000, 7868615933634541551),
     ("PARA", 1, 20000, 15534248134895178646),
-    ("PARA", 2, 20000, 13958869349073357347),
+    ("PARA", 2, 20000, 2793472703464353101),
     ("PRoHIT", 1, 20000, 8715168636391876699),
-    ("PRoHIT", 2, 20000, 3549660411906551803),
+    ("PRoHIT", 2, 20000, 15518404812073115090),
     ("MRLoc", 1, 30959, 8568559763894088686),
-    ("MRLoc", 2, 20000, 2141407015222010594),
+    ("MRLoc", 2, 24904, 4275157553293997974),
     ("CBT", 1, 20000, 515527459071564836),
-    ("CBT", 2, 20000, 203145040436193550),
+    ("CBT", 2, 20000, 2594551814581490940),
     ("TWiCe", 1, 20000, 10800903544495112111),
-    ("TWiCe", 2, 20000, 15024084112706127011),
+    ("TWiCe", 2, 20000, 10227141112160561146),
     ("Graphene", 1, 20000, 15412750998218480055),
-    ("Graphene", 2, 20000, 5360215372847780594),
+    ("Graphene", 2, 20000, 17950191297350244856),
     ("BlockHammer", 1, 20000, 11879051069318266781),
-    ("BlockHammer", 2, 20000, 14812970585325358250),
+    ("BlockHammer", 2, 20000, 7882795243984839309),
     ("BlockHammer(observe)", 1, 20000, 11837593530631069775),
-    ("BlockHammer(observe)", 2, 20000, 1691399771333714137),
+    ("BlockHammer(observe)", 2, 20000, 15862973268356422830),
 ];
 
 #[test]
